@@ -27,8 +27,10 @@ use crate::ops::{self, OpsCtx, OpsHandle, OpsShared};
 use crate::recovery::recover;
 use crate::snapshot::SnapshotStore;
 use crate::wal::{FsyncPolicy, Wal};
-use owp_engine::{Engine, EngineEvent, ForensicBundle, InjectedFault, OriginSnapshot};
-use owp_graph::EdgeId;
+use owp_engine::{
+    DeltaReport, Engine, EngineError, EngineEvent, ForensicBundle, InjectedFault, OriginSnapshot,
+};
+use owp_graph::{EdgeId, NodeId};
 use owp_metrics::{
     Counter, Gauge, Histogram, MetricsRegistry, MATCHD_ADMISSION_REJECTS, MATCHD_BATCH_EVENTS,
     MATCHD_BATCH_LINGER_US, MATCHD_CONNECTIONS, MATCHD_CONNECTIONS_TOTAL, MATCHD_QUEUE_DEPTH,
@@ -100,9 +102,47 @@ impl MatchdConfig {
     }
 }
 
+/// Nodes per view chunk: the unit a publish rebuilds or shares.
+const CHUNK: usize = 64;
+
+/// `CHUNK` consecutive nodes of a [`View`]: matched peers in CSR form
+/// plus satisfactions. Immutable once built; views share it by `Arc`.
+#[derive(Debug)]
+struct Chunk {
+    /// The k-th node's peers are `peers[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<u32>,
+    peers: Vec<u32>,
+    sat: Vec<f64>,
+}
+
+impl Chunk {
+    /// Reads chunk `c` off the engine — the one way a chunk is filled,
+    /// for full and incremental builds alike.
+    fn fill(engine: &Engine, c: usize) -> Chunk {
+        let n = engine.dynamic().graph().node_count();
+        let nodes = (c * CHUNK..((c + 1) * CHUNK).min(n)).map(|i| NodeId(i as u32));
+        let m = engine.matching();
+        let len = nodes.clone().map(|i| m.connections(i).len()).sum();
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut peers = Vec::with_capacity(len);
+        let mut sat = Vec::with_capacity(nodes.len());
+        offsets.push(0);
+        for i in nodes {
+            peers.extend(m.connections(i).iter().map(|p| p.0));
+            offsets.push(peers.len() as u32);
+            sat.push(engine.satisfaction(i));
+        }
+        Chunk { offsets, peers, sat }
+    }
+}
+
 /// The epoch-stamped published view: everything the read path may
 /// answer, frozen at a batch boundary. Handlers clone an `Arc` to it
 /// under a short lock and never touch the engine.
+///
+/// Copy-on-write: the per-node data lives in `Arc`-shared 64-node
+/// chunks, and a publish refills only the chunks the batch dirtied, so
+/// it costs O(delta) rather than O(n).
 #[derive(Clone, Debug)]
 pub struct View {
     /// Engine epoch this view reflects.
@@ -113,36 +153,94 @@ pub struct View {
     pub active: u32,
     /// Matched edge count.
     pub matched: u32,
-    matches: Vec<Vec<u32>>,
-    sat: Vec<f64>,
+    chunks: Vec<Arc<Chunk>>,
 }
 
 impl View {
+    /// Full build: every chunk filled from the engine. Used at start-up,
+    /// after a fault injection, and as the oracle for [`View::advance`].
     fn from_engine(engine: &Engine) -> View {
-        let dp = engine.dynamic();
-        let g = dp.graph();
+        let n = engine.dynamic().graph().node_count();
+        let chunks = (0..n.div_ceil(CHUNK)).map(|c| Arc::new(Chunk::fill(engine, c))).collect();
+        View::stamp(engine, chunks)
+    }
+
+    /// Incremental build: shares every chunk of `self` except the ones
+    /// `dirty` names, which are refilled from `engine`. Drains `dirty`.
+    fn advance(&self, engine: &Engine, dirty: &mut DirtyChunks) -> View {
+        let mut chunks = self.chunks.clone();
+        dirty.0.sort_unstable();
+        dirty.0.dedup();
+        for c in dirty.0.drain(..) {
+            chunks[c] = Arc::new(Chunk::fill(engine, c));
+        }
+        View::stamp(engine, chunks)
+    }
+
+    fn stamp(engine: &Engine, chunks: Vec<Arc<Chunk>>) -> View {
         View {
             epoch: engine.epoch().0,
             sigma_s: engine.total_satisfaction(),
-            active: g.nodes().filter(|&i| dp.is_active(i)).count() as u32,
+            active: engine.dynamic().active_count() as u32,
             matched: engine.matching().size() as u32,
-            matches: g
-                .nodes()
-                .map(|i| engine.matching().connections(i).iter().map(|p| p.0).collect())
-                .collect(),
-            sat: g.nodes().map(|i| engine.satisfaction(i)).collect(),
+            chunks,
         }
+    }
+
+    /// The node's chunk and its index inside it (`None` for unknown ids).
+    fn locate(&self, node: u32) -> Option<(&Chunk, usize)> {
+        let i = node as usize;
+        let chunk = self.chunks.get(i / CHUNK)?;
+        (i % CHUNK < chunk.sat.len()).then_some((&**chunk, i % CHUNK))
     }
 
     /// The node's matched peers (empty for unknown ids).
     pub fn matches_of(&self, node: u32) -> &[u32] {
-        self.matches.get(node as usize).map(Vec::as_slice).unwrap_or(&[])
+        match self.locate(node) {
+            Some((c, k)) => &c.peers[c.offsets[k] as usize..c.offsets[k + 1] as usize],
+            None => &[],
+        }
     }
 
     /// The node's satisfaction (0 for inactive or unknown ids).
     pub fn satisfaction_of(&self, node: u32) -> f64 {
-        self.sat.get(node as usize).copied().unwrap_or(0.0)
+        self.locate(node).map_or(0.0, |(c, k)| c.sat[k])
     }
+}
+
+/// The view chunks an applied batch touched: those holding an endpoint
+/// of an edge the repair added or removed, or the node of a join,
+/// leave, quota change or preference update. These are exactly the
+/// nodes whose connections or satisfaction the engine may have changed.
+#[derive(Debug, Default)]
+struct DirtyChunks(Vec<usize>);
+
+impl DirtyChunks {
+    fn note(&mut self, engine: &Engine, report: &DeltaReport, events: &[EngineEvent]) {
+        let g = engine.dynamic().graph();
+        for &e in report.edges_added.iter().chain(&report.edges_removed) {
+            let (u, v) = g.endpoints(e);
+            self.0.extend([u.index() / CHUNK, v.index() / CHUNK]);
+        }
+        for ev in events {
+            match ev {
+                EngineEvent::NodeJoin { node }
+                | EngineEvent::NodeLeave { node }
+                | EngineEvent::QuotaChange { node, .. }
+                | EngineEvent::PreferenceUpdate { node, .. } => self.0.push(node.index() / CHUNK),
+                EngineEvent::EdgeAdd { .. } | EngineEvent::EdgeRemove { .. } => {}
+            }
+        }
+    }
+}
+
+/// Swaps in the view of `engine`'s state, rebuilt from the published
+/// one where `dirty` says the last flush touched it. Only the engine
+/// owner publishes, so reading the slot and then replacing it is safe.
+fn publish(slot: &SharedView, engine: &Engine, dirty: &mut DirtyChunks) {
+    let current = slot.lock().expect("view lock").clone();
+    let next = Arc::new(current.advance(engine, dirty));
+    *slot.lock().expect("view lock") = next;
 }
 
 type SharedView = Arc<Mutex<Arc<View>>>;
@@ -157,6 +255,65 @@ pub(crate) struct Submission {
     req: u64,
     bytes: u32,
     reply: Sender<Reply>,
+}
+
+impl AsRef<[EngineEvent]> for Submission {
+    fn as_ref(&self) -> &[EngineEvent] {
+        &self.events
+    }
+}
+
+fn apply_one(
+    engine: &mut Engine,
+    events: &[EngineEvent],
+    trace: &mut Option<EventLog>,
+    report: &mut DeltaReport,
+) -> Result<u64, EngineError> {
+    match trace.as_mut() {
+        Some(log) => engine.apply_batch_traced_into(events, log, report),
+        None => engine.apply_batch_into(events, report),
+    }
+    .map(|()| report.epoch.0)
+}
+
+/// Applies one flush to the engine: the merged batch of all `subs`, or,
+/// if that fails validation as a whole, each submission alone — good
+/// ones commit with their own epochs, bad ones get the engine's error.
+/// `commit(epoch, events)` runs after every successful apply (the WAL
+/// append); its `Err` refuses that ack. Every applied batch marks its
+/// view chunks in `dirty`. Returns one reply per submission and the
+/// number of batches flushed.
+fn apply_flush<S: AsRef<[EngineEvent]>>(
+    engine: &mut Engine,
+    subs: &[S],
+    merged: &mut Vec<EngineEvent>,
+    report: &mut DeltaReport,
+    trace: &mut Option<EventLog>,
+    dirty: &mut DirtyChunks,
+    mut commit: impl FnMut(u64, &[EngineEvent]) -> Result<(), String>,
+) -> (Vec<Reply>, u64) {
+    merged.clear();
+    for sub in subs {
+        merged.extend_from_slice(sub.as_ref());
+    }
+    if let Ok(epoch) = apply_one(engine, merged, trace, report) {
+        dirty.note(engine, report, merged);
+        let reply = commit(epoch, merged).map(|()| epoch);
+        return (vec![reply; subs.len()], 1);
+    }
+    let mut batches = 0;
+    let replies = subs
+        .iter()
+        .map(|sub| {
+            let events = sub.as_ref();
+            let epoch = apply_one(engine, events, trace, report).map_err(|e| e.to_string())?;
+            dirty.note(engine, report, events);
+            commit(epoch, events)?;
+            batches += 1;
+            Ok(epoch)
+        })
+        .collect();
+    (replies, batches)
 }
 
 /// An epoch-stamped copy of the engine's live state, captured by the
@@ -501,15 +658,10 @@ fn handle_conn(mut stream: TcpStream, ctx: Arc<ConnCtx>, conn: u64) {
         let span_start = Instant::now();
         let req_kind = frame.kind_label();
         let is_submit = matches!(frame, Frame::Submit { .. });
+        // Read and control frames answer from one view, which also
+        // stamps their slow-ring entry.
+        let mut read_epoch = 0;
         let response = match frame {
-            Frame::Hello { proto } => {
-                if proto == PROTO_VERSION {
-                    let v = ctx.view();
-                    Frame::Welcome { proto: PROTO_VERSION, epoch: v.epoch, nodes: ctx.nodes }
-                } else {
-                    Frame::Rejected { error: format!("unsupported protocol version {proto}") }
-                }
-            }
             Frame::Submit { events } => {
                 let bytes = events.len() as u32;
                 let (reply_tx, reply_rx) = std::sync::mpsc::channel();
@@ -541,26 +693,6 @@ fn handle_conn(mut stream: TcpStream, ctx: Arc<ConnCtx>, conn: u64) {
                     }
                 }
             }
-            Frame::QueryMatches { node } => {
-                let v = ctx.view();
-                Frame::Matches { epoch: v.epoch, peers: v.matches_of(node).to_vec() }
-            }
-            Frame::QuerySatisfaction { node } => {
-                let v = ctx.view();
-                Frame::Satisfaction { epoch: v.epoch, value: v.satisfaction_of(node) }
-            }
-            Frame::QueryEpoch => {
-                let v = ctx.view();
-                Frame::EpochInfo {
-                    epoch: v.epoch,
-                    sigma_s: v.sigma_s,
-                    active: v.active,
-                    matched: v.matched,
-                }
-            }
-            Frame::QueryMetrics => {
-                Frame::Metrics { json: ctx.registry.snapshot().to_json() }
-            }
             Frame::Shutdown => {
                 let epoch = ctx.view().epoch;
                 let _ = ctx.ingest.send(Ingest::Shutdown);
@@ -568,9 +700,11 @@ fn handle_conn(mut stream: TcpStream, ctx: Arc<ConnCtx>, conn: u64) {
                 let _ = codec::write_frame(&mut stream, &Frame::Bye { epoch });
                 return;
             }
-            other => Frame::Rejected {
-                error: format!("unexpected {} frame from a client", other.kind_label()),
-            },
+            frame => {
+                let v = ctx.view();
+                read_epoch = v.epoch;
+                answer(frame, &v, &ctx)
+            }
         };
         if codec::write_frame(&mut stream, &response).is_err() {
             return;
@@ -587,9 +721,36 @@ fn handle_conn(mut stream: TcpStream, ctx: Arc<ConnCtx>, conn: u64) {
                 &ctx.req_control_us
             };
             hist.observe(total_us);
-            let epoch = ctx.view().epoch;
-            ctx.shared.slow.note(req, conn, req_kind, epoch, 0, 0, 0, total_us);
+            ctx.shared.slow.note(req, conn, req_kind, read_epoch, 0, 0, 0, total_us);
         }
+    }
+}
+
+/// The reply to a read or control frame, answered from view `v`.
+fn answer(frame: Frame, v: &View, ctx: &ConnCtx) -> Frame {
+    match frame {
+        Frame::Hello { proto } if proto == PROTO_VERSION => {
+            Frame::Welcome { proto: PROTO_VERSION, epoch: v.epoch, nodes: ctx.nodes }
+        }
+        Frame::Hello { proto } => {
+            Frame::Rejected { error: format!("unsupported protocol version {proto}") }
+        }
+        Frame::QueryMatches { node } => {
+            Frame::Matches { epoch: v.epoch, peers: v.matches_of(node).to_vec() }
+        }
+        Frame::QuerySatisfaction { node } => {
+            Frame::Satisfaction { epoch: v.epoch, value: v.satisfaction_of(node) }
+        }
+        Frame::QueryEpoch => Frame::EpochInfo {
+            epoch: v.epoch,
+            sigma_s: v.sigma_s,
+            active: v.active,
+            matched: v.matched,
+        },
+        Frame::QueryMetrics => Frame::Metrics { json: ctx.registry.snapshot().to_json() },
+        other => Frame::Rejected {
+            error: format!("unexpected {} frame from a client", other.kind_label()),
+        },
     }
 }
 
@@ -621,6 +782,8 @@ fn owner_loop(
     let mut pending: Vec<Submission> = Vec::new();
     let mut pending_events = 0usize;
     let mut merged: Vec<EngineEvent> = Vec::new();
+    let mut report = DeltaReport::default();
+    let mut dirty = DirtyChunks::default();
     let mut batches = 0u64;
     let mut last_snapshot = engine.epoch().0;
     wal_bytes.set(wal.bytes() as f64);
@@ -651,70 +814,32 @@ fn owner_loop(
                 });
             }
         }
-        merged.clear();
-        for sub in pending.iter() {
-            merged.extend_from_slice(&sub.events);
-        }
         // The span legs: every submission in this flush shares the
         // apply leg (one merged engine call + WAL append), while its
         // queue leg is individual — enqueue to flush start.
         let flush_start = Instant::now();
-        let merged_result = match trace.as_mut() {
-            Some(log) => engine.apply_batch_traced(&merged, log).map(|r| r.epoch.0),
-            None => engine.apply_batch(&merged).map(|r| r.epoch.0),
-        };
-        // Replies are deferred until after the view is published, so a
-        // client that sees its ack is guaranteed to read its own write.
-        let mut replies: Vec<(Submission, Reply)> = Vec::with_capacity(pending.len());
-        match merged_result {
-            Ok(epoch) => {
-                *batches += 1;
-                match wal.append(epoch, &merged) {
-                    Ok(()) => {
-                        for sub in pending.drain(..) {
-                            replies.push((sub, Ok(epoch)));
-                        }
-                    }
-                    Err(e) => {
-                        // Disk trouble: the batch is applied but not
-                        // logged. Refuse the ack so no client believes
-                        // it durable.
-                        for sub in pending.drain(..) {
-                            replies.push((sub, Err(format!("WAL append failed: {e}"))));
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                // The merged batch fails validation as a whole; isolate
-                // the offender(s) by applying each submission alone.
-                for sub in pending.drain(..) {
-                    let one = match trace.as_mut() {
-                        Some(log) => {
-                            engine.apply_batch_traced(&sub.events, log).map(|r| r.epoch.0)
-                        }
-                        None => engine.apply_batch(&sub.events).map(|r| r.epoch.0),
-                    };
-                    let reply = match one {
-                        Ok(epoch) => match wal.append(epoch, &sub.events) {
-                            Ok(()) => {
-                                *batches += 1;
-                                Ok(epoch)
-                            }
-                            Err(e) => Err(format!("WAL append failed: {e}")),
-                        },
-                        Err(e) => Err(e.to_string()),
-                    };
-                    replies.push((sub, reply));
-                }
-            }
-        }
+        // A failed WAL append means the batch is applied but not logged:
+        // the ack is refused so no client believes it durable.
+        let (results, flushed) = apply_flush(
+            engine,
+            pending.as_slice(),
+            &mut merged,
+            &mut report,
+            trace,
+            &mut dirty,
+            |epoch, events| {
+                wal.append(epoch, events).map_err(|e| format!("WAL append failed: {e}"))
+            },
+        );
+        *batches += flushed;
         *pending_events = 0;
         let apply_done = Instant::now();
         let apply_us = apply_done.duration_since(flush_start).as_micros() as u64;
         let epoch_now = engine.epoch().0;
-        *view.lock().expect("view lock") = Arc::new(View::from_engine(engine));
-        for (sub, reply) in replies {
+        // Replies are deferred until after the view is published, so a
+        // client that sees its ack is guaranteed to read its own write.
+        publish(&view, engine, &mut dirty);
+        for (sub, reply) in pending.drain(..).zip(results) {
             let kind = if reply.is_ok() { "ACCEPTED" } else { "REJECTED" };
             if let Some(log) = trace.as_mut() {
                 log.record(TelemetryEvent::WireFrameSent {
@@ -883,4 +1008,138 @@ fn owner_loop(
     // surface as "daemon stopped before applying".
     let certify = engine.certify();
     OwnerExit { engine, batches, graceful, certify, trace }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::universe::from_spec;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
+
+    /// `count` valid events on nodes and edges not yet in `used_*`, so
+    /// any set of submissions drawn against one state merges validly.
+    fn draw(
+        engine: &Engine,
+        rng: &mut StdRng,
+        used_nodes: &mut HashSet<u32>,
+        used_edges: &mut HashSet<u32>,
+        count: usize,
+    ) -> Vec<EngineEvent> {
+        let dp = engine.dynamic();
+        let g = dp.graph();
+        let mut out = Vec::new();
+        while out.len() < count {
+            let kind = rng.gen_range(0..6u32);
+            if kind == 2 || kind == 3 {
+                let e = EdgeId(rng.gen_range(0..g.edge_count() as u32));
+                if !used_edges.insert(e.0) {
+                    continue;
+                }
+                let (u, v) = g.endpoints(e);
+                out.push(if dp.is_present(e) {
+                    EngineEvent::EdgeRemove { u, v }
+                } else {
+                    EngineEvent::EdgeAdd { u, v }
+                });
+                continue;
+            }
+            let node = NodeId(rng.gen_range(0..g.node_count() as u32));
+            if !used_nodes.insert(node.0) {
+                continue;
+            }
+            out.push(match kind {
+                0 | 1 if dp.is_active(node) => EngineEvent::NodeLeave { node },
+                0 | 1 => EngineEvent::NodeJoin { node },
+                4 => EngineEvent::QuotaChange { node, quota: rng.gen_range(1..=4u32) },
+                _ => {
+                    let mut list: Vec<NodeId> =
+                        g.neighbors(node).iter().map(|&(v, _)| v).collect();
+                    list.shuffle(rng);
+                    EngineEvent::PreferenceUpdate { node, list }
+                }
+            });
+        }
+        out
+    }
+
+    fn assert_same(inc: &View, full: &View, n: u32) {
+        assert_eq!(inc.epoch, full.epoch);
+        assert_eq!(inc.active, full.active, "epoch {}", full.epoch);
+        assert_eq!(inc.matched, full.matched, "epoch {}", full.epoch);
+        assert_eq!(inc.sigma_s.to_bits(), full.sigma_s.to_bits(), "epoch {}", full.epoch);
+        for i in 0..n {
+            assert_eq!(inc.matches_of(i), full.matches_of(i), "node {i} at epoch {}", full.epoch);
+            assert_eq!(
+                inc.satisfaction_of(i).to_bits(),
+                full.satisfaction_of(i).to_bits(),
+                "node {i} at epoch {}",
+                full.epoch
+            );
+        }
+        for unknown in [n, u32::MAX] {
+            assert!(inc.matches_of(unknown).is_empty());
+            assert_eq!(inc.satisfaction_of(unknown).to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    /// The incremental publish must equal a full rebuild after every
+    /// flush, on the merged path and on the per-submission fallback.
+    #[test]
+    fn incremental_view_equals_full_rebuild() {
+        let universe = from_spec("ba:1000,3,2,17").expect("spec");
+        let n = universe.graph.node_count() as u32;
+        let mut engine = Engine::new(universe);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut view = View::from_engine(&engine);
+        let (mut merged, mut report) = (Vec::new(), DeltaReport::default());
+        let mut dirty = DirtyChunks::default();
+        let (mut kinds, mut shared) = (HashSet::new(), 0);
+        for step in 0..80 {
+            let (mut used_nodes, mut used_edges) = (HashSet::new(), HashSet::new());
+            let mut subs: Vec<Vec<EngineEvent>> = (0..rng.gen_range(1..=4usize))
+                .map(|_| {
+                    let count = rng.gen_range(1..=6usize);
+                    draw(&engine, &mut rng, &mut used_nodes, &mut used_edges, count)
+                })
+                .collect();
+            let poisoned = step % 5 == 4;
+            if poisoned {
+                let at = rng.gen_range(0..=subs.len());
+                subs.insert(at, vec![EngineEvent::NodeLeave { node: NodeId(n + 7) }]);
+            }
+            let mut trace = (step % 3 == 0).then(EventLog::enabled);
+            let before = engine.epoch().0;
+            let (replies, batches) = apply_flush(
+                &mut engine,
+                &subs,
+                &mut merged,
+                &mut report,
+                &mut trace,
+                &mut dirty,
+                |_, _| Ok(()),
+            );
+            if poisoned {
+                assert_eq!(batches as usize, subs.len() - 1);
+                assert_eq!(replies.iter().filter(|r| r.is_err()).count(), 1);
+            } else {
+                assert_eq!(batches, 1);
+                assert!(replies.iter().all(|r| *r == Ok(before + 1)));
+            }
+            for sub in &subs {
+                kinds.extend(sub.iter().map(std::mem::discriminant));
+            }
+            let next = view.advance(&engine, &mut dirty);
+            assert!(dirty.0.is_empty());
+            shared +=
+                next.chunks.iter().zip(&view.chunks).filter(|(a, b)| Arc::ptr_eq(a, b)).count();
+            view = next;
+            assert_same(&view, &View::from_engine(&engine), n);
+        }
+        assert_eq!(kinds.len(), 6, "the stream must use every event kind");
+        assert!(shared > 0, "no publish shared a chunk with its predecessor");
+        engine.certify().expect("certified");
+    }
 }
