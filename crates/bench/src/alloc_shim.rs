@@ -1,28 +1,27 @@
 //! Counting global allocator for every `owp-bench` binary.
 //!
 //! The engine's steady-state zero-allocation contract (DESIGN.md §11) is
-//! measured through [`owp_metrics::ALLOC_COUNT`]; the metrics crate is
-//! `#![forbid(unsafe_code)]`, so the `GlobalAlloc` shim that feeds the
+//! measured through [`owp_metrics::record_allocation`]; the metrics crate
+//! is `#![forbid(unsafe_code)]`, so the `GlobalAlloc` shim that feeds the
 //! counter lives here, in the one workspace crate that permits `unsafe`.
 //! Linking this library installs the shim process-wide — the
 //! `experiments` binary, `bench_guard`, `owp-inspect`, the criterion
-//! benches and the crate's own tests all count, which is what lets E21
+//! benches and the crate's own tests all count, which is what lets E19
 //! publish an honest `engine_allocations_per_batch` gauge.
 //!
-//! Cost: one relaxed atomic increment per `alloc`/`realloc` call on top
+//! Cost: one thread-local increment per `alloc`/`realloc` call on top
 //! of the system allocator — far below the jitter envelope of any guarded
 //! wall time, and the price of keeping the contract continuously
 //! measurable instead of trusted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::Ordering;
 
 /// The system allocator plus one counter bump per allocation.
 pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        owp_metrics::ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        owp_metrics::record_allocation();
         System.alloc(layout)
     }
 
@@ -31,7 +30,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        owp_metrics::ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        owp_metrics::record_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }

@@ -3,7 +3,7 @@
 //! against the committed `BENCH_<id>.json` baselines.
 //!
 //! ```text
-//! bench_guard [e15|e19|e21|e20|e22|e23|e24|e25|all] [--baseline <path>] [--tolerance <pct>] [--slack-ms <ms>] [--update]
+//! bench_guard [e15|e19|e20|e22|e23|e24|e25|all] [--baseline <path>] [--tolerance <pct>] [--slack-ms <ms>] [--update]
 //! ```
 //!
 //! Guarded experiments:
@@ -12,9 +12,6 @@
 //!   times per size (`BENCH_e15.json`);
 //! * `e19` — dynamic engine: bounded-repair and from-scratch-rebuild wall
 //!   times per batch size (`BENCH_e19.json`);
-//! * `e21` — sharded engine: from-scratch build and structural-churn
-//!   repair wall times per thread budget (`BENCH_e21.json`; honors
-//!   `OWP_E21_N`, so measure and check under the same value);
 //! * `e20` — causal critical path: span count, critical-path length /
 //!   latency and sync round count per size (`BENCH_e20.json`). These are
 //!   *deterministic structure*, not wall times, so the guard demands
@@ -63,8 +60,8 @@
 //! for the "telemetry off costs nothing" claim.
 
 use owp_bench::experiments::{
-    e15_scale, e19_dynamic, e20_critical_path, e21_sharded, e22_forensics, e23_matchd,
-    e24_ops, e25_campaign, tables_to_json,
+    e15_scale, e19_dynamic, e20_critical_path, e22_forensics, e23_matchd, e24_ops,
+    e25_campaign, tables_to_json,
 };
 use owp_bench::Table;
 use std::time::Instant;
@@ -113,17 +110,6 @@ const GUARDS: &[Guard] = &[
         key_label: "batch %",
         cols: &[("repair ms", 2), ("rebuild ms", 3)],
         run: e19_dynamic::run,
-        exact: false,
-        cap: None,
-        cap_key: None,
-    },
-    Guard {
-        id: "e21",
-        what: "E21 sharded repair sweep (full size, structural churn)",
-        key_col: 0,
-        key_label: "threads",
-        cols: &[("build ms", 2), ("repair ms", 3)],
-        run: e21_sharded::run,
         exact: false,
         cap: None,
         cap_key: None,
@@ -221,7 +207,7 @@ fn main() {
             _ if a.starts_with("--") => {
                 eprintln!("unknown flag: {a}");
                 eprintln!(
-                    "usage: bench_guard [e15|e19|e21|e20|e22|e23|e24|e25|all] [--baseline <path>] [--tolerance <pct>] [--slack-ms <ms>] [--update]"
+                    "usage: bench_guard [e15|e19|e20|e22|e23|e24|e25|all] [--baseline <path>] [--tolerance <pct>] [--slack-ms <ms>] [--update]"
                 );
                 std::process::exit(2);
             }

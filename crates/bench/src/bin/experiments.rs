@@ -19,7 +19,7 @@
 //! flag; selecting *only* untraced experiments is an error.
 //!
 //! With `--metrics-out <path>`, the instrumented experiments (see
-//! `experiments::INSTRUMENTED`: e5, e18, e19, e20, e21, e23) run with a shared
+//! `experiments::INSTRUMENTED`: e5, e18, e19, e20, e23, e25) run with a shared
 //! `MetricsRegistry` — histograms, message counters and the online
 //! invariant audit — and the final snapshot is written to `path`:
 //! Prometheus text format if the path ends in `.prom`, JSON otherwise.

@@ -217,34 +217,14 @@ fn inspect_metrics(path: &str) {
         );
     }
 
-    // The sharded engine's health lines (E21): partition shape, phase-2
-    // merge load, and the steady-state allocation rate — 0 is the
+    // The engine's steady-state allocation rate (E19) — 0 is the
     // DESIGN.md §11 zero-allocation contract, anything else is a
     // regression worth reading before the wall times move.
     let gauge = |key: &str| {
         snap.gauges.iter().find(|(name, _)| name == key).map(|&(_, v)| v)
     };
-    if gauge("engine_shards").is_some()
-        || gauge(owp_metrics::ALLOCATIONS_PER_BATCH).is_some()
-        || gauge(owp_metrics::PHASE2_ROUNDS).is_some()
-    {
+    if gauge(owp_metrics::ALLOCATIONS_PER_BATCH).is_some() {
         out.push_str("engine:\n");
-        if let Some(shards) = gauge("engine_shards") {
-            let _ = writeln!(
-                out,
-                "  sharded repair: {shards:.0} shards, {:.0} boundary edges ({:.2}% of m), \
-                 phase-2 merge evaluated {:.0} edges last batch",
-                gauge("engine_boundary_edges").unwrap_or(0.0),
-                100.0 * gauge("engine_boundary_fraction").unwrap_or(0.0),
-                gauge("engine_boundary_evaluated").unwrap_or(0.0),
-            );
-        }
-        if let Some(rounds) = gauge(owp_metrics::PHASE2_ROUNDS) {
-            let _ = writeln!(
-                out,
-                "  two-phase repair quiesced in {rounds:.0} round(s) last batch"
-            );
-        }
         match gauge(owp_metrics::ALLOCATIONS_PER_BATCH) {
             Some(rate) if rate == 0.0 => out.push_str(
                 "  steady-state batches allocation-free (engine_allocations_per_batch = 0)\n",
@@ -262,7 +242,7 @@ fn inspect_metrics(path: &str) {
 
     // The flight recorder is its own subsystem (always-on black box,
     // DESIGN.md §12), so its health prints whenever the snapshot carries
-    // it — an un-sharded engine records flights too.
+    // it.
     if let Some(dropped) = gauge(owp_metrics::RECORDER_DROPPED) {
         out.push_str("recorder:\n");
         let _ = writeln!(

@@ -13,9 +13,17 @@
 //! The headline table (BA topology) is the `bench_guard` schema: all
 //! numeric, keyed by the batch-size column, with repair and rebuild wall
 //! times guarded against `BENCH_e19.json`.
+//!
+//! The metrics variant also measures the DESIGN.md §11 steady-state
+//! contract on the BA instance: a warmed engine applies structural
+//! batches without touching the heap. The event stream is a
+//! *self-inverse cycle* — perturbation batches paired with their exact
+//! undo batches — so every cycle traverses identical repair work, and the
+//! warm-up runs until the black-box history ring has wrapped (its slots
+//! allocate their event buffers on first use).
 
 use crate::{mean, Table};
-use owp_engine::{Engine, EngineEvent};
+use owp_engine::{DeltaReport, Engine, EngineEvent};
 use owp_graph::{Graph, NodeId};
 use owp_matching::{lic, EdgeOrder, Problem, SelectionPolicy};
 use rand::rngs::StdRng;
@@ -26,6 +34,11 @@ use std::time::Instant;
 
 /// Batches measured per (topology, batch size) cell.
 const BATCHES: usize = 8;
+
+/// Batches in one self-inverse structural cycle. Even: the cycle is built
+/// from perturb/undo *pairs*, so applying all of them returns the engine
+/// to its initial state and the cycle can repeat verbatim.
+const CYCLE: usize = 6;
 
 /// Runs the dynamic-repair sweep. Returns the BA headline table (tracked
 /// by `BENCH_e19.json` / `bench_guard`) and the ER counterpart.
@@ -38,8 +51,11 @@ pub fn run(quick: bool) -> Vec<Table> {
 /// histograms, add/remove counters), repair wall times land in a
 /// `engine_repair_wall_us` histogram, and an [`owp_metrics::Auditor`]
 /// consumes every `DeltaReport` and re-audits the maintained matching
-/// after each batch. The un-instrumented [`run`] stays the `bench_guard`
-/// surface, so guarded wall times never include the audit cost.
+/// after each batch. On the BA instance it then publishes the
+/// steady-state `engine_allocations_per_batch` gauge and the flight-ring
+/// gauges (`publish_steady_state`). The un-instrumented [`run`] stays
+/// the `bench_guard` surface, so guarded wall times never include the
+/// audit cost.
 pub fn run_with_metrics(quick: bool, reg: &owp_metrics::MetricsRegistry) -> Vec<Table> {
     run_inner(quick, Some(reg))
 }
@@ -52,10 +68,104 @@ fn run_inner(quick: bool, reg: Option<&owp_metrics::MetricsRegistry>) -> Vec<Tab
     let ba = owp_graph::generators::barabasi_albert(n, 5, &mut rng);
     let er = owp_graph::generators::erdos_renyi(n, 10.0 / n as f64, &mut rng);
 
+    if let Some(reg) = reg {
+        publish_steady_state(&ba, n, reg);
+    }
     vec![
         sweep("ba(m=5)", ba, n, pcts, 1, reg),
         sweep("er(avg deg 10)", er, n, pcts, 2, reg),
     ]
+}
+
+/// Warm-up bound, in cycles: the history ring wraps after
+/// `DEFAULT_HISTORY_CAPACITY / CYCLE` cycles, so this only runs out on a
+/// regression — and then the measured cycle reports it.
+const WARM_CYCLES: usize = 64;
+
+/// Measures structural batches on a warmed engine over `g` and publishes
+/// the allocation rate and the flight-ring gauges to `reg`. The protocol
+/// is `zero_alloc.rs`'s: cycle until the history ring has wrapped and a
+/// whole cycle allocated nothing, then measure one more cycle. The
+/// measured engine is certified.
+fn publish_steady_state(g: &Graph, n: usize, reg: &owp_metrics::MetricsRegistry) {
+    let cycle = structural_cycle(g, (n / 200).max(10), 0xE19C);
+    let mut engine = Engine::new(Problem::random_over(g.clone(), 4, 1));
+    let mut report = DeltaReport::default();
+    let mut run_cycle = |engine: &mut Engine| {
+        let mark = owp_metrics::allocation_count();
+        for batch in &cycle {
+            engine.apply_batch_into(batch, &mut report).expect("cycle batches are valid");
+        }
+        owp_metrics::allocations_since(mark)
+    };
+    for _ in 0..WARM_CYCLES {
+        if run_cycle(&mut engine) == 0 && engine.history().evicted() > 0 {
+            break;
+        }
+    }
+    let allocs = run_cycle(&mut engine);
+    engine.certify().expect("steady-state engine is canonical");
+    owp_metrics::publish_allocations_per_batch(reg, allocs, cycle.len() as u64);
+    owp_metrics::publish_recorder_gauges(reg, &engine);
+}
+
+/// A self-inverse structural cycle: [`CYCLE`]/2 perturbation batches of
+/// `len` events (≈60% node leaves, 40% edge removals), each immediately
+/// followed by its exact undo batch (reverse order, inverted events).
+/// Applying the whole cycle is the identity on membership state, so
+/// consecutive cycles traverse identical repair work.
+fn structural_cycle(g: &Graph, len: usize, seed: u64) -> Vec<Vec<EngineEvent>> {
+    let n = g.node_count();
+    let m = g.edge_count();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut active = vec![true; n];
+    let mut present = vec![true; m];
+    let endpoints: Vec<(NodeId, NodeId)> = g.edges().map(|e| g.endpoints(e)).collect();
+
+    let mut batches = Vec::with_capacity(CYCLE);
+    for _ in 0..CYCLE / 2 {
+        let mut forward = Vec::with_capacity(len);
+        let mut undo = Vec::with_capacity(len);
+        let mut flipped_nodes = Vec::new();
+        let mut flipped_edges = Vec::new();
+        for _ in 0..len {
+            loop {
+                if rng.gen_range(0u32..10) < 6 {
+                    let i = rng.gen_range(0..n);
+                    if active[i] {
+                        active[i] = false;
+                        flipped_nodes.push(i);
+                        let node = NodeId(i as u32);
+                        forward.push(EngineEvent::NodeLeave { node });
+                        undo.push(EngineEvent::NodeJoin { node });
+                        break;
+                    }
+                } else {
+                    let e = rng.gen_range(0..m);
+                    if present[e] {
+                        present[e] = false;
+                        flipped_edges.push(e);
+                        let (u, v) = endpoints[e];
+                        forward.push(EngineEvent::EdgeRemove { u, v });
+                        undo.push(EngineEvent::EdgeAdd { u, v });
+                        break;
+                    }
+                }
+            }
+        }
+        undo.reverse();
+        // The undo batch restores every flag it flipped, so the next pair
+        // generates against the same (full) membership state.
+        for i in flipped_nodes {
+            active[i] = true;
+        }
+        for e in flipped_edges {
+            present[e] = true;
+        }
+        batches.push(forward);
+        batches.push(undo);
+    }
+    batches
 }
 
 fn sweep(
@@ -249,25 +359,59 @@ impl EventGen {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
     #[test]
     fn metrics_variant_audits_every_batch_clean() {
         let reg = owp_metrics::MetricsRegistry::new();
-        let tables = super::run_with_metrics(true, &reg);
+        let tables = run_with_metrics(true, &reg);
         assert_eq!(tables.len(), 2);
         // 2 topologies × 2 batch sizes × 8 batches, each: one delta
         // observed, one engine audit, one wall-time sample.
-        let batches = 2 * 2 * super::BATCHES as u64;
+        let batches = 2 * 2 * BATCHES as u64;
         assert_eq!(reg.histogram("engine_batch_events").count(), batches);
         assert_eq!(reg.histogram("engine_repair_wall_us").count(), batches);
         assert_eq!(reg.counter("audit_checks_total").get(), 2 * batches);
         assert_eq!(reg.counter("audit_violations_total").get(), 0);
         assert!(reg.counter("engine_edges_added_total").get() > 0);
         assert!(reg.gauge("audit_engine_matching_size").get() > 0.0);
+        assert_eq!(reg.gauge(owp_metrics::ALLOCATIONS_PER_BATCH).get(), 0.0);
+    }
+
+    /// The gauge `owp-inspect metrics` reads its verdict from: 0.0 once
+    /// the arenas and the history ring are warm.
+    #[test]
+    fn steady_state_gauge_reads_zero() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let g = owp_graph::generators::barabasi_albert(600, 4, &mut rng);
+        let reg = owp_metrics::MetricsRegistry::new();
+        publish_steady_state(&g, 2_000, &reg);
+        assert_eq!(reg.gauge(owp_metrics::ALLOCATIONS_PER_BATCH).get(), 0.0);
+        let occ = reg.gauge(owp_metrics::RECORDER_OCCUPANCY).get();
+        assert!(occ > 0.0 && occ <= 1.0, "the flight ring recorded: {occ}");
+    }
+
+    #[test]
+    fn the_cycle_is_self_inverse() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = owp_graph::generators::barabasi_albert(200, 3, &mut rng);
+        let cycle = structural_cycle(&g, 9, 5);
+        assert_eq!(cycle.len(), CYCLE);
+        let p = Problem::random_over(g, 2, 3);
+        let mut engine = Engine::new(p.clone());
+        for batch in &cycle {
+            engine.apply_batch(batch).unwrap();
+        }
+        let fresh = Engine::new(p);
+        assert!(
+            engine.matching().same_edges(fresh.matching()),
+            "one full cycle must be the identity on the matching"
+        );
     }
 
     #[test]
     fn quick_run_beats_rebuild_and_certifies() {
-        let tables = super::run(true);
+        let tables = run(true);
         assert_eq!(tables.len(), 2, "BA and ER");
         for t in &tables {
             assert_eq!(t.row_count(), 2);

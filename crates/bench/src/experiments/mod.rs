@@ -24,7 +24,6 @@ pub mod e17_ratio_at_scale;
 pub mod e18_convergence_trace;
 pub mod e19_dynamic;
 pub mod e20_critical_path;
-pub mod e21_sharded;
 pub mod e22_forensics;
 pub mod e23_matchd;
 pub mod e24_ops;
@@ -36,7 +35,7 @@ use owp_telemetry::{ConvergenceSeries, EventLog};
 
 /// All experiment ids, in order.
 pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e22", "e23", "e24", "e25",
 ];
 
 /// The experiments that record a raw trace artifact — i.e. that honor
@@ -49,7 +48,7 @@ pub const TRACED: &[&str] = &["e18", "e20"];
 /// The experiments with a metrics-instrumented variant — i.e. that
 /// populate a [`MetricsRegistry`] under `--metrics-out`/`--watch`. The
 /// rest run un-instrumented even when a registry is supplied.
-pub const INSTRUMENTED: &[&str] = &["e5", "e18", "e19", "e20", "e21", "e23", "e25"];
+pub const INSTRUMENTED: &[&str] = &["e5", "e18", "e19", "e20", "e23", "e25"];
 
 /// The experiments that capture a [`owp_engine::ForensicBundle`] — i.e.
 /// that honor `--forensics-out`. `e22` surfaces the first post-mortem
@@ -135,7 +134,6 @@ pub fn run_instrumented(
         match id {
             "e5" => return Some((vec![e05_convergence::run_with_metrics(quick, reg)], None)),
             "e19" => return Some((e19_dynamic::run_with_metrics(quick, reg), None)),
-            "e21" => return Some((e21_sharded::run_with_metrics(quick, reg), None)),
             "e23" => return Some((e23_matchd::run_with_metrics(quick, reg), None)),
             "e25" => return Some((e25_campaign::run_with_metrics(quick, reg), None)),
             _ => {}
@@ -160,7 +158,6 @@ pub fn run_instrumented(
         "e16" => e16_stability::run(quick),
         "e17" => vec![e17_ratio_at_scale::run(quick)],
         "e19" => e19_dynamic::run(quick),
-        "e21" => e21_sharded::run(quick),
         "e22" => e22_forensics::run(quick),
         "e23" => e23_matchd::run(quick),
         "e24" => e24_ops::run(quick),
@@ -251,7 +248,9 @@ mod tests {
         for id in ALL {
             assert!(seen.insert(*id), "duplicate id {id}");
         }
-        assert_eq!(ALL.len(), 25);
+        // E21 (sharded repair) is retired; the other ids keep their numbers.
+        assert_eq!(ALL.len(), 24);
+        assert!(!ALL.contains(&"e21"));
     }
 
     /// E18 carries a convergence series, E20 a raw event log; the others

@@ -17,31 +17,12 @@
 //!   *selected* edges (at most `b` per node) can turn off; a flip **off**
 //!   relaxes them, so only lighter *unselected* alive edges can turn on;
 //! * the `queued` bitmap is an *in-heap* marker (set on push, cleared on
-//!   pop), so an edge whose heavier context changes again later in the
-//!   batch re-enters the frontier and is re-evaluated. With a single
-//!   shard pops are monotone in rank and each edge is evaluated exactly
-//!   once, recovering the classic once-per-batch behaviour; with several
-//!   shards the re-evaluation is what makes the two-phase rounds below
-//!   converge to the same unique fixpoint.
-//!
-//! ## Sharded two-phase repair (DESIGN.md §11)
-//!
-//! Under a [`ShardMap`] the batch repair runs in rounds until quiescent:
-//!
-//! * **Phase 1 (parallel):** every shard with pending seeds repairs its
-//!   *interior* edges with the heap above, reading boundary-edge statuses
-//!   as frozen; any lighter boundary edge a flip would push is recorded
-//!   as a rank-ordered *proposal* instead.
-//! * **Phase 2 (sequential, deterministic):** all proposals plus any
-//!   event-seeded boundary edges merge into one global frontier ordered
-//!   by `EdgeOrder` rank. Boundary flips cascade to lighter boundary
-//!   edges in-phase and re-seed the owning shard for lighter interior
-//!   edges, starting the next round.
-//!
-//! Each round's frontier only ever moves to strictly lighter ranks, so by
-//! induction on rank the statuses stabilize at the canonical fixpoint —
-//! the same matching `lic()` computes from scratch, bit for bit, for any
-//! shard count and any thread count ([`Engine::certify`] checks it).
+//!   pop), so no edge sits in the frontier twice. Pops are monotone in
+//!   rank, so each edge is evaluated at most once per batch, after every
+//!   heavier edge it depends on has settled — by induction on rank the
+//!   statuses stabilize at the canonical fixpoint, the same matching
+//!   `lic()` computes from scratch, bit for bit ([`Engine::certify`]
+//!   checks it).
 //!
 //! Dirty-set seeding per event:
 //!
@@ -68,8 +49,7 @@ use crate::dynamic::DynamicProblem;
 use crate::event::{EngineError, EngineEvent};
 use crate::forensics::{self, InjectedFault, StepRing};
 use crate::report::{DeltaReport, Epoch};
-use crate::scratch::{EngineScratch, ShardState};
-use crate::shard::{Partitioner, RangePartitioner, ShardMap, BOUNDARY};
+use crate::scratch::EngineScratch;
 use owp_graph::{EdgeId, Graph, NodeId};
 use owp_matching::satisfaction::node_satisfaction;
 use owp_matching::{lic, BMatching, EdgeOrder, EdgeRank, Problem, SelectionPolicy};
@@ -89,26 +69,16 @@ pub const DEFAULT_HISTORY_CAPACITY: usize = 32;
 /// locally-heaviest matching of its alive sub-instance through every
 /// applied batch ([`Engine::certify`] checks the invariant on demand).
 ///
-/// [`Engine::new`] runs single-sharded (the sequential fast path);
-/// [`Engine::builder`] configures shard count, thread count and the
-/// partitioner for the two-phase parallel mode.
+/// [`Engine::new`] starts with the default forensic ring capacities;
+/// [`Engine::builder`] sets them.
 #[derive(Clone, Debug)]
 pub struct Engine {
     dp: DynamicProblem,
     matching: BMatching,
-    /// Frozen partition of the universe graph (k=1 when unsharded).
-    shard_map: ShardMap,
-    /// Per-shard repair state: interior selected/queued bitmaps and the
-    /// per-node selected-edge mirror (`FixedCsr` rows of global edge
-    /// ids), which the repair needs for O(1) rank lookups where
-    /// [`BMatching`] stores matched neighbours.
-    shards: Vec<ShardState>,
-    /// Engine-global arenas: boundary state, delta journal, validation
-    /// scratch, touched tracking.
+    /// Repair state and arenas: selected/queued bitmaps, the heap
+    /// frontier, the per-node selected-edge mirror, delta journal,
+    /// validation scratch, touched tracking.
     scratch: EngineScratch,
-    /// Worker budget for phase 1 (only meaningful with the `parallel`
-    /// feature; clamped to the shard count).
-    threads: usize,
     /// Per-node satisfaction under the universe convention; 0 while
     /// inactive. Only nodes a batch touches are recomputed.
     sat: Vec<f64>,
@@ -125,46 +95,17 @@ pub struct Engine {
     checkpoint: Option<DynamicProblem>,
     /// Epoch the checkpoint corresponds to.
     checkpoint_epoch: Epoch,
-    /// Boundary-merge rounds the last batch ran until quiescent.
-    phase2_rounds: u64,
 }
 
-/// Configures an [`Engine`] before construction: shard count, thread
-/// count, partitioner. Defaults: 1 shard, threads from `OWP_THREADS` or
-/// the machine's available parallelism (clamped to the shard count),
-/// [`RangePartitioner`].
+/// Configures an [`Engine`]'s forensic ring capacities before
+/// construction.
 pub struct EngineBuilder {
     problem: Problem,
-    shards: usize,
-    threads: Option<usize>,
-    partitioner: Box<dyn Partitioner>,
     flight: usize,
     history: usize,
 }
 
 impl EngineBuilder {
-    /// Number of shards `k ≥ 1` the universe graph is partitioned into.
-    pub fn shards(mut self, k: usize) -> Self {
-        self.shards = k.max(1);
-        self
-    }
-
-    /// Phase-1 worker budget. An explicit value beats the `OWP_THREADS`
-    /// environment variable, which beats the machine's available
-    /// parallelism; all three are clamped to the shard count. Without
-    /// the `parallel` feature the engine always repairs sequentially
-    /// (the result is bit-identical either way).
-    pub fn threads(mut self, t: usize) -> Self {
-        self.threads = Some(t.max(1));
-        self
-    }
-
-    /// Node-partitioning strategy (default: contiguous id ranges).
-    pub fn partitioner(mut self, p: Box<dyn Partitioner>) -> Self {
-        self.partitioner = p;
-        self
-    }
-
     /// Flight-recorder capacity in telemetry events
     /// ([`DEFAULT_FLIGHT_CAPACITY`] by default); 0 disables the ring.
     pub fn flight_capacity(mut self, events: usize) -> Self {
@@ -182,29 +123,8 @@ impl EngineBuilder {
 
     /// Builds the engine (computes the canonical matching from scratch).
     pub fn build(self) -> Engine {
-        let threads = self
-            .threads
-            .unwrap_or_else(default_threads)
-            .clamp(1, self.shards);
-        Engine::layout(
-            DynamicProblem::new(self.problem),
-            self.shards,
-            threads,
-            self.partitioner.as_ref(),
-            self.flight,
-            self.history,
-        )
+        Engine::layout(DynamicProblem::new(self.problem), self.flight, self.history)
     }
-}
-
-/// `OWP_THREADS` if set and parseable, else available parallelism.
-fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("OWP_THREADS") {
-        if let Ok(t) = v.trim().parse::<usize>() {
-            return t.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// Selected edges in mirror row `row` strictly heavier than rank `r` —
@@ -215,315 +135,97 @@ fn heavier_selected(order: &EdgeOrder, row: &[u32], r: EdgeRank) -> u32 {
     row.iter().filter(|&&f| order.rank(EdgeId(f)) < r).count() as u32
 }
 
-/// Routes an event seed to its owner: interior edges to the shard's seed
-/// list, boundary edges to the global phase-2 seed list.
+/// Pushes `e` onto the frontier unless it is already queued.
 #[inline]
-fn route_seed(
-    map: &ShardMap,
-    shards: &mut [ShardState],
-    scratch: &mut EngineScratch,
-    e: EdgeId,
-) {
-    match map.edge_shard_raw(e) {
-        BOUNDARY => scratch.bseeds.push(e),
-        s => shards[s as usize].seeds.push(e),
+fn enqueue(scratch: &mut EngineScratch, e: EdgeId, r: EdgeRank) {
+    if !scratch.queued[e.index()] {
+        scratch.queued[e.index()] = true;
+        scratch.heap.push(Reverse((r, e.0)));
     }
 }
 
 /// The 2-hop dirty seed of a weight-changing event at `i`: edges
 /// incident to `i` and to each of `i`'s neighbours.
-fn seed_two_hop(
-    g: &Graph,
-    map: &ShardMap,
-    shards: &mut [ShardState],
-    scratch: &mut EngineScratch,
-    i: NodeId,
-) {
+fn seed_two_hop(g: &Graph, seeds: &mut Vec<EdgeId>, i: NodeId) {
     for &(j, e) in g.neighbors(i) {
-        route_seed(map, shards, scratch, e);
+        seeds.push(e);
         for &(_, f) in g.neighbors(j) {
-            route_seed(map, shards, scratch, f);
+            seeds.push(f);
         }
     }
 }
 
-/// Phase 1: repair the interior of every shard with pending seeds —
-/// in parallel when the `parallel` feature is on and `threads > 1`.
-fn run_phase1(
-    dp: &DynamicProblem,
-    map: &ShardMap,
-    bsel: &[bool],
-    shards: &mut [ShardState],
-    threads: usize,
-) {
-    #[cfg(feature = "parallel")]
-    if threads > 1 && shards.len() > 1 {
-        par_phase1(dp, map, bsel, shards, threads);
-        return;
-    }
-    let _ = threads;
-    for st in shards.iter_mut() {
-        if !st.seeds.is_empty() {
-            repair_shard(dp, map, bsel, st);
-        }
-    }
-}
-
-/// Recursive binary fork over the shard slice: `threads` is the worker
-/// budget, halved at each split, so thread count is controllable and
-/// runs are reproducible (the split tree is deterministic; shard results
-/// are independent, so scheduling cannot change the outcome).
-#[cfg(feature = "parallel")]
-fn par_phase1(
-    dp: &DynamicProblem,
-    map: &ShardMap,
-    bsel: &[bool],
-    shards: &mut [ShardState],
-    threads: usize,
-) {
-    if threads <= 1 || shards.len() <= 1 {
-        for st in shards.iter_mut() {
-            if !st.seeds.is_empty() {
-                repair_shard(dp, map, bsel, st);
-            }
-        }
-        return;
-    }
-    let mid = shards.len() / 2;
-    let (lo, hi) = shards.split_at_mut(mid);
-    let t_hi = threads / 2;
-    rayon::join(
-        || par_phase1(dp, map, bsel, lo, threads - t_hi),
-        || par_phase1(dp, map, bsel, hi, t_hi),
-    );
-}
-
-/// Drains one shard's seed list through its rank-ordered heap, flipping
-/// interior edges and recording rank-ordered proposals for any boundary
-/// edge a flip would otherwise push. Boundary statuses (`bsel`) are
-/// frozen for the whole phase — shards only read them, which is what
-/// makes the phase race-free without locks.
-fn repair_shard(dp: &DynamicProblem, map: &ShardMap, bsel: &[bool], st: &mut ShardState) {
+/// Drains the batch's seeds through the rank-ordered heap, flipping edges
+/// whose canonical status changed (writing through to `matching`) and
+/// touching their endpoints. Returns the number of edges evaluated.
+fn repair(dp: &DynamicProblem, matching: &mut BMatching, scratch: &mut EngineScratch) -> u64 {
     let g = dp.graph();
     let order = dp.order();
     let quotas = dp.quotas();
 
-    for idx in 0..st.seeds.len() {
-        let e = st.seeds[idx];
-        let le = map.local_edge(e);
-        if !st.queued[le] {
-            st.queued[le] = true;
-            st.heap.push(Reverse((order.rank(e), e.0)));
-        }
+    for idx in 0..scratch.seeds.len() {
+        let e = scratch.seeds[idx];
+        enqueue(scratch, e, order.rank(e));
     }
-    st.seeds.clear();
+    scratch.seeds.clear();
 
-    while let Some(Reverse((r, eid))) = st.heap.pop() {
+    let mut evaluated = 0u64;
+    while let Some(Reverse((r, eid))) = scratch.heap.pop() {
         let e = EdgeId(eid);
-        let le = map.local_edge(e);
-        st.queued[le] = false;
-        st.evaluated += 1;
+        scratch.queued[e.index()] = false;
+        evaluated += 1;
         let (u, v) = g.endpoints(e);
-        let (lu, lv) = (map.local_node(u), map.local_node(v));
         let desired = dp.is_alive(e)
-            && heavier_selected(order, st.sel.row(lu), r) < quotas.get(u)
-            && heavier_selected(order, st.sel.row(lv), r) < quotas.get(v);
-        if desired == st.selected[le] {
-            continue;
-        }
-        for lx in [lu, lv] {
-            if !st.touched[lx] {
-                st.touched[lx] = true;
-                st.touched_nodes.push(lx as u32);
-            }
-        }
-        if desired {
-            // Turning `e` on tightens both endpoints: only strictly
-            // lighter *selected* edges there (≤ b each) can flip off.
-            for lx in [lu, lv] {
-                for i in 0..st.sel.len(lx) {
-                    let f = EdgeId(st.sel.row(lx)[i]);
-                    let rf = order.rank(f);
-                    if rf <= r {
-                        continue;
-                    }
-                    if map.edge_shard_raw(f) == BOUNDARY {
-                        st.proposals.push((rf, f.0));
-                    } else {
-                        let lf = map.local_edge(f);
-                        if !st.queued[lf] {
-                            st.queued[lf] = true;
-                            st.heap.push(Reverse((rf, f.0)));
-                        }
-                    }
-                }
-            }
-            st.selected[le] = true;
-            st.sel.push(lu, e.0);
-            st.sel.push(lv, e.0);
-            st.flips.push((e.0, true));
-        } else {
-            st.selected[le] = false;
-            st.sel.remove(lu, e.0);
-            st.sel.remove(lv, e.0);
-            st.flips.push((e.0, false));
-            // Turning `e` off relaxes both endpoints: only strictly
-            // lighter *unselected* alive edges there can flip on.
-            for x in [u, v] {
-                for &(_, f) in g.neighbors(x) {
-                    let rf = order.rank(f);
-                    if rf <= r || !dp.is_alive(f) {
-                        continue;
-                    }
-                    if map.edge_shard_raw(f) == BOUNDARY {
-                        if !bsel[map.local_edge(f)] {
-                            st.proposals.push((rf, f.0));
-                        }
-                    } else {
-                        let lf = map.local_edge(f);
-                        if !st.selected[lf] && !st.queued[lf] {
-                            st.queued[lf] = true;
-                            st.heap.push(Reverse((rf, f.0)));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Phase 2: merges every shard's boundary proposals (plus event-seeded
-/// boundary edges) into one global rank-ordered frontier and resolves
-/// them sequentially — the deterministic commit. Lighter boundary
-/// cascades stay in this frontier; lighter interior cascades re-seed the
-/// owning shard for the next round.
-fn merge_boundary(
-    dp: &DynamicProblem,
-    map: &ShardMap,
-    shards: &mut [ShardState],
-    scratch: &mut EngineScratch,
-) {
-    let g = dp.graph();
-    let order = dp.order();
-    let quotas = dp.quotas();
-
-    for s in 0..shards.len() {
-        for idx in 0..shards[s].proposals.len() {
-            let (rf, f) = shards[s].proposals[idx];
-            let b = map.local_edge(EdgeId(f));
-            if !scratch.bqueued[b] {
-                scratch.bqueued[b] = true;
-                scratch.bheap.push(Reverse((rf, f)));
-            }
-        }
-        shards[s].proposals.clear();
-    }
-    for idx in 0..scratch.bseeds.len() {
-        let e = scratch.bseeds[idx];
-        let b = map.local_edge(e);
-        if !scratch.bqueued[b] {
-            scratch.bqueued[b] = true;
-            scratch.bheap.push(Reverse((order.rank(e), e.0)));
-        }
-    }
-    scratch.bseeds.clear();
-
-    while let Some(Reverse((r, eid))) = scratch.bheap.pop() {
-        let e = EdgeId(eid);
-        let be = map.local_edge(e);
-        scratch.bqueued[be] = false;
-        scratch.evaluated += 1;
-        let (u, v) = g.endpoints(e);
-        let (su, sv) = (map.shard_of_node(u), map.shard_of_node(v));
-        let (lu, lv) = (map.local_node(u), map.local_node(v));
-        let desired = dp.is_alive(e)
-            && heavier_selected(order, shards[su].sel.row(lu), r) < quotas.get(u)
-            && heavier_selected(order, shards[sv].sel.row(lv), r) < quotas.get(v);
-        if desired == scratch.bselected[be] {
+            && heavier_selected(order, scratch.sel.row(u.index()), r) < quotas.get(u)
+            && heavier_selected(order, scratch.sel.row(v.index()), r) < quotas.get(v);
+        if desired == scratch.selected[e.index()] {
             continue;
         }
         scratch.touch(u);
         scratch.touch(v);
         if desired {
-            for (sx, lx) in [(su, lu), (sv, lv)] {
-                for i in 0..shards[sx].sel.len(lx) {
-                    let f = EdgeId(shards[sx].sel.row(lx)[i]);
+            // Turning `e` on tightens both endpoints: only strictly
+            // lighter *selected* edges there (≤ b each) can flip off.
+            for x in [u, v] {
+                for i in 0..scratch.sel.len(x.index()) {
+                    let f = EdgeId(scratch.sel.row(x.index())[i]);
                     let rf = order.rank(f);
-                    if rf <= r {
-                        continue;
-                    }
-                    match map.edge_shard_raw(f) {
-                        BOUNDARY => {
-                            let bf = map.local_edge(f);
-                            if !scratch.bqueued[bf] {
-                                scratch.bqueued[bf] = true;
-                                scratch.bheap.push(Reverse((rf, f.0)));
-                            }
-                        }
-                        sf => shards[sf as usize].seeds.push(f),
+                    if rf > r {
+                        enqueue(scratch, f, rf);
                     }
                 }
             }
-            scratch.bselected[be] = true;
-            shards[su].sel.push(lu, e.0);
-            shards[sv].sel.push(lv, e.0);
-            scratch.flips.push((e.0, true));
+            scratch.flip(g, matching, e, true);
         } else {
-            scratch.bselected[be] = false;
-            shards[su].sel.remove(lu, e.0);
-            shards[sv].sel.remove(lv, e.0);
-            scratch.flips.push((e.0, false));
+            scratch.flip(g, matching, e, false);
+            // Turning `e` off relaxes both endpoints: only strictly
+            // lighter *unselected* alive edges there can flip on.
             for x in [u, v] {
                 for &(_, f) in g.neighbors(x) {
                     let rf = order.rank(f);
-                    if rf <= r || !dp.is_alive(f) {
-                        continue;
-                    }
-                    match map.edge_shard_raw(f) {
-                        BOUNDARY => {
-                            let bf = map.local_edge(f);
-                            if !scratch.bselected[bf] && !scratch.bqueued[bf] {
-                                scratch.bqueued[bf] = true;
-                                scratch.bheap.push(Reverse((rf, f.0)));
-                            }
-                        }
-                        sf => {
-                            let sf = sf as usize;
-                            if !shards[sf].selected[map.local_edge(f)] {
-                                shards[sf].seeds.push(f);
-                            }
-                        }
+                    if rf > r && dp.is_alive(f) && !scratch.selected[f.index()] {
+                        enqueue(scratch, f, rf);
                     }
                 }
             }
         }
     }
+    evaluated
 }
 
 impl Engine {
     /// Starts the engine over `problem` with every node active and every
     /// edge present, computing the canonical matching from scratch (epoch
-    /// 0). Single shard — the sequential fast path; use
-    /// [`Engine::builder`] for the sharded parallel mode.
+    /// 0), with the default forensic ring capacities.
     pub fn new(problem: Problem) -> Self {
-        Self::layout(
-            DynamicProblem::new(problem),
-            1,
-            1,
-            &RangePartitioner,
-            DEFAULT_FLIGHT_CAPACITY,
-            DEFAULT_HISTORY_CAPACITY,
-        )
+        Self::builder(problem).build()
     }
 
-    /// A configurable constructor: shard count, thread count,
-    /// partitioner, forensic ring capacities. See [`EngineBuilder`].
+    /// A configurable constructor: forensic ring capacities. See
+    /// [`EngineBuilder`].
     pub fn builder(problem: Problem) -> EngineBuilder {
         EngineBuilder {
             problem,
-            shards: 1,
-            threads: None,
-            partitioner: Box::new(RangePartitioner),
             flight: DEFAULT_FLIGHT_CAPACITY,
             history: DEFAULT_HISTORY_CAPACITY,
         }
@@ -531,10 +233,10 @@ impl Engine {
 
     /// Starts an engine over an existing dynamic instance, membership
     /// flags and all — how forensic replay rebuilds the engine a recorded
-    /// window ran against. Single shard, sequential, forensic rings
-    /// disabled (a replay engine must not record itself).
+    /// window ran against. Forensic rings disabled (a replay engine must
+    /// not record itself).
     pub fn from_dynamic(dp: DynamicProblem) -> Self {
-        Self::layout(dp, 1, 1, &RangePartitioner, 0, 0)
+        Self::layout(dp, 0, 0)
     }
 
     /// Rebuilds an engine from a durability snapshot taken at `epoch` —
@@ -549,34 +251,16 @@ impl Engine {
         epoch: Epoch,
     ) -> Result<Self, String> {
         let dp = snapshot.restore()?;
-        let mut e = Self::layout(
-            dp,
-            1,
-            1,
-            &RangePartitioner,
-            DEFAULT_FLIGHT_CAPACITY,
-            DEFAULT_HISTORY_CAPACITY,
-        );
+        let mut e = Self::layout(dp, DEFAULT_FLIGHT_CAPACITY, DEFAULT_HISTORY_CAPACITY);
         e.epoch = epoch;
         e.checkpoint_epoch = epoch;
         Ok(e)
     }
 
-    fn layout(
-        dp: DynamicProblem,
-        k: usize,
-        threads: usize,
-        partitioner: &dyn Partitioner,
-        flight_cap: usize,
-        history_cap: usize,
-    ) -> Self {
+    fn layout(dp: DynamicProblem, flight_cap: usize, history_cap: usize) -> Self {
         let checkpoint = (history_cap > 0).then(|| dp.clone());
         let g = dp.graph();
-        let shard_map = ShardMap::new(g, k, partitioner);
-        let mut shards: Vec<ShardState> =
-            (0..k).map(|s| ShardState::new(g, &shard_map, s)).collect();
-        let mut scratch =
-            EngineScratch::new(g.node_count(), g.edge_count(), shard_map.boundary_count());
+        let mut scratch = EngineScratch::new(g);
         let mut matching = BMatching::empty(g);
         let mut slots: Vec<u32> = g.nodes().map(|i| dp.quotas().get(i)).collect();
         for &e in dp.order().heaviest_first() {
@@ -588,17 +272,9 @@ impl Engine {
                 matching.insert_unchecked(g, e);
                 slots[u.index()] -= 1;
                 slots[v.index()] -= 1;
-                let le = shard_map.local_edge(e);
-                match shard_map.edge_shard_raw(e) {
-                    BOUNDARY => scratch.bselected[le] = true,
-                    s => shards[s as usize].selected[le] = true,
-                }
-                shards[shard_map.shard_of_node(u)]
-                    .sel
-                    .push(shard_map.local_node(u), e.0);
-                shards[shard_map.shard_of_node(v)]
-                    .sel
-                    .push(shard_map.local_node(v), e.0);
+                scratch.selected[e.index()] = true;
+                scratch.sel.push(u.index(), e.0);
+                scratch.sel.push(v.index(), e.0);
             }
         }
         let sat: Vec<f64> = g
@@ -615,10 +291,7 @@ impl Engine {
         Engine {
             dp,
             matching,
-            shard_map,
-            shards,
             scratch,
-            threads: threads.max(1),
             sat,
             total_sat,
             epoch: Epoch(0),
@@ -626,7 +299,6 @@ impl Engine {
             history: StepRing::new(history_cap),
             checkpoint,
             checkpoint_epoch: Epoch(0),
-            phase2_rounds: 0,
         }
     }
 
@@ -638,39 +310,6 @@ impl Engine {
     /// The maintained matching (edge ids are universe ids).
     pub fn matching(&self) -> &BMatching {
         &self.matching
-    }
-
-    /// The frozen shard partition (one shard when unsharded).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shard_map.shard_count()
-    }
-
-    /// Phase-1 worker budget (1 = sequential).
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// Interior edges shard `s` evaluated in the last applied batch.
-    pub fn shard_evaluated(&self, s: usize) -> u64 {
-        self.shards[s].evaluated
-    }
-
-    /// Boundary edges the phase-2 merge evaluated in the last applied
-    /// batch.
-    pub fn boundary_evaluated(&self) -> u64 {
-        self.scratch.evaluated
-    }
-
-    /// Two-phase repair rounds the last applied batch ran until quiescent
-    /// (1 when a single phase-1 pass settled everything; always 1
-    /// unsharded).
-    pub fn phase2_rounds(&self) -> u64 {
-        self.phase2_rounds
     }
 
     /// The always-on flight ring (the telemetry black box).
@@ -850,45 +489,34 @@ impl Engine {
         out.edges_added.clear();
         out.edges_removed.clear();
 
-        self.scratch.evaluated = 0;
-        for st in &mut self.shards {
-            st.evaluated = 0;
-        }
-
-        // ---- apply all events, routing seeds to their owners (heaps are
-        // built afterwards, once ranks are final) and marking the nodes
-        // whose satisfaction inputs changed.
+        // ---- apply all events, collecting seeds (the heap is built
+        // afterwards, once ranks are final) and marking the nodes whose
+        // satisfaction inputs changed.
         let mut reranked = 0usize;
         {
             let dp = &mut self.dp;
-            let map = &self.shard_map;
-            let shards = &mut self.shards[..];
             let scratch = &mut self.scratch;
             for ev in events {
                 match ev {
                     EngineEvent::NodeJoin { node } => {
                         dp.set_active(*node, true);
-                        for &(_, e) in dp.graph().neighbors(*node) {
-                            route_seed(map, shards, scratch, e);
-                        }
+                        scratch.seeds.extend(dp.graph().neighbors(*node).iter().map(|&(_, e)| e));
                         scratch.touch(*node);
                     }
                     EngineEvent::NodeLeave { node } => {
                         dp.set_active(*node, false);
-                        for &(_, e) in dp.graph().neighbors(*node) {
-                            route_seed(map, shards, scratch, e);
-                        }
+                        scratch.seeds.extend(dp.graph().neighbors(*node).iter().map(|&(_, e)| e));
                         scratch.touch(*node);
                     }
                     EngineEvent::EdgeAdd { u, v } => {
                         let e = dp.graph().edge_between(*u, *v).expect("validated");
                         dp.set_present(e, true);
-                        route_seed(map, shards, scratch, e);
+                        scratch.seeds.push(e);
                     }
                     EngineEvent::EdgeRemove { u, v } => {
                         let e = dp.graph().edge_between(*u, *v).expect("validated");
                         dp.set_present(e, false);
-                        route_seed(map, shards, scratch, e);
+                        scratch.seeds.push(e);
                     }
                     EngineEvent::QuotaChange { node, quota } => {
                         let changed = dp.apply_quota(*node, *quota);
@@ -900,7 +528,7 @@ impl Engine {
                             });
                         }
                         scratch.rerank_list.extend(changed);
-                        seed_two_hop(dp.graph(), map, shards, scratch, *node);
+                        seed_two_hop(dp.graph(), &mut scratch.seeds, *node);
                         scratch.touch(*node);
                     }
                     EngineEvent::PreferenceUpdate { node, list } => {
@@ -913,7 +541,7 @@ impl Engine {
                             });
                         }
                         scratch.rerank_list.extend(changed);
-                        seed_two_hop(dp.graph(), map, shards, scratch, *node);
+                        seed_two_hop(dp.graph(), &mut scratch.seeds, *node);
                         scratch.touch(*node);
                     }
                 }
@@ -926,46 +554,9 @@ impl Engine {
             scratch.rerank_list.clear();
         }
 
-        // ---- two-phase repair rounds until quiescent. With one shard
-        // this is a single phase-1 pass and an empty merge.
-        let mut rounds = 0u64;
-        loop {
-            rounds += 1;
-            run_phase1(
-                &self.dp,
-                &self.shard_map,
-                &self.scratch.bselected,
-                &mut self.shards,
-                self.threads,
-            );
-            merge_boundary(&self.dp, &self.shard_map, &mut self.shards, &mut self.scratch);
-            if self.shards.iter().all(|s| s.seeds.is_empty()) {
-                break;
-            }
-        }
-        self.phase2_rounds = rounds;
-
-        // ---- fold the flip journals into the public BMatching mirror
-        // and the net-delta journal. An edge's flips live in exactly one
-        // journal (its shard's, or the boundary one), in chronological
-        // order, so per-edge insert/remove pairing is preserved.
-        {
-            let g = self.dp.graph();
-            let matching = &mut self.matching;
-            for st in &mut self.shards {
-                for idx in 0..st.flips.len() {
-                    let (eid, on) = st.flips[idx];
-                    apply_flip(g, matching, &mut self.scratch, eid, on);
-                }
-                st.flips.clear();
-            }
-            let flips = std::mem::take(&mut self.scratch.flips);
-            for &(eid, on) in &flips {
-                apply_flip(g, matching, &mut self.scratch, eid, on);
-            }
-            self.scratch.flips = flips;
-            self.scratch.flips.clear();
-        }
+        // ---- bounded repair: flips land in the matching, the delta
+        // journal and the touched set as they happen.
+        let evaluated = repair(&self.dp, &mut self.matching, &mut self.scratch);
 
         // ---- compact the delta journal into the report: net state per
         // touched edge, emitted heaviest-first.
@@ -995,21 +586,6 @@ impl Engine {
             }
         }
 
-        // ---- merge per-shard touched nodes into the global set.
-        for s in 0..self.shards.len() {
-            for idx in 0..self.shards[s].touched_nodes.len() {
-                let lx = self.shards[s].touched_nodes[idx] as usize;
-                let i = self.shard_map.nodes(s)[lx];
-                self.scratch.touch(i);
-            }
-            let st = &mut self.shards[s];
-            for idx in 0..st.touched_nodes.len() {
-                let lx = st.touched_nodes[idx] as usize;
-                st.touched[lx] = false;
-            }
-            st.touched_nodes.clear();
-        }
-
         // ---- refresh satisfaction of exactly the touched nodes.
         let old_total = self.total_sat;
         for idx in 0..self.scratch.touched_nodes.len() {
@@ -1030,8 +606,6 @@ impl Engine {
         }
         self.scratch.touched_nodes.clear();
 
-        let evaluated = self.scratch.evaluated
-            + self.shards.iter().map(|s| s.evaluated).sum::<u64>();
         self.epoch = epoch;
         if rec.is_enabled() {
             rec.record(TelemetryEvent::EngineBatchApplied {
@@ -1154,50 +728,12 @@ impl Engine {
     }
 }
 
-/// Syncs one journal flip into the [`BMatching`] mirror and the net-delta
-/// journal. `delta_state` per edge: bits 0–1 hold the net state (0 none,
-/// 1 added, 2 removed), bit 2 marks membership in `delta_edges` so an
-/// edge that flips repeatedly is listed once.
-fn apply_flip(
-    g: &Graph,
-    matching: &mut BMatching,
-    scratch: &mut EngineScratch,
-    eid: u32,
-    on: bool,
-) {
-    let e = EdgeId(eid);
-    if on {
-        matching.insert_unchecked(g, e);
-    } else {
-        matching.remove(g, e);
-    }
-    let ds = &mut scratch.delta_state[e.index()];
-    if *ds & 4 == 0 {
-        *ds |= 4;
-        scratch.delta_edges.push(e);
-    }
-    let state = match (*ds & 3, on) {
-        (0, true) => 1,
-        (0, false) => 2,
-        (1, false) | (2, true) => 0,
-        (s, _) => s, // same-direction double flip cannot happen
-    };
-    *ds = 4 | state;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn engine(seed: u64) -> Engine {
         Engine::new(Problem::random_gnp(24, 0.3, 2, seed))
-    }
-
-    fn sharded(seed: u64, k: usize) -> Engine {
-        Engine::builder(Problem::random_gnp(24, 0.3, 2, seed))
-            .shards(k)
-            .threads(1)
-            .build()
     }
 
     #[test]
@@ -1395,46 +931,8 @@ mod tests {
         assert_eq!(e.epoch(), Epoch(1));
     }
 
-    #[test]
-    fn sharded_build_matches_unsharded() {
-        for k in [1, 2, 4, 8] {
-            let s = sharded(12, k);
-            let reference = engine(12);
-            assert!(
-                s.matching().same_edges(reference.matching()),
-                "k={k} initial matching diverges"
-            );
-            s.certify().expect("sharded epoch 0");
-        }
-    }
-
-    #[test]
-    fn sharded_engines_stay_bit_identical_through_events() {
-        let events = [
-            EngineEvent::NodeLeave { node: NodeId(3) },
-            EngineEvent::NodeLeave { node: NodeId(17) },
-            EngineEvent::QuotaChange { node: NodeId(8), quota: 1 },
-            EngineEvent::NodeJoin { node: NodeId(3) },
-        ];
-        let mut reference = engine(13);
-        let mut engines: Vec<Engine> =
-            [2, 4, 8].iter().map(|&k| sharded(13, k)).collect();
-        for ev in events {
-            let r0 = reference.apply(ev.clone()).unwrap();
-            for e in &mut engines {
-                let r = e.apply(ev.clone()).unwrap();
-                assert!(e.matching().same_edges(reference.matching()));
-                assert_eq!(r.edges_added, r0.edges_added);
-                assert_eq!(r.edges_removed, r0.edges_removed);
-                assert_eq!(r.matching_size, r0.matching_size);
-                assert!((r.total_satisfaction - r0.total_satisfaction).abs() < 1e-9);
-                e.certify().expect("sharded batch");
-            }
-        }
-    }
-
     /// A path instance with quota 1 everywhere and id-order preferences —
-    /// deterministic, so the cross-shard cascades below are hand-checkable.
+    /// deterministic, so the cascades below are hand-checkable.
     fn path_problem(n: u32) -> Problem {
         use owp_graph::{GraphBuilder, PreferenceTable, Quotas};
         let mut b = GraphBuilder::new(n as usize);
@@ -1447,50 +945,25 @@ mod tests {
         Problem::new(g, prefs, quotas)
     }
 
-    /// Hand-built cross-shard conflict: a 4-node path split 2|2, quota 1
-    /// everywhere, so removing/re-adding the heaviest interior edge makes
-    /// selection flip across the boundary edge in both directions.
+    /// Leaving, rejoining and cutting edges on a quota-1 path forces
+    /// alternating selection waves that run the whole path: the cascade
+    /// must reach every lighter edge and stay canonical.
     #[test]
-    fn two_phase_merge_resolves_path_conflicts() {
-        let problem = path_problem(4);
-        let mut e = Engine::builder(problem).shards(2).threads(1).build();
-        assert_eq!(e.shard_map().boundary_count(), 1, "edge (1,2) crosses");
-        e.certify().expect("initial");
-        let pairs = [
-            (NodeId(0), NodeId(1)),
-            (NodeId(2), NodeId(3)),
-            (NodeId(1), NodeId(2)),
-        ];
-        for (u, v) in pairs {
-            e.apply(EngineEvent::EdgeRemove { u, v }).unwrap();
-            e.certify().expect("after cross-shard remove");
-            e.apply(EngineEvent::EdgeAdd { u, v }).unwrap();
-            e.certify().expect("after cross-shard re-add");
-        }
-    }
-
-    /// A boundary flip must re-seed interior repair in *other* shards
-    /// (the round loop), not just cascade along the boundary.
-    #[test]
-    fn boundary_flip_reseeds_interior_regions() {
-        // Path 0—1—2—3—4—5 over three shards of two nodes; quota 1.
+    fn path_cascades_stay_canonical() {
         let problem = path_problem(6);
-        let mut e = Engine::builder(problem.clone()).shards(3).threads(1).build();
-        let mut reference = Engine::new(problem);
-        assert_eq!(e.shard_map().boundary_count(), 2);
-        // Leaving and rejoining interior nodes forces alternating
-        // selection waves across both boundary edges.
-        for node in [NodeId(1), NodeId(4), NodeId(2)] {
-            for ev in [
-                EngineEvent::NodeLeave { node },
-                EngineEvent::NodeJoin { node },
-            ] {
-                e.apply(ev.clone()).unwrap();
-                reference.apply(ev).unwrap();
-                assert!(e.matching().same_edges(reference.matching()));
-                e.certify().expect("wave step");
-            }
+        let mut e = Engine::new(problem.clone());
+        let events = [NodeId(1), NodeId(4), NodeId(2)]
+            .into_iter()
+            .flat_map(|node| [EngineEvent::NodeLeave { node }, EngineEvent::NodeJoin { node }])
+            .chain([(0, 1), (2, 3), (1, 2)].into_iter().flat_map(|(u, v)| {
+                let (u, v) = (NodeId(u), NodeId(v));
+                [EngineEvent::EdgeRemove { u, v }, EngineEvent::EdgeAdd { u, v }]
+            }));
+        for ev in events {
+            e.apply(ev).unwrap();
+            e.certify().expect("wave step");
         }
+        assert!(e.matching().same_edges(Engine::new(problem).matching()));
     }
 
     #[test]
@@ -1513,22 +986,5 @@ mod tests {
         );
         assert!(err.is_err());
         assert_eq!(report, before);
-    }
-
-    #[test]
-    fn builder_knobs_are_observable() {
-        let e = Engine::builder(Problem::random_gnp(12, 0.3, 2, 17))
-            .shards(4)
-            .threads(2)
-            .build();
-        assert_eq!(e.shard_count(), 4);
-        assert_eq!(e.thread_count(), 2);
-        // Per-shard instrumentation: the last batch's evaluated counts
-        // decompose over shards plus the boundary merge.
-        let mut e = e;
-        let r = e.apply(EngineEvent::NodeLeave { node: NodeId(5) }).unwrap();
-        let parts: u64 = (0..4).map(|s| e.shard_evaluated(s)).sum::<u64>()
-            + e.boundary_evaluated();
-        assert_eq!(parts as usize, r.evaluated);
     }
 }

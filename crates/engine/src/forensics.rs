@@ -550,7 +550,7 @@ pub struct ForensicBundle {
     pub last_good_epoch: u64,
     /// Compiler provenance ([`RUSTC_VERSION`]).
     pub rustc: String,
-    /// Engine configuration (shards/threads/ring capacities).
+    /// Engine configuration (ring capacities).
     pub config: String,
     /// Workload seed, when the caller has one.
     pub seed: Option<u64>,
@@ -1211,9 +1211,7 @@ impl Engine {
             last_good_epoch,
             rustc: RUSTC_VERSION.to_string(),
             config: format!(
-                "shards={} threads={} flight={} history={}",
-                self.shard_count(),
-                self.thread_count(),
+                "flight={} history={}",
                 ring.capacity(),
                 self.history().capacity(),
             ),

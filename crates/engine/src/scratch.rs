@@ -1,23 +1,18 @@
 //! Reusable repair arenas — the steady-state zero-allocation pass.
 //!
-//! Before this module the engine allocated fresh dirty sets, heap
-//! frontiers, scratch validation flags and delta buffers on **every**
-//! batch; profiled at n=10⁶ the allocator traffic dominated the repair
-//! cost (ROADMAP item 5). All of that state now lives in arenas owned by
-//! the [`crate::Engine`] and is *cleared*, never dropped:
-//!
-//! * [`ShardState`] — one per shard: the interior selected/queued bitmaps
-//!   (shard-local edge indexing), the rank-ordered heap frontier, seed and
-//!   boundary-proposal buffers, the structure-of-arrays selected-edge
-//!   mirror ([`FixedCsr`], u32 edge ids), per-shard touched tracking and
-//!   the flip journal.
-//! * [`EngineScratch`] — engine-global: validation flag copies, the
-//!   boundary merge heap/queued-bitmap/seed list, the delta compaction
-//!   state and global touched tracking.
+//! A naive engine allocates fresh dirty sets, heap frontiers, scratch
+//! validation flags and delta buffers on **every** batch; profiled at
+//! n=10⁶ the allocator traffic dominated the repair cost. All of that
+//! state lives in one `EngineScratch` arena owned by the
+//! [`crate::Engine`] and is *cleared*, never dropped: the selected/queued
+//! bitmaps, the rank-ordered heap frontier and its seed list, the
+//! structure-of-arrays selected-edge mirror ([`FixedCsr`], u32 edge ids),
+//! touched tracking, the delta compaction state and the validation flag
+//! copies.
 //!
 //! Clearing discipline: bitmaps are cleared through the companion lists
-//! that recorded which bits were set (O(touched), not O(n)), heaps drain
-//! themselves to empty by the end of every batch, and `Vec`s are
+//! that recorded which bits were set (O(touched), not O(n)), the heap
+//! drains itself to empty by the end of every batch, and `Vec`s are
 //! `clear()`ed so their capacity survives. After warm-up a batch of
 //! structural events (join/leave, edge add/remove) touches the allocator
 //! zero times — asserted by `crates/engine/tests/zero_alloc.rs` with a
@@ -25,9 +20,8 @@
 //! `PreferenceUpdate`) still allocate inside the rank-kernel splice and
 //! are outside the zero-allocation contract (DESIGN.md §11).
 
-use crate::shard::ShardMap;
 use owp_graph::{EdgeId, Graph, NodeId};
-use owp_matching::{EdgeRank, FixedCsr};
+use owp_matching::{BMatching, EdgeRank, FixedCsr};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -36,123 +30,63 @@ use std::collections::BinaryHeap;
 /// heap's backing array compact (8 bytes per entry) on the hot path.
 pub(crate) type Frontier = BinaryHeap<Reverse<(EdgeRank, u32)>>;
 
-/// Per-shard repair state and arenas. Interior edges and nodes are
-/// addressed by their *shard-local* indices (see [`ShardMap`]); the
-/// structure is `Send`, so disjoint shards repair on different threads.
+/// The engine's repair state and arenas, indexed by universe node and
+/// edge ids.
 #[derive(Clone, Debug)]
-pub(crate) struct ShardState {
-    /// Interior-edge selected bitmap, by local edge index — the
-    /// authoritative status of this shard's interior edges during repair
-    /// (the public [`owp_matching::BMatching`] mirror is synced from the
-    /// flip journal once the batch's repair converges).
+pub(crate) struct EngineScratch {
+    /// Selected bitmap by edge id — the authoritative status during
+    /// repair (the public [`BMatching`] is written through alongside it).
     pub selected: Vec<bool>,
-    /// In-heap bitmap, by local edge index. Set on push, cleared on pop,
-    /// so an edge re-seeded by a later round can re-enter the frontier.
+    /// In-heap bitmap by edge id, set on push and cleared on pop.
     pub queued: Vec<bool>,
     /// The rank-ordered repair frontier.
     pub heap: Frontier,
-    /// Interior edges (global ids) to seed the next phase-1 pass with;
-    /// deduplicated against `queued` when the heap is built.
+    /// Edges the batch's events perturbed, in event order; pushed onto
+    /// the heap (deduplicated against `queued`) once ranks are final.
     pub seeds: Vec<EdgeId>,
-    /// Boundary edges this shard's interior flips want re-evaluated:
-    /// `(rank, edge id)`, collected race-free per shard and merged
-    /// deterministically in phase 2.
-    pub proposals: Vec<(EdgeRank, u32)>,
-    /// Selected-edge mirror: row = local node, items = global edge ids of
-    /// its currently selected incident edges (interior *and* boundary).
+    /// Selected-edge mirror: row = node, items = edge ids of its
+    /// currently selected incident edges — O(1) rank lookups where
+    /// [`BMatching`] stores matched neighbours.
     pub sel: FixedCsr,
-    /// Touched bitmap by local node index, cleared through
-    /// `touched_nodes`.
+    /// Touched bitmap by node id, cleared through `touched_nodes`.
     pub touched: Vec<bool>,
-    /// Local indices of nodes touched by this shard's repair.
-    pub touched_nodes: Vec<u32>,
-    /// Flip journal: `(global edge id, now_selected)` in application
-    /// order. An interior edge's flips all land here (and only here), so
-    /// per-edge chronology is preserved for the mirror sync.
-    pub flips: Vec<(u32, bool)>,
-    /// Edges evaluated by this shard in the current batch.
-    pub evaluated: u64,
-}
-
-impl ShardState {
-    /// Empty state for shard `s` of `map`, with the selected-edge mirror
-    /// sized to the shard's node degrees (a node can never have more
-    /// selected incident edges than incident edges).
-    pub fn new(g: &Graph, map: &ShardMap, s: usize) -> Self {
-        ShardState {
-            selected: vec![false; map.interior_edges(s).len()],
-            queued: vec![false; map.interior_edges(s).len()],
-            heap: BinaryHeap::new(),
-            seeds: Vec::new(),
-            proposals: Vec::new(),
-            sel: FixedCsr::with_capacities(
-                map.nodes(s).iter().map(|&i| g.degree(i) as u32),
-            ),
-            touched: vec![false; map.nodes(s).len()],
-            touched_nodes: Vec::new(),
-            flips: Vec::new(),
-            evaluated: 0,
-        }
-    }
-}
-
-/// Engine-global arenas: everything the sequential parts of a batch
-/// (validation, event application, boundary merge, delta compaction)
-/// reuse across batches.
-#[derive(Clone, Debug)]
-pub(crate) struct EngineScratch {
-    /// Global touched bitmap by node id, cleared through `touched_nodes`.
-    pub touched: Vec<bool>,
-    /// Nodes whose satisfaction inputs changed this batch.
+    /// Nodes whose satisfaction inputs changed this batch: event touches
+    /// first, then repair touches in flip order.
     pub touched_nodes: Vec<NodeId>,
     /// Edges whose rank keys moved this batch (folded into one splice).
     pub rerank_list: Vec<EdgeId>,
-    /// Boundary-edge selected bitmap, by boundary index — the
-    /// authoritative status of boundary edges (mutated only by the
-    /// sequential phase-2 merge, so phase-1 workers may read it freely).
-    pub bselected: Vec<bool>,
-    /// Boundary in-heap bitmap, by boundary index.
-    pub bqueued: Vec<bool>,
-    /// The boundary merge frontier.
-    pub bheap: Frontier,
-    /// Boundary edges seeded directly by events.
-    pub bseeds: Vec<EdgeId>,
-    /// Boundary flip journal (phase 2 only) — same role as
-    /// [`ShardState::flips`].
-    pub flips: Vec<(u32, bool)>,
-    /// Delta compaction: 0 = untouched, 1 = net added, 2 = net removed,
-    /// by global edge id; toggled per flip so an edge that flips on and
-    /// back off reports no delta. Cleared through `delta_edges`.
+    /// Delta compaction by edge id: bits 0–1 hold the net state (0 none,
+    /// 1 added, 2 removed), bit 2 marks membership in `delta_edges`.
+    /// Cleared through `delta_edges`.
     pub delta_state: Vec<u8>,
-    /// Edges with a non-zero `delta_state` entry (may contain edges that
-    /// toggled back to 0 — compaction skips them).
+    /// Edges flipped this batch, each listed once (may include edges
+    /// that flipped back — compaction skips them).
     pub delta_edges: Vec<EdgeId>,
     /// Batch-validation scratch copies of the membership flags.
     pub val_active: Vec<bool>,
     /// See `val_active`.
     pub val_present: Vec<bool>,
-    /// Edges evaluated by the boundary merge in the current batch.
-    pub evaluated: u64,
 }
 
 impl EngineScratch {
-    /// Empty arenas for a universe with `n` nodes, `m` edges and
-    /// `boundary` boundary edges.
-    pub fn new(n: usize, m: usize, boundary: usize) -> Self {
+    /// Empty arenas for universe graph `g`, with the selected-edge mirror
+    /// sized to node degrees (a node can never have more selected
+    /// incident edges than incident edges).
+    pub fn new(g: &Graph) -> Self {
+        let (n, m) = (g.node_count(), g.edge_count());
         EngineScratch {
+            selected: vec![false; m],
+            queued: vec![false; m],
+            heap: BinaryHeap::new(),
+            seeds: Vec::new(),
+            sel: FixedCsr::with_capacities(g.nodes().map(|i| g.degree(i) as u32)),
             touched: vec![false; n],
             touched_nodes: Vec::new(),
             rerank_list: Vec::new(),
-            bselected: vec![false; boundary],
-            bqueued: vec![false; boundary],
-            bheap: BinaryHeap::new(),
-            bseeds: Vec::new(),
-            flips: Vec::new(),
             delta_state: vec![0; m],
             delta_edges: Vec::new(),
             val_active: Vec::with_capacity(n),
             val_present: Vec::with_capacity(m.max(1)),
-            evaluated: 0,
         }
     }
 
@@ -163,5 +97,34 @@ impl EngineScratch {
             self.touched[i.index()] = true;
             self.touched_nodes.push(i);
         }
+    }
+
+    /// Flips edge `e` on or off in the selected bitmap, the mirror, the
+    /// public matching and the net-delta journal.
+    #[inline]
+    pub fn flip(&mut self, g: &Graph, matching: &mut BMatching, e: EdgeId, on: bool) {
+        let (u, v) = g.endpoints(e);
+        self.selected[e.index()] = on;
+        if on {
+            self.sel.push(u.index(), e.0);
+            self.sel.push(v.index(), e.0);
+            matching.insert_unchecked(g, e);
+        } else {
+            self.sel.remove(u.index(), e.0);
+            self.sel.remove(v.index(), e.0);
+            matching.remove(g, e);
+        }
+        let ds = &mut self.delta_state[e.index()];
+        if *ds & 4 == 0 {
+            *ds |= 4;
+            self.delta_edges.push(e);
+        }
+        let state = match (*ds & 3, on) {
+            (0, true) => 1,
+            (0, false) => 2,
+            (1, false) | (2, true) => 0,
+            (s, _) => s, // same-direction double flip cannot happen
+        };
+        *ds = 4 | state;
     }
 }

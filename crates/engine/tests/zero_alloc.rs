@@ -7,7 +7,7 @@
 //! engine crate itself is `#![forbid(unsafe_code)]`, so the shim lives
 //! here, in the test binary (same pattern as `owp-bench`, which feeds
 //! the `engine_allocations_per_batch` gauge from an identical shim; this
-//! test feeds `owp_metrics::ALLOC_COUNT`-compatible counts directly).
+//! test keeps the same per-thread count itself).
 //!
 //! Protocol: run the same event cycle until every arena — including the
 //! forensic rings' slots — has reached its high-water mark, then re-run
@@ -26,16 +26,33 @@ use owp_engine::{DeltaReport, Engine, EngineEvent};
 use owp_graph::NodeId;
 use owp_matching::Problem;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per-thread, so tests running on
+    /// sibling threads (and the harness's own thread) never land in a
+    /// measured window; the engine is single-threaded, so its work is
+    /// all on the calling thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// System allocator plus one relaxed counter bump per `alloc`/`realloc`.
+/// Allocations the current thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Bumps the current thread's counter. `try_with`: a thread being torn
+/// down may still allocate after its thread-locals are gone.
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// System allocator plus one counter bump per `alloc`/`realloc`.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -44,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -87,11 +104,11 @@ fn assert_zero_alloc_steady_state(mut e: Engine, label: &str) {
     // fails loudly instead of spinning.
     let mut warmed = false;
     for _ in 0..64 {
-        let mark = ALLOCS.load(Ordering::Relaxed);
+        let mark = allocs();
         for b in &batches {
             e.apply_batch_into(b, &mut report).unwrap();
         }
-        if ALLOCS.load(Ordering::Relaxed) == mark {
+        if allocs() == mark {
             warmed = true;
             break;
         }
@@ -103,11 +120,11 @@ fn assert_zero_alloc_steady_state(mut e: Engine, label: &str) {
     );
     e.certify().expect("warmed engine is canonical");
 
-    let mark = ALLOCS.load(Ordering::Relaxed);
+    let mark = allocs();
     for b in &batches {
         e.apply_batch_into(b, &mut report).unwrap();
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - mark;
+    let allocs = allocs() - mark;
     let per_batch = allocs as f64 / batches.len() as f64;
     assert_eq!(
         allocs, 0,
@@ -119,21 +136,10 @@ fn assert_zero_alloc_steady_state(mut e: Engine, label: &str) {
 }
 
 #[test]
-fn unsharded_steady_state_allocates_nothing() {
+fn steady_state_allocates_nothing() {
     assert_zero_alloc_steady_state(
         Engine::new(Problem::random_gnp(48, 0.2, 2, 71)),
-        "k=1",
-    );
-}
-
-#[test]
-fn sharded_steady_state_allocates_nothing() {
-    assert_zero_alloc_steady_state(
-        Engine::builder(Problem::random_gnp(48, 0.2, 2, 71))
-            .shards(4)
-            .threads(1)
-            .build(),
-        "k=4",
+        "default rings",
     );
 }
 
@@ -163,14 +169,14 @@ fn wrapping_recorder_rings_record_while_silent() {
             e.apply_batch_into(b, &mut report).unwrap();
         }
     }
-    let mark = ALLOCS.load(Ordering::Relaxed);
+    let mark = allocs();
     let dropped_before = e.flight().dropped();
     let evicted_before = e.history().evicted();
     for b in &batches {
         e.apply_batch_into(b, &mut report).unwrap();
     }
     assert_eq!(
-        ALLOCS.load(Ordering::Relaxed) - mark,
+        allocs() - mark,
         0,
         "recording through wraparound must not allocate"
     );
@@ -200,14 +206,14 @@ fn weight_events_are_outside_the_contract() {
         )
         .unwrap();
     }
-    let mark = ALLOCS.load(Ordering::Relaxed);
+    let mark = allocs();
     e.apply_batch_into(
         &[EngineEvent::QuotaChange { node: NodeId(7), quota: 1 }],
         &mut report,
     )
     .unwrap();
     assert!(
-        ALLOCS.load(Ordering::Relaxed) > mark,
+        allocs() > mark,
         "quota events allocate in the splice kernel — if this now passes \
          allocation-free, extend the zero-alloc contract to weight events"
     );

@@ -673,22 +673,25 @@ fn handle_conn(mut stream: TcpStream, ctx: Arc<ConnCtx>, conn: u64) {
                     bytes,
                     reply: reply_tx,
                 };
+                // Count the submission before it can reach the owner,
+                // whose receive decrements: the other order lets the
+                // depth wrap below zero, and `/readyz` reads a full queue.
+                ctx.depth.fetch_add(1, Ordering::SeqCst);
                 match ctx.ingest.try_send(Ingest::Submit(sub)) {
-                    Ok(()) => {
-                        ctx.depth.fetch_add(1, Ordering::SeqCst);
-                        match reply_rx.recv() {
-                            Ok(Ok(epoch)) => Frame::Accepted { epoch },
-                            Ok(Err(error)) => Frame::Rejected { error },
-                            Err(_) => {
-                                Frame::Rejected { error: "daemon stopped before applying".into() }
-                            }
+                    Ok(()) => match reply_rx.recv() {
+                        Ok(Ok(epoch)) => Frame::Accepted { epoch },
+                        Ok(Err(error)) => Frame::Rejected { error },
+                        Err(_) => {
+                            Frame::Rejected { error: "daemon stopped before applying".into() }
                         }
-                    }
+                    },
                     Err(TrySendError::Full(_)) => {
+                        ctx.depth.fetch_sub(1, Ordering::SeqCst);
                         ctx.rejects.inc();
                         Frame::Busy { retry_after_ms: ctx.retry_ms }
                     }
                     Err(TrySendError::Disconnected(_)) => {
+                        ctx.depth.fetch_sub(1, Ordering::SeqCst);
                         Frame::Rejected { error: "daemon is shutting down".into() }
                     }
                 }

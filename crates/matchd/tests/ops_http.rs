@@ -58,10 +58,14 @@ fn submit_all(client: &mut MatchdClient, universe: &owp_matching::Problem, event
 #[test]
 fn endpoints_serve_golden_responses_under_ingest_load() {
     let dir = scratch("golden");
+    let spool = dir.join("spool");
     let universe = from_spec(SPEC).expect("spec");
+    // A latched audit failure spools a replayable bundle here, so a
+    // failing run leaves its own post-mortem.
+    let mut cfg = config(&dir);
+    cfg.spool_dir = Some(spool.clone());
     let daemon =
-        Matchd::start("127.0.0.1:0", &universe, config(&dir), MetricsRegistry::new())
-            .expect("start");
+        Matchd::start("127.0.0.1:0", &universe, cfg, MetricsRegistry::new()).expect("start");
     let ops = daemon.ops_addr().expect("ops plane configured");
     let addr = daemon.local_addr();
 
@@ -80,8 +84,18 @@ fn endpoints_serve_golden_responses_under_ingest_load() {
     while !ingest.is_finished() || scrapes < 3 {
         let (hs, hb) = get(ops, "/healthz");
         assert_eq!((hs, hb.as_str()), (200, "ok\n"));
-        let (rs, _) = get(ops, "/readyz");
-        assert_eq!(rs, 200, "quiet daemon must be ready");
+        let (rs, rbody) = get(ops, "/readyz");
+        if rs != 200 {
+            let (_, sbody) = get(ops, "/status");
+            let failures = OpsStatus::parse(&sbody).map(|s| s.audit_failures);
+            let spooled: Vec<_> = std::fs::read_dir(&spool)
+                .map(|d| d.filter_map(|e| e.ok().map(|e| e.path())).collect())
+                .unwrap_or_default();
+            panic!(
+                "quiet daemon must be ready: /readyz {rs} {rbody:?}, \
+                 audit_failures {failures:?}, spooled {spooled:?}, status {sbody}"
+            );
+        }
         let (ms, body) = get(ops, "/metrics");
         assert_eq!(ms, 200);
         let snap = MetricsSnapshot::parse_prometheus(&body).expect("prometheus parses");

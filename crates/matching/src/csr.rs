@@ -13,8 +13,8 @@
 //! Rows support O(1) push, O(row) unordered remove, and O(1) truncation;
 //! no operation allocates after construction, which is what makes the
 //! engine's steady-state zero-allocation batch path possible (DESIGN.md
-//! §11). Rows are addressed by a dense `usize` index so shard-local node
-//! numbering works as well as global numbering.
+//! §11). Rows are addressed by a dense `usize` index (the engine uses
+//! node ids).
 
 /// A flat CSR arena: `rows` rows, row `r` holding up to `cap(r)` `u32`
 /// items in insertion order. See the module docs for the design intent.

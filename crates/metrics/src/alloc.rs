@@ -4,43 +4,48 @@
 //! a batch of structural events without touching the heap. Promises rot;
 //! this module is the regression instrument that keeps it measurable:
 //!
-//! * [`ALLOC_COUNT`] — a process-global allocation counter. This crate is
-//!   `#![forbid(unsafe_code)]`, so the `GlobalAlloc` shim that increments
-//!   it lives in the leaf binaries that opt in (`owp-bench` installs one;
-//!   `crates/engine/tests/zero_alloc.rs` carries its own): the shim
-//!   delegates to the system allocator and bumps this counter once per
-//!   `alloc`/`realloc` call. One relaxed increment per allocation — cheap
-//!   enough to leave on in benchmark binaries.
-//! * [`allocation_count`] / [`allocations_since`] — read the counter and
-//!   difference it around a measured region.
+//! * [`record_allocation`] — bumps a per-thread allocation counter. This
+//!   crate is `#![forbid(unsafe_code)]`, so the `GlobalAlloc` shim that
+//!   calls it lives in the leaf binaries that opt in (`owp-bench` installs
+//!   one; `crates/engine/tests/zero_alloc.rs` carries its own): the shim
+//!   delegates to the system allocator and counts once per
+//!   `alloc`/`realloc` call. One thread-local increment per allocation —
+//!   cheap enough to leave on in benchmark binaries. Per-thread, so a
+//!   measured region on one thread is never charged for allocations other
+//!   threads (sibling tests, say) make meanwhile; the engine is
+//!   single-threaded, so its work all lands on the calling thread.
+//! * [`allocation_count`] / [`allocations_since`] — read the current
+//!   thread's counter and difference it around a measured region.
 //! * [`publish_allocations_per_batch`] — records the measured rate on the
 //!   [`ALLOCATIONS_PER_BATCH`] gauge so `owp-inspect metrics` (and any
 //!   exported snapshot) surfaces regressions next to the engine's other
 //!   health numbers. Without an installed shim the counter stays 0 and
 //!   the gauge honestly reports 0 allocations *observed*.
 //!
-//! Per-shard engine gauges ([`publish_shard_gauges`]) ride along here:
-//! they intern their keys per `(prefix, shard)` pair — the registry wants
-//! `&'static str` — following the label-interning precedent in
-//! [`crate::recorder`].
+//! The flight-ring gauges ([`publish_recorder_gauges`]) ride along here.
 
 use crate::registry::MetricsRegistry;
 use owp_engine::Engine;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-/// Process-global allocation counter, incremented by whichever
-/// `#[global_allocator]` shim the enclosing binary installed.
-pub static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread, as counted by whichever
+    /// `#[global_allocator]` shim the enclosing binary installed.
+    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread — the hook a
+/// `#[global_allocator]` shim calls per `alloc`/`realloc`. A thread being
+/// torn down may allocate after its thread-locals are gone; those
+/// allocations go uncounted.
+#[inline]
+pub fn record_allocation() {
+    let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+}
 
 /// Gauge key for the steady-state allocation rate of the engine's batch
 /// path (allocations per applied batch, measured after warm-up).
 pub const ALLOCATIONS_PER_BATCH: &str = "engine_allocations_per_batch";
-
-/// Gauge key for the two-phase repair rounds the last batch ran until
-/// quiescent (1 = a single phase-1 pass settled everything).
-pub const PHASE2_ROUNDS: &str = "engine_phase2_rounds";
 
 /// Gauge key for telemetry events the engine's flight ring has
 /// overwritten since construction (0 = the black box still holds the
@@ -51,9 +56,10 @@ pub const RECORDER_DROPPED: &str = "recorder_dropped_events";
 /// i.e. every further event evicts the oldest).
 pub const RECORDER_OCCUPANCY: &str = "recorder_ring_occupancy";
 
-/// Allocations observed so far in this process (0 if no shim installed).
+/// Allocations observed so far on the current thread (0 if no shim is
+/// installed).
 pub fn allocation_count() -> u64 {
-    ALLOC_COUNT.load(Ordering::Relaxed)
+    ALLOC_COUNT.with(Cell::get)
 }
 
 /// Allocations observed since a previous [`allocation_count`] reading.
@@ -62,50 +68,19 @@ pub fn allocations_since(mark: u64) -> u64 {
 }
 
 /// Sets the [`ALLOCATIONS_PER_BATCH`] gauge. The canonical measurement
-/// protocol (what e21 and the `zero_alloc` test do): apply one full event
-/// cycle to warm the arenas, mark the counter, apply `batches` more, and
+/// protocol (what e19 and the `zero_alloc` test do): apply event cycles
+/// until the arenas and the history ring have warmed (the ring has
+/// evicted at least once), mark the counter, apply `batches` more, and
 /// divide the difference.
 pub fn publish_allocations_per_batch(reg: &MetricsRegistry, allocs: u64, batches: u64) {
     let rate = if batches == 0 { 0.0 } else { allocs as f64 / batches as f64 };
     reg.gauge(ALLOCATIONS_PER_BATCH).set(rate);
 }
 
-/// Interned `&'static str` keys for per-shard gauges: the registry keys
-/// by static string, so dynamic `(prefix, shard)` names are leaked once
-/// and reused for the life of the process (bounded by shards × prefixes).
-fn shard_key(prefix: &'static str, s: usize) -> &'static str {
-    static KEYS: Mutex<Option<HashMap<(&'static str, usize), &'static str>>> = Mutex::new(None);
-    let mut guard = KEYS.lock().expect("shard-key interner poisoned");
-    let map = guard.get_or_insert_with(HashMap::new);
-    map.entry((prefix, s))
-        .or_insert_with(|| Box::leak(format!("{prefix}_{s}").into_boxed_str()))
-}
-
-/// Publishes the engine's per-shard health gauges:
-///
-/// * `engine_shards`, `engine_boundary_edges`, `engine_boundary_fraction`
-///   — the partition's static shape;
-/// * `engine_shard_evaluated_<s>` — interior edges shard `s` evaluated in
-///   the last applied batch (the phase-1 load balance);
-/// * `engine_boundary_evaluated` — edges the phase-2 merge evaluated (the
-///   sequential fraction the two-phase commit pays);
-/// * [`PHASE2_ROUNDS`] — boundary-merge rounds the last batch needed to
-///   reach quiescence (the cross-shard cascade depth);
-/// * [`RECORDER_DROPPED`] / [`RECORDER_OCCUPANCY`] — the flight ring's
-///   drop count and fill fraction, so a post-mortem knows how much of the
-///   stream the black box still held.
-pub fn publish_shard_gauges(reg: &MetricsRegistry, engine: &Engine) {
-    let map = engine.shard_map();
-    reg.gauge("engine_shards").set(map.shard_count() as f64);
-    reg.gauge("engine_boundary_edges").set(map.boundary_count() as f64);
-    reg.gauge("engine_boundary_fraction").set(map.boundary_fraction());
-    reg.gauge("engine_boundary_evaluated")
-        .set(engine.boundary_evaluated() as f64);
-    for s in 0..map.shard_count() {
-        reg.gauge(shard_key("engine_shard_evaluated", s))
-            .set(engine.shard_evaluated(s) as f64);
-    }
-    reg.gauge(PHASE2_ROUNDS).set(engine.phase2_rounds() as f64);
+/// Publishes the engine's flight-ring gauges, [`RECORDER_DROPPED`] and
+/// [`RECORDER_OCCUPANCY`] — the ring's drop count and fill fraction, so a
+/// post-mortem knows how much of the stream the black box still held.
+pub fn publish_recorder_gauges(reg: &MetricsRegistry, engine: &Engine) {
     reg.gauge(RECORDER_DROPPED).set(engine.flight().dropped() as f64);
     reg.gauge(RECORDER_OCCUPANCY).set(engine.flight().occupancy());
 }
@@ -118,27 +93,6 @@ mod tests {
     use owp_matching::Problem;
 
     #[test]
-    fn shard_gauges_cover_every_shard() {
-        let mut e = owp_engine::Engine::builder(Problem::random_gnp(24, 0.3, 2, 41))
-            .shards(4)
-            .threads(1)
-            .build();
-        e.apply(EngineEvent::NodeLeave { node: NodeId(3) }).unwrap();
-        let reg = MetricsRegistry::new();
-        publish_shard_gauges(&reg, &e);
-        let snap = reg.snapshot();
-        let json = snap.to_json();
-        assert!(json.contains("engine_shards"));
-        assert!(json.contains("engine_boundary_fraction"));
-        for s in 0..4 {
-            assert!(json.contains(&format!("engine_shard_evaluated_{s}")), "shard {s}");
-        }
-        let total: f64 = (0..4).map(|s| e.shard_evaluated(s) as f64).sum::<f64>()
-            + e.boundary_evaluated() as f64;
-        assert!(total > 0.0, "a leave evaluates something");
-    }
-
-    #[test]
     fn forensic_gauges_reflect_the_engine() {
         let mut e = owp_engine::Engine::builder(Problem::random_gnp(24, 0.3, 2, 42))
             .flight_capacity(8)
@@ -147,9 +101,7 @@ mod tests {
             e.apply(EngineEvent::NodeLeave { node }).unwrap();
         }
         let reg = MetricsRegistry::new();
-        publish_shard_gauges(&reg, &e);
-        assert_eq!(reg.gauge(PHASE2_ROUNDS).get(), e.phase2_rounds() as f64);
-        assert!(reg.gauge(PHASE2_ROUNDS).get() >= 1.0, "at least one round ran");
+        publish_recorder_gauges(&reg, &e);
         assert_eq!(reg.gauge(RECORDER_DROPPED).get(), e.flight().dropped() as f64);
         let occ = reg.gauge(RECORDER_OCCUPANCY).get();
         assert!(occ > 0.0 && occ <= 1.0, "tiny ring fills fast: {occ}");
@@ -165,7 +117,9 @@ mod tests {
         // The hook itself: no shim is installed in unit tests, so the
         // counter only moves if we move it.
         let mark = allocation_count();
-        ALLOC_COUNT.fetch_add(5, Ordering::Relaxed);
+        for _ in 0..5 {
+            record_allocation();
+        }
         assert_eq!(allocations_since(mark), 5);
     }
 }

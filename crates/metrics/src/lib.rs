@@ -25,7 +25,7 @@
 //!   satisfaction-ratio gauges.
 //! * [`alloc`](mod@alloc) — allocation accounting for the engine's
 //!   zero-allocation batch contract (the `engine_allocations_per_batch`
-//!   gauge) plus the per-shard repair gauges of the sharded engine.
+//!   gauge) plus the engine's flight-ring gauges.
 //! * [`daemon`](mod@daemon) — the `matchd_*` keys the matchmaking daemon
 //!   publishes (ingest queue depth, admission rejects, WAL bytes, batch
 //!   linger), shared between `owp-matchd` and the inspectors.
@@ -49,8 +49,8 @@ pub mod registry;
 pub mod snapshot;
 
 pub use alloc::{
-    allocation_count, allocations_since, publish_allocations_per_batch, publish_shard_gauges,
-    ALLOCATIONS_PER_BATCH, ALLOC_COUNT, PHASE2_ROUNDS, RECORDER_DROPPED, RECORDER_OCCUPANCY,
+    allocation_count, allocations_since, publish_allocations_per_batch, publish_recorder_gauges,
+    record_allocation, ALLOCATIONS_PER_BATCH, RECORDER_DROPPED, RECORDER_OCCUPANCY,
 };
 pub use daemon::{
     register_matchd_metrics, MATCHD_ADMISSION_REJECTS, MATCHD_AUDIT_CLEAN, MATCHD_AUDIT_COST_US,

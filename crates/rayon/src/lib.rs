@@ -6,8 +6,7 @@
 //! * `(range | vec).into_par_iter().map(f).collect()` (also `filter_map`,
 //!   `for_each`, `sum`) — order-preserving, eager;
 //! * [`slice::ParallelSliceMut::par_sort_unstable_by_key`] and friends —
-//!   parallel chunk sort + bottom-up merge;
-//! * [`join`] — two-way fork-join.
+//!   parallel chunk sort + bottom-up merge.
 //!
 //! Unlike real rayon there is no global work-stealing pool: each adaptor
 //! spawns scoped threads (bounded by `available_parallelism`) per call. For
@@ -31,21 +30,6 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Runs both closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("join closure panicked"))
-    })
 }
 
 /// Order-preserving parallel map: applies `f` to every item, fanning chunks
@@ -169,7 +153,6 @@ impl_range_par_iter!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::*;
 
     #[test]
     fn map_preserves_order() {
@@ -184,13 +167,6 @@ mod tests {
             .filter_map(|x| (x % 3 == 0).then_some(x))
             .collect();
         assert_eq!(out, (0u64..100).filter(|x| x % 3 == 0).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
     }
 
     #[test]

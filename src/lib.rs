@@ -59,7 +59,7 @@ pub mod prelude {
     };
     pub use owp_engine::{
         DeltaReport, DynamicProblem, Engine, EngineBuilder, EngineError, EngineEvent, Epoch,
-        ForensicBundle, InjectedFault, Partitioner, RangePartitioner, ShardMap, ShrinkResult,
+        ForensicBundle, InjectedFault, ShrinkResult,
     };
     pub use owp_graph::{Graph, GraphBuilder, NodeId, PreferenceTable, Quotas};
     pub use owp_matchd::{Matchd, MatchdClient, MatchdConfig, SubmitOutcome};
