@@ -64,6 +64,7 @@ use owp_bench::experiments::{
     e25_campaign, tables_to_json,
 };
 use owp_bench::Table;
+use owp_telemetry::json;
 use std::time::Instant;
 
 /// One guarded experiment: which headline-table columns are wall times and
@@ -349,40 +350,13 @@ fn main() {
 /// numeric, so a `NaN` is only ever compared if a guard misconfigures its
 /// column indices, and `NaN` comparisons always fail loudly.
 fn parse_first_rows(doc: &str) -> Option<Vec<Vec<f64>>> {
-    let start = doc.find("\"rows\":[")? + "\"rows\":[".len();
-    let rest = &doc[start..];
-    // Rows end at the first `]]` that closes the outer array: scan with a
-    // depth counter (cells contain no nested brackets or strings with `]`
-    // in the headline table, and we stop before any later table).
-    let mut depth = 1usize;
-    let mut end = None;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let body = &rest[..end?];
-    let mut rows = Vec::new();
-    for row in body.split("],") {
-        let row = row.trim().trim_start_matches('[').trim_end_matches(']');
-        if row.is_empty() {
-            continue;
-        }
-        let cells: Vec<f64> = row
-            .split(',')
-            .map(|c| c.trim().parse().unwrap_or(f64::NAN))
-            .collect();
-        rows.push(cells);
-    }
-    Some(rows)
+    let root = json::parse(doc).ok()?;
+    let tables = root.field("tables").ok()?.as_arr("tables").ok()?;
+    let rows = tables.first()?.field("rows").ok()?.as_arr("rows").ok()?;
+    let cell = |c: &json::Value<'_>| c.as_f64("cell").unwrap_or(f64::NAN);
+    rows.iter()
+        .map(|row| Some(row.as_arr("row").ok()?.iter().map(cell).collect()))
+        .collect()
 }
 
 #[cfg(test)]

@@ -39,9 +39,11 @@ use owp_metrics::{
     CAMPAIGN_PLAN_EVENTS, CAMPAIGN_PLAN_WALL_US, CAMPAIGN_VIOLATIONS_TOTAL,
 };
 use owp_simnet::{FaultPlan, LatencyModel, NodeId, SimConfig};
+use owp_telemetry::json::{self, Value};
 use owp_telemetry::CausalDag;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::fmt::Write as _;
 
 /// Number of log₂ buckets in the per-plan event-count histogram.
 pub const EVENT_BUCKETS: usize = 32;
@@ -613,82 +615,71 @@ pub fn fnv1a64_hex(bytes: &[u8]) -> String {
     format!("{h:016x}")
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl CampaignReport {
     /// Canonical single-line JSON. The digest field participates as the
     /// empty string while the digest itself is computed.
     pub fn to_json(&self) -> String {
         let c = &self.config;
         let mut s = String::with_capacity(4096);
-        s.push_str(&format!(
-            "{{\"campaign\":{{\"seed\":{},\"plans\":{},\"n\":{},\"instances\":{},\"quota\":{},\"inject_at\":{}}}",
-            c.seed,
-            c.plans,
-            c.n,
-            c.instances,
-            c.quota,
-            match c.inject_at {
-                Some(id) => id.to_string(),
-                None => "null".to_string(),
+        let _ = write!(
+            s,
+            "{{\"campaign\":{{\"seed\":{},\"plans\":{},\"n\":{},\"instances\":{},\"quota\":{},\"inject_at\":",
+            c.seed, c.plans, c.n, c.instances, c.quota
+        );
+        match c.inject_at {
+            Some(id) => {
+                let _ = write!(s, "{id}}}");
             }
-        ));
+            None => s.push_str("null}"),
+        }
         s.push_str(",\"coverage\":[");
         for (i, row) in self.coverage.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 "{{\"class\":\"{}\",\"generated\":{},\"executed\":{},\"certified\":{},\"violated\":{}}}",
                 row.class.label(),
                 row.generated,
                 row.executed,
                 row.certified,
                 row.violated
-            ));
+            );
         }
         s.push_str("],\"violations\":[");
         for (i, v) in self.violations.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!(
+            let _ = write!(
+                s,
                 "{{\"plan\":{},\"class\":\"{}\",\"injected\":{},\"sim_seed\":{},\"reasons\":[",
                 v.plan,
                 v.class.label(),
                 v.injected,
                 v.sim_seed
-            ));
+            );
             for (j, reason) in v.reasons.iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
-                s.push_str(&format!("\"{}\"", esc(reason)));
+                json::write_str(&mut s, reason);
             }
-            s.push_str(&format!("],\"plan_json\":\"{}\"}}", esc(&v.plan_json)));
+            s.push_str("],\"plan_json\":");
+            json::write_str(&mut s, &v.plan_json);
+            s.push('}');
         }
         s.push_str("],\"event_histogram\":[");
         for (i, &count) in self.event_histogram.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&count.to_string());
+            let _ = write!(s, "{count}");
         }
-        s.push_str(&format!(
-            "],\"total_events\":{},\"digest\":\"{}\"}}",
-            self.total_events, self.digest
-        ));
+        let _ = write!(s, "],\"total_events\":{},\"digest\":", self.total_events);
+        json::write_str(&mut s, &self.digest);
+        s.push('}');
         s
     }
 
@@ -708,13 +699,10 @@ impl CampaignReport {
         }
     }
 
-    /// Parses the canonical JSON produced by [`CampaignReport::to_json`]
-    /// (hand-rolled — the vendored serde is a derive marker only). The
-    /// digest is *not* verified here; call
+    /// Parses the canonical JSON produced by [`CampaignReport::to_json`].
+    /// Unknown keys are rejected. The digest is *not* verified here; call
     /// [`CampaignReport::verify_digest`] for attestation.
     pub fn parse(text: &str) -> Result<CampaignReport, String> {
-        let mut p = Cur::new(text);
-        p.expect('{')?;
         let mut config = CampaignConfig {
             seed: 0,
             plans: 0,
@@ -728,190 +716,51 @@ impl CampaignReport {
         let mut event_histogram = [0u64; EVENT_BUCKETS];
         let mut total_events = 0u64;
         let mut digest = String::new();
-        loop {
-            p.skip_ws();
-            if p.eat('}') {
-                break;
-            }
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
+        for (key, v) in json::parse(text)?.as_obj("report")? {
+            match key.as_ref() {
                 "campaign" => {
-                    p.expect('{')?;
-                    loop {
-                        p.skip_ws();
-                        if p.eat('}') {
-                            break;
-                        }
-                        let k = p.string()?;
-                        p.expect(':')?;
-                        match k.as_str() {
-                            "seed" => config.seed = p.u64()?,
-                            "plans" => config.plans = p.u64()?,
-                            "n" => config.n = p.u64()? as usize,
-                            "instances" => config.instances = p.u64()? as usize,
-                            "quota" => config.quota = p.u64()? as u32,
+                    for (k, x) in v.as_obj("campaign")? {
+                        match k.as_ref() {
+                            "seed" => config.seed = x.as_u64("campaign.seed")?,
+                            "plans" => config.plans = x.as_u64("campaign.plans")?,
+                            "n" => config.n = x.as_usize("campaign.n")?,
+                            "instances" => config.instances = x.as_usize("campaign.instances")?,
+                            "quota" => config.quota = x.as_u32("campaign.quota")?,
                             "inject_at" => {
-                                if p.eat_word("null") {
-                                    config.inject_at = None;
-                                } else {
-                                    config.inject_at = Some(p.u64()?);
-                                }
+                                config.inject_at =
+                                    x.nullable().map(|id| id.as_u64("campaign.inject_at")).transpose()?
                             }
                             other => return Err(format!("unknown campaign key {other:?}")),
-                        }
-                        p.skip_ws();
-                        if !p.eat(',') {
-                            p.expect('}')?;
-                            break;
                         }
                     }
                 }
                 "coverage" => {
-                    p.expect('[')?;
-                    loop {
-                        p.skip_ws();
-                        if p.eat(']') {
-                            break;
-                        }
-                        let mut row = CoverageRow {
-                            class: FaultClass::HealPartition,
-                            generated: 0,
-                            executed: 0,
-                            certified: 0,
-                            violated: 0,
-                        };
-                        p.expect('{')?;
-                        loop {
-                            p.skip_ws();
-                            if p.eat('}') {
-                                break;
-                            }
-                            let k = p.string()?;
-                            p.expect(':')?;
-                            match k.as_str() {
-                                "class" => {
-                                    let label = p.string()?;
-                                    row.class = FaultClass::from_label(&label)
-                                        .ok_or_else(|| format!("unknown class {label:?}"))?;
-                                }
-                                "generated" => row.generated = p.u64()?,
-                                "executed" => row.executed = p.u64()?,
-                                "certified" => row.certified = p.u64()?,
-                                "violated" => row.violated = p.u64()?,
-                                other => return Err(format!("unknown coverage key {other:?}")),
-                            }
-                            p.skip_ws();
-                            if !p.eat(',') {
-                                p.expect('}')?;
-                                break;
-                            }
-                        }
-                        coverage.push(row);
-                        p.skip_ws();
-                        if !p.eat(',') {
-                            p.expect(']')?;
-                            break;
-                        }
-                    }
+                    coverage = v
+                        .as_arr("coverage")?
+                        .iter()
+                        .map(parse_coverage_row)
+                        .collect::<Result<_, String>>()?;
                 }
                 "violations" => {
-                    p.expect('[')?;
-                    loop {
-                        p.skip_ws();
-                        if p.eat(']') {
-                            break;
-                        }
-                        let mut v = ViolationRecord {
-                            plan: 0,
-                            class: FaultClass::HealPartition,
-                            injected: false,
-                            sim_seed: 0,
-                            reasons: Vec::new(),
-                            plan_json: String::new(),
-                        };
-                        p.expect('{')?;
-                        loop {
-                            p.skip_ws();
-                            if p.eat('}') {
-                                break;
-                            }
-                            let k = p.string()?;
-                            p.expect(':')?;
-                            match k.as_str() {
-                                "plan" => v.plan = p.u64()?,
-                                "class" => {
-                                    let label = p.string()?;
-                                    v.class = FaultClass::from_label(&label)
-                                        .ok_or_else(|| format!("unknown class {label:?}"))?;
-                                }
-                                "injected" => v.injected = p.bool()?,
-                                "sim_seed" => v.sim_seed = p.u64()?,
-                                "reasons" => {
-                                    p.expect('[')?;
-                                    loop {
-                                        p.skip_ws();
-                                        if p.eat(']') {
-                                            break;
-                                        }
-                                        v.reasons.push(p.string()?);
-                                        p.skip_ws();
-                                        if !p.eat(',') {
-                                            p.expect(']')?;
-                                            break;
-                                        }
-                                    }
-                                }
-                                "plan_json" => v.plan_json = p.string()?,
-                                other => return Err(format!("unknown violation key {other:?}")),
-                            }
-                            p.skip_ws();
-                            if !p.eat(',') {
-                                p.expect('}')?;
-                                break;
-                            }
-                        }
-                        violations.push(v);
-                        p.skip_ws();
-                        if !p.eat(',') {
-                            p.expect(']')?;
-                            break;
-                        }
-                    }
+                    violations = v
+                        .as_arr("violations")?
+                        .iter()
+                        .map(parse_violation)
+                        .collect::<Result<_, String>>()?;
                 }
                 "event_histogram" => {
-                    p.expect('[')?;
-                    let mut i = 0;
-                    loop {
-                        p.skip_ws();
-                        if p.eat(']') {
-                            break;
-                        }
-                        if i >= EVENT_BUCKETS {
-                            return Err("event_histogram has too many buckets".to_string());
-                        }
-                        event_histogram[i] = p.u64()?;
-                        i += 1;
-                        p.skip_ws();
-                        if !p.eat(',') {
-                            p.expect(']')?;
-                            break;
-                        }
+                    let counts = v.as_arr("event_histogram")?;
+                    if counts.len() > EVENT_BUCKETS {
+                        return Err("event_histogram has too many buckets".to_string());
+                    }
+                    for (slot, c) in event_histogram.iter_mut().zip(counts) {
+                        *slot = c.as_u64("event_histogram")?;
                     }
                 }
-                "total_events" => total_events = p.u64()?,
-                "digest" => digest = p.string()?,
+                "total_events" => total_events = v.as_u64("total_events")?,
+                "digest" => digest = v.as_str("digest")?.to_string(),
                 other => return Err(format!("unknown report key {other:?}")),
             }
-            p.skip_ws();
-            if !p.eat(',') {
-                p.expect('}')?;
-                break;
-            }
-        }
-        p.skip_ws();
-        if !p.at_end() {
-            return Err(format!("trailing input at byte {}", p.pos));
         }
         if coverage.len() != FaultClass::ALL.len() {
             return Err(format!(
@@ -931,117 +780,59 @@ impl CampaignReport {
     }
 }
 
-/// Minimal cursor over canonical JSON text (numbers, escaped strings,
-/// punctuation) — sibling of the one in `owp_simnet::faults`, kept local
-/// because the escape vocabulary differs (reasons may contain newlines).
-struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn parse_class(v: &Value<'_>, what: &str) -> Result<FaultClass, String> {
+    let label = v.as_str(what)?;
+    FaultClass::from_label(label).ok_or_else(|| format!("unknown class {label:?}"))
 }
 
-impl<'a> Cur<'a> {
-    fn new(text: &'a str) -> Self {
-        Cur { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
+fn parse_coverage_row(v: &Value<'_>) -> Result<CoverageRow, String> {
+    let mut row = CoverageRow {
+        class: FaultClass::HealPartition,
+        generated: 0,
+        executed: 0,
+        certified: 0,
+        violated: 0,
+    };
+    for (k, x) in v.as_obj("coverage row")? {
+        match k.as_ref() {
+            "class" => row.class = parse_class(x, "coverage.class")?,
+            "generated" => row.generated = x.as_u64("coverage.generated")?,
+            "executed" => row.executed = x.as_u64("coverage.executed")?,
+            "certified" => row.certified = x.as_u64("coverage.certified")?,
+            "violated" => row.violated = x.as_u64("coverage.violated")?,
+            other => return Err(format!("unknown coverage key {other:?}")),
         }
     }
+    Ok(row)
+}
 
-    fn eat(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == c as u8 {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_word(&mut self, w: &str) -> bool {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(w.as_bytes()) {
-            self.pos += w.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
-        }
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        if self.eat_word("true") {
-            Ok(true)
-        } else if self.eat_word("false") {
-            Ok(false)
-        } else {
-            Err(format!("expected bool at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        while self.pos < self.bytes.len() {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    let start = self.pos;
-                    while self.pos < self.bytes.len()
-                        && self.bytes[self.pos] != b'"'
-                        && self.bytes[self.pos] != b'\\'
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid utf-8 in string".to_string())?,
-                    );
-                }
+fn parse_violation(v: &Value<'_>) -> Result<ViolationRecord, String> {
+    let mut rec = ViolationRecord {
+        plan: 0,
+        class: FaultClass::HealPartition,
+        injected: false,
+        sim_seed: 0,
+        reasons: Vec::new(),
+        plan_json: String::new(),
+    };
+    for (k, x) in v.as_obj("violation")? {
+        match k.as_ref() {
+            "plan" => rec.plan = x.as_u64("violation.plan")?,
+            "class" => rec.class = parse_class(x, "violation.class")?,
+            "injected" => rec.injected = x.as_bool("violation.injected")?,
+            "sim_seed" => rec.sim_seed = x.as_u64("violation.sim_seed")?,
+            "reasons" => {
+                rec.reasons = x
+                    .as_arr("violation.reasons")?
+                    .iter()
+                    .map(|r| r.as_str("violation.reasons").map(str::to_string))
+                    .collect::<Result<_, String>>()?;
             }
+            "plan_json" => rec.plan_json = x.as_str("violation.plan_json")?.to_string(),
+            other => return Err(format!("unknown violation key {other:?}")),
         }
-        Err("unterminated string".to_string())
     }
-
-    /// Exact unsigned integer — `f64` round-tripping would corrupt 64-bit
-    /// seeds, so every numeric report field parses through here.
-    fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| format!("bad integer at byte {start}"))
-    }
+    Ok(rec)
 }
 
 #[cfg(test)]

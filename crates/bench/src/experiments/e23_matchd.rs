@@ -36,6 +36,7 @@ use owp_matchd::{
 };
 use owp_metrics::MetricsRegistry;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Events each client submits per sweep configuration.
@@ -62,8 +63,12 @@ fn scale(quick: bool) -> usize {
     std::env::var("OWP_E23_N").ok().and_then(|v| v.parse().ok()).unwrap_or(20_000)
 }
 
+/// A fresh directory, unique per call: the quick and metrics runs execute
+/// concurrently under `cargo test` and must not share data directories.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("owp-e23-{}-{tag}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("owp-e23-{}-{n}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

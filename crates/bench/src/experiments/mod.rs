@@ -200,13 +200,13 @@ pub fn run_with_campaign(
 }
 
 /// Serializes an experiment's tables as the `BENCH_<id>.json` document:
-/// `{"experiment", "quick", "elapsed_ms", "tables": [...]}`. Hand-rolled —
-/// the schema is four keys and [`Table::to_json`] does the heavy lifting.
+/// `{"experiment", "quick", "elapsed_ms", "tables": [...]}`; the schema is
+/// four keys and [`Table::to_json`] does the heavy lifting.
 pub fn tables_to_json(id: &str, quick: bool, elapsed: std::time::Duration, tables: &[Table]) -> String {
     let mut out = String::new();
-    out.push_str("{\"experiment\":\"");
-    out.push_str(id);
-    out.push_str("\",\"quick\":");
+    out.push_str("{\"experiment\":");
+    owp_telemetry::json::write_str(&mut out, id);
+    out.push_str(",\"quick\":");
     out.push_str(if quick { "true" } else { "false" });
     out.push_str(",\"elapsed_ms\":");
     out.push_str(&format!("{:.1}", elapsed.as_secs_f64() * 1e3));

@@ -1,5 +1,6 @@
 //! Plain-text table rendering for experiment output.
 
+use owp_telemetry::json;
 use std::fmt::Write as _;
 
 /// A printable experiment table (one per paper table/figure).
@@ -89,67 +90,45 @@ impl Table {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"title\":");
-        out.push_str(&json_string(&self.title));
-        out.push_str(",\"headers\":[");
-        push_joined(&mut out, &self.headers, |h| json_string(h));
-        out.push_str("],\"rows\":[");
+        json::write_str(&mut out, &self.title);
+        out.push_str(",\"headers\":");
+        write_array(&mut out, &self.headers, json::write_str);
+        out.push_str(",\"rows\":[");
         for (r, row) in self.rows.iter().enumerate() {
             if r > 0 {
                 out.push(',');
             }
-            out.push('[');
-            push_joined(&mut out, row, |c| json_cell(c));
-            out.push(']');
+            write_array(&mut out, row, write_cell);
         }
-        out.push_str("],\"notes\":[");
-        push_joined(&mut out, &self.notes, |n| json_string(n));
-        out.push_str("]}");
+        out.push_str("],\"notes\":");
+        write_array(&mut out, &self.notes, json::write_str);
+        out.push('}');
         out
     }
 }
 
-fn push_joined<T, F: Fn(&T) -> String>(out: &mut String, items: &[T], f: F) {
+fn write_array(out: &mut String, items: &[String], write: fn(&mut String, &str)) {
+    out.push('[');
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&f(item));
+        write(out, item);
     }
+    out.push(']');
 }
 
-/// JSON string literal with the escapes the JSON grammar requires.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A cell that is a finite decimal number round-trips as a JSON number;
-/// anything else (units, ratios, text) is quoted.
-fn json_cell(cell: &str) -> String {
-    let numeric = !cell.is_empty()
-        && cell
-            .chars()
-            .all(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        && cell.parse::<f64>().map(f64::is_finite).unwrap_or(false);
+/// A cell that is a finite JSON number round-trips as a number; anything
+/// else (units, ratios, text, `+3.2`) is quoted.
+fn write_cell(out: &mut String, cell: &str) {
+    let numeric = cell
+        .bytes()
+        .all(|c| c.is_ascii_digit() || matches!(c, b'.' | b'-' | b'+' | b'e' | b'E'))
+        && json::parse(cell).is_ok_and(|v| v.as_f64("cell").is_ok());
     if numeric {
-        cell.to_string()
+        out.push_str(cell);
     } else {
-        json_string(cell)
+        json::write_str(out, cell);
     }
 }
 
@@ -185,6 +164,17 @@ mod tests {
             "{\"title\":\"ex \\\"15\\\"\",\"headers\":[\"n\",\"LID ms\",\"kind\"],\
              \"rows\":[[100000,43.5,\"async\"]],\"notes\":[\"line\\nbreak\"]}"
         );
+    }
+
+    #[test]
+    fn cells_outside_the_json_number_grammar_are_quoted() {
+        let cells = ["+3.2", "1.", ".5", "01", "-0.5e-3"];
+        let mut t = Table::new("signs", &cells);
+        t.row(cells.iter().map(|c| c.to_string()).collect());
+        let j = t.to_json();
+        let rows = "\"rows\":[[\"+3.2\",\"1.\",\".5\",\"01\",-0.5e-3]]";
+        assert!(j.contains(rows), "{j}");
+        assert!(json::parse(&j).is_ok());
     }
 
     #[test]

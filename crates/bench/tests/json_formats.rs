@@ -1,21 +1,29 @@
-//! Byte-level contracts of every JSON writer in the workspace.
+//! Contracts of every JSON writer and reader in the workspace.
 //!
-//! Each writer renders a small fixed input and the FNV-1a-64 digest of
-//! the output is pinned. The digests were captured before the writers
-//! moved onto the shared `owp_telemetry::json` helpers, so they prove the
-//! move changed no byte. `OriginSnapshot::to_json` is also the on-disk
-//! format of matchd's durability snapshots: its digest must never need a
-//! new constant while existing data directories are meant to load.
+//! * Each writer renders a small fixed input and the FNV-1a-64 digest of
+//!   the output is pinned. The digests were captured before the writers
+//!   moved onto the shared `owp_telemetry::json` helpers, so they prove
+//!   the move changed no byte. `OriginSnapshot::to_json` is also the
+//!   on-disk format of matchd's durability snapshots: its digest must
+//!   never need a new constant while existing data directories are meant
+//!   to load.
+//! * Every reader is fed every prefix, every single-bit flip and
+//!   multibyte garbage derived from its writer's document, and must
+//!   answer `Ok` or `Err` — never panic.
 
-use owp_bench::campaign::fnv1a64_hex;
+use owp_bench::campaign::{
+    fnv1a64_hex, CampaignConfig, CampaignReport, CoverageRow, FaultClass, ViolationRecord,
+    EVENT_BUCKETS,
+};
 use owp_bench::Table;
 use owp_engine::{
     EngineEvent, ForensicBundle, InjectedFault, OriginSnapshot, RecordedStep, ShrinkResult,
 };
 use owp_graph::{EdgeId, NodeId};
 use owp_matchd::{OpsStatus, SlowSpan};
-use owp_metrics::{AuditViolation, InvariantKind};
+use owp_metrics::{AuditViolation, InvariantKind, MetricsRegistry, MetricsSnapshot};
 use owp_simnet::FaultPlan;
+use owp_telemetry::json;
 use owp_telemetry::{
     ConvergenceSample, ConvergenceSeries, EventLog, MessageKind, NodeEvent, Recorder, SpanId,
     TelemetryEvent,
@@ -33,6 +41,7 @@ fn origin() -> OriginSnapshot {
 }
 
 fn bundle() -> ForensicBundle {
+    let (n0, n1, n2, n3, n4) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4));
     ForensicBundle {
         trigger: "certify".into(),
         reason: "epoch 9: engine selects \"e3\"\nback\\slash\ttab".into(),
@@ -49,50 +58,23 @@ fn bundle() -> ForensicBundle {
             RecordedStep {
                 epoch: 6,
                 events: vec![
-                    EngineEvent::NodeJoin { node: NodeId(2) },
-                    EngineEvent::NodeLeave { node: NodeId(4) },
-                    EngineEvent::EdgeAdd {
-                        u: NodeId(0),
-                        v: NodeId(3),
-                    },
-                    EngineEvent::EdgeRemove {
-                        u: NodeId(1),
-                        v: NodeId(3),
-                    },
-                    EngineEvent::QuotaChange {
-                        node: NodeId(1),
-                        quota: 3,
-                    },
-                    EngineEvent::PreferenceUpdate {
-                        node: NodeId(3),
-                        list: vec![NodeId(2), NodeId(1), NodeId(4)],
-                    },
+                    EngineEvent::NodeJoin { node: n2 },
+                    EngineEvent::NodeLeave { node: n4 },
+                    EngineEvent::EdgeAdd { u: n0, v: n3 },
+                    EngineEvent::EdgeRemove { u: n1, v: n3 },
+                    EngineEvent::QuotaChange { node: n1, quota: 3 },
+                    EngineEvent::PreferenceUpdate { node: n3, list: vec![n2, n1, n4] },
                 ],
                 fault: None,
             },
-            RecordedStep {
-                epoch: 7,
-                events: vec![],
-                fault: Some(InjectedFault::PhantomEdge { edge: EdgeId(2) }),
-            },
+            RecordedStep { epoch: 7, events: vec![], fault: Some(InjectedFault::PhantomEdge { edge: EdgeId(2) }) },
             RecordedStep {
                 epoch: 8,
-                events: vec![EngineEvent::PreferenceUpdate {
-                    node: NodeId(0),
-                    list: vec![],
-                }],
-                fault: Some(InjectedFault::SkippedRepair {
-                    node: NodeId(0),
-                    list: vec![NodeId(1), NodeId(2)],
-                }),
+                events: vec![EngineEvent::PreferenceUpdate { node: n0, list: vec![] }],
+                fault: Some(InjectedFault::SkippedRepair { node: n0, list: vec![n1, n2] }),
             },
         ],
-        shrunk: Some(ShrinkResult {
-            start: 1,
-            end: 2,
-            replays: 4,
-            error: "epoch 8: diverged \u{1}".into(),
-        }),
+        shrunk: Some(ShrinkResult { start: 1, end: 2, replays: 4, error: "epoch 8: diverged \u{1}".into() }),
         ring_capacity: 64,
         ring_dropped: 2,
         ring_seen: 66,
@@ -118,16 +100,8 @@ fn fault_plan() -> FaultPlan {
 
 fn violations() -> Vec<AuditViolation> {
     vec![
-        AuditViolation {
-            kind: InvariantKind::QuotaFeasibility,
-            epoch: Some(12),
-            detail: "node 3 holds 4 > b=3 \"over\"".into(),
-        },
-        AuditViolation {
-            kind: InvariantKind::CausalAcyclicity,
-            epoch: None,
-            detail: "cycle_detected: s1 -> s2\npath\\x é".into(),
-        },
+        AuditViolation { kind: InvariantKind::QuotaFeasibility, epoch: Some(12), detail: "node 3 holds 4 > b=3 \"over\"".into() },
+        AuditViolation { kind: InvariantKind::CausalAcyclicity, epoch: None, detail: "cycle_detected: s1 -> s2\npath\\x é".into() },
     ]
 }
 
@@ -155,168 +129,41 @@ fn ops_status() -> OpsStatus {
         bundles_spooled: 0,
         rustc: "rustc \"x\" y\\z".into(),
         slow: vec![
-            SlowSpan {
-                req: 900,
-                conn: 2,
-                kind: "SUBMIT".into(),
-                epoch: 41,
-                queue_us: 120,
-                apply_us: 340,
-                ack_us: 15,
-                total_us: 520,
-            },
-            SlowSpan {
-                req: 7,
-                conn: 1,
-                kind: "QUERY_EPOCH".into(),
-                epoch: 40,
-                queue_us: 0,
-                apply_us: 0,
-                ack_us: 0,
-                total_us: 90,
-            },
+            SlowSpan { req: 900, conn: 2, kind: "SUBMIT".into(), epoch: 41, queue_us: 120, apply_us: 340, ack_us: 15, total_us: 520 },
+            SlowSpan { req: 7, conn: 1, kind: "QUERY_EPOCH".into(), epoch: 40, queue_us: 0, apply_us: 0, ack_us: 0, total_us: 90 },
         ],
     }
 }
 
 fn event_log() -> EventLog {
     let mut log = EventLog::enabled();
-    let (a, b) = (NodeId(1), NodeId(2));
+    let (a, b, n3, n5) = (NodeId(1), NodeId(2), NodeId(3), NodeId(5));
     for ev in [
-        TelemetryEvent::Sent {
-            time: 0,
-            from: a,
-            to: b,
-            kind: MessageKind::Prop,
-        },
-        TelemetryEvent::SpanSent {
-            time: 0,
-            span: SpanId(0),
-            parent: None,
-            from: a,
-            to: b,
-            kind: MessageKind::Prop,
-        },
-        TelemetryEvent::Delivered {
-            time: 1,
-            from: a,
-            to: b,
-            kind: MessageKind::Prop,
-        },
-        TelemetryEvent::SpanDelivered {
-            time: 1,
-            span: SpanId(0),
-        },
-        TelemetryEvent::SpanSent {
-            time: 1,
-            span: SpanId(1),
-            parent: Some(SpanId(0)),
-            from: b,
-            to: a,
-            kind: MessageKind::Other("TOKEN"),
-        },
-        TelemetryEvent::SpanDropped {
-            time: 2,
-            span: SpanId(1),
-        },
-        TelemetryEvent::Dropped {
-            time: 2,
-            from: b,
-            to: a,
-            kind: MessageKind::Rej,
-        },
-        TelemetryEvent::DeadLettered {
-            time: 3,
-            from: NodeId(0),
-            to: NodeId(4),
-            kind: MessageKind::Ack,
-        },
-        TelemetryEvent::SpanDeadLettered {
-            time: 3,
-            span: SpanId(2),
-        },
-        TelemetryEvent::Restarted {
-            time: 3,
-            node: NodeId(4),
-        },
-        TelemetryEvent::TimerFired {
-            time: 4,
-            node: NodeId(3),
-            tag: 11,
-        },
-        TelemetryEvent::Node {
-            time: 4,
-            node: NodeId(3),
-            event: NodeEvent::PropSent { to: NodeId(5) },
-        },
-        TelemetryEvent::Node {
-            time: 4,
-            node: NodeId(3),
-            event: NodeEvent::RejSent { to: NodeId(6) },
-        },
-        TelemetryEvent::Node {
-            time: 4,
-            node: NodeId(3),
-            event: NodeEvent::EdgeLocked { peer: NodeId(5) },
-        },
-        TelemetryEvent::Node {
-            time: 5,
-            node: NodeId(3),
-            event: NodeEvent::NodeTerminated,
-        },
-        TelemetryEvent::Node {
-            time: 5,
-            node: NodeId(3),
-            event: NodeEvent::Retransmit { to: NodeId(5) },
-        },
-        TelemetryEvent::LicEdgeSelected {
-            step: 0,
-            edge: EdgeId(7),
-            a,
-            b,
-        },
-        TelemetryEvent::LicNodeSaturated {
-            step: 1,
-            node: b,
-            discarded: 3,
-        },
-        TelemetryEvent::LicCursorAdvanced {
-            node: b,
-            skipped: 2,
-        },
-        TelemetryEvent::EngineBatchApplied {
-            epoch: 9,
-            events: 2,
-            evaluated: 10,
-            added: 1,
-            removed: 0,
-        },
-        TelemetryEvent::EngineEdgeAdded {
-            epoch: 9,
-            edge: EdgeId(4),
-        },
-        TelemetryEvent::EngineEdgeRemoved {
-            epoch: 10,
-            edge: EdgeId(4),
-        },
-        TelemetryEvent::EngineReranked {
-            epoch: 10,
-            edges: 6,
-        },
-        TelemetryEvent::WireFrameReceived {
-            time: 120,
-            conn: 3,
-            req: 41,
-            kind: MessageKind::Other("SUBMIT"),
-            bytes: 64,
-        },
-        TelemetryEvent::WireFrameSent {
-            time: 130,
-            conn: 3,
-            req: 41,
-            kind: MessageKind::Other("ACCEPTED"),
-            bytes: 9,
-        },
+        TelemetryEvent::Sent { time: 0, from: a, to: b, kind: MessageKind::Prop },
+        TelemetryEvent::SpanSent { time: 0, span: SpanId(0), parent: None, from: a, to: b, kind: MessageKind::Prop },
+        TelemetryEvent::Delivered { time: 1, from: a, to: b, kind: MessageKind::Prop },
+        TelemetryEvent::SpanDelivered { time: 1, span: SpanId(0) },
+        TelemetryEvent::SpanSent { time: 1, span: SpanId(1), parent: Some(SpanId(0)), from: b, to: a, kind: MessageKind::Other("TOKEN") },
+        TelemetryEvent::SpanDropped { time: 2, span: SpanId(1) },
+        TelemetryEvent::Dropped { time: 2, from: b, to: a, kind: MessageKind::Rej },
+        TelemetryEvent::DeadLettered { time: 3, from: NodeId(0), to: NodeId(4), kind: MessageKind::Ack },
+        TelemetryEvent::SpanDeadLettered { time: 3, span: SpanId(2) },
+        TelemetryEvent::Restarted { time: 3, node: NodeId(4) },
+        TelemetryEvent::TimerFired { time: 4, node: n3, tag: 11 },
+        TelemetryEvent::Node { time: 4, node: n3, event: NodeEvent::PropSent { to: n5 } },
+        TelemetryEvent::Node { time: 4, node: n3, event: NodeEvent::RejSent { to: NodeId(6) } },
+        TelemetryEvent::Node { time: 4, node: n3, event: NodeEvent::EdgeLocked { peer: n5 } },
+        TelemetryEvent::Node { time: 5, node: n3, event: NodeEvent::NodeTerminated },
+        TelemetryEvent::Node { time: 5, node: n3, event: NodeEvent::Retransmit { to: n5 } },
+        TelemetryEvent::LicEdgeSelected { step: 0, edge: EdgeId(7), a, b },
+        TelemetryEvent::LicNodeSaturated { step: 1, node: b, discarded: 3 },
+        TelemetryEvent::LicCursorAdvanced { node: b, skipped: 2 },
+        TelemetryEvent::EngineBatchApplied { epoch: 9, events: 2, evaluated: 10, added: 1, removed: 0 },
+        TelemetryEvent::EngineEdgeAdded { epoch: 9, edge: EdgeId(4) },
+        TelemetryEvent::EngineEdgeRemoved { epoch: 10, edge: EdgeId(4) },
+        TelemetryEvent::EngineReranked { epoch: 10, edges: 6 },
+        TelemetryEvent::WireFrameReceived { time: 120, conn: 3, req: 41, kind: MessageKind::Other("SUBMIT"), bytes: 64 },
+        TelemetryEvent::WireFrameSent { time: 130, conn: 3, req: 41, kind: MessageKind::Other("ACCEPTED"), bytes: 9 },
     ] {
         log.record(ev);
     }
@@ -325,12 +172,7 @@ fn event_log() -> EventLog {
 
 fn series() -> ConvergenceSeries {
     let mut s = ConvergenceSeries::new();
-    for (round, edges, w) in [
-        (0u64, 0usize, 0.0),
-        (1, 3, 0.1 + 0.2),
-        (2, 5, 2.0),
-        (4, 5, 1e-7),
-    ] {
+    for (round, edges, w) in [(0u64, 0usize, 0.0), (1, 3, 0.1 + 0.2), (2, 5, 2.0), (4, 5, 1e-7)] {
         s.push(ConvergenceSample {
             round,
             matched_edges: edges,
@@ -338,11 +180,7 @@ fn series() -> ConvergenceSeries {
             satisfaction_total: w * 3.5,
             messages_sent: round * 10,
             in_flight: 20 - round as usize,
-            terminated_fraction: if round == 4 {
-                f64::NAN
-            } else {
-                round as f64 / 3.0
-            },
+            terminated_fraction: if round == 4 { f64::NAN } else { round as f64 / 3.0 },
         });
     }
     s
@@ -356,48 +194,122 @@ fn table() -> Table {
     t
 }
 
-fn digest(doc: &str) -> String {
-    fnv1a64_hex(doc.as_bytes())
+fn campaign_report() -> CampaignReport {
+    let mut report = CampaignReport {
+        config: CampaignConfig::new(0xE25, 10),
+        coverage: FaultClass::ALL
+            .iter()
+            .map(|&class| CoverageRow { class, generated: 2, executed: 2, certified: 2, violated: 0 })
+            .collect(),
+        violations: vec![ViolationRecord {
+            plan: 5,
+            class: FaultClass::AsymmetricLoss,
+            injected: true,
+            sim_seed: u64::MAX,
+            reasons: vec!["certify failed as designed: \"phantom\"\nedge 3".into()],
+            plan_json: fault_plan().to_json(),
+        }],
+        event_histogram: [0; EVENT_BUCKETS],
+        total_events: 4321,
+        digest: String::new(),
+    };
+    report.event_histogram[3] = 10;
+    report.digest = fnv1a64_hex(report.to_json().as_bytes());
+    report
+}
+
+fn metrics_json() -> String {
+    let reg = MetricsRegistry::new();
+    reg.counter("messages_sent_total").add(42);
+    reg.gauge("satisfaction_ratio").set(0.75);
+    let h = reg.histogram("prop_latency_ticks");
+    for v in [1u64, 2, 3, 100] {
+        h.observe(v);
+    }
+    reg.snapshot().to_json()
 }
 
 #[test]
 fn writer_output_bytes_are_pinned() {
     let audit: String = violations().iter().map(|v| v.to_json() + "\n").collect();
     let cases = [
-        (
-            "OriginSnapshot::to_json",
-            origin().to_json(),
-            "f588a0397f986761",
-        ),
-        (
-            "ForensicBundle::to_json",
-            bundle().to_json(),
-            "fc97093156593d27",
-        ),
-        (
-            "FaultPlan::to_json",
-            fault_plan().to_json(),
-            "4fbe0638a8ed989b",
-        ),
+        ("OriginSnapshot::to_json", origin().to_json(), "f588a0397f986761"),
+        ("ForensicBundle::to_json", bundle().to_json(), "fc97093156593d27"),
+        ("FaultPlan::to_json", fault_plan().to_json(), "4fbe0638a8ed989b"),
         ("AuditViolation::to_json", audit, "a9d4bfdcae92c772"),
-        (
-            "OpsStatus::to_json",
-            ops_status().to_json(),
-            "515086e328c2899f",
-        ),
-        (
-            "EventLog::to_jsonl",
-            event_log().to_jsonl(),
-            "559688f72acd6a0e",
-        ),
-        (
-            "ConvergenceSeries::to_jsonl",
-            series().to_jsonl(),
-            "acf20db4bb082e01",
-        ),
+        ("OpsStatus::to_json", ops_status().to_json(), "515086e328c2899f"),
+        ("EventLog::to_jsonl", event_log().to_jsonl(), "559688f72acd6a0e"),
+        ("ConvergenceSeries::to_jsonl", series().to_jsonl(), "acf20db4bb082e01"),
         ("Table::to_json", table().to_json(), "18125d74db949f75"),
     ];
     for (name, doc, want) in cases {
-        assert_eq!(digest(&doc), want, "{name} changed its bytes:\n{doc}");
+        assert_eq!(fnv1a64_hex(doc.as_bytes()), want, "{name} changed its bytes:\n{doc}");
     }
+}
+
+/// Every single-bit flip, every prefix and a multibyte character spliced
+/// in at every boundary of `doc`; invalid UTF-8 is read lossily.
+fn mutations(doc: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for i in 0..doc.len() {
+        for bit in 0..8 {
+            let mut b = doc.as_bytes().to_vec();
+            b[i] ^= 1 << bit;
+            out.push(String::from_utf8_lossy(&b).into_owned());
+        }
+    }
+    for i in (0..=doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+        out.push(doc[..i].to_string());
+        out.push(format!("{}é{}", &doc[..i], &doc[i..]));
+    }
+    for garbage in [
+        "{aaaaaaaaaaaé", "é", "{\"é\":é}", "[\"\u{10ffff}\"", "\u{feff}{}", "\"\\ué\"",
+        "{\"counters\":{\"é\":1}", "🦀🦀🦀", "{\"a\":\"\\ud83d\"}", "[[[[[[[[[[[[[[[[[[[[",
+    ] {
+        out.push(garbage.to_string());
+    }
+    out
+}
+
+#[test]
+fn parsers_never_panic_on_malformed_input() {
+    // Each reader answers whether it accepted the document.
+    type Reader = fn(&str) -> bool;
+    let readers: [(&str, String, Reader); 8] = [
+        // The matchd data-directory path: parse, then restore.
+        ("OriginSnapshot", origin().to_json(), |d| OriginSnapshot::parse(d).and_then(|o| o.restore()).is_ok()),
+        ("ForensicBundle", bundle().to_json(), |d| ForensicBundle::parse(d).is_ok()),
+        ("FaultPlan", fault_plan().to_json(), |d| FaultPlan::parse(d).is_ok()),
+        ("CampaignReport", campaign_report().to_json(), |d| {
+            CampaignReport::parse(d).is_ok_and(|r| r.verify_digest().is_ok())
+        }),
+        ("MetricsSnapshot::parse_json", metrics_json(), |d| MetricsSnapshot::parse_json(d).is_ok()),
+        ("OpsStatus", ops_status().to_json(), |d| OpsStatus::parse(d).is_ok()),
+        ("EventLog", event_log().to_jsonl(), |d| EventLog::parse_jsonl(d).is_ok()),
+        ("ConvergenceSeries", series().to_jsonl(), |d| ConvergenceSeries::parse_jsonl(d).is_ok()),
+    ];
+    for (name, golden, read) in readers {
+        assert!(read(&golden), "{name} rejects its own golden document");
+        for doc in mutations(&golden) {
+            if std::panic::catch_unwind(|| read(&doc)).is_err() {
+                panic!("{name} panicked on {doc:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn control_characters_in_audit_details_and_campaign_reasons_read_back() {
+    let text = "tab\there\rcr\u{7}bell";
+    let v = AuditViolation { kind: InvariantKind::Mutuality, epoch: Some(3), detail: text.into() };
+    let line = v.to_json();
+    assert!(!line.contains(['\t', '\r', '\u{7}']), "{line}");
+    let doc = json::parse(&line).expect("audit JSON parses");
+    assert_eq!(doc.field("detail").unwrap().as_str("detail"), Ok(text));
+
+    let mut report = campaign_report();
+    report.violations[0].reasons.push(text.into());
+    let doc = report.to_json();
+    assert!(!doc.contains(['\t', '\r', '\u{7}']), "{doc}");
+    assert_eq!(CampaignReport::parse(&doc), Ok(report));
 }

@@ -23,8 +23,8 @@
 //! bisects again to drop the longest clean prefix, re-certifying a fresh
 //! engine ([`crate::Engine::from_dynamic`]) for every candidate.
 //!
-//! Bundles serialize to a single hand-rolled JSON object (the workspace
-//! vendors no serde_json) and round-trip through [`ForensicBundle::parse`];
+//! Bundles serialize to a single JSON object (through
+//! `owp_telemetry::json`) and round-trip through [`ForensicBundle::parse`];
 //! `owp-inspect forensics <bundle>` summarizes and re-executes them, and
 //! [`ForensicBundle::verify`] is the library half of that command.
 
@@ -33,6 +33,7 @@ use crate::engine::Engine;
 use crate::event::{EngineError, EngineEvent};
 use owp_graph::{EdgeId, GraphBuilder, NodeId, PreferenceTable, Quotas};
 use owp_matching::Problem;
+use owp_telemetry::json::{self, Value};
 use std::fmt::Write as _;
 
 /// The rustc that compiled this engine (provenance for bundles); stamped
@@ -395,6 +396,9 @@ impl OriginSnapshot {
     /// (`OriginSnapshot::same_structure`) breaks, and re-parse just the
     /// [`flags`](OriginSnapshot::flags) per snapshot.
     pub fn restore_universe(&self) -> Result<Problem, String> {
+        if self.quotas.len() != self.n || self.prefs.len() != self.n {
+            return Err("origin quota/preference table length mismatch".into());
+        }
         let mut b = GraphBuilder::new(self.n);
         for &(u, v) in &self.edges {
             if u as usize >= self.n || v as usize >= self.n || u == v {
@@ -405,9 +409,6 @@ impl OriginSnapshot {
         let g = b.build();
         if g.edge_count() != self.edges.len() {
             return Err("origin edge list contains duplicates".into());
-        }
-        if self.quotas.len() != self.n || self.prefs.len() != self.n {
-            return Err("origin quota/preference table length mismatch".into());
         }
         let lists: Vec<Vec<NodeId>> = self
             .prefs
@@ -455,6 +456,11 @@ impl OriginSnapshot {
     /// payload `matchd`'s durability snapshots persist (DESIGN.md §13).
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(1024);
+        self.write_json(&mut o);
+        o
+    }
+
+    fn write_json(&self, o: &mut String) {
         let _ = write!(o, "{{\"n\":{}", self.n);
         o.push_str(",\"edges\":[");
         for (i, &(u, v)) in self.edges.iter().enumerate() {
@@ -463,74 +469,73 @@ impl OriginSnapshot {
             }
             let _ = write!(o, "[{u},{v}]");
         }
-        o.push_str("],\"quotas\":[");
-        for (i, q) in self.quotas.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "{q}");
-        }
-        o.push_str("],\"prefs\":[");
+        o.push_str("],\"quotas\":");
+        write_list(o, self.quotas.iter().copied());
+        o.push_str(",\"prefs\":[");
         for (i, l) in self.prefs.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
-            o.push('[');
-            for (j, p) in l.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                let _ = write!(o, "{p}");
-            }
-            o.push(']');
+            write_list(o, l.iter().copied());
         }
-        let _ = write!(o, "],\"active\":{}", jstr(&self.active));
-        let _ = write!(o, ",\"present\":{}}}", jstr(&self.present));
-        o
+        o.push_str("],\"active\":");
+        json::write_str(o, &self.active);
+        o.push_str(",\"present\":");
+        json::write_str(o, &self.present);
+        o.push('}');
     }
 
     /// Parses a snapshot serialized by [`OriginSnapshot::to_json`].
     pub fn parse(doc: &str) -> Result<OriginSnapshot, String> {
-        origin_from_json(&parse_json(doc)?)
+        OriginSnapshot::from_json(&json::parse(doc)?)
+    }
+
+    fn from_json(v: &Value<'_>) -> Result<OriginSnapshot, String> {
+        v.as_obj("origin")?;
+        let edges = v
+            .field("edges")?
+            .as_arr("origin.edges")?
+            .iter()
+            .map(|pair| {
+                let [a, b] = pair.as_tuple("origin edge")?;
+                Ok((a.as_u32("edge endpoint")?, b.as_u32("edge endpoint")?))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let prefs = v
+            .field("prefs")?
+            .as_arr("origin.prefs")?
+            .iter()
+            .map(|l| u32_list(l, "origin preference list"))
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(OriginSnapshot {
+            n: v.field("n")?.as_usize("origin.n")?,
+            edges,
+            quotas: u32_list(v.field("quotas")?, "origin.quotas")?,
+            prefs,
+            active: v.field("active")?.as_str("origin.active")?.to_string(),
+            present: v.field("present")?.as_str("origin.present")?.to_string(),
+        })
     }
 }
 
-fn origin_from_json(v: &Json) -> Result<OriginSnapshot, String> {
-    let or = as_obj(v, "origin")?;
-    let edges = as_arr(field(or, "edges")?, "origin.edges")?
-        .iter()
-        .map(|pair| {
-            let p = as_arr(pair, "origin edge")?;
-            if p.len() != 2 {
-                return Err("origin edge is not a pair".to_string());
-            }
-            Ok((
-                as_u64(&p[0], "edge endpoint")? as u32,
-                as_u64(&p[1], "edge endpoint")? as u32,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let quotas = as_arr(field(or, "quotas")?, "origin.quotas")?
-        .iter()
-        .map(|q| Ok(as_u64(q, "quota")? as u32))
-        .collect::<Result<Vec<_>, String>>()?;
-    let prefs = as_arr(field(or, "prefs")?, "origin.prefs")?
-        .iter()
-        .map(|l| {
-            as_arr(l, "preference list")?
-                .iter()
-                .map(|p| Ok(as_u64(p, "preference entry")? as u32))
-                .collect::<Result<Vec<_>, String>>()
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(OriginSnapshot {
-        n: as_u64(field(or, "n")?, "origin.n")? as usize,
-        edges,
-        quotas,
-        prefs,
-        active: as_str(field(or, "active")?, "origin.active")?.to_string(),
-        present: as_str(field(or, "present")?, "origin.present")?.to_string(),
-    })
+/// Appends `[a,b,...]`.
+fn write_list(o: &mut String, items: impl IntoIterator<Item = u32>) {
+    o.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            o.push(',');
+        }
+        let _ = write!(o, "{x}");
+    }
+    o.push(']');
+}
+
+fn u32_list(v: &Value<'_>, what: &str) -> Result<Vec<u32>, String> {
+    v.as_arr(what)?.iter().map(|x| x.as_u32(what)).collect()
+}
+
+fn node_list(v: &Value<'_>, what: &str) -> Result<Vec<NodeId>, String> {
+    Ok(u32_list(v, what)?.into_iter().map(NodeId).collect())
 }
 
 /// The self-contained post-mortem dump: everything needed to understand
@@ -655,13 +660,17 @@ impl ForensicBundle {
     /// Serializes the bundle as one JSON object.
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(4096);
+        let str_field = |o: &mut String, key: &str, text: &str| {
+            let _ = write!(o, ",\"{key}\":");
+            json::write_str(o, text);
+        };
         o.push_str("{\"format\":1");
-        let _ = write!(o, ",\"trigger\":{}", jstr(&self.trigger));
-        let _ = write!(o, ",\"reason\":{}", jstr(&self.reason));
+        str_field(&mut o, "trigger", &self.trigger);
+        str_field(&mut o, "reason", &self.reason);
         let _ = write!(o, ",\"epoch\":{}", self.epoch);
         let _ = write!(o, ",\"last_good_epoch\":{}", self.last_good_epoch);
-        let _ = write!(o, ",\"rustc\":{}", jstr(&self.rustc));
-        let _ = write!(o, ",\"config\":{}", jstr(&self.config));
+        str_field(&mut o, "rustc", &self.rustc);
+        str_field(&mut o, "config", &self.config);
         match self.seed {
             Some(s) => {
                 let _ = write!(o, ",\"seed\":{s}");
@@ -669,15 +678,13 @@ impl ForensicBundle {
             None => o.push_str(",\"seed\":null"),
         }
         let _ = write!(o, ",\"origin_epoch\":{}", self.origin_epoch);
+        o.push_str(",\"origin\":");
         match &self.origin {
-            Some(or) => {
-                o.push_str(",\"origin\":");
-                o.push_str(&or.to_json());
-            }
-            None => o.push_str(",\"origin\":null"),
+            Some(or) => or.write_json(&mut o),
+            None => o.push_str("null"),
         }
-        let _ = write!(o, ",\"cur_active\":{}", jstr(&self.cur_active));
-        let _ = write!(o, ",\"cur_present\":{}", jstr(&self.cur_present));
+        str_field(&mut o, "cur_active", &self.cur_active);
+        str_field(&mut o, "cur_present", &self.cur_present);
         o.push_str(",\"steps\":[");
         for (i, step) in self.steps.iter().enumerate() {
             if i > 0 {
@@ -685,7 +692,7 @@ impl ForensicBundle {
             }
             let _ = write!(o, "{{\"epoch\":{},\"fault\":", step.epoch);
             match &step.fault {
-                Some(f) => o.push_str(&fault_to_json(f)),
+                Some(f) => write_fault(&mut o, f),
                 None => o.push_str("null"),
             }
             o.push_str(",\"events\":[");
@@ -693,7 +700,7 @@ impl ForensicBundle {
                 if j > 0 {
                     o.push(',');
                 }
-                o.push_str(&event_to_json(ev));
+                write_event(&mut o, ev);
             }
             o.push_str("]}");
         }
@@ -702,19 +709,18 @@ impl ForensicBundle {
             Some(s) => {
                 let _ = write!(
                     o,
-                    ",\"shrunk\":{{\"start\":{},\"end\":{},\"replays\":{},\"error\":{}}}",
-                    s.start,
-                    s.end,
-                    s.replays,
-                    jstr(&s.error)
+                    ",\"shrunk\":{{\"start\":{},\"end\":{},\"replays\":{},\"error\":",
+                    s.start, s.end, s.replays
                 );
+                json::write_str(&mut o, &s.error);
+                o.push('}');
             }
             None => o.push_str(",\"shrunk\":null"),
         }
         let _ = write!(o, ",\"ring_capacity\":{}", self.ring_capacity);
         let _ = write!(o, ",\"ring_dropped\":{}", self.ring_dropped);
         let _ = write!(o, ",\"ring_seen\":{}", self.ring_seen);
-        let _ = write!(o, ",\"ring\":{}", jstr(&self.ring_jsonl));
+        str_field(&mut o, "ring", &self.ring_jsonl);
         o.push_str(",\"watermarks\":[");
         for (i, &(e, s)) in self.watermarks.iter().enumerate() {
             if i > 0 {
@@ -723,11 +729,9 @@ impl ForensicBundle {
             let _ = write!(o, "[{e},{s}]");
         }
         o.push(']');
-        let _ = write!(o, ",\"causal_tail\":{}", jstr(&self.causal_tail_jsonl));
+        str_field(&mut o, "causal_tail", &self.causal_tail_jsonl);
         match &self.metrics_json {
-            Some(m) => {
-                let _ = write!(o, ",\"metrics\":{}", jstr(m));
-            }
+            Some(m) => str_field(&mut o, "metrics", m),
             None => o.push_str(",\"metrics\":null"),
         }
         o.push('}');
@@ -736,44 +740,42 @@ impl ForensicBundle {
 
     /// Parses a bundle written by [`ForensicBundle::to_json`].
     pub fn parse(doc: &str) -> Result<ForensicBundle, String> {
-        let root = parse_json(doc)?;
-        let top = as_obj(&root, "bundle")?;
-        let format = as_u64(field(top, "format")?, "format")?;
+        let top = json::parse(doc)?;
+        top.as_obj("bundle")?;
+        let u64_at = |key: &str| top.field(key)?.as_u64(key);
+        let str_at = |key: &str| Ok::<_, String>(top.field(key)?.as_str(key)?.to_string());
+        let format = u64_at("format")?;
         if format != 1 {
             return Err(format!("unsupported bundle format {format}"));
         }
-        let origin = match field(top, "origin")? {
-            Json::Null => None,
-            v => Some(origin_from_json(v)?),
-        };
-        let steps = as_arr(field(top, "steps")?, "steps")?
+        let origin = top.field("origin")?.nullable().map(OriginSnapshot::from_json).transpose()?;
+        let steps = top
+            .field("steps")?
+            .as_arr("steps")?
             .iter()
-            .map(|s| {
-                let st = as_obj(s, "step")?;
-                let fault = match field(st, "fault")? {
-                    Json::Null => None,
-                    v => Some(fault_from_json(v)?),
-                };
-                let events = as_arr(field(st, "events")?, "step events")?
-                    .iter()
-                    .map(event_from_json)
-                    .collect::<Result<Vec<_>, String>>()?;
+            .map(|st| {
+                st.as_obj("step")?;
                 Ok(RecordedStep {
-                    epoch: as_u64(field(st, "epoch")?, "step epoch")?,
-                    events,
-                    fault,
+                    epoch: st.field("epoch")?.as_u64("step epoch")?,
+                    events: st
+                        .field("events")?
+                        .as_arr("step events")?
+                        .iter()
+                        .map(event_from_json)
+                        .collect::<Result<Vec<_>, String>>()?,
+                    fault: st.field("fault")?.nullable().map(fault_from_json).transpose()?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let shrunk = match field(top, "shrunk")? {
-            Json::Null => None,
-            v => {
-                let sh = as_obj(v, "shrunk")?;
+        let shrunk = match top.field("shrunk")?.nullable() {
+            None => None,
+            Some(sh) => {
+                sh.as_obj("shrunk")?;
                 let s = ShrinkResult {
-                    start: as_u64(field(sh, "start")?, "shrunk.start")? as usize,
-                    end: as_u64(field(sh, "end")?, "shrunk.end")? as usize,
-                    replays: as_u64(field(sh, "replays")?, "shrunk.replays")?,
-                    error: as_str(field(sh, "error")?, "shrunk.error")?.to_string(),
+                    start: sh.field("start")?.as_usize("shrunk.start")?,
+                    end: sh.field("end")?.as_usize("shrunk.end")?,
+                    replays: sh.field("replays")?.as_u64("shrunk.replays")?,
+                    error: sh.field("error")?.as_str("shrunk.error")?.to_string(),
                 };
                 if s.start > s.end || s.end >= steps.len() {
                     return Err(format!(
@@ -786,46 +788,40 @@ impl ForensicBundle {
                 Some(s)
             }
         };
-        let watermarks = as_arr(field(top, "watermarks")?, "watermarks")?
+        let watermarks = top
+            .field("watermarks")?
+            .as_arr("watermarks")?
             .iter()
             .map(|pair| {
-                let p = as_arr(pair, "watermark")?;
-                if p.len() != 2 {
-                    return Err("watermark is not a pair".to_string());
-                }
-                Ok((
-                    as_u64(&p[0], "watermark epoch")?,
-                    as_u64(&p[1], "watermark seq")?,
-                ))
+                let [e, s] = pair.as_tuple("watermark")?;
+                Ok((e.as_u64("watermark epoch")?, s.as_u64("watermark seq")?))
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(ForensicBundle {
-            trigger: as_str(field(top, "trigger")?, "trigger")?.to_string(),
-            reason: as_str(field(top, "reason")?, "reason")?.to_string(),
-            epoch: as_u64(field(top, "epoch")?, "epoch")?,
-            last_good_epoch: as_u64(field(top, "last_good_epoch")?, "last_good_epoch")?,
-            rustc: as_str(field(top, "rustc")?, "rustc")?.to_string(),
-            config: as_str(field(top, "config")?, "config")?.to_string(),
-            seed: match field(top, "seed")? {
-                Json::Null => None,
-                v => Some(as_u64(v, "seed")?),
-            },
-            origin_epoch: as_u64(field(top, "origin_epoch")?, "origin_epoch")?,
+            trigger: str_at("trigger")?,
+            reason: str_at("reason")?,
+            epoch: u64_at("epoch")?,
+            last_good_epoch: u64_at("last_good_epoch")?,
+            rustc: str_at("rustc")?,
+            config: str_at("config")?,
+            seed: top.field("seed")?.nullable().map(|v| v.as_u64("seed")).transpose()?,
+            origin_epoch: u64_at("origin_epoch")?,
             origin,
-            cur_active: as_str(field(top, "cur_active")?, "cur_active")?.to_string(),
-            cur_present: as_str(field(top, "cur_present")?, "cur_present")?.to_string(),
+            cur_active: str_at("cur_active")?,
+            cur_present: str_at("cur_present")?,
             steps,
             shrunk,
-            ring_capacity: as_u64(field(top, "ring_capacity")?, "ring_capacity")? as usize,
-            ring_dropped: as_u64(field(top, "ring_dropped")?, "ring_dropped")?,
-            ring_seen: as_u64(field(top, "ring_seen")?, "ring_seen")?,
-            ring_jsonl: as_str(field(top, "ring")?, "ring")?.to_string(),
+            ring_capacity: top.field("ring_capacity")?.as_usize("ring_capacity")?,
+            ring_dropped: u64_at("ring_dropped")?,
+            ring_seen: u64_at("ring_seen")?,
+            ring_jsonl: str_at("ring")?,
             watermarks,
-            causal_tail_jsonl: as_str(field(top, "causal_tail")?, "causal_tail")?.to_string(),
-            metrics_json: match field(top, "metrics")? {
-                Json::Null => None,
-                v => Some(as_str(v, "metrics")?.to_string()),
-            },
+            causal_tail_jsonl: str_at("causal_tail")?,
+            metrics_json: top
+                .field("metrics")?
+                .nullable()
+                .map(|v| v.as_str("metrics").map(str::to_string))
+                .transpose()?,
         })
     }
 }
@@ -834,331 +830,71 @@ impl ForensicBundle {
 // EngineEvent / InjectedFault (de)serialization
 // ---------------------------------------------------------------------
 
-fn event_to_json(ev: &EngineEvent) -> String {
-    match ev {
-        EngineEvent::NodeJoin { node } => format!("{{\"t\":\"join\",\"node\":{}}}", node.0),
-        EngineEvent::NodeLeave { node } => format!("{{\"t\":\"leave\",\"node\":{}}}", node.0),
-        EngineEvent::EdgeAdd { u, v } => format!("{{\"t\":\"eadd\",\"u\":{},\"v\":{}}}", u.0, v.0),
+fn write_event(o: &mut String, ev: &EngineEvent) {
+    let _ = match ev {
+        EngineEvent::NodeJoin { node } => write!(o, "{{\"t\":\"join\",\"node\":{}}}", node.0),
+        EngineEvent::NodeLeave { node } => write!(o, "{{\"t\":\"leave\",\"node\":{}}}", node.0),
+        EngineEvent::EdgeAdd { u, v } => {
+            write!(o, "{{\"t\":\"eadd\",\"u\":{},\"v\":{}}}", u.0, v.0)
+        }
         EngineEvent::EdgeRemove { u, v } => {
-            format!("{{\"t\":\"erem\",\"u\":{},\"v\":{}}}", u.0, v.0)
+            write!(o, "{{\"t\":\"erem\",\"u\":{},\"v\":{}}}", u.0, v.0)
         }
         EngineEvent::QuotaChange { node, quota } => {
-            format!("{{\"t\":\"quota\",\"node\":{},\"q\":{quota}}}", node.0)
+            write!(o, "{{\"t\":\"quota\",\"node\":{},\"q\":{quota}}}", node.0)
         }
         EngineEvent::PreferenceUpdate { node, list } => {
-            let items: Vec<String> = list.iter().map(|j| j.0.to_string()).collect();
-            format!(
-                "{{\"t\":\"prefs\",\"node\":{},\"list\":[{}]}}",
-                node.0,
-                items.join(",")
-            )
+            let _ = write!(o, "{{\"t\":\"prefs\",\"node\":{},\"list\":", node.0);
+            write_list(o, list.iter().map(|j| j.0));
+            o.push('}');
+            Ok(())
         }
-    }
+    };
 }
 
-fn event_from_json(v: &Json) -> Result<EngineEvent, String> {
-    let o = as_obj(v, "event")?;
-    let t = as_str(field(o, "t")?, "event type")?;
-    let node = |k: &str| -> Result<NodeId, String> {
-        Ok(NodeId(as_u64(field(o, k)?, k)? as u32))
-    };
-    Ok(match t {
+fn event_from_json(v: &Value<'_>) -> Result<EngineEvent, String> {
+    let node = |k: &str| v.field(k)?.as_u32(k).map(NodeId);
+    Ok(match v.field("t")?.as_str("event type")? {
         "join" => EngineEvent::NodeJoin { node: node("node")? },
         "leave" => EngineEvent::NodeLeave { node: node("node")? },
         "eadd" => EngineEvent::EdgeAdd { u: node("u")?, v: node("v")? },
         "erem" => EngineEvent::EdgeRemove { u: node("u")?, v: node("v")? },
         "quota" => EngineEvent::QuotaChange {
             node: node("node")?,
-            quota: as_u64(field(o, "q")?, "quota")? as u32,
+            quota: v.field("q")?.as_u32("quota")?,
         },
         "prefs" => EngineEvent::PreferenceUpdate {
             node: node("node")?,
-            list: as_arr(field(o, "list")?, "preference list")?
-                .iter()
-                .map(|p| Ok(NodeId(as_u64(p, "preference entry")? as u32)))
-                .collect::<Result<Vec<_>, String>>()?,
+            list: node_list(v.field("list")?, "preference list")?,
         },
         other => return Err(format!("unknown event type {other:?}")),
     })
 }
 
-fn fault_to_json(f: &InjectedFault) -> String {
+fn write_fault(o: &mut String, f: &InjectedFault) {
     match f {
         InjectedFault::PhantomEdge { edge } => {
-            format!("{{\"t\":\"phantom\",\"edge\":{}}}", edge.0)
+            let _ = write!(o, "{{\"t\":\"phantom\",\"edge\":{}}}", edge.0);
         }
         InjectedFault::SkippedRepair { node, list } => {
-            let items: Vec<String> = list.iter().map(|j| j.0.to_string()).collect();
-            format!(
-                "{{\"t\":\"skip\",\"node\":{},\"list\":[{}]}}",
-                node.0,
-                items.join(",")
-            )
+            let _ = write!(o, "{{\"t\":\"skip\",\"node\":{},\"list\":", node.0);
+            write_list(o, list.iter().map(|j| j.0));
+            o.push('}');
         }
     }
 }
 
-fn fault_from_json(v: &Json) -> Result<InjectedFault, String> {
-    let o = as_obj(v, "fault")?;
-    Ok(match as_str(field(o, "t")?, "fault type")? {
+fn fault_from_json(v: &Value<'_>) -> Result<InjectedFault, String> {
+    Ok(match v.field("t")?.as_str("fault type")? {
         "phantom" => InjectedFault::PhantomEdge {
-            edge: EdgeId(as_u64(field(o, "edge")?, "fault edge")? as u32),
+            edge: EdgeId(v.field("edge")?.as_u32("fault edge")?),
         },
         "skip" => InjectedFault::SkippedRepair {
-            node: NodeId(as_u64(field(o, "node")?, "fault node")? as u32),
-            list: as_arr(field(o, "list")?, "fault list")?
-                .iter()
-                .map(|p| Ok(NodeId(as_u64(p, "fault list entry")? as u32)))
-                .collect::<Result<Vec<_>, String>>()?,
+            node: NodeId(v.field("node")?.as_u32("fault node")?),
+            list: node_list(v.field("list")?, "fault list")?,
         },
         other => return Err(format!("unknown fault type {other:?}")),
     })
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader/writer (the workspace vendors no serde_json)
-// ---------------------------------------------------------------------
-
-/// JSON string literal with the escapes the grammar requires.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-fn parse_json(doc: &str) -> Result<Json, String> {
-    let mut p = JsonParser { b: doc.as_bytes(), i: 0 };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn ws(&mut self) {
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.obj(),
-            b'[' => self.arr(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.num(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn num(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .peek()
-            .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out: Vec<u8> = Vec::new();
-        loop {
-            let c = self.peek().ok_or("unterminated string")?;
-            self.i += 1;
-            match c {
-                b'"' => {
-                    return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".into())
-                }
-                b'\\' => {
-                    let e = self.peek().ok_or("unterminated escape")?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b'r' => out.push(b'\r'),
-                        b't' => out.push(b'\t'),
-                        b'b' => out.push(0x08),
-                        b'f' => out.push(0x0c),
-                        b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.i += 4;
-                            let ch = char::from_u32(cp).unwrap_or('\u{fffd}');
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                        }
-                        other => {
-                            return Err(format!("unknown escape \\{} ", other as char))
-                        }
-                    }
-                }
-                raw => out.push(raw),
-            }
-        }
-    }
-
-    fn arr(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.ws();
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn obj(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-}
-
-fn as_obj<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match v {
-        Json::Obj(fields) => Ok(fields),
-        _ => Err(format!("{what}: expected an object")),
-    }
-}
-
-fn as_arr<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
-    match v {
-        Json::Arr(items) => Ok(items),
-        _ => Err(format!("{what}: expected an array")),
-    }
-}
-
-fn as_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
-    match v {
-        Json::Str(s) => Ok(s),
-        _ => Err(format!("{what}: expected a string")),
-    }
-}
-
-fn as_u64(v: &Json, what: &str) -> Result<u64, String> {
-    match v {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
-            Ok(*n as u64)
-        }
-        _ => Err(format!("{what}: expected a non-negative integer")),
-    }
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
 }
 
 // ---------------------------------------------------------------------
@@ -1425,6 +1161,32 @@ mod tests {
         assert_eq!(normalize_violation("epoch 12: engine selects X"), "engine selects X");
         assert_eq!(normalize_violation("epoch x: not a number"), "epoch x: not a number");
         assert_eq!(normalize_violation("no prefix"), "no prefix");
+    }
+
+    #[test]
+    fn seed_round_trips_at_u64_max() {
+        let mut e = Engine::new(problem(26));
+        for b in structural_stream(&e, 2) {
+            e.apply_batch(&b).unwrap();
+        }
+        let bundle = e.capture_bundle("manual", "widest seed", Some(u64::MAX), None);
+        let parsed = ForensicBundle::parse(&bundle.to_json()).expect("a u64::MAX seed parses");
+        assert_eq!(parsed.seed, Some(u64::MAX));
+        assert_eq!(parsed, bundle);
+    }
+
+    #[test]
+    fn oversized_edge_endpoint_is_rejected() {
+        // 2^32 must not truncate to node 0, which would restore cleanly.
+        let doc = |u: &str| {
+            format!(
+                "{{\"n\":2,\"edges\":[[{u},1]],\"quotas\":[1,1],\"prefs\":[[1],[0]],\
+                 \"active\":\"11\",\"present\":\"1\"}}"
+            )
+        };
+        assert!(OriginSnapshot::parse(&doc("0")).unwrap().restore().is_ok());
+        let err = OriginSnapshot::parse(&doc("4294967296")).unwrap_err();
+        assert!(err.contains("4294967296 is out of range for u32"), "{err}");
     }
 
     #[test]

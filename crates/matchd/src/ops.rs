@@ -29,6 +29,7 @@ use crate::server::{AuditProbe, Ingest};
 use owp_engine::OriginSnapshot;
 use owp_matching::{BMatching, Problem};
 use owp_metrics::{Auditor, Counter, Gauge, MetricsRegistry};
+use owp_telemetry::json::{self, Value};
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
@@ -67,12 +68,28 @@ pub struct SlowSpan {
 }
 
 impl SlowSpan {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"req\":{},\"conn\":{},\"kind\":\"{}\",\"epoch\":{},\"queue_us\":{},\"apply_us\":{},\"ack_us\":{},\"total_us\":{}}}",
-            self.req, self.conn, self.kind, self.epoch, self.queue_us, self.apply_us,
-            self.ack_us, self.total_us
-        )
+    fn write_json(&self, s: &mut String) {
+        let _ = write!(s, "{{\"req\":{},\"conn\":{},\"kind\":", self.req, self.conn);
+        json::write_str(s, &self.kind);
+        let _ = write!(
+            s,
+            ",\"epoch\":{},\"queue_us\":{},\"apply_us\":{},\"ack_us\":{},\"total_us\":{}}}",
+            self.epoch, self.queue_us, self.apply_us, self.ack_us, self.total_us
+        );
+    }
+
+    fn from_json(v: &Value<'_>) -> Result<SlowSpan, String> {
+        let num = |key: &str| v.field(key)?.as_u64(key);
+        Ok(SlowSpan {
+            req: num("req")?,
+            conn: num("conn")?,
+            kind: v.field("kind")?.as_str("kind")?.to_string(),
+            epoch: num("epoch")?,
+            queue_us: num("queue_us")?,
+            apply_us: num("apply_us")?,
+            ack_us: num("ack_us")?,
+            total_us: num("total_us")?,
+        })
     }
 }
 
@@ -152,8 +169,7 @@ impl OpsShared {
 
 /// The `/status` document: everything an operator (or `owp-inspect
 /// ops`) needs in one scrape. Serialized by [`OpsStatus::to_json`] and
-/// parsed back by [`OpsStatus::parse`] — the parser is keyed to this
-/// emitter, not a general JSON reader.
+/// parsed back by [`OpsStatus::parse`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpsStatus {
     /// Engine epoch of the published view.
@@ -203,8 +219,7 @@ pub struct OpsStatus {
 }
 
 impl OpsStatus {
-    /// One JSON object. The `slow` array is emitted last so the scalar
-    /// fields parse unambiguously (slow spans reuse key names).
+    /// One JSON object, keys in declaration order.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
         let _ = write!(
@@ -215,7 +230,7 @@ impl OpsStatus {
              \"connections\":{},\"connections_total\":{},\"requests_total\":{},\
              \"uptime_ms\":{},\"ready\":{},\"audit_clean\":{},\
              \"audit_passes\":{},\"audit_failures\":{},\"last_audit_epoch\":{},\
-             \"bundles_spooled\":{},\"rustc\":\"{}\",\"slow\":[",
+             \"bundles_spooled\":{},\"rustc\":",
             self.epoch,
             self.sigma_s,
             self.active,
@@ -236,13 +251,14 @@ impl OpsStatus {
             self.audit_failures,
             self.last_audit_epoch,
             self.bundles_spooled,
-            self.rustc.replace('\\', "\\\\").replace('"', "\\\""),
         );
+        json::write_str(&mut s, &self.rustc);
+        s.push_str(",\"slow\":[");
         for (i, span) in self.slow.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&span.to_json());
+            span.write_json(&mut s);
         }
         s.push_str("]}");
         s
@@ -250,58 +266,14 @@ impl OpsStatus {
 
     /// Parses a document produced by [`OpsStatus::to_json`].
     pub fn parse(doc: &str) -> Result<OpsStatus, String> {
-        let slow_at = doc.find("\"slow\":[").ok_or("missing slow array")?;
-        let head = &doc[..slow_at];
-        let num = |key: &str| -> Result<u64, String> {
-            scalar(head, key)?.parse().map_err(|e| format!("field {key}: {e}"))
-        };
-        let f64v = |key: &str| -> Result<f64, String> {
-            scalar(head, key)?.parse().map_err(|e| format!("field {key}: {e}"))
-        };
-        let boolean = |key: &str| -> Result<bool, String> {
-            match scalar(head, key)? {
-                "true" => Ok(true),
-                "false" => Ok(false),
-                other => Err(format!("field {key}: {other:?} is not a bool")),
-            }
-        };
-        let rustc = {
-            let tag = "\"rustc\":\"";
-            let at = head.find(tag).ok_or("missing rustc")? + tag.len();
-            let end = head[at..].find('"').ok_or("unterminated rustc")?;
-            head[at..at + end].replace("\\\"", "\"").replace("\\\\", "\\")
-        };
-        let tail = &doc[slow_at + "\"slow\":[".len()..];
-        let close = tail.rfind(']').ok_or("unterminated slow array")?;
-        let mut slow = Vec::new();
-        for obj in tail[..close].split("},") {
-            let obj = obj.trim().trim_start_matches('{').trim_end_matches('}');
-            if obj.is_empty() {
-                continue;
-            }
-            let get = |key: &str| -> Result<&str, String> { scalar(obj, key) };
-            let kind = {
-                let tag = "\"kind\":\"";
-                let at = obj.find(tag).ok_or("missing span kind")? + tag.len();
-                let end = obj[at..].find('"').ok_or("unterminated span kind")?;
-                obj[at..at + end].to_string()
-            };
-            slow.push(SlowSpan {
-                req: get("req")?.parse().map_err(|e| format!("span req: {e}"))?,
-                conn: get("conn")?.parse().map_err(|e| format!("span conn: {e}"))?,
-                kind,
-                epoch: get("epoch")?.parse().map_err(|e| format!("span epoch: {e}"))?,
-                queue_us: get("queue_us")?.parse().map_err(|e| format!("span queue_us: {e}"))?,
-                apply_us: get("apply_us")?.parse().map_err(|e| format!("span apply_us: {e}"))?,
-                ack_us: get("ack_us")?.parse().map_err(|e| format!("span ack_us: {e}"))?,
-                total_us: get("total_us")?.parse().map_err(|e| format!("span total_us: {e}"))?,
-            });
-        }
+        let v = json::parse(doc)?;
+        let num = |key: &str| v.field(key)?.as_u64(key);
+        let flag = |key: &str| v.field(key)?.as_bool(key);
         Ok(OpsStatus {
             epoch: num("epoch")?,
-            sigma_s: f64v("sigma_s")?,
-            active: num("active")? as u32,
-            matched: num("matched")? as u32,
+            sigma_s: v.field("sigma_s")?.as_f64("sigma_s")?,
+            active: v.field("active")?.as_u32("active")?,
+            matched: v.field("matched")?.as_u32("matched")?,
             queue_depth: num("queue_depth")?,
             queue_capacity: num("queue_capacity")?,
             wal_bytes: num("wal_bytes")?,
@@ -312,26 +284,21 @@ impl OpsStatus {
             connections_total: num("connections_total")?,
             requests_total: num("requests_total")?,
             uptime_ms: num("uptime_ms")?,
-            ready: boolean("ready")?,
-            audit_clean: boolean("audit_clean")?,
+            ready: flag("ready")?,
+            audit_clean: flag("audit_clean")?,
             audit_passes: num("audit_passes")?,
             audit_failures: num("audit_failures")?,
             last_audit_epoch: num("last_audit_epoch")?,
             bundles_spooled: num("bundles_spooled")?,
-            rustc,
-            slow,
+            rustc: v.field("rustc")?.as_str("rustc")?.to_string(),
+            slow: v
+                .field("slow")?
+                .as_arr("slow")?
+                .iter()
+                .map(SlowSpan::from_json)
+                .collect::<Result<_, String>>()?,
         })
     }
-}
-
-/// Extracts the raw token following `"key":` in `doc` (terminated by
-/// `,`, `}`, or end). Errors if the key is absent.
-fn scalar<'d>(doc: &'d str, key: &str) -> Result<&'d str, String> {
-    let tag = format!("\"{key}\":");
-    let at = doc.find(&tag).ok_or_else(|| format!("missing field {key}"))? + tag.len();
-    let rest = &doc[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Ok(rest[..end].trim())
 }
 
 /// Everything the ops threads need, bundled once at spawn.
@@ -702,7 +669,7 @@ mod tests {
             audit_failures: 0,
             last_audit_epoch: 41,
             bundles_spooled: 0,
-            rustc: "rustc 1.80.0 (test)".into(),
+            rustc: "rustc \"1.80.0\" (C:\\toolchain)".into(),
             slow: vec![
                 SlowSpan {
                     req: 900,

@@ -44,6 +44,7 @@ use owp_graph::NodeId;
 use owp_matching::problem::Problem;
 use owp_matching::verify;
 use owp_matching::BMatching;
+use owp_telemetry::json;
 use std::fmt::Write as _;
 
 /// Which invariant a violation broke.
@@ -107,6 +108,11 @@ impl AuditViolation {
     /// `{"kind":"…","epoch":…,"detail":"…"}`.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(48 + self.detail.len());
+        self.write_json(&mut s);
+        s
+    }
+
+    fn write_json(&self, s: &mut String) {
         let _ = write!(s, "{{\"kind\":\"{}\",\"epoch\":", self.kind.tag());
         match self.epoch {
             Some(e) => {
@@ -114,17 +120,9 @@ impl AuditViolation {
             }
             None => s.push_str("null"),
         }
-        s.push_str(",\"detail\":\"");
-        for c in self.detail.chars() {
-            match c {
-                '"' => s.push_str("\\\""),
-                '\\' => s.push_str("\\\\"),
-                '\n' => s.push_str("\\n"),
-                c => s.push(c),
-            }
-        }
-        s.push_str("\"}");
-        s
+        s.push_str(",\"detail\":");
+        json::write_str(s, &self.detail);
+        s.push('}');
     }
 }
 
@@ -598,7 +596,7 @@ impl Auditor {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for v in &self.violations {
-            out.push_str(&v.to_json());
+            v.write_json(&mut out);
             out.push('\n');
         }
         out

@@ -15,6 +15,7 @@
 //! output byte-for-byte.
 
 use crate::registry::{bucket_upper_bound, HISTOGRAM_BUCKETS};
+use owp_telemetry::json;
 use std::fmt::Write as _;
 
 /// Frozen histogram state.
@@ -103,21 +104,6 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// `f64` in shortest round-trip form with a forced decimal point, matching
-/// the telemetry JSONL convention (`NaN`/`inf` become `null` in JSON and
-/// `NaN` in Prometheus; neither occurs in practice).
-fn fmt_f64(x: f64) -> String {
-    if !x.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
 impl MetricsSnapshot {
     /// Total number of metric families in the snapshot.
     pub fn len(&self) -> usize {
@@ -138,11 +124,13 @@ impl MetricsSnapshot {
         }
         for (name, v) in &self.gauges {
             let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(
-                out,
-                "{name} {}",
-                if v.is_finite() { fmt_f64(*v) } else { "NaN".to_string() }
-            );
+            let _ = write!(out, "{name} ");
+            if v.is_finite() {
+                json::write_f64(&mut out, *v);
+            } else {
+                out.push_str("NaN");
+            }
+            out.push('\n');
         }
         for (name, h) in &self.histograms {
             let _ = writeln!(out, "# TYPE {name} histogram");
@@ -171,21 +159,25 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{name}\":{v}");
+            json::write_str(&mut out, name);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("},\"gauges\":{");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{name}\":{}", fmt_f64(*v));
+            json::write_str(&mut out, name);
+            out.push(':');
+            json::write_f64(&mut out, *v);
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{name}\":{{\"count\":{},\"sum\":{},\"buckets\":[", h.count, h.sum);
+            json::write_str(&mut out, name);
+            let _ = write!(out, ":{{\"count\":{},\"sum\":{},\"buckets\":[", h.count, h.sum);
             let mut first = true;
             for (k, &c) in h.buckets.iter().enumerate() {
                 if c == 0 {
@@ -204,78 +196,39 @@ impl MetricsSnapshot {
     }
 
     /// Parses a document produced by [`MetricsSnapshot::to_json`].
-    ///
-    /// This is a scanner for exactly the subset the exporter emits (no
-    /// string escapes, no nesting beyond the fixed schema), not a general
-    /// JSON parser.
     pub fn parse_json(doc: &str) -> Result<MetricsSnapshot, String> {
-        let mut s = Scanner::new(doc);
+        let root = json::parse(doc)?;
+        let section = |name: &str| root.field(name)?.as_obj(name);
         let mut snap = MetricsSnapshot::default();
-        s.expect('{')?;
-        for section in ["counters", "gauges", "histograms"] {
-            s.key(section)?;
-            s.expect('{')?;
-            while !s.peek_is('}') {
-                let name = s.string()?;
-                s.expect(':')?;
-                match section {
-                    "counters" => {
-                        let v = s.number()?;
-                        let v = v.parse().map_err(|e| format!("{name}: {e}"))?;
-                        snap.counters.push((name, v));
-                    }
-                    "gauges" => {
-                        let v = s.number()?;
-                        let x = if v == "null" {
-                            f64::NAN
-                        } else {
-                            v.parse().map_err(|e| format!("{name}: {e}"))?
-                        };
-                        snap.gauges.push((name, x));
-                    }
-                    _ => {
-                        s.expect('{')?;
-                        s.key("count")?;
-                        let count: u64 =
-                            s.number()?.parse().map_err(|e| format!("{name} count: {e}"))?;
-                        s.expect(',')?;
-                        s.key("sum")?;
-                        let sum: u64 =
-                            s.number()?.parse().map_err(|e| format!("{name} sum: {e}"))?;
-                        s.expect(',')?;
-                        s.key("buckets")?;
-                        s.expect('[')?;
-                        let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-                        while !s.peek_is(']') {
-                            s.expect('[')?;
-                            let k: usize =
-                                s.number()?.parse().map_err(|e| format!("{name} bucket: {e}"))?;
-                            s.expect(',')?;
-                            let c: u64 =
-                                s.number()?.parse().map_err(|e| format!("{name} bucket: {e}"))?;
-                            s.expect(']')?;
-                            *buckets
-                                .get_mut(k)
-                                .ok_or_else(|| format!("{name}: bucket index {k} out of range"))? = c;
-                            if s.peek_is(',') {
-                                s.expect(',')?;
-                            }
-                        }
-                        s.expect(']')?;
-                        s.expect('}')?;
-                        snap.histograms.push((name, HistogramSnapshot { count, sum, buckets }));
-                    }
-                }
-                if s.peek_is(',') {
-                    s.expect(',')?;
-                }
-            }
-            s.expect('}')?;
-            if section != "histograms" {
-                s.expect(',')?;
-            }
+        for (name, v) in section("counters")? {
+            snap.counters.push((name.to_string(), v.as_u64(name)?));
         }
-        s.expect('}')?;
+        for (name, v) in section("gauges")? {
+            let x = match v.nullable() {
+                None => f64::NAN,
+                Some(x) => x.as_f64(name)?,
+            };
+            snap.gauges.push((name.to_string(), x));
+        }
+        for (name, h) in section("histograms")? {
+            let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
+            for pair in h.field("buckets")?.as_arr(name)? {
+                let [k, c] = pair.as_tuple(name)?;
+                let k = k.as_usize(name)?;
+                *buckets
+                    .get_mut(k)
+                    .ok_or_else(|| format!("{name}: bucket index {k} out of range"))? =
+                    c.as_u64(name)?;
+            }
+            snap.histograms.push((
+                name.to_string(),
+                HistogramSnapshot {
+                    count: h.field("count")?.as_u64(name)?,
+                    sum: h.field("sum")?.as_u64(name)?,
+                    buckets,
+                },
+            ));
+        }
         Ok(snap)
     }
 
@@ -364,75 +317,6 @@ impl MetricsSnapshot {
         }
         flush(&mut cur_hist, &mut snap);
         Ok(snap)
-    }
-}
-
-/// Minimal cursor over the fixed JSON subset the exporter writes.
-struct Scanner<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Self {
-        Scanner { s, pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.s[self.pos..].starts_with(|c: char| c.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.s[self.pos..].starts_with(c)
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.s[self.pos..].starts_with(c) {
-            self.pos += c.len_utf8();
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {c:?} at byte {} (found {:?})",
-                self.pos,
-                &self.s[self.pos..self.s.len().min(self.pos + 12)]
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let rest = &self.s[self.pos..];
-        let end = rest.find('"').ok_or("unterminated string")?;
-        let out = rest[..end].to_string();
-        self.pos += end + 1;
-        Ok(out)
-    }
-
-    /// A known object key: `"key":`.
-    fn key(&mut self, want: &str) -> Result<(), String> {
-        let got = self.string()?;
-        if got != want {
-            return Err(format!("expected key {want:?}, found {got:?}"));
-        }
-        self.expect(':')
-    }
-
-    /// A numeric token (also accepts `null`).
-    fn number(&mut self) -> Result<&'a str, String> {
-        self.skip_ws();
-        let rest = &self.s[self.pos..];
-        let len = rest
-            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E' | 'n' | 'u' | 'l')))
-            .unwrap_or(rest.len());
-        if len == 0 {
-            return Err(format!("expected a number at byte {}", self.pos));
-        }
-        self.pos += len;
-        Ok(&rest[..len])
     }
 }
 

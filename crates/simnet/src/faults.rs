@@ -10,6 +10,8 @@
 //! delivery path).
 
 use crate::{NodeId, SimTime};
+use owp_telemetry::json::{self, Value};
+use std::fmt::Write as _;
 
 /// Asymmetric per-link loss: probability in `[0, 1]` that a message sent
 /// from `from` to `to` is silently dropped. The reverse direction is
@@ -225,32 +227,24 @@ impl FaultPlan {
 
     /// Canonical single-line JSON rendering. Same plan ⇒ same bytes, so
     /// campaign reports that embed plans byte-compare across runs.
+    /// Probabilities use `f64`'s `Display` form (`0`, `0.25`), which
+    /// reads back bit for bit.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
-        s.push_str(&format!(
-            "{{\"drop\":{},\"duplicate\":{},\"reorder\":{}",
+        let _ = write!(
+            s,
+            "{{\"drop\":{},\"duplicate\":{},\"reorder\":{},\"crashes\":",
             self.drop_probability, self.duplicate_probability, self.reorder_probability
-        ));
-        s.push_str(",\"crashes\":[");
-        for (i, &(n, t)) in self.crashes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("[{},{t}]", n.0));
-        }
-        s.push_str("],\"restarts\":[");
-        for (i, &(n, t)) in self.restarts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("[{},{t}]", n.0));
-        }
-        s.push_str("],\"link_loss\":[");
+        );
+        write_pairs(&mut s, &self.crashes);
+        s.push_str(",\"restarts\":");
+        write_pairs(&mut s, &self.restarts);
+        s.push_str(",\"link_loss\":[");
         for (i, l) in self.link_loss.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("[{},{},{}]", l.from.0, l.to.0, l.probability));
+            let _ = write!(s, "[{},{},{}]", l.from.0, l.to.0, l.probability);
         }
         s.push_str("],\"partitions\":[");
         for (i, p) in self.partitions.iter().enumerate() {
@@ -262,221 +256,94 @@ impl FaultPlan {
                 if j > 0 {
                     s.push(',');
                 }
-                s.push_str(&format!("{}", n.0));
+                let _ = write!(s, "{}", n.0);
             }
-            s.push_str(&format!("],\"start\":{},\"heal\":{}}}", p.start, p.heal));
+            let _ = write!(s, "],\"start\":{},\"heal\":{}}}", p.start, p.heal);
         }
         s.push_str("]}");
         s
     }
 
-    /// Parses the canonical JSON produced by [`FaultPlan::to_json`] (the
-    /// vendored serde is a derive marker only, so parsing is hand-rolled).
-    /// The parsed plan is [`FaultPlan::validate`]d before being returned.
+    /// Parses the canonical JSON produced by [`FaultPlan::to_json`].
+    /// Unknown keys are rejected, and the parsed plan is
+    /// [`FaultPlan::validate`]d before being returned.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
-        let mut p = JsonCursor::new(text);
-        let plan = parse_plan(&mut p)?;
-        p.skip_ws();
-        if !p.at_end() {
-            return Err(format!("trailing input at byte {}", p.pos));
+        let mut plan = FaultPlan::default();
+        for (key, v) in json::parse(text)?.as_obj("fault plan")? {
+            match key.as_ref() {
+                "drop" => plan.drop_probability = v.as_f64("drop")?,
+                "duplicate" => plan.duplicate_probability = v.as_f64("duplicate")?,
+                "reorder" => plan.reorder_probability = v.as_f64("reorder")?,
+                "crashes" => plan.crashes = parse_pairs(v, "crashes")?,
+                "restarts" => plan.restarts = parse_pairs(v, "restarts")?,
+                "link_loss" => {
+                    plan.link_loss = v
+                        .as_arr("link_loss")?
+                        .iter()
+                        .map(|l| {
+                            let [from, to, p] = l.as_tuple("link_loss entry")?;
+                            Ok(LinkLoss {
+                                from: NodeId(from.as_u32("link_loss from")?),
+                                to: NodeId(to.as_u32("link_loss to")?),
+                                probability: p.as_f64("link_loss probability")?,
+                            })
+                        })
+                        .collect::<Result<_, String>>()?;
+                }
+                "partitions" => {
+                    plan.partitions = v
+                        .as_arr("partitions")?
+                        .iter()
+                        .map(parse_partition)
+                        .collect::<Result<_, String>>()?;
+                }
+                other => return Err(format!("unknown fault plan key {other:?}")),
+            }
         }
         plan.validate()?;
         Ok(plan)
     }
 }
 
-fn parse_plan(p: &mut JsonCursor<'_>) -> Result<FaultPlan, String> {
-    let mut plan = FaultPlan::default();
-    p.expect('{')?;
-    loop {
-        p.skip_ws();
-        if p.eat('}') {
-            break;
+/// Appends `[[node,time],...]`.
+fn write_pairs(s: &mut String, pairs: &[(NodeId, SimTime)]) {
+    s.push('[');
+    for (i, &(n, t)) in pairs.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
         }
-        let key = p.string()?;
-        p.expect(':')?;
-        match key.as_str() {
-            "drop" => plan.drop_probability = p.number()?,
-            "duplicate" => plan.duplicate_probability = p.number()?,
-            "reorder" => plan.reorder_probability = p.number()?,
-            "crashes" => plan.crashes = p.pair_list()?,
-            "restarts" => plan.restarts = p.pair_list()?,
-            "link_loss" => {
-                p.expect('[')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(']') {
-                        break;
-                    }
-                    p.expect('[')?;
-                    let from = NodeId(p.number()? as u32);
-                    p.expect(',')?;
-                    let to = NodeId(p.number()? as u32);
-                    p.expect(',')?;
-                    let probability = p.number()?;
-                    p.expect(']')?;
-                    plan.link_loss.push(LinkLoss { from, to, probability });
-                    p.skip_ws();
-                    if !p.eat(',') {
-                        p.expect(']')?;
-                        break;
-                    }
-                }
-            }
-            "partitions" => {
-                p.expect('[')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(']') {
-                        break;
-                    }
-                    let mut side = Vec::new();
-                    let mut start = 0;
-                    let mut heal = 0;
-                    p.expect('{')?;
-                    loop {
-                        p.skip_ws();
-                        if p.eat('}') {
-                            break;
-                        }
-                        let k = p.string()?;
-                        p.expect(':')?;
-                        match k.as_str() {
-                            "side" => {
-                                p.expect('[')?;
-                                loop {
-                                    p.skip_ws();
-                                    if p.eat(']') {
-                                        break;
-                                    }
-                                    side.push(NodeId(p.number()? as u32));
-                                    p.skip_ws();
-                                    if !p.eat(',') {
-                                        p.expect(']')?;
-                                        break;
-                                    }
-                                }
-                            }
-                            "start" => start = p.number()? as SimTime,
-                            "heal" => heal = p.number()? as SimTime,
-                            other => return Err(format!("unknown partition key {other:?}")),
-                        }
-                        p.skip_ws();
-                        if !p.eat(',') {
-                            p.expect('}')?;
-                            break;
-                        }
-                    }
-                    plan.partitions.push(Partition { side, start, heal });
-                    p.skip_ws();
-                    if !p.eat(',') {
-                        p.expect(']')?;
-                        break;
-                    }
-                }
-            }
-            other => return Err(format!("unknown fault plan key {other:?}")),
-        }
-        p.skip_ws();
-        if !p.eat(',') {
-            p.expect('}')?;
-            break;
-        }
+        let _ = write!(s, "[{},{t}]", n.0);
     }
-    Ok(plan)
+    s.push(']');
 }
 
-/// Minimal cursor over canonical JSON text (numbers, strings, punctuation).
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn parse_pairs(v: &Value<'_>, what: &str) -> Result<Vec<(NodeId, SimTime)>, String> {
+    v.as_arr(what)?
+        .iter()
+        .map(|pair| {
+            let [n, t] = pair.as_tuple(what)?;
+            Ok((NodeId(n.as_u32(what)?), t.as_u64(what)?))
+        })
+        .collect()
 }
 
-impl<'a> JsonCursor<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonCursor { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == c as u8 {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'"' {
-            self.pos += 1;
-        }
-        if self.pos >= self.bytes.len() {
-            return Err("unterminated string".to_string());
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid utf-8 in string".to_string())?
-            .to_string();
-        self.pos += 1; // closing quote
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn pair_list(&mut self) -> Result<Vec<(NodeId, SimTime)>, String> {
-        let mut out = Vec::new();
-        self.expect('[')?;
-        loop {
-            self.skip_ws();
-            if self.eat(']') {
-                break;
+fn parse_partition(v: &Value<'_>) -> Result<Partition, String> {
+    let mut p = Partition { side: Vec::new(), start: 0, heal: 0 };
+    for (key, x) in v.as_obj("partition")? {
+        match key.as_ref() {
+            "side" => {
+                p.side = x
+                    .as_arr("partition side")?
+                    .iter()
+                    .map(|n| n.as_u32("partition side").map(NodeId))
+                    .collect::<Result<_, String>>()?;
             }
-            self.expect('[')?;
-            let n = NodeId(self.number()? as u32);
-            self.expect(',')?;
-            let t = self.number()? as SimTime;
-            self.expect(']')?;
-            out.push((n, t));
-            self.skip_ws();
-            if !self.eat(',') {
-                self.expect(']')?;
-                break;
-            }
+            "start" => p.start = x.as_u64("partition start")?,
+            "heal" => p.heal = x.as_u64("partition heal")?,
+            other => return Err(format!("unknown partition key {other:?}")),
         }
-        Ok(out)
     }
+    Ok(p)
 }
 
 /// A [`FaultPlan`] compiled against a fixed node count for O(1) delivery-path
@@ -721,6 +588,20 @@ mod tests {
         let mut json = FaultPlan::none().to_json();
         json.push_str("x");
         assert!(FaultPlan::parse(&json).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn parse_rejects_negative_and_fractional_entries() {
+        // Read through `f64` and cast, this used to become `(n0, 5)`.
+        let err = FaultPlan::parse("{\"crashes\":[[-1,5.7]]}").unwrap_err();
+        assert!(err.contains("crashes: expected a non-negative integer"), "{err}");
+        let err = FaultPlan::parse("{\"crashes\":[[1,5.7]]}").unwrap_err();
+        assert!(err.contains("crashes: expected a non-negative integer"), "{err}");
+        let err = FaultPlan::parse("{\"partitions\":[{\"side\":[4294967296],\"start\":1,\"heal\":2}]}")
+            .unwrap_err();
+        assert!(err.contains("out of range for u32"), "{err}");
+        let plan = FaultPlan::parse("{\"crashes\":[[1,18446744073709551615]]}").expect("u64 time");
+        assert_eq!(plan.crashes, vec![(NodeId(1), u64::MAX)]);
     }
 
     #[test]

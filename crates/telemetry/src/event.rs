@@ -11,6 +11,7 @@
 //! * **LIC** — centralized selection-loop decisions, where "time" is the
 //!   selection step counter instead of simulated ticks.
 
+use crate::json;
 use owp_graph::{EdgeId, NodeId};
 use std::fmt::Write as _;
 
@@ -432,19 +433,20 @@ impl TelemetryEvent {
     /// One JSONL line (no trailing newline): `{"ev":...,"time":...,...}`.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(64);
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Appends [`TelemetryEvent::to_json`]'s line to `s`.
+    pub(crate) fn write_json(&self, s: &mut String) {
         let _ = write!(s, "{{\"ev\":\"{}\"", self.tag());
         match *self {
             TelemetryEvent::Sent { time, from, to, kind }
             | TelemetryEvent::Delivered { time, from, to, kind }
             | TelemetryEvent::Dropped { time, from, to, kind }
             | TelemetryEvent::DeadLettered { time, from, to, kind } => {
-                let _ = write!(
-                    s,
-                    ",\"time\":{time},\"from\":{},\"to\":{},\"kind\":\"{}\"",
-                    from.0,
-                    to.0,
-                    kind.label()
-                );
+                let _ = write!(s, ",\"time\":{time},\"from\":{},\"to\":{},\"kind\":", from.0, to.0);
+                json::write_str(s, kind.label());
             }
             TelemetryEvent::SpanSent { time, span, parent, from, to, kind } => {
                 let _ = write!(s, ",\"time\":{time},\"span\":{}", span.0);
@@ -454,13 +456,8 @@ impl TelemetryEvent {
                     }
                     None => s.push_str(",\"parent\":null"),
                 }
-                let _ = write!(
-                    s,
-                    ",\"from\":{},\"to\":{},\"kind\":\"{}\"",
-                    from.0,
-                    to.0,
-                    kind.label()
-                );
+                let _ = write!(s, ",\"from\":{},\"to\":{},\"kind\":", from.0, to.0);
+                json::write_str(s, kind.label());
             }
             TelemetryEvent::SpanDelivered { time, span }
             | TelemetryEvent::SpanDropped { time, span }
@@ -519,15 +516,12 @@ impl TelemetryEvent {
             }
             TelemetryEvent::WireFrameReceived { time, conn, req, kind, bytes }
             | TelemetryEvent::WireFrameSent { time, conn, req, kind, bytes } => {
-                let _ = write!(
-                    s,
-                    ",\"time\":{time},\"conn\":{conn},\"req\":{req},\"kind\":\"{}\",\"bytes\":{bytes}",
-                    kind.label()
-                );
+                let _ = write!(s, ",\"time\":{time},\"conn\":{conn},\"req\":{req},\"kind\":");
+                json::write_str(s, kind.label());
+                let _ = write!(s, ",\"bytes\":{bytes}");
             }
         }
         s.push('}');
-        s
     }
 }
 

@@ -30,6 +30,8 @@
 //!   certifies it acyclic (the empirical face of Lemma 5 — tampering
 //!   yields structured [`causal::CausalViolation`]s, never panics),
 //!   extracts latency-attributed critical paths and per-edge lifecycles.
+//! * [`json`] — **canonical JSON**: the one value reader and the string
+//!   and float writer helpers every crate's `to_json`/`parse` pair uses.
 //! * [`profile`] — **phase profiling**: lightweight monotonic scoped
 //!   timers aggregated into a hierarchical [`profile::PhaseProfile`]
 //!   table (weight computation / edge ordering / CSR build / selection
@@ -48,6 +50,7 @@
 
 pub mod causal;
 pub mod event;
+pub mod json;
 pub mod profile;
 pub mod recorder;
 pub mod series;

@@ -12,6 +12,7 @@
 //!   (the event vector is only created on first enabled push).
 
 use crate::event::{MessageKind, NodeEvent, SpanId, TelemetryEvent};
+use crate::json::{self, Value};
 use owp_graph::{EdgeId, NodeId};
 
 /// A sink for [`TelemetryEvent`]s.
@@ -122,7 +123,7 @@ impl EventLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {
-            out.push_str(&ev.to_json());
+            ev.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -136,229 +137,147 @@ impl EventLog {
     /// reproduces `log.events()` exactly. Blank lines are skipped; any
     /// malformed line is an `Err` naming its line number.
     pub fn parse_jsonl(doc: &str) -> Result<EventLog, String> {
-        let mut log = EventLog::enabled();
-        for (idx, line) in doc.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let ev = parse_event_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-            log.events.push(ev);
-        }
-        Ok(log)
+        let events = json::parse_lines(doc, event_from_json)?;
+        Ok(EventLog { enabled: true, events })
     }
 }
 
-/// One raw `"key":value` pair of a flat event object; the value keeps its
-/// JSON spelling (`7`, `"PROP"`, `null`).
-fn split_fields(line: &str) -> Result<Vec<(&str, &str)>, String> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not an object")?;
-    let mut fields = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let after_quote = rest.strip_prefix('"').ok_or("expected key quote")?;
-        let key_end = after_quote.find('"').ok_or("unterminated key")?;
-        let key = &after_quote[..key_end];
-        let after_key = after_quote[key_end + 1..]
-            .strip_prefix(':')
-            .ok_or("expected ':' after key")?;
-        // Values are numbers, null, or label strings (which never contain
-        // escapes), so the value ends at the first comma outside quotes.
-        let mut in_str = false;
-        let mut val_end = after_key.len();
-        for (i, c) in after_key.char_indices() {
-            match c {
-                '"' => in_str = !in_str,
-                ',' if !in_str => {
-                    val_end = i;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let value = &after_key[..val_end];
-        if value.is_empty() {
-            return Err(format!("empty value for key {key:?}"));
-        }
-        fields.push((key, value));
-        rest = &after_key[val_end..];
-        rest = rest.strip_prefix(',').unwrap_or(rest);
-    }
-    Ok(fields)
-}
-
-fn lookup<'a>(fields: &[(&'a str, &'a str)], key: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|&(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn num(fields: &[(&str, &str)], key: &str) -> Result<u64, String> {
-    let raw = lookup(fields, key)?;
-    raw.parse::<u64>().map_err(|_| format!("field {key:?} is not a u64: {raw:?}"))
-}
-
-fn num32(fields: &[(&str, &str)], key: &str) -> Result<u32, String> {
-    let raw = lookup(fields, key)?;
-    raw.parse::<u32>().map_err(|_| format!("field {key:?} is not a u32: {raw:?}"))
-}
-
-fn node(fields: &[(&str, &str)], key: &str) -> Result<NodeId, String> {
-    Ok(NodeId(num32(fields, key)?))
-}
-
-fn string<'a>(fields: &[(&'a str, &'a str)], key: &str) -> Result<&'a str, String> {
-    let raw = lookup(fields, key)?;
-    raw.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("field {key:?} is not a string: {raw:?}"))
-}
-
-fn parse_event_line(line: &str) -> Result<TelemetryEvent, String> {
-    let fields = split_fields(line)?;
-    let tag = string(&fields, "ev")?;
-    let kind = |f: &[(&str, &str)]| -> Result<MessageKind, String> {
-        Ok(MessageKind::parse(string(f, "kind")?))
+fn event_from_json(v: &Value<'_>) -> Result<TelemetryEvent, String> {
+    let num = |key: &str| v.field(key)?.as_u64(key);
+    let num32 = |key: &str| v.field(key)?.as_u32(key);
+    let node = |key: &str| num32(key).map(NodeId);
+    let kind = || -> Result<MessageKind, String> {
+        Ok(MessageKind::parse(v.field("kind")?.as_str("kind")?))
     };
-    let ev = match tag {
+    let ev = match v.field("ev")?.as_str("ev")? {
         "sent" => TelemetryEvent::Sent {
-            time: num(&fields, "time")?,
-            from: node(&fields, "from")?,
-            to: node(&fields, "to")?,
-            kind: kind(&fields)?,
+            time: num("time")?,
+            from: node("from")?,
+            to: node("to")?,
+            kind: kind()?,
         },
         "delivered" => TelemetryEvent::Delivered {
-            time: num(&fields, "time")?,
-            from: node(&fields, "from")?,
-            to: node(&fields, "to")?,
-            kind: kind(&fields)?,
+            time: num("time")?,
+            from: node("from")?,
+            to: node("to")?,
+            kind: kind()?,
         },
         "dropped" => TelemetryEvent::Dropped {
-            time: num(&fields, "time")?,
-            from: node(&fields, "from")?,
-            to: node(&fields, "to")?,
-            kind: kind(&fields)?,
+            time: num("time")?,
+            from: node("from")?,
+            to: node("to")?,
+            kind: kind()?,
         },
         "dead_lettered" => TelemetryEvent::DeadLettered {
-            time: num(&fields, "time")?,
-            from: node(&fields, "from")?,
-            to: node(&fields, "to")?,
-            kind: kind(&fields)?,
+            time: num("time")?,
+            from: node("from")?,
+            to: node("to")?,
+            kind: kind()?,
         },
         "span_sent" => {
-            let parent = match lookup(&fields, "parent")? {
-                "null" => None,
-                raw => Some(SpanId(raw.parse::<u64>().map_err(|_| {
-                    format!("field \"parent\" is not a u64 or null: {raw:?}")
-                })?)),
-            };
+            let parent = v.field("parent")?.nullable().map(|p| p.as_u64("parent")).transpose()?;
             TelemetryEvent::SpanSent {
-                time: num(&fields, "time")?,
-                span: SpanId(num(&fields, "span")?),
-                parent,
-                from: node(&fields, "from")?,
-                to: node(&fields, "to")?,
-                kind: kind(&fields)?,
+                time: num("time")?,
+                span: SpanId(num("span")?),
+                parent: parent.map(SpanId),
+                from: node("from")?,
+                to: node("to")?,
+                kind: kind()?,
             }
         }
         "span_delivered" => TelemetryEvent::SpanDelivered {
-            time: num(&fields, "time")?,
-            span: SpanId(num(&fields, "span")?),
+            time: num("time")?,
+            span: SpanId(num("span")?),
         },
         "span_dropped" => TelemetryEvent::SpanDropped {
-            time: num(&fields, "time")?,
-            span: SpanId(num(&fields, "span")?),
+            time: num("time")?,
+            span: SpanId(num("span")?),
         },
         "span_dead_lettered" => TelemetryEvent::SpanDeadLettered {
-            time: num(&fields, "time")?,
-            span: SpanId(num(&fields, "span")?),
+            time: num("time")?,
+            span: SpanId(num("span")?),
         },
         "restarted" => TelemetryEvent::Restarted {
-            time: num(&fields, "time")?,
-            node: node(&fields, "node")?,
+            time: num("time")?,
+            node: node("node")?,
         },
         "timer_fired" => TelemetryEvent::TimerFired {
-            time: num(&fields, "time")?,
-            node: node(&fields, "node")?,
-            tag: num(&fields, "tag")?,
+            time: num("time")?,
+            node: node("node")?,
+            tag: num("tag")?,
         },
         "prop_sent" => TelemetryEvent::Node {
-            time: num(&fields, "time")?,
-            node: node(&fields, "node")?,
-            event: NodeEvent::PropSent { to: node(&fields, "to")? },
+            time: num("time")?,
+            node: node("node")?,
+            event: NodeEvent::PropSent { to: node("to")? },
         },
         "rej_sent" => TelemetryEvent::Node {
-            time: num(&fields, "time")?,
-            node: node(&fields, "node")?,
-            event: NodeEvent::RejSent { to: node(&fields, "to")? },
+            time: num("time")?,
+            node: node("node")?,
+            event: NodeEvent::RejSent { to: node("to")? },
         },
         "retransmit" => TelemetryEvent::Node {
-            time: num(&fields, "time")?,
-            node: node(&fields, "node")?,
-            event: NodeEvent::Retransmit { to: node(&fields, "to")? },
+            time: num("time")?,
+            node: node("node")?,
+            event: NodeEvent::Retransmit { to: node("to")? },
         },
         "edge_locked" => TelemetryEvent::Node {
-            time: num(&fields, "time")?,
-            node: node(&fields, "node")?,
-            event: NodeEvent::EdgeLocked { peer: node(&fields, "peer")? },
+            time: num("time")?,
+            node: node("node")?,
+            event: NodeEvent::EdgeLocked { peer: node("peer")? },
         },
         "node_terminated" => TelemetryEvent::Node {
-            time: num(&fields, "time")?,
-            node: node(&fields, "node")?,
+            time: num("time")?,
+            node: node("node")?,
             event: NodeEvent::NodeTerminated,
         },
         "lic_edge_selected" => TelemetryEvent::LicEdgeSelected {
-            step: num32(&fields, "step")?,
-            edge: EdgeId(num32(&fields, "edge")?),
-            a: node(&fields, "a")?,
-            b: node(&fields, "b")?,
+            step: num32("step")?,
+            edge: EdgeId(num32("edge")?),
+            a: node("a")?,
+            b: node("b")?,
         },
         "lic_node_saturated" => TelemetryEvent::LicNodeSaturated {
-            step: num32(&fields, "step")?,
-            node: node(&fields, "node")?,
-            discarded: num32(&fields, "discarded")?,
+            step: num32("step")?,
+            node: node("node")?,
+            discarded: num32("discarded")?,
         },
         "lic_cursor_advanced" => TelemetryEvent::LicCursorAdvanced {
-            node: node(&fields, "node")?,
-            skipped: num32(&fields, "skipped")?,
+            node: node("node")?,
+            skipped: num32("skipped")?,
         },
         "engine_batch_applied" => TelemetryEvent::EngineBatchApplied {
-            epoch: num(&fields, "epoch")?,
-            events: num32(&fields, "events")?,
-            evaluated: num32(&fields, "evaluated")?,
-            added: num32(&fields, "added")?,
-            removed: num32(&fields, "removed")?,
+            epoch: num("epoch")?,
+            events: num32("events")?,
+            evaluated: num32("evaluated")?,
+            added: num32("added")?,
+            removed: num32("removed")?,
         },
         "engine_edge_added" => TelemetryEvent::EngineEdgeAdded {
-            epoch: num(&fields, "epoch")?,
-            edge: EdgeId(num32(&fields, "edge")?),
+            epoch: num("epoch")?,
+            edge: EdgeId(num32("edge")?),
         },
         "engine_edge_removed" => TelemetryEvent::EngineEdgeRemoved {
-            epoch: num(&fields, "epoch")?,
-            edge: EdgeId(num32(&fields, "edge")?),
+            epoch: num("epoch")?,
+            edge: EdgeId(num32("edge")?),
         },
         "engine_reranked" => TelemetryEvent::EngineReranked {
-            epoch: num(&fields, "epoch")?,
-            edges: num32(&fields, "edges")?,
+            epoch: num("epoch")?,
+            edges: num32("edges")?,
         },
         "wire_received" => TelemetryEvent::WireFrameReceived {
-            time: num(&fields, "time")?,
-            conn: num(&fields, "conn")?,
-            req: num(&fields, "req")?,
-            kind: kind(&fields)?,
-            bytes: num32(&fields, "bytes")?,
+            time: num("time")?,
+            conn: num("conn")?,
+            req: num("req")?,
+            kind: kind()?,
+            bytes: num32("bytes")?,
         },
         "wire_sent" => TelemetryEvent::WireFrameSent {
-            time: num(&fields, "time")?,
-            conn: num(&fields, "conn")?,
-            req: num(&fields, "req")?,
-            kind: kind(&fields)?,
-            bytes: num32(&fields, "bytes")?,
+            time: num("time")?,
+            conn: num("conn")?,
+            req: num("req")?,
+            kind: kind()?,
+            bytes: num32("bytes")?,
         },
         other => return Err(format!("unknown event tag {other:?}")),
     };
@@ -499,7 +418,7 @@ impl FlightRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in self.iter() {
-            out.push_str(&ev.to_json());
+            ev.write_json(&mut out);
             out.push('\n');
         }
         out

@@ -16,6 +16,7 @@
 //! Floats are printed with Rust's shortest round-trip formatting, so the
 //! final row is bit-for-bit comparable with `MatchingReport` values.
 
+use crate::json::{self, Value};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -39,51 +40,49 @@ pub struct ConvergenceSample {
 }
 
 impl ConvergenceSample {
-    /// One JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
+    /// Appends one JSONL line (no trailing newline).
+    fn write_json(&self, out: &mut String) {
         let _ = write!(
-            s,
-            "{{\"round\":{},\"matched_edges\":{},\"total_weight\":{},\"satisfaction_total\":{},\"messages_sent\":{},\"in_flight\":{},\"terminated_fraction\":{}}}",
-            self.round,
-            self.matched_edges,
-            json_f64(self.total_weight),
-            json_f64(self.satisfaction_total),
-            self.messages_sent,
-            self.in_flight,
-            json_f64(self.terminated_fraction),
+            out,
+            "{{\"round\":{},\"matched_edges\":{},\"total_weight\":",
+            self.round, self.matched_edges
         );
-        s
+        json::write_f64(out, self.total_weight);
+        out.push_str(",\"satisfaction_total\":");
+        json::write_f64(out, self.satisfaction_total);
+        let _ = write!(
+            out,
+            ",\"messages_sent\":{},\"in_flight\":{},\"terminated_fraction\":",
+            self.messages_sent, self.in_flight
+        );
+        json::write_f64(out, self.terminated_fraction);
+        out.push('}');
     }
 
-    /// One CSV row matching [`ConvergenceSeries::CSV_HEADER`].
-    pub fn to_csv(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{}",
-            self.round,
-            self.matched_edges,
-            json_f64(self.total_weight),
-            json_f64(self.satisfaction_total),
-            self.messages_sent,
-            self.in_flight,
-            json_f64(self.terminated_fraction),
-        )
+    /// Appends one CSV row matching [`ConvergenceSeries::CSV_HEADER`].
+    fn write_csv(&self, out: &mut String) {
+        let _ = write!(out, "{},{},", self.round, self.matched_edges);
+        json::write_f64(out, self.total_weight);
+        out.push(',');
+        json::write_f64(out, self.satisfaction_total);
+        let _ = write!(out, ",{},{},", self.messages_sent, self.in_flight);
+        json::write_f64(out, self.terminated_fraction);
     }
-}
 
-/// `f64` in shortest round-trip form, forced valid for JSON (JSON has no
-/// `NaN`/`inf`; those become `null` — they never occur in practice).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        // Bare integers round-trip fine but keep the schema typed as float.
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
+    fn from_json(v: &Value<'_>) -> Result<ConvergenceSample, String> {
+        let float = |key: &str| match v.field(key)?.nullable() {
+            None => Ok(f64::NAN),
+            Some(x) => x.as_f64(key),
+        };
+        Ok(ConvergenceSample {
+            round: v.field("round")?.as_u64("round")?,
+            matched_edges: v.field("matched_edges")?.as_usize("matched_edges")?,
+            total_weight: float("total_weight")?,
+            satisfaction_total: float("satisfaction_total")?,
+            messages_sent: v.field("messages_sent")?.as_u64("messages_sent")?,
+            in_flight: v.field("in_flight")?.as_usize("in_flight")?,
+            terminated_fraction: float("terminated_fraction")?,
+        })
     }
 }
 
@@ -94,7 +93,7 @@ pub struct ConvergenceSeries {
 }
 
 impl ConvergenceSeries {
-    /// CSV header matching [`ConvergenceSample::to_csv`].
+    /// CSV header of [`ConvergenceSeries::to_csv`].
     pub const CSV_HEADER: &'static str =
         "round,matched_edges,total_weight,satisfaction_total,messages_sent,in_flight,terminated_fraction";
 
@@ -135,7 +134,7 @@ impl ConvergenceSeries {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.samples.len() * 128);
         for s in &self.samples {
-            out.push_str(&s.to_json());
+            s.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -147,7 +146,7 @@ impl ConvergenceSeries {
         out.push_str(Self::CSV_HEADER);
         out.push('\n');
         for s in &self.samples {
-            out.push_str(&s.to_csv());
+            s.write_csv(&mut out);
             out.push('\n');
         }
         out
@@ -164,55 +163,19 @@ impl ConvergenceSeries {
     }
 
     /// Parses a JSONL document produced by [`ConvergenceSeries::to_jsonl`]
-    /// (blank lines skipped). Fields must appear in the schema order the
-    /// exporter writes — this is a reader for our own stable schema, not a
-    /// general JSON parser.
+    /// (blank lines skipped). Every schema field must be present, and
+    /// rounds must not decrease.
     pub fn parse_jsonl(doc: &str) -> Result<ConvergenceSeries, String> {
-        let mut series = ConvergenceSeries::new();
-        for (lineno, line) in doc.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let ctx = |what: &str| format!("line {}: {what}", lineno + 1);
-            let body = line
-                .strip_prefix('{')
-                .and_then(|l| l.strip_suffix('}'))
-                .ok_or_else(|| ctx("not a JSON object"))?;
-            let mut fields = body.split(',');
-            let mut next = |key: &str| -> Result<&str, String> {
-                let f = fields.next().ok_or_else(|| ctx(&format!("missing field {key}")))?;
-                let (k, v) = f.split_once(':').ok_or_else(|| ctx("field without ':'"))?;
-                if k.trim() != format!("\"{key}\"") {
-                    return Err(ctx(&format!("expected field {key:?}, found {k}")));
-                }
-                Ok(v.trim())
-            };
-            let f64_field = |v: &str| -> Result<f64, String> {
-                if v == "null" {
-                    Ok(f64::NAN)
-                } else {
-                    v.parse().map_err(|e| format!("{e}: {v}"))
-                }
-            };
-            series.push(ConvergenceSample {
-                round: next("round")?.parse().map_err(|e| ctx(&format!("round: {e}")))?,
-                matched_edges: next("matched_edges")?
-                    .parse()
-                    .map_err(|e| ctx(&format!("matched_edges: {e}")))?,
-                total_weight: f64_field(next("total_weight")?).map_err(|e| ctx(&e))?,
-                satisfaction_total: f64_field(next("satisfaction_total")?).map_err(|e| ctx(&e))?,
-                messages_sent: next("messages_sent")?
-                    .parse()
-                    .map_err(|e| ctx(&format!("messages_sent: {e}")))?,
-                in_flight: next("in_flight")?
-                    .parse()
-                    .map_err(|e| ctx(&format!("in_flight: {e}")))?,
-                terminated_fraction: f64_field(next("terminated_fraction")?)
-                    .map_err(|e| ctx(&e))?,
-            });
+        Self::from_samples(json::parse_lines(doc, ConvergenceSample::from_json)?)
+    }
+
+    /// The series of already-parsed `samples`, rejecting decreasing rounds
+    /// ([`ConvergenceSeries::push`] only asserts them).
+    fn from_samples(samples: Vec<ConvergenceSample>) -> Result<ConvergenceSeries, String> {
+        match samples.windows(2).find(|w| w[1].round < w[0].round) {
+            Some(w) => Err(format!("round {} follows round {}", w[1].round, w[0].round)),
+            None => Ok(ConvergenceSeries { samples }),
         }
-        Ok(series)
     }
 
     /// Parses a CSV document produced by [`ConvergenceSeries::to_csv`].
@@ -227,7 +190,7 @@ impl ConvergenceSeries {
                 Self::CSV_HEADER
             ));
         }
-        let mut series = ConvergenceSeries::new();
+        let mut samples = Vec::new();
         for (lineno, line) in lines.enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -244,7 +207,7 @@ impl ConvergenceSeries {
                     v.parse().map_err(|e| format!("{e}: {v}"))
                 }
             };
-            series.push(ConvergenceSample {
+            samples.push(ConvergenceSample {
                 round: cols[0].parse().map_err(|e| ctx(format!("round: {e}")))?,
                 matched_edges: cols[1].parse().map_err(|e| ctx(format!("matched_edges: {e}")))?,
                 total_weight: f64_col(cols[2]).map_err(ctx)?,
@@ -254,7 +217,7 @@ impl ConvergenceSeries {
                 terminated_fraction: f64_col(cols[6]).map_err(ctx)?,
             });
         }
-        Ok(series)
+        Self::from_samples(samples)
     }
 
     /// First round at which the matched-edge count reached its final value
@@ -311,16 +274,6 @@ mod tests {
         for line in csv.lines() {
             assert_eq!(line.split(',').count(), 7);
         }
-    }
-
-    #[test]
-    fn float_formatting_round_trips() {
-        let x = 0.1 + 0.2; // classic non-representable sum
-        let printed = json_f64(x);
-        let back: f64 = printed.parse().unwrap();
-        assert_eq!(back.to_bits(), x.to_bits(), "shortest form must round-trip");
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 
     #[test]
