@@ -9,7 +9,9 @@
 //! Guarded experiments:
 //!
 //! * `e15` — end-to-end scale sweep: telemetry-off build and LID wall
-//!   times per size (`BENCH_e15.json`);
+//!   times per size (`BENCH_e15.json`), plus the per-node message count
+//!   and sync round count per size, which are deterministic and checked
+//!   for **exact** equality;
 //! * `e19` — dynamic engine: bounded-repair and from-scratch-rebuild wall
 //!   times per batch size (`BENCH_e19.json`);
 //! * `e20` — causal critical path: span count, critical-path length /
@@ -67,19 +69,28 @@ use owp_bench::Table;
 use owp_telemetry::json;
 use std::time::Instant;
 
-/// One guarded experiment: which headline-table columns are wall times and
-/// which column keys the rows when matching fresh runs against a baseline.
+/// How one guarded column is compared against its baseline.
+#[derive(Clone, Copy, PartialEq)]
+enum Check {
+    /// A wall time, checked within tolerance + slack.
+    Timed,
+    /// A deterministic structural value, checked for exact equality
+    /// (tolerance/slack are ignored).
+    Exact,
+}
+
+use Check::{Exact, Timed};
+
+/// One guarded experiment: which headline-table columns are checked, and
+/// how, and which column keys the rows when matching fresh runs against a
+/// baseline.
 struct Guard {
     id: &'static str,
     what: &'static str,
     key_col: usize,
     key_label: &'static str,
-    cols: &'static [(&'static str, usize)],
+    cols: &'static [(&'static str, usize, Check)],
     run: fn(bool) -> Vec<Table>,
-    /// `false`: wall times, checked within tolerance + slack. `true`:
-    /// deterministic structural values, checked for exact equality
-    /// (tolerance/slack are ignored).
-    exact: bool,
     /// Absolute ceiling on one column of every *fresh* row, checked
     /// independently of the baseline: `(label, column, ceiling)`. Used
     /// for ratio columns whose budget is a design contract rather than a
@@ -98,9 +109,13 @@ const GUARDS: &[Guard] = &[
         what: "E15 scale sweep (full sizes, telemetry off)",
         key_col: 0,
         key_label: "n",
-        cols: &[("build ms", 2), ("LID ms", 3)],
+        cols: &[
+            ("build ms", 2, Timed),
+            ("LID ms", 3, Timed),
+            ("msgs/node", 4, Exact),
+            ("sync rounds", 5, Exact),
+        ],
         run: e15_scale::run,
-        exact: false,
         cap: None,
         cap_key: None,
     },
@@ -109,9 +124,8 @@ const GUARDS: &[Guard] = &[
         what: "E19 dynamic repair sweep (full sizes, telemetry off)",
         key_col: 0,
         key_label: "batch %",
-        cols: &[("repair ms", 2), ("rebuild ms", 3)],
+        cols: &[("repair ms", 2, Timed), ("rebuild ms", 3, Timed)],
         run: e19_dynamic::run,
-        exact: false,
         cap: None,
         cap_key: None,
     },
@@ -120,9 +134,13 @@ const GUARDS: &[Guard] = &[
         what: "E20 causal critical-path sweep (full sizes, deterministic)",
         key_col: 0,
         key_label: "n",
-        cols: &[("spans", 2), ("crit len", 5), ("crit latency", 6), ("sync rounds", 8)],
+        cols: &[
+            ("spans", 2, Exact),
+            ("crit len", 5, Exact),
+            ("crit latency", 6, Exact),
+            ("sync rounds", 8, Exact),
+        ],
         run: e20_critical_path::run,
-        exact: true,
         cap: None,
         cap_key: None,
     },
@@ -131,9 +149,8 @@ const GUARDS: &[Guard] = &[
         what: "E22 recorder overhead (full size, E19 churn model)",
         key_col: 0,
         key_label: "ring",
-        cols: &[("ms", 3)],
+        cols: &[("ms", 3, Timed)],
         run: e22_forensics::run,
-        exact: false,
         cap: Some(("overhead %", 4, 10.0)),
         cap_key: None,
     },
@@ -142,9 +159,13 @@ const GUARDS: &[Guard] = &[
         what: "E25 chaos-campaign coverage ledger (full campaign, deterministic)",
         key_col: 0,
         key_label: "class",
-        cols: &[("generated", 2), ("executed", 3), ("certified", 4), ("violated", 5)],
+        cols: &[
+            ("generated", 2, Exact),
+            ("executed", 3, Exact),
+            ("certified", 4, Exact),
+            ("violated", 5, Exact),
+        ],
         run: e25_campaign::run,
-        exact: true,
         cap: None,
         cap_key: None,
     },
@@ -153,9 +174,8 @@ const GUARDS: &[Guard] = &[
         what: "E23 matchd ingest sweep (full size, loopback TCP)",
         key_col: 0,
         key_label: "linger us",
-        cols: &[("ingest ms", 4), ("p99 ms", 6)],
+        cols: &[("ingest ms", 4, Timed), ("p99 ms", 6, Timed)],
         run: e23_matchd::run,
-        exact: false,
         cap: None,
         cap_key: None,
     },
@@ -164,9 +184,8 @@ const GUARDS: &[Guard] = &[
         what: "E24 ops-plane overhead sweep (full size, scraped + audited)",
         key_col: 0,
         key_label: "linger us",
-        cols: &[("off ms", 2), ("on ms", 3)],
+        cols: &[("off ms", 2, Timed), ("on ms", 3, Timed)],
         run: e24_ops::run,
-        exact: false,
         // The observability budget is a design contract: the admin
         // endpoint + continuous auditor + request spans may cost the
         // ingest path at most 5% events/s against the ops-off daemon.
@@ -297,11 +316,11 @@ fn main() {
                     failures += 1;
                 }
             }
-            for &(label, col) in g.cols {
+            for &(label, col, check) in g.cols {
                 let base = base_row[col];
                 let now: f64 = fresh.cell(fresh_row, col).parse().expect("numeric cell");
                 compared += 1;
-                let failed = if g.exact {
+                let failed = if check == Exact {
                     let verdict = if now == base { "ok" } else { "CHANGED" };
                     println!(
                         "  [{}] {}={key:>8} {label:>12}: baseline {base}, now {now} (exact) {verdict}",

@@ -44,6 +44,8 @@
 
 pub mod churn;
 pub mod lid;
+#[cfg(test)]
+mod lid_oracle;
 pub mod lid_reliable;
 pub mod metric;
 pub mod overlay;

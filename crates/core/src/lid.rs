@@ -1,16 +1,23 @@
 //! LID — Local Information-based Distributed algorithm (paper Algorithm 1).
 //!
-//! Every node runs the same state machine over four sets:
-//!
-//! * `U` — unresolved neighbours (no reply yet / not contacted);
-//! * `P` — neighbours this node has PROPosed to;
-//! * `A` — neighbours that have approached this node with a PROP;
-//! * `K` — locked (established) connections.
+//! Every node runs the same state machine over four sets of neighbours:
+//! `U` (unresolved: no reply yet / not contacted), `P` (proposed to), `A`
+//! (approached this node with a PROP) and `K` (locked connections).
 //!
 //! A node proposes to its `b_i` heaviest-weight neighbours; a *mutual*
 //! proposal locks the edge at both ends; an explicit `REJ` makes the sender
 //! move to its next-ranked candidate; once `P \ K = ∅` (all proposals
 //! locked), the node rejects everyone left in `U` and terminates.
+//!
+//! State layout: [`LidNode`] keeps the four sets as one flag byte per
+//! neighbour (bits `U`, `P`, `A`, `K`), stored beside the neighbour's id in
+//! its *slot* — its position in the graph's id-sorted CSR adjacency. A
+//! rank-slot → CSR-slot array drives the `topRanked` cursor, and counters
+//! of `|U|`, `|P \ K|` and `|(P \ K) ∩ A|` make the termination test and
+//! the lock step O(1) per delivery. Walking the slots in order visits
+//! neighbours in ascending id, which is the order the set-based original
+//! iterated in, so sends and node events come out in the same order
+//! (DESIGN.md §17).
 //!
 //! Two gaps in the paper's pseudocode are fixed here, both flagged inline:
 //! a `PROP` arriving *after* the receiver terminated must still be answered
@@ -19,8 +26,8 @@
 //!
 //! The module runs the protocol on either engine of `owp-simnet`
 //! ([`run_lid`] — asynchronous, [`run_lid_sync`] — synchronous rounds) and
-//! extracts the resulting [`BMatching`], asserting the `K`-sets of the two
-//! endpoints of every locked edge agree.
+//! extracts the resulting [`BMatching`]: only pairs locked at both ends
+//! become edges.
 //!
 //! Observability: the state machine emits typed [`NodeEvent`]s (proposal,
 //! rejection, lock, termination) through `Context::emit` — compiled only
@@ -32,11 +39,10 @@
 use owp_graph::NodeId;
 use owp_matching::{matching_totals, BMatching, Problem};
 use owp_simnet::{
-    Context, EventLog, MessageKind, NetStats, NodeEvent, Payload, Protocol, RunOutcome, SimConfig,
-    Simulator, SyncRunner, TelemetryEvent,
+    Context, EventLog, MessageKind, NetStats, NodeEvent, Payload, Protocol, SimConfig, Simulator,
+    SyncRunner, TelemetryEvent,
 };
 use owp_telemetry::{CausalDag, ConvergenceSample, ConvergenceSeries};
-use std::collections::BTreeSet;
 
 /// The message kinds of Algorithm 1 (plus the retransmission layer's ACK).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,82 +68,161 @@ impl Payload for LidMessage {
     }
 }
 
+/// Flag bit: the neighbour is in `U` (unresolved).
+const U: u8 = 1;
+/// Flag bit: the neighbour is in `P` (this node proposed to it).
+const P: u8 = 2;
+/// Flag bit: the neighbour is in `A` (it proposed to this node).
+const A: u8 = 4;
+/// Flag bit: the neighbour is in `K` (the connection is locked).
+const K: u8 = 8;
+
+/// `1` iff `flags` counts towards `|U|`.
+fn in_u(flags: u8) -> u32 {
+    u32::from(flags & U != 0)
+}
+
+/// `1` iff `flags` counts towards `|P \ K|`.
+fn in_p_not_k(flags: u8) -> u32 {
+    u32::from(flags & (P | K) == P)
+}
+
+/// `1` iff `flags` is a mutual proposal not yet locked (`(P \ K) ∩ A`).
+fn lockable(flags: u8) -> u32 {
+    u32::from(flags & (P | A | K) == P | A)
+}
+
+/// One neighbour of a [`LidNode`]: its id and its set memberships, side
+/// by side so a delivery's lookup and update share a cache line.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    id: NodeId,
+    /// Membership in `U`, `P`, `A` and `K` (the flag bits above).
+    flags: u8,
+}
+
 /// Per-node state machine of Algorithm 1.
 #[derive(Debug)]
 pub struct LidNode {
     id: NodeId,
     quota: u32,
-    /// Neighbours sorted by the weight list (edge weight descending under
-    /// the strict [`owp_matching::EdgeKey`] order, realized as ascending
-    /// [`owp_matching::EdgeRank`] integer ranks) — the auxiliary list the
-    /// paper builds from the exchanged `ΔS̄` values.
-    ranked: Vec<NodeId>,
+    /// The neighbours in ascending id: the graph's CSR adjacency of this
+    /// node, so slot `s` is the CSR position `s`.
+    slots: Box<[Slot]>,
+    /// Neighbour slots sorted by the weight list (edge weight descending
+    /// under the strict [`owp_matching::EdgeKey`] order, realized as
+    /// ascending [`owp_matching::EdgeRank`] integer ranks) — the auxiliary
+    /// list the paper builds from the exchanged `ΔS̄` values.
+    ranked: Box<[u32]>,
     /// Cursor into `ranked`: everything before it is proposed-to or resolved.
     cursor: usize,
-    u: BTreeSet<NodeId>,
-    p: BTreeSet<NodeId>,
-    a: BTreeSet<NodeId>,
-    k: BTreeSet<NodeId>,
+    /// `|U|`; zero iff the node has terminated.
+    unresolved: u32,
+    /// `|P \ K|`: proposals still waiting for an answer.
+    outstanding: u32,
+    /// `|(P \ K) ∩ A|`: mutual proposals the lock step has yet to lock.
+    mutual: u32,
 }
 
 impl LidNode {
     /// Creates the Algorithm 1 state machine for node `id` of `problem`.
     pub(crate) fn new_for(problem: &Problem, id: NodeId) -> Self {
-        Self::new(problem, id)
+        Self::new(problem, id, &mut Vec::new())
     }
 
-    fn new(problem: &Problem, id: NodeId) -> Self {
-        let g = &problem.graph;
+    /// As [`LidNode::new_for`], sorting the candidate list in `scratch`
+    /// (reused across the nodes of one run).
+    fn new(
+        problem: &Problem,
+        id: NodeId,
+        scratch: &mut Vec<(owp_matching::EdgeRank, u32)>,
+    ) -> Self {
+        let adj = problem.graph.neighbors(id);
         // Rank ascending = weight descending: the per-node candidate list
         // sorts on dense `u32` ranks from the precomputed EdgeOrder kernel,
         // so no `Rational` comparison happens after Problem construction.
-        let mut ranked: Vec<(owp_matching::EdgeRank, NodeId)> = g
-            .neighbors(id)
-            .iter()
-            .map(|&(j, e)| (problem.order.rank(e), j))
-            .collect();
-        ranked.sort_unstable_by_key(|&(rank, _)| rank);
+        scratch.clear();
+        scratch.extend(
+            adj.iter()
+                .enumerate()
+                .map(|(slot, &(_, e))| (problem.order.rank(e), slot as u32)),
+        );
+        scratch.sort_unstable_by_key(|&(rank, _)| rank);
         LidNode {
             id,
             quota: problem.quotas.get(id),
-            ranked: ranked.into_iter().map(|(_, j)| j).collect(),
+            slots: adj.iter().map(|&(id, _)| Slot { id, flags: U }).collect(),
+            ranked: scratch.iter().map(|&(_, slot)| slot).collect(),
             cursor: 0,
-            u: g.neighbor_ids(id).collect(),
-            p: BTreeSet::new(),
-            a: BTreeSet::new(),
-            k: BTreeSet::new(),
+            unresolved: adj.len() as u32,
+            outstanding: 0,
+            mutual: 0,
         }
     }
 
-    /// `topRanked(U \ P)`: the heaviest-weight neighbour not yet proposed to
-    /// and still unresolved. Monotone cursor: nodes leave `U` permanently and
-    /// are never removed from "was proposed to" status without leaving `U`.
-    fn top_ranked(&mut self) -> Option<NodeId> {
-        while self.cursor < self.ranked.len() {
-            let v = self.ranked[self.cursor];
-            if self.u.contains(&v) && !self.p.contains(&v) {
-                return Some(v);
+    /// The slot of neighbour `v`, if `v` is one.
+    fn slot_of(&self, v: NodeId) -> Option<usize> {
+        self.slots.binary_search_by_key(&v, |s| s.id).ok()
+    }
+
+    /// Rewrites one slot's flags and keeps the three counters in step.
+    fn set_flags(&mut self, slot: usize, new: u8) {
+        let old = self.slots[slot].flags;
+        self.slots[slot].flags = new;
+        self.unresolved = self.unresolved + in_u(new) - in_u(old);
+        self.outstanding = self.outstanding + in_p_not_k(new) - in_p_not_k(old);
+        self.mutual = self.mutual + lockable(new) - lockable(old);
+    }
+
+    /// `topRanked(U \ P)`: the slot of the heaviest-weight neighbour not yet
+    /// proposed to and still unresolved. Monotone cursor: nodes leave `U`
+    /// permanently and are never removed from "was proposed to" status
+    /// without leaving `U`.
+    fn top_ranked(&mut self) -> Option<usize> {
+        while let Some(&slot) = self.ranked.get(self.cursor) {
+            let slot = slot as usize;
+            if self.slots[slot].flags & (U | P) == U {
+                return Some(slot);
             }
             self.cursor += 1;
         }
         None
     }
 
+    /// Adds `slot` to `P` and sends the PROP.
+    fn propose(&mut self, slot: usize, ctx: &mut Context<LidMessage>) {
+        self.set_flags(slot, self.slots[slot].flags | P);
+        let v = self.slots[slot].id;
+        ctx.send(v, LidMessage::Prop);
+        ctx.emit(NodeEvent::PropSent { to: v });
+    }
+
+    /// Moves `slot` from `U` and `A` into `K`.
+    fn lock(&mut self, slot: usize, ctx: &mut Context<LidMessage>) {
+        self.set_flags(slot, (self.slots[slot].flags & !(U | A)) | K);
+        ctx.emit(NodeEvent::EdgeLocked { peer: self.slots[slot].id });
+    }
+
     /// Lock every mutual proposal (Algorithm 1 lines 12–14, applied to a
     /// fixpoint — the pseudocode's `if ∃v` is run once per delivery, which
     /// can strand a second simultaneous match).
-    fn lock_mutuals(&mut self, ctx: &mut Context<LidMessage>) {
-        loop {
-            let v = self
-                .p
-                .iter()
-                .find(|v| !self.k.contains(v) && self.a.contains(v))
-                .copied();
-            let Some(v) = v else { break };
-            self.u.remove(&v);
-            self.a.remove(&v);
-            self.k.insert(v);
-            ctx.emit(NodeEvent::EdgeLocked { peer: v });
+    ///
+    /// Between callbacks no mutual proposal is left unlocked, except after
+    /// an `on_start` re-run over surviving state (plain LID's default
+    /// restart), which proposes without locking. So a delivery usually has
+    /// at most one candidate: the slot it just touched. Anything else is
+    /// locked in ascending id order, as the set-based fixpoint did.
+    fn lock_mutuals(&mut self, touched: usize, ctx: &mut Context<LidMessage>) {
+        if self.mutual == 1 && lockable(self.slots[touched].flags) == 1 {
+            self.lock(touched, ctx);
+            return;
+        }
+        let mut slot = 0;
+        while self.mutual > 0 {
+            if lockable(self.slots[slot].flags) == 1 {
+                self.lock(slot, ctx);
+            }
+            slot += 1;
         }
     }
 
@@ -145,34 +230,47 @@ impl LidNode {
     /// still unresolved and terminate. (`U = ∅` with nothing to reject —
     /// e.g. zero quota, no neighbours — also counts as termination.)
     fn finish_if_done(&mut self, ctx: &mut Context<LidMessage>) {
-        if self.p.iter().all(|v| self.k.contains(v)) {
-            for &v in &self.u {
-                ctx.send(v, LidMessage::Rej);
-                ctx.emit(NodeEvent::RejSent { to: v });
-            }
-            self.u.clear();
-            ctx.emit(NodeEvent::NodeTerminated);
+        if self.outstanding > 0 {
+            return;
         }
+        if self.unresolved > 0 {
+            for slot in self.slots.iter_mut().filter(|s| s.flags & U != 0) {
+                slot.flags &= !U;
+                ctx.send(slot.id, LidMessage::Rej);
+                ctx.emit(NodeEvent::RejSent { to: slot.id });
+            }
+            self.unresolved = 0;
+        }
+        ctx.emit(NodeEvent::NodeTerminated);
     }
 
-    /// The locked connections after termination.
+    /// Neighbours whose slots carry all of `mask`'s bits and none of the
+    /// other bits in `of`, ascending.
+    fn with_flags(&self, of: u8, mask: u8) -> impl Iterator<Item = NodeId> + '_ {
+        self.slots
+            .iter()
+            .filter(move |s| s.flags & of == mask)
+            .map(|s| s.id)
+    }
+
+    /// The locked connections, ascending.
     pub fn locked(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.k.iter().copied()
+        self.with_flags(K, K)
     }
 
     /// `true` iff the connection to `v` is locked (`v ∈ K`).
     pub fn is_locked(&self, v: NodeId) -> bool {
-        self.k.contains(&v)
+        self.slot_of(v).is_some_and(|s| self.slots[s].flags & K != 0)
     }
 
-    /// Neighbours with an outstanding (unanswered) proposal (`P \ K`) —
-    /// exactly the messages a retransmission layer must keep alive.
+    /// Neighbours with an outstanding (unanswered) proposal (`P \ K`),
+    /// ascending — exactly the messages a retransmission layer must keep
+    /// alive.
     pub fn outstanding_proposals(&self) -> Vec<NodeId> {
-        self.p
-            .iter()
-            .filter(|v| !self.k.contains(v))
-            .copied()
-            .collect()
+        if self.outstanding == 0 {
+            return Vec::new();
+        }
+        self.with_flags(P | K, P).collect()
     }
 
     /// This node's id.
@@ -187,10 +285,12 @@ impl LidNode {
     /// exchanged `ΔS̄` values, i.e. durable problem data, not protocol state.
     pub(crate) fn reset(&mut self) {
         self.cursor = 0;
-        self.u = self.ranked.iter().copied().collect();
-        self.p.clear();
-        self.a.clear();
-        self.k.clear();
+        for slot in self.slots.iter_mut() {
+            slot.flags = U;
+        }
+        self.unresolved = self.slots.len() as u32;
+        self.outstanding = 0;
+        self.mutual = 0;
     }
 }
 
@@ -200,54 +300,56 @@ impl Protocol for LidNode {
     fn on_start(&mut self, ctx: &mut Context<LidMessage>) {
         // Lines 2–3: propose to the top b_i candidates.
         for _ in 0..self.quota {
-            let Some(v) = self.top_ranked() else { break };
-            self.p.insert(v);
-            ctx.send(v, LidMessage::Prop);
-            ctx.emit(NodeEvent::PropSent { to: v });
+            let Some(slot) = self.top_ranked() else { break };
+            self.propose(slot, ctx);
         }
         // A node with b_i = 0 (or no neighbours) terminates immediately,
         // rejecting everyone — otherwise its neighbours would wait forever.
         self.finish_if_done(ctx);
     }
 
+    /// # Panics
+    /// Panics if `from` is not a neighbour: LID only messages along overlay
+    /// edges (the simulator enforces this at send time).
     fn on_message(&mut self, from: NodeId, msg: LidMessage, ctx: &mut Context<LidMessage>) {
-        if self.u.is_empty() {
+        let slot = self
+            .slot_of(from)
+            .unwrap_or_else(|| panic!("{:?} got a message from non-neighbour {from:?}", self.id));
+        let flags = self.slots[slot].flags;
+        if self.unresolved == 0 {
             // Terminated. The paper's pseudocode does not handle a PROP that
             // arrives after line 16; without a REJ reply the proposer would
             // deadlock, so we answer here (documented deviation).
-            if msg == LidMessage::Prop && !self.k.contains(&from) {
+            if msg == LidMessage::Prop && flags & K == 0 {
                 ctx.send(from, LidMessage::Rej);
                 ctx.emit(NodeEvent::RejSent { to: from });
             }
             return;
         }
+        let mut touched = slot;
         match msg {
             // An ACK certifies the sender holds our proposal locked; for the
             // state machine it is exactly an incoming proposal (line 6).
-            LidMessage::Prop | LidMessage::Ack => {
-                self.a.insert(from);
-            }
+            LidMessage::Prop | LidMessage::Ack => self.set_flags(slot, flags | A),
             LidMessage::Rej => {
                 // Lines 7–11. A REJ can never come from a locked partner:
                 // locking is mutual-proposal only and REJs are terminal.
-                debug_assert!(!self.k.contains(&from), "REJ from locked partner");
-                self.u.remove(&from);
-                self.a.remove(&from);
-                if self.p.remove(&from) {
-                    if let Some(v) = self.top_ranked() {
-                        self.p.insert(v);
-                        ctx.send(v, LidMessage::Prop);
-                        ctx.emit(NodeEvent::PropSent { to: v });
+                debug_assert!(flags & K == 0, "REJ from locked partner");
+                self.set_flags(slot, flags & !(U | A | P));
+                if flags & P != 0 {
+                    if let Some(next) = self.top_ranked() {
+                        self.propose(next, ctx);
+                        touched = next;
                     }
                 }
             }
         }
-        self.lock_mutuals(ctx);
+        self.lock_mutuals(touched, ctx);
         self.finish_if_done(ctx);
     }
 
     fn is_terminated(&self) -> bool {
-        self.u.is_empty()
+        self.unresolved == 0
     }
 }
 
@@ -276,56 +378,106 @@ pub struct LidResult {
 }
 
 fn build_nodes(problem: &Problem) -> Vec<LidNode> {
+    let mut scratch = Vec::new();
     problem
         .graph
         .nodes()
-        .map(|i| LidNode::new(problem, i))
+        .map(|i| LidNode::new(problem, i, &mut scratch))
         .collect()
 }
 
-/// Extracts the matching from the nodes' `K` sets. Only pairs locked by
+/// Extracts the matching from the nodes' `K` flags. Only pairs locked by
 /// *both* endpoints become matching edges; one-sided locks (possible only
 /// under injected message loss) are counted separately.
-pub(crate) fn extract_matching_from<'a, I: Iterator<Item = &'a LidNode>>(
-    problem: &Problem,
-    nodes: I,
-) -> (BMatching, usize) {
+fn extract_matching(problem: &Problem, nodes: &[&LidNode]) -> (BMatching, usize) {
     let g = &problem.graph;
-    let locked: Vec<BTreeSet<NodeId>> = nodes.map(|n| n.k.clone()).collect();
+    // Locks per edge (0, 1 or 2). Slots are CSR positions, so each lock's
+    // edge id is read off the graph's adjacency, with no search and no
+    // visit to the partner's state.
+    let mut ends = vec![0u8; g.edge_count()];
+    let mut locks = 0usize;
     let mut edges = Vec::new();
-    let mut asymmetric = 0usize;
-    for (i, ks) in locked.iter().enumerate() {
+    for (i, node) in nodes.iter().enumerate() {
         let i = NodeId(i as u32);
-        for &j in ks {
-            if !locked[j.index()].contains(&i) {
-                asymmetric += 1;
-                continue;
-            }
-            if i < j {
-                edges.push(g.edge_between(i, j).expect("locked pair is an edge"));
+        let adj = g.neighbors(i);
+        debug_assert_eq!(adj.len(), node.slots.len(), "node built from this graph");
+        for (slot, &(j, e)) in node.slots.iter().zip(adj) {
+            if slot.flags & K != 0 {
+                ends[e.index()] += 1;
+                locks += 1;
+                if i < j {
+                    edges.push(e);
+                }
             }
         }
     }
-    (BMatching::from_edges(problem, edges), asymmetric)
+    // Edges in the order the lower endpoint's slots list them, which is the
+    // order `BMatching` stores each node's connections in.
+    edges.retain(|e| ends[e.index()] == 2);
+    (BMatching::from_edges(problem, edges.iter().copied()), locks - 2 * edges.len())
 }
 
-/// Runs LID on the asynchronous simulator. LID only messages along overlay
-/// edges, so the simulator gets the topology up front and FIFO clamping runs
-/// on the dense per-link array.
-pub fn run_lid(problem: &Problem, config: SimConfig) -> LidResult {
-    let mut sim = Simulator::with_topology(build_nodes(problem), config, &problem.graph);
-    let out: RunOutcome = sim.run();
-    let terminated = out.quiescent && sim.nodes().all(|n| n.is_terminated());
-    let (matching, asymmetric_locks) = extract_matching_from(problem, sim.nodes());
+/// Assembles the [`LidResult`] of a finished run from its final node
+/// states: the one place every runner (plain, traced, synchronous,
+/// series, reliable) builds its result.
+pub(crate) fn lid_result<'a>(
+    problem: &Problem,
+    nodes: impl Iterator<Item = &'a LidNode>,
+    stats: &NetStats,
+    end_time: u64,
+    rounds: u64,
+    quiescent: bool,
+) -> LidResult {
+    let nodes: Vec<&LidNode> = nodes.collect();
+    let terminated = quiescent && nodes.iter().all(|n| n.is_terminated());
+    let (matching, asymmetric_locks) = extract_matching(problem, &nodes);
     LidResult {
         matching,
-        stats: sim.stats().clone(),
-        end_time: out.end_time,
-        rounds: 0,
+        stats: stats.clone(),
+        end_time,
+        rounds,
         terminated,
         init_messages: 2 * problem.edge_count() as u64,
         asymmetric_locks,
     }
+}
+
+/// Runs `nodes` on the asynchronous simulator over `problem`'s topology
+/// and returns the result with the run's event log (empty and unallocated
+/// unless `config` enables telemetry). `inner` exposes each node's
+/// Algorithm 1 state machine.
+pub(crate) fn run_async<N, F>(
+    problem: &Problem,
+    nodes: Vec<N>,
+    config: SimConfig,
+    inner: F,
+) -> (LidResult, EventLog)
+where
+    N: Protocol<Message = LidMessage>,
+    F: Fn(&N) -> &LidNode,
+{
+    // LID only messages along overlay edges, so the simulator gets the
+    // topology up front and FIFO clamping runs on the dense per-link array.
+    let mut sim = Simulator::with_topology(nodes, config, &problem.graph);
+    let out = sim.run();
+    let result = lid_result(
+        problem,
+        sim.nodes().map(inner),
+        sim.stats(),
+        out.end_time,
+        0,
+        out.quiescent,
+    );
+    (result, sim.take_telemetry())
+}
+
+fn sync_result(problem: &Problem, runner: &SyncRunner<LidNode>, quiescent: bool) -> LidResult {
+    lid_result(problem, runner.nodes(), runner.stats(), 0, runner.rounds(), quiescent)
+}
+
+/// Runs LID on the asynchronous simulator.
+pub fn run_lid(problem: &Problem, config: SimConfig) -> LidResult {
+    run_async(problem, build_nodes(problem), config, |n| n).0
 }
 
 /// Runs LID on the synchronous-round engine (deterministic; used for round
@@ -333,38 +485,14 @@ pub fn run_lid(problem: &Problem, config: SimConfig) -> LidResult {
 pub fn run_lid_sync(problem: &Problem) -> LidResult {
     let mut runner = SyncRunner::new(build_nodes(problem));
     let out = runner.run();
-    let terminated = out.quiescent && runner.nodes().all(|n| n.is_terminated());
-    let (matching, asymmetric_locks) = extract_matching_from(problem, runner.nodes());
-    LidResult {
-        matching,
-        stats: runner.stats().clone(),
-        end_time: 0,
-        rounds: out.rounds,
-        terminated,
-        init_messages: 2 * problem.edge_count() as u64,
-        asymmetric_locks,
-    }
+    sync_result(problem, &runner, out.quiescent)
 }
 
 /// Runs LID asynchronously with telemetry recording forced on, returning the
 /// result together with the structured event log (transport events always;
 /// per-node [`NodeEvent`]s too when the `telemetry` feature is compiled).
 pub fn run_lid_traced(problem: &Problem, config: SimConfig) -> (LidResult, EventLog) {
-    let config = config.telemetry();
-    let mut sim = Simulator::with_topology(build_nodes(problem), config, &problem.graph);
-    let out: RunOutcome = sim.run();
-    let terminated = out.quiescent && sim.nodes().all(|n| n.is_terminated());
-    let (matching, asymmetric_locks) = extract_matching_from(problem, sim.nodes());
-    let result = LidResult {
-        matching,
-        stats: sim.stats().clone(),
-        end_time: out.end_time,
-        rounds: 0,
-        terminated,
-        init_messages: 2 * problem.edge_count() as u64,
-        asymmetric_locks,
-    };
-    (result, sim.take_telemetry())
+    run_async(problem, build_nodes(problem), config.telemetry(), |n| n)
 }
 
 /// Runs LID asynchronously with telemetry forced on and reconstructs the
@@ -387,7 +515,8 @@ fn sample_sync_round(
     runner: &SyncRunner<LidNode>,
     series: &mut ConvergenceSeries,
 ) {
-    let (m, _) = extract_matching_from(problem, runner.nodes());
+    let nodes: Vec<&LidNode> = runner.nodes().collect();
+    let (m, _) = extract_matching(problem, &nodes);
     let (matched_edges, total_weight, satisfaction_total) = matching_totals(problem, &m);
     series.push(ConvergenceSample {
         round: runner.rounds(),
@@ -426,18 +555,7 @@ pub fn run_lid_sync_series(problem: &Problem) -> (LidResult, ConvergenceSeries) 
         }
         sample_sync_round(problem, &runner, &mut series);
     }
-    let terminated = quiescent && runner.nodes().all(|n| n.is_terminated());
-    let (matching, asymmetric_locks) = extract_matching_from(problem, runner.nodes());
-    let result = LidResult {
-        matching,
-        stats: runner.stats().clone(),
-        end_time: 0,
-        rounds: runner.rounds(),
-        terminated,
-        init_messages: 2 * problem.edge_count() as u64,
-        asymmetric_locks,
-    };
-    (result, series)
+    (sync_result(problem, &runner, quiescent), series)
 }
 
 /// Replays a recorded LID event log through fresh Algorithm 1 state
@@ -451,35 +569,53 @@ pub fn run_lid_sync_series(problem: &Problem) -> (LidResult, ConvergenceSeries) 
 /// therefore reconstructs the *identical* edge set — the trace-completeness
 /// certificate of the telemetry layer.
 ///
-/// # Panics
-/// Panics if the log contains a delivery of a non-LID message kind.
-pub fn replay_lid_trace(problem: &Problem, log: &EventLog) -> BMatching {
+/// The log may come from disk, so it is validated as it is replayed.
+///
+/// # Errors
+/// An error naming the event's index if a delivery carries a non-LID
+/// message kind, names a node outside the problem, runs between two nodes
+/// that are not neighbours, or is a REJ from a partner the receiver has
+/// locked (impossible for Algorithm 1).
+pub fn replay_lid_trace(problem: &Problem, log: &EventLog) -> Result<BMatching, String> {
     let mut nodes = build_nodes(problem);
     for node in nodes.iter_mut() {
         let mut ctx = Context::detached(node.id(), 0);
         node.on_start(&mut ctx);
     }
-    for ev in log.events() {
-        if let TelemetryEvent::Delivered {
-            time,
-            from,
-            to,
-            kind,
-        } = *ev
-        {
-            let msg = match kind {
-                MessageKind::Prop => LidMessage::Prop,
-                MessageKind::Rej => LidMessage::Rej,
-                MessageKind::Ack => LidMessage::Ack,
-                MessageKind::Other(label) => {
-                    panic!("not a LID trace: unexpected message kind {label:?}")
-                }
-            };
-            let mut ctx = Context::detached(to, time);
-            nodes[to.index()].on_message(from, msg, &mut ctx);
+    let n = nodes.len();
+    for (i, ev) in log.events().iter().enumerate() {
+        let TelemetryEvent::Delivered { time, from, to, kind } = *ev else {
+            continue;
+        };
+        let msg = match kind {
+            MessageKind::Prop => LidMessage::Prop,
+            MessageKind::Rej => LidMessage::Rej,
+            MessageKind::Ack => LidMessage::Ack,
+            MessageKind::Other(label) => {
+                return Err(format!("event {i}: not a LID message kind {label:?}"))
+            }
+        };
+        if let Some(v) = [from, to].into_iter().find(|v| v.index() >= n) {
+            return Err(format!("event {i}: node {} out of range (n = {n})", v.0));
         }
+        let node = &mut nodes[to.index()];
+        let Some(slot) = node.slot_of(from) else {
+            return Err(format!(
+                "event {i}: delivery from {} to non-neighbour {}",
+                from.0, to.0
+            ));
+        };
+        if msg == LidMessage::Rej && node.slots[slot].flags & K != 0 {
+            return Err(format!(
+                "event {i}: REJ from {} to {}, which has it locked",
+                from.0, to.0
+            ));
+        }
+        let mut ctx = Context::detached(to, time);
+        node.on_message(from, msg, &mut ctx);
     }
-    extract_matching_from(problem, nodes.iter()).0
+    let nodes: Vec<&LidNode> = nodes.iter().collect();
+    Ok(extract_matching(problem, &nodes).0)
 }
 
 #[cfg(test)]
@@ -635,12 +771,136 @@ mod tests {
             assert_eq!(log.with_tag("sent").count() as u64, r.stats.sent);
             // Trace completeness: the delivered events alone reconstruct
             // the exact final edge set.
-            let replayed = replay_lid_trace(&p, &log);
+            let replayed = replay_lid_trace(&p, &log).expect("live trace replays");
             assert!(
                 replayed.same_edges(&r.matching),
                 "seed {seed}: replay diverged from the live run"
             );
         }
+    }
+
+    #[test]
+    fn one_sided_locks_are_counted_and_left_out() {
+        // Under loss, compare the extraction against a direct count over
+        // the final node states: a pair is an edge iff both ends locked it,
+        // and every one-sided lock counts once.
+        let mut one_sided = 0;
+        for seed in 0..12 {
+            let p = Problem::random_gnp(30, 0.3, 2, 40 + seed);
+            let cfg = SimConfig::with_seed(seed).faults(FaultPlan::with_drop_probability(0.3));
+            let mut sim = Simulator::with_topology(build_nodes(&p), cfg, &p.graph);
+            let out = sim.run();
+            let r = lid_result(&p, sim.nodes(), sim.stats(), out.end_time, 0, out.quiescent);
+            let mut want_edges = Vec::new();
+            let mut want_asymmetric = 0;
+            for (i, node) in sim.nodes().enumerate() {
+                let i = NodeId(i as u32);
+                for j in node.locked() {
+                    if !sim.node(j).is_locked(i) {
+                        want_asymmetric += 1;
+                    } else if i < j {
+                        want_edges.push(p.graph.edge_between(i, j).expect("locked pair is an edge"));
+                    }
+                }
+            }
+            want_edges.sort();
+            assert_eq!(r.matching.edge_ids(), want_edges, "seed {seed}");
+            assert_eq!(r.asymmetric_locks, want_asymmetric, "seed {seed}");
+            one_sided += want_asymmetric;
+        }
+        assert!(one_sided > 0, "loss produced one-sided locks");
+    }
+
+    fn delivery(from: u32, to: u32, kind: MessageKind) -> TelemetryEvent {
+        TelemetryEvent::Delivered { time: 1, from: NodeId(from), to: NodeId(to), kind }
+    }
+
+    fn replay_events(p: &Problem, events: &[TelemetryEvent]) -> Result<BMatching, String> {
+        use owp_simnet::Recorder as _;
+        let mut log = EventLog::enabled();
+        for &ev in events {
+            log.record(ev);
+        }
+        replay_lid_trace(p, &log)
+    }
+
+    #[test]
+    fn replay_rejects_foreign_and_impossible_deliveries() {
+        // Hub 0 and leaves 1..4: leaves are not neighbours of each other.
+        let g = star(5);
+        let prefs = PreferenceTable::by_node_id(&g);
+        let quotas = Quotas::uniform(&g, 1);
+        let p = Problem::new(g, prefs, quotas);
+        let ok = delivery(1, 0, MessageKind::Prop);
+        let cases = [
+            (delivery(1, 0, MessageKind::Other("PING")), "not a LID message kind"),
+            (delivery(1, 9, MessageKind::Prop), "node 9 out of range"),
+            (delivery(7, 0, MessageKind::Rej), "node 7 out of range"),
+            (delivery(1, 2, MessageKind::Prop), "non-neighbour"),
+            (delivery(3, 3, MessageKind::Prop), "non-neighbour"),
+        ];
+        for (bad, why) in cases {
+            let err = replay_events(&p, &[ok, bad]).expect_err(why);
+            assert!(err.starts_with("event 1:") && err.contains(why), "{err}");
+        }
+        // Leaf 1 proposed to the hub, so a PROP from the hub locks the
+        // edge at the leaf; a REJ on the locked edge is then impossible.
+        let lock = delivery(0, 1, MessageKind::Prop);
+        let err = replay_events(&p, &[lock, delivery(0, 1, MessageKind::Rej)])
+            .expect_err("REJ on a locked edge");
+        assert!(err.starts_with("event 1:") && err.contains("locked"), "{err}");
+        assert!(replay_events(&p, &[ok, lock]).is_ok());
+    }
+
+    #[test]
+    fn replay_of_tampered_traces_never_panics() {
+        let p = Problem::random_gnp(6, 0.6, 2, 17);
+        let (r, log) = run_lid_traced(&p, SimConfig::with_seed(17));
+        assert!(r.terminated);
+        let events = log.events();
+        // Every prefix of a live trace is a legal partial trace.
+        for k in 0..=events.len() {
+            replay_events(&p, &events[..k]).expect("prefix of a live trace replays");
+        }
+        // A delivery between non-neighbours spliced into the middle is
+        // named by its index.
+        let (a, b) = p
+            .graph
+            .nodes()
+            .flat_map(|a| p.graph.nodes().map(move |b| (a, b)))
+            .find(|&(a, b)| a != b && p.graph.edge_between(a, b).is_none())
+            .expect("the instance has a non-edge");
+        let mid = events.len() / 2;
+        let mut spliced = events[..mid].to_vec();
+        spliced.push(delivery(a.0, b.0, MessageKind::Prop));
+        spliced.extend_from_slice(&events[mid..]);
+        let err = replay_events(&p, &spliced).expect_err("non-edge delivery");
+        assert!(err.starts_with(&format!("event {mid}:")), "{err}");
+        // Bytes from disk: every prefix and every single-bit flip of the
+        // JSONL either fails to parse or replays to a result — never a
+        // panic.
+        let doc = log.to_jsonl();
+        let mut docs: Vec<String> = (0..=doc.len())
+            .filter(|&i| doc.is_char_boundary(i))
+            .map(|i| doc[..i].to_string())
+            .collect();
+        for i in 0..doc.len() {
+            for bit in 0..8 {
+                let mut bytes = doc.as_bytes().to_vec();
+                bytes[i] ^= 1 << bit;
+                docs.push(String::from_utf8_lossy(&bytes).into_owned());
+            }
+        }
+        let (mut replayed, mut rejected) = (0, 0);
+        for d in &docs {
+            let Ok(log) = EventLog::parse_jsonl(d) else { continue };
+            let run = std::panic::catch_unwind(|| replay_lid_trace(&p, &log).is_ok());
+            let ok = run.unwrap_or_else(|_| panic!("replay panicked on {d:?}"));
+            replayed += 1;
+            rejected += usize::from(!ok);
+        }
+        assert!(replayed > 1000, "{replayed} of {} documents parsed", docs.len());
+        assert!(rejected > 0, "no tampered trace was rejected");
     }
 
     #[test]

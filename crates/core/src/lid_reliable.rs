@@ -24,10 +24,10 @@
 //! 3. Timers stop re-arming once the node terminates, so the network still
 //!    quiesces.
 
-use crate::lid::{extract_matching_from, LidMessage, LidNode, LidResult};
+use crate::lid::{run_async, LidMessage, LidNode, LidResult};
 use owp_graph::NodeId;
 use owp_matching::Problem;
-use owp_simnet::{Context, NodeEvent, Protocol, SimConfig, SimTime, Simulator};
+use owp_simnet::{Context, EventLog, NodeEvent, Protocol, SimConfig, SimTime};
 
 /// Default retransmission interval in ticks.
 pub const DEFAULT_RETRY_INTERVAL: SimTime = 50;
@@ -127,28 +127,18 @@ impl Protocol for ReliableLidNode {
     }
 }
 
-/// Runs reliable LID on the asynchronous simulator. With any loss rate
-/// below 1 the run terminates with the exact LIC-equivalent matching.
-pub fn run_lid_reliable(problem: &Problem, config: SimConfig, interval: SimTime) -> LidResult {
-    let nodes: Vec<ReliableLidNode> = problem
+fn build_nodes(problem: &Problem, interval: SimTime) -> Vec<ReliableLidNode> {
+    problem
         .graph
         .nodes()
         .map(|i| ReliableLidNode::new(problem, i, interval))
-        .collect();
-    let mut sim = Simulator::with_topology(nodes, config, &problem.graph);
-    let out = sim.run();
-    let terminated = out.quiescent && sim.nodes().all(|n| n.is_terminated());
-    let (matching, asymmetric_locks) =
-        extract_matching_from(problem, sim.nodes().map(|n| n.inner()));
-    LidResult {
-        matching,
-        stats: sim.stats().clone(),
-        end_time: out.end_time,
-        rounds: 0,
-        terminated,
-        init_messages: 2 * problem.edge_count() as u64,
-        asymmetric_locks,
-    }
+        .collect()
+}
+
+/// Runs reliable LID on the asynchronous simulator. With any loss rate
+/// below 1 the run terminates with the exact LIC-equivalent matching.
+pub fn run_lid_reliable(problem: &Problem, config: SimConfig, interval: SimTime) -> LidResult {
+    run_async(problem, build_nodes(problem, interval), config, ReliableLidNode::inner).0
 }
 
 /// Runs reliable LID with telemetry recording forced on, returning the
@@ -158,28 +148,13 @@ pub fn run_lid_reliable_traced(
     problem: &Problem,
     config: SimConfig,
     interval: SimTime,
-) -> (LidResult, owp_simnet::EventLog) {
-    let config = config.telemetry();
-    let nodes: Vec<ReliableLidNode> = problem
-        .graph
-        .nodes()
-        .map(|i| ReliableLidNode::new(problem, i, interval))
-        .collect();
-    let mut sim = Simulator::with_topology(nodes, config, &problem.graph);
-    let out = sim.run();
-    let terminated = out.quiescent && sim.nodes().all(|n| n.is_terminated());
-    let (matching, asymmetric_locks) =
-        extract_matching_from(problem, sim.nodes().map(|n| n.inner()));
-    let result = LidResult {
-        matching,
-        stats: sim.stats().clone(),
-        end_time: out.end_time,
-        rounds: 0,
-        terminated,
-        init_messages: 2 * problem.edge_count() as u64,
-        asymmetric_locks,
-    };
-    (result, sim.take_telemetry())
+) -> (LidResult, EventLog) {
+    run_async(
+        problem,
+        build_nodes(problem, interval),
+        config.telemetry(),
+        ReliableLidNode::inner,
+    )
 }
 
 #[cfg(test)]

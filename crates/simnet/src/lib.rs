@@ -11,7 +11,7 @@
 //!   distributed node implements (`on_start` / `on_message`), plus the
 //!   [`protocol::Context`] handle used to send messages;
 //! * [`sim`] — the asynchronous event-driven [`sim::Simulator`]:
-//!   a deterministic binary-heap event queue, per-link FIFO enforcement,
+//!   a deterministic tick-bucketed event queue, per-link FIFO enforcement,
 //!   message statistics and quiescence detection;
 //! * [`latency`] — pluggable link-delay distributions (constant, uniform,
 //!   exponential, log-normal) so asynchrony and message reordering across

@@ -84,10 +84,23 @@ impl<M> Context<M> {
     }
 
     pub(crate) fn with_telemetry(node: NodeId, now: SimTime, telemetry: bool) -> Self {
+        Self::reusing(node, now, telemetry, Vec::new())
+    }
+
+    /// A context whose outbox is the engine's recycled buffer (drained by
+    /// the previous [`Context::into_parts`]), so a delivery allocates no
+    /// outbox of its own.
+    pub(crate) fn reusing(
+        node: NodeId,
+        now: SimTime,
+        telemetry: bool,
+        outbox: Vec<(NodeId, M)>,
+    ) -> Self {
+        debug_assert!(outbox.is_empty(), "recycled outbox must be drained");
         Context {
             node,
             now,
-            outbox: Vec::new(),
+            outbox,
             timers: Vec::new(),
             events: Vec::new(),
             telemetry,
@@ -95,10 +108,29 @@ impl<M> Context<M> {
     }
 
     /// A context detached from any engine, for replaying recorded traces
-    /// through protocol state machines (and for tests). Everything sent or
-    /// emitted through it is the caller's to inspect or discard.
+    /// through protocol state machines (and for tests). Everything sent
+    /// through it is the caller's to inspect ([`Context::sent`]) or
+    /// discard; emitted protocol events are dropped.
     pub fn detached(node: NodeId, now: SimTime) -> Self {
         Context::new(node, now)
+    }
+
+    /// A detached context that also keeps the protocol events the callback
+    /// emits ([`Context::emitted`]; always empty without the `telemetry`
+    /// feature).
+    pub fn detached_recording(node: NodeId, now: SimTime) -> Self {
+        Context::with_telemetry(node, now, true)
+    }
+
+    /// The messages queued so far in this callback, in send order.
+    pub fn sent(&self) -> &[(NodeId, M)] {
+        &self.outbox
+    }
+
+    /// The protocol events emitted so far in this callback (recorded only
+    /// when the engine enabled telemetry and the feature is compiled).
+    pub fn emitted(&self) -> &[NodeEvent] {
+        &self.events
     }
 
     /// The id of the node this callback runs on.
@@ -184,6 +216,8 @@ mod tests {
         ctx.send(NodeId(1), Ping);
         ctx.send(NodeId(2), Ping);
         assert_eq!(ctx.pending(), 2);
+        let to: Vec<NodeId> = ctx.sent().iter().map(|&(to, _)| to).collect();
+        assert_eq!(to, [NodeId(1), NodeId(2)]);
         let (out, timers, events) = ctx.into_parts();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].0, NodeId(1));
@@ -212,8 +246,9 @@ mod tests {
         assert_eq!(events.capacity(), 0);
 
         // Telemetry on: events are captured iff the feature is compiled.
-        let mut on: Context<Ping> = Context::with_telemetry(NodeId(0), 0, true);
+        let mut on: Context<Ping> = Context::detached_recording(NodeId(0), 0);
         on.emit(NodeEvent::EdgeLocked { peer: NodeId(1) });
+        assert_eq!(on.emitted().len(), usize::from(cfg!(feature = "telemetry")));
         let (_, _, events) = on.into_parts();
         assert_eq!(events.len(), usize::from(cfg!(feature = "telemetry")));
     }

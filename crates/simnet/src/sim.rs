@@ -9,8 +9,7 @@ use crate::{NodeId, SimTime};
 use owp_telemetry::{EventLog, Recorder as _, SpanId, TelemetryEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Configuration of one asynchronous run.
 #[derive(Clone, Debug)]
@@ -149,11 +148,65 @@ impl LinkClock {
     }
 }
 
+/// The pending-event queue: an ordered map from delivery tick to a FIFO
+/// bucket of the events due at that tick.
+///
+/// Events leave in `(tick, schedule order)` order — the order a binary heap
+/// keyed on `(tick, sequence number)` would produce with the sequence
+/// number drawn from a counter at each schedule. Ticks order the map;
+/// within one tick, the schedule counter only grows, so appending to the
+/// bucket keeps it sorted by schedule order, whatever `now` is when the
+/// event is scheduled. Emptied buckets keep their capacity in a spare
+/// pool, so a steady run allocates no buckets.
+struct TickQueue<T> {
+    buckets: BTreeMap<SimTime, VecDeque<T>>,
+    spare: Vec<VecDeque<T>>,
+    len: usize,
+}
+
+impl<T> TickQueue<T> {
+    fn new() -> Self {
+        TickQueue {
+            buckets: BTreeMap::new(),
+            spare: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, item: T) {
+        let spare = &mut self.spare;
+        self.buckets
+            .entry(at)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push_back(item);
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, T)> {
+        let mut first = self.buckets.first_entry()?;
+        let at = *first.key();
+        let item = first.get_mut().pop_front().expect("buckets are never empty");
+        if first.get().is_empty() {
+            self.spare.push(first.remove());
+        }
+        self.len -= 1;
+        Some((at, item))
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// Deterministic discrete-event simulator over a set of [`Protocol`] nodes.
 ///
-/// Events are ordered by `(delivery time, sequence number)`; the sequence
-/// number makes simultaneous deliveries resolve in send order, so a run is a
-/// pure function of `(nodes, config)`.
+/// Events are ordered by `(delivery time, schedule order)`: simultaneous
+/// deliveries resolve in the order they were scheduled, so a run is a pure
+/// function of `(nodes, config)`.
 pub struct Simulator<P: Protocol> {
     nodes: Vec<P>,
     /// The fault plan compiled against the node count: O(1) crash/restart/
@@ -165,19 +218,14 @@ pub struct Simulator<P: Protocol> {
     config: SimConfig,
     rng: StdRng,
     now: SimTime,
-    seq: u64,
     /// Monotone span-id source: every send gets the next id, *including*
-    /// dropped sends, and independently of the heap's `seq` (dropped
-    /// messages never enter the queue, so reusing `seq` would perturb the
-    /// `(time, seq)` tie-breaks of existing seeded runs).
+    /// dropped sends (which never enter the queue).
     next_span: u64,
-    /// Events ordered by `(delivery time, sequence number)`; the payload
-    /// lives in the `payloads` slab at the carried slot.
-    queue: BinaryHeap<(Reverse<(SimTime, u64)>, usize)>,
-    /// Slab of in-flight payloads: slots are recycled through `free_slots`,
-    /// so capacity tracks *peak* in-flight, not total messages sent.
-    payloads: Vec<Option<Pending<P::Message>>>,
-    free_slots: Vec<usize>,
+    /// Pending events in `(delivery time, schedule order)` order.
+    queue: TickQueue<Pending<P::Message>>,
+    /// The callbacks' outbox, drained after each callback and handed to
+    /// the next one, so deliveries allocate no outbox of their own.
+    outbox: Vec<(NodeId, P::Message)>,
     /// Last scheduled delivery time per directed link, for FIFO clamping.
     link_clock: LinkClock,
     stats: NetStats,
@@ -226,11 +274,9 @@ impl<P: Protocol> Simulator<P> {
             config,
             rng,
             now: 0,
-            seq: 0,
             next_span: 0,
-            queue: BinaryHeap::new(),
-            payloads: Vec::new(),
-            free_slots: Vec::new(),
+            queue: TickQueue::new(),
+            outbox: Vec::new(),
             link_clock,
             stats: NetStats::default(),
             log,
@@ -238,24 +284,22 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    fn make_ctx(&self, node: NodeId, now: SimTime) -> Context<P::Message> {
-        Context::with_telemetry(node, now, self.config.telemetry)
+    /// Runs one callback of `node` at the current time on a context that
+    /// reuses the simulator's outbox, then dispatches its sends and timers.
+    fn callback(
+        &mut self,
+        node: NodeId,
+        parent: Option<SpanId>,
+        f: impl FnOnce(&mut P, &mut Context<P::Message>),
+    ) {
+        let outbox = std::mem::take(&mut self.outbox);
+        let mut ctx = Context::reusing(node, self.now, self.config.telemetry, outbox);
+        f(&mut self.nodes[node.index()], &mut ctx);
+        self.dispatch_ctx(node, ctx, parent);
     }
 
     fn schedule(&mut self, at: SimTime, pending: Pending<P::Message>) {
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.payloads[slot] = Some(pending);
-                slot
-            }
-            None => {
-                self.payloads.push(Some(pending));
-                self.payloads.len() - 1
-            }
-        };
-        self.queue.push((Reverse((at, seq)), slot));
+        self.queue.push(at, pending);
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.queue.len());
     }
 
@@ -263,7 +307,7 @@ impl<P: Protocol> Simulator<P> {
     /// the callback (`None` for `on_start`); every send and armed timer
     /// inherits it as causal parent.
     fn dispatch_ctx(&mut self, from: NodeId, ctx: Context<P::Message>, parent: Option<SpanId>) {
-        let (outbox, timers, events) = ctx.into_parts();
+        let (mut outbox, timers, events) = ctx.into_parts();
         // Protocol state transitions emitted during the callback, stamped
         // with the emitting node and its callback time. `events` is always
         // empty unless the `telemetry` feature compiled `Context::emit`.
@@ -281,7 +325,7 @@ impl<P: Protocol> Simulator<P> {
                 Pending::Timer { node: from, tag, parent, incarnation },
             );
         }
-        for (to, msg) in outbox {
+        for (to, msg) in outbox.drain(..) {
             assert!(
                 to.index() < self.nodes.len(),
                 "send to unknown node {to:?}"
@@ -381,6 +425,7 @@ impl<P: Protocol> Simulator<P> {
                 self.schedule(dat, Pending::Msg(InFlight { from, to, msg: copy, span: dspan }));
             }
         }
+        self.outbox = outbox;
     }
 
     /// Runs every node's `on_start` (at time 0) if not already done.
@@ -394,9 +439,7 @@ impl<P: Protocol> Simulator<P> {
             if self.faults.down_at(id, 0) {
                 continue;
             }
-            let mut ctx = self.make_ctx(id, 0);
-            self.nodes[i].on_start(&mut ctx);
-            self.dispatch_ctx(id, ctx, None);
+            self.callback(id, None, |node, ctx| node.on_start(ctx));
         }
         // Restart events enter the queue only when the plan schedules them,
         // so plans without restarts keep their exact `(time, seq)` order.
@@ -410,13 +453,9 @@ impl<P: Protocol> Simulator<P> {
     /// queue is empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let Some((Reverse((at, _)), slot)) = self.queue.pop() else {
+        let Some((at, pending)) = self.queue.pop() else {
             return false;
         };
-        let pending = self.payloads[slot]
-            .take()
-            .expect("queued event has a payload");
-        self.free_slots.push(slot);
         self.now = at;
 
         match pending {
@@ -433,9 +472,7 @@ impl<P: Protocol> Simulator<P> {
                     node,
                     tag,
                 });
-                let mut ctx = self.make_ctx(node, at);
-                self.nodes[node.index()].on_timer(tag, &mut ctx);
-                self.dispatch_ctx(node, ctx, parent);
+                self.callback(node, parent, |n, ctx| n.on_timer(tag, ctx));
             }
             Pending::Restart { node } => {
                 // The node comes back with no volatile state: bump the
@@ -445,9 +482,7 @@ impl<P: Protocol> Simulator<P> {
                 self.incarnation[node.index()] += 1;
                 self.stats.restarts += 1;
                 self.log.record(TelemetryEvent::Restarted { time: at, node });
-                let mut ctx = self.make_ctx(node, at);
-                self.nodes[node.index()].on_restart(&mut ctx);
-                self.dispatch_ctx(node, ctx, None);
+                self.callback(node, None, |n, ctx| n.on_restart(ctx));
             }
             Pending::Msg(InFlight { from, to, msg, span }) => {
                 // Crash handling: a node is dead from its crash time until
@@ -472,9 +507,7 @@ impl<P: Protocol> Simulator<P> {
                     kind: msg.kind(),
                 });
                 self.log.record(TelemetryEvent::SpanDelivered { time: at, span });
-                let mut ctx = self.make_ctx(to, at);
-                self.nodes[to.index()].on_message(from, msg, &mut ctx);
-                self.dispatch_ctx(to, ctx, Some(span));
+                self.callback(to, Some(span), |node, ctx| node.on_message(from, msg, ctx));
             }
         }
         true

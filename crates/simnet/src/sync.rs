@@ -24,6 +24,9 @@ pub struct SyncRunner<P: Protocol> {
     nodes: Vec<P>,
     /// Messages to deliver next round: `(from, to, msg, span)`.
     pending: Vec<(NodeId, NodeId, P::Message, SpanId)>,
+    /// The callbacks' outbox, drained after each callback and handed to
+    /// the next one.
+    outbox: Vec<(NodeId, P::Message)>,
     /// Armed timers: `(fire round, node, tag, causal parent at arm time)`.
     timers: Vec<(u64, NodeId, u64, Option<SpanId>)>,
     stats: NetStats,
@@ -42,6 +45,7 @@ impl<P: Protocol> SyncRunner<P> {
         SyncRunner {
             nodes,
             pending: Vec::new(),
+            outbox: Vec::new(),
             timers: Vec::new(),
             stats: NetStats::default(),
             log: EventLog::disabled(),
@@ -66,54 +70,57 @@ impl<P: Protocol> SyncRunner<P> {
         self
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn collect(
-        stats: &mut NetStats,
-        log: &mut EventLog,
-        pending: &mut Vec<(NodeId, NodeId, P::Message, SpanId)>,
-        timers: &mut Vec<(u64, NodeId, u64, Option<SpanId>)>,
-        next_span: &mut u64,
+    /// Runs one callback of node `id` at `round` on a context that reuses
+    /// the runner's outbox, then queues its sends for the next round and
+    /// arms its timers. `parent` is the span whose delivery ran the
+    /// callback; every send and timer inherits it as causal parent.
+    fn callback(
+        &mut self,
+        id: NodeId,
         round: u64,
-        from: NodeId,
-        ctx: Context<P::Message>,
         parent: Option<SpanId>,
-        n: usize,
+        f: impl FnOnce(&mut P, &mut Context<P::Message>),
     ) {
-        let (outbox, new_timers, events) = ctx.into_parts();
+        let outbox = std::mem::take(&mut self.outbox);
+        let mut ctx = Context::reusing(id, round, self.telemetry, outbox);
+        f(&mut self.nodes[id.index()], &mut ctx);
+        let (mut outbox, new_timers, events) = ctx.into_parts();
         // Always empty unless the `telemetry` feature compiled `emit`.
         for event in events {
-            log.record(TelemetryEvent::Node {
+            self.log.record(TelemetryEvent::Node {
                 time: round,
-                node: from,
+                node: id,
                 event,
             });
         }
         for (delay, tag) in new_timers {
-            timers.push((round + delay, from, tag, parent));
+            self.timers.push((round + delay, id, tag, parent));
         }
-        for (to, msg) in outbox {
+        let n = self.nodes.len();
+        for (to, msg) in outbox.drain(..) {
             assert!(to.index() < n, "send to unknown node {to:?}");
-            assert!(to != from, "node {from:?} sent a message to itself");
+            assert!(to != id, "node {id:?} sent a message to itself");
             let kind = msg.kind();
-            let span = SpanId(*next_span);
-            *next_span += 1;
-            stats.record_send(kind);
-            log.record(TelemetryEvent::Sent {
+            let span = SpanId(self.next_span);
+            self.next_span += 1;
+            self.stats.record_send(kind);
+            self.log.record(TelemetryEvent::Sent {
                 time: round,
-                from,
+                from: id,
                 to,
                 kind,
             });
-            log.record(TelemetryEvent::SpanSent {
+            self.log.record(TelemetryEvent::SpanSent {
                 time: round,
                 span,
                 parent,
-                from,
+                from: id,
                 to,
                 kind,
             });
-            pending.push((from, to, msg, span));
+            self.pending.push((id, to, msg, span));
         }
+        self.outbox = outbox;
     }
 
     /// Runs `on_start` on every node (round 0).
@@ -122,23 +129,8 @@ impl<P: Protocol> SyncRunner<P> {
             return;
         }
         self.started = true;
-        let n = self.nodes.len();
-        for i in 0..n {
-            let id = NodeId(i as u32);
-            let mut ctx = Context::with_telemetry(id, 0, self.telemetry);
-            self.nodes[i].on_start(&mut ctx);
-            Self::collect(
-                &mut self.stats,
-                &mut self.log,
-                &mut self.pending,
-                &mut self.timers,
-                &mut self.next_span,
-                0,
-                id,
-                ctx,
-                None,
-                n,
-            );
+        for i in 0..self.nodes.len() {
+            self.callback(NodeId(i as u32), 0, None, |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -161,7 +153,6 @@ impl<P: Protocol> SyncRunner<P> {
                 .expect("timers non-empty");
             self.rounds = self.rounds.max(earliest);
         }
-        let n = self.nodes.len();
         let round = self.rounds;
 
         let mut batch = std::mem::take(&mut self.pending);
@@ -177,20 +168,9 @@ impl<P: Protocol> SyncRunner<P> {
                 kind: msg.kind(),
             });
             self.log.record(TelemetryEvent::SpanDelivered { time: round, span });
-            let mut ctx = Context::with_telemetry(to, round, self.telemetry);
-            self.nodes[to.index()].on_message(from, msg, &mut ctx);
-            Self::collect(
-                &mut self.stats,
-                &mut self.log,
-                &mut self.pending,
-                &mut self.timers,
-                &mut self.next_span,
-                round,
-                to,
-                ctx,
-                Some(span),
-                n,
-            );
+            self.callback(to, round, Some(span), |node, ctx| {
+                node.on_message(from, msg, ctx)
+            });
         }
 
         // Fire due timers (armed before this round), in (node, tag) order.
@@ -211,20 +191,7 @@ impl<P: Protocol> SyncRunner<P> {
                 node,
                 tag,
             });
-            let mut ctx = Context::with_telemetry(node, round, self.telemetry);
-            self.nodes[node.index()].on_timer(tag, &mut ctx);
-            Self::collect(
-                &mut self.stats,
-                &mut self.log,
-                &mut self.pending,
-                &mut self.timers,
-                &mut self.next_span,
-                round,
-                node,
-                ctx,
-                parent,
-                n,
-            );
+            self.callback(node, round, parent, |n, ctx| n.on_timer(tag, ctx));
         }
         true
     }

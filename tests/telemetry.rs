@@ -24,7 +24,7 @@ fn trace_replay_reproduces_the_matching() {
             // The trace agrees with the counters the run reported.
             assert_eq!(log.deliveries().count() as u64, r.stats.delivered);
 
-            let replayed = replay_lid_trace(&p, &log);
+            let replayed = replay_lid_trace(&p, &log).expect("live trace replays");
             assert!(
                 replayed.same_edges(&r.matching),
                 "seed {seed}: replay must reconstruct the matching exactly"
@@ -123,7 +123,7 @@ fn causal_trace_round_trips_and_replays_deterministically() {
         assert_eq!(reparsed.events(), log.events());
 
         // Replay of the round-tripped trace reconstructs the same matching…
-        let replayed = replay_lid_trace(&p, &reparsed);
+        let replayed = replay_lid_trace(&p, &reparsed).expect("round-tripped trace replays");
         assert!(replayed.same_edges(&r.matching), "seed {seed}");
 
         // …and the same DAG: span-for-span identical parents and outcomes,
