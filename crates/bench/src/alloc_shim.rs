@@ -5,9 +5,9 @@
 //! is `#![forbid(unsafe_code)]`, so the `GlobalAlloc` shim that feeds the
 //! counter lives here, in the one workspace crate that permits `unsafe`.
 //! Linking this library installs the shim process-wide — the
-//! `experiments` binary, `bench_guard`, `owp-inspect`, the criterion
-//! benches and the crate's own tests all count, which is what lets E19
-//! publish an honest `engine_allocations_per_batch` gauge.
+//! `experiments` binary, `bench_guard`, `owp-inspect` and the crate's own
+//! tests all count, which is what lets E19 publish an honest
+//! `engine_allocations_per_batch` gauge.
 //!
 //! Cost: one thread-local increment per `alloc`/`realloc` call on top
 //! of the system allocator — far below the jitter envelope of any guarded

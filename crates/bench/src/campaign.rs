@@ -29,7 +29,7 @@
 //! feature (plans execute sequentially by construction).
 
 use crate::experiments::e19_dynamic::EventGen;
-use owp_core::lid_reliable::run_lid_reliable_traced;
+use owp_core::lid_reliable::run_lid_reliable;
 use owp_engine::{Engine, InjectedFault};
 use owp_matching::lic::{lic, SelectionPolicy};
 use owp_matching::{BMatching, Problem};
@@ -344,8 +344,9 @@ fn execute_plan(
         ..SimConfig::with_seed(sim_seed)
             .latency(LatencyModel::Uniform { lo: 1, hi: 8 })
             .faults(plan.clone())
+            .telemetry()
     };
-    let (r, log) = run_lid_reliable_traced(&inst.problem, sim_cfg, RETRY_INTERVAL);
+    let r = run_lid_reliable(&inst.problem, sim_cfg, RETRY_INTERVAL);
     let events = r.stats.delivered + r.stats.timers_fired;
     if !r.terminated {
         reasons.push("lid: run did not terminate (delivery guard tripped)".to_string());
@@ -366,7 +367,7 @@ fn execute_plan(
     if blocking != 0 {
         reasons.push(format!("audit: {blocking} ε-blocking edge(s) at ε=0"));
     }
-    let dag = CausalDag::from_log(&log);
+    let dag = CausalDag::from_log(&r.log);
     let causal_violations = auditor.audit_causal(&dag);
     if causal_violations != 0 {
         reasons.push(format!(

@@ -10,7 +10,8 @@
 //! away and how small the per-event dirty region stays.
 
 use crate::{mean, Table};
-use owp_core::{run_lid, ChurnSim};
+use owp_core::run_lid;
+use owp_engine::{Engine, EngineEvent};
 use owp_graph::NodeId;
 use owp_matching::Problem;
 use owp_simnet::SimConfig;
@@ -42,21 +43,23 @@ pub fn run(quick: bool) -> Table {
                 assert!(fresh.terminated);
                 let rebuild = fresh.matching.total_satisfaction(&p);
 
-                let mut sim = ChurnSim::new(&p);
+                let mut engine = Engine::new(p.clone());
                 let mut peers: Vec<NodeId> = p.nodes().collect();
                 peers.shuffle(&mut rng);
                 let leavers: Vec<NodeId> = peers[..(n as f64 * f) as usize].to_vec();
                 let mut dirty = 0usize;
                 for &i in &leavers {
-                    dirty += sim.leave(i).expect("leave").evaluated;
+                    let report = engine.apply(EngineEvent::NodeLeave { node: i });
+                    dirty += report.expect("leave").evaluated;
                 }
                 // Satisfaction over the full population scale: use the
                 // rebuild total as the normalizer throughout.
-                let after_leave = sim.active_satisfaction() / rebuild;
+                let after_leave = engine.total_satisfaction() / rebuild;
                 for &i in &leavers {
-                    dirty += sim.join(i).expect("rejoin").evaluated;
+                    let report = engine.apply(EngineEvent::NodeJoin { node: i });
+                    dirty += report.expect("rejoin").evaluated;
                 }
-                let after_rejoin = sim.active_satisfaction() / rebuild;
+                let after_rejoin = engine.total_satisfaction() / rebuild;
                 let per_event = dirty as f64 / (2.0 * leavers.len() as f64);
                 (after_leave, after_rejoin, per_event, m_edges)
             })

@@ -91,9 +91,9 @@ pub fn run_with_series_metrics(
     let cfg = owp_simnet::SimConfig::with_seed(18)
         .latency(owp_simnet::LatencyModel::Constant { ticks: 10 })
         .telemetry();
-    let (r, log) = owp_core::run_lid_traced(&p, cfg);
+    let r = owp_core::run_lid(&p, cfg);
     let mut rec = owp_metrics::MetricsRecorder::new(reg);
-    rec.consume(&log);
+    rec.consume(&r.log);
 
     let mut auditor = owp_metrics::Auditor::new(reg);
     auditor.audit_weights(&p);

@@ -21,10 +21,10 @@
 //! gauge.
 
 use crate::Table;
-use owp_core::{run_lid_causal, run_lid_sync};
+use owp_core::{run_lid, run_lid_sync};
 use owp_matching::Problem;
 use owp_simnet::{LatencyModel, SimConfig};
-use owp_telemetry::EventLog;
+use owp_telemetry::{CausalDag, EventLog};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,8 +45,9 @@ struct RunRow {
 
 fn measure(p: &Problem, seed: u64) -> (RunRow, EventLog) {
     let cfg = SimConfig::with_seed(seed).latency(LatencyModel::Uniform { lo: 1, hi: 20 });
-    let (r, log, dag) = run_lid_causal(p, cfg);
+    let r = run_lid(p, cfg.telemetry());
     assert!(r.terminated, "LID must terminate (Lemma 5)");
+    let dag = CausalDag::from_log(&r.log);
     let path = dag.critical_path();
     let row = RunRow {
         n: p.node_count(),
@@ -61,7 +62,7 @@ fn measure(p: &Problem, seed: u64) -> (RunRow, EventLog) {
         max_fanout: dag.max_fanout(),
         certified: dag.is_certified(),
     };
-    (row, log)
+    (row, r.log)
 }
 
 const HEADERS: &[&str] = &[

@@ -15,7 +15,8 @@
 //! cargo run -p owp-bench --release --bin experiments -- e4 --quick
 //! ```
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! Timing claims are `BENCH_*.json` rows (`experiments <id> --json`) that
+//! the `bench_guard` binary checks.
 
 pub mod alloc_shim;
 pub mod campaign;

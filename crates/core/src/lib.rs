@@ -8,14 +8,15 @@
 //! Theorem 3 — total satisfaction at least `¼(1 + 1/b_max)` of optimal.
 //!
 //! * [`lid`] — Algorithm 1 as a message-passing state machine over
-//!   `owp-simnet`, with asynchronous and synchronous runners;
+//!   `owp-simnet`, with asynchronous and synchronous runners
+//!   ([`run_lid`], [`run_lid_sync`], [`run_lid_sync_series`]);
+//! * [`lid_reliable`] — Algorithm 1 under a retransmission layer that
+//!   survives message loss and crash-restart ([`run_lid_reliable`]);
 //! * [`metric`] — the suitability metrics of the paper's introduction
 //!   (distance, interests, transaction history, resources, composites),
 //!   each peer free to use its own;
 //! * [`overlay`] — the fluent [`overlay::OverlayBuilder`] →
 //!   [`overlay::Overlay`] construction pipeline;
-//! * [`churn`] — the paper's future-work extension: joins/leaves with
-//!   greedy local repair;
 //! * [`privacy`] — accounting of exactly what crosses the wire (one `ΔS̄`
 //!   scalar per edge direction, never the metric or the list).
 //!
@@ -42,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
 pub mod lid;
 #[cfg(test)]
 mod lid_oracle;
@@ -51,10 +51,8 @@ pub mod metric;
 pub mod overlay;
 pub mod privacy;
 
-pub use churn::ChurnSim;
 pub use lid::{
-    replay_lid_trace, run_lid, run_lid_causal, run_lid_sync, run_lid_sync_series, run_lid_traced,
-    LidMessage, LidNode, LidResult,
+    replay_lid_trace, run_lid, run_lid_sync, run_lid_sync_series, LidMessage, LidNode, LidResult,
 };
 pub use lid_reliable::{run_lid_reliable, ReliableLidNode, DEFAULT_RETRY_INTERVAL};
 pub use metric::SuitabilityMetric;

@@ -31,10 +31,12 @@
 //!
 //! Observability: the state machine emits typed [`NodeEvent`]s (proposal,
 //! rejection, lock, termination) through `Context::emit` — compiled only
-//! under the `telemetry` feature, free otherwise. [`run_lid_traced`]
-//! captures the full interleaved event log, [`run_lid_sync_series`] samples
-//! a per-round convergence trajectory, and [`replay_lid_trace`] certifies a
-//! recorded trace is complete by reconstructing the matching from it.
+//! under the `telemetry` feature, free otherwise. An asynchronous run with
+//! `SimConfig::telemetry()` set returns the full interleaved event log in
+//! [`LidResult::log`] (feed it to `CausalDag::from_log` for the Lemma 5
+//! certificate), [`run_lid_sync_series`] samples a per-round convergence
+//! trajectory, and [`replay_lid_trace`] certifies a recorded trace is
+//! complete by reconstructing the matching from it.
 
 use owp_graph::NodeId;
 use owp_matching::{matching_totals, BMatching, Problem};
@@ -42,7 +44,7 @@ use owp_simnet::{
     Context, EventLog, MessageKind, NetStats, NodeEvent, Payload, Protocol, SimConfig, Simulator,
     SyncRunner, TelemetryEvent,
 };
-use owp_telemetry::{CausalDag, ConvergenceSample, ConvergenceSeries};
+use owp_telemetry::{ConvergenceSample, ConvergenceSeries};
 
 /// The message kinds of Algorithm 1 (plus the retransmission layer's ACK).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -375,6 +377,11 @@ pub struct LidResult {
     /// can produce them (experiment E11) — such half-locked pairs are *not*
     /// part of [`LidResult::matching`].
     pub asymmetric_locks: usize,
+    /// The run's structured event log: transport events always, per-node
+    /// [`NodeEvent`]s too when the `telemetry` feature is compiled. Filled
+    /// only by asynchronous runs whose config enables telemetry; otherwise
+    /// the disabled log, which holds no allocation.
+    pub log: EventLog,
 }
 
 fn build_nodes(problem: &Problem) -> Vec<LidNode> {
@@ -418,8 +425,8 @@ fn extract_matching(problem: &Problem, nodes: &[&LidNode]) -> (BMatching, usize)
 }
 
 /// Assembles the [`LidResult`] of a finished run from its final node
-/// states: the one place every runner (plain, traced, synchronous,
-/// series, reliable) builds its result.
+/// states: the one place every runner (asynchronous, synchronous, series,
+/// reliable) builds its result.
 pub(crate) fn lid_result<'a>(
     problem: &Problem,
     nodes: impl Iterator<Item = &'a LidNode>,
@@ -427,6 +434,7 @@ pub(crate) fn lid_result<'a>(
     end_time: u64,
     rounds: u64,
     quiescent: bool,
+    log: EventLog,
 ) -> LidResult {
     let nodes: Vec<&LidNode> = nodes.collect();
     let terminated = quiescent && nodes.iter().all(|n| n.is_terminated());
@@ -439,19 +447,19 @@ pub(crate) fn lid_result<'a>(
         terminated,
         init_messages: 2 * problem.edge_count() as u64,
         asymmetric_locks,
+        log,
     }
 }
 
-/// Runs `nodes` on the asynchronous simulator over `problem`'s topology
-/// and returns the result with the run's event log (empty and unallocated
-/// unless `config` enables telemetry). `inner` exposes each node's
-/// Algorithm 1 state machine.
+/// Runs `nodes` on the asynchronous simulator over `problem`'s topology.
+/// The result's log is empty and unallocated unless `config` enables
+/// telemetry. `inner` exposes each node's Algorithm 1 state machine.
 pub(crate) fn run_async<N, F>(
     problem: &Problem,
     nodes: Vec<N>,
     config: SimConfig,
     inner: F,
-) -> (LidResult, EventLog)
+) -> LidResult
 where
     N: Protocol<Message = LidMessage>,
     F: Fn(&N) -> &LidNode,
@@ -460,54 +468,43 @@ where
     // topology up front and FIFO clamping runs on the dense per-link array.
     let mut sim = Simulator::with_topology(nodes, config, &problem.graph);
     let out = sim.run();
-    let result = lid_result(
+    let log = sim.take_telemetry();
+    lid_result(
         problem,
         sim.nodes().map(inner),
         sim.stats(),
         out.end_time,
         0,
         out.quiescent,
-    );
-    (result, sim.take_telemetry())
+        log,
+    )
 }
 
-fn sync_result(problem: &Problem, runner: &SyncRunner<LidNode>, quiescent: bool) -> LidResult {
-    lid_result(problem, runner.nodes(), runner.stats(), 0, runner.rounds(), quiescent)
+fn sync_result(problem: &Problem, runner: &SyncRunner<LidNode>) -> LidResult {
+    lid_result(
+        problem,
+        runner.nodes(),
+        runner.stats(),
+        0,
+        runner.rounds(),
+        runner.is_quiescent(),
+        EventLog::disabled(),
+    )
 }
 
-/// Runs LID on the asynchronous simulator.
+/// Runs LID on the asynchronous simulator. With `config.telemetry()` the
+/// result carries the run's event log in [`LidResult::log`]; recording
+/// does not perturb the run.
 pub fn run_lid(problem: &Problem, config: SimConfig) -> LidResult {
-    run_async(problem, build_nodes(problem), config, |n| n).0
+    run_async(problem, build_nodes(problem), config, |n| n)
 }
 
 /// Runs LID on the synchronous-round engine (deterministic; used for round
 /// complexity measurements).
 pub fn run_lid_sync(problem: &Problem) -> LidResult {
     let mut runner = SyncRunner::new(build_nodes(problem));
-    let out = runner.run();
-    sync_result(problem, &runner, out.quiescent)
-}
-
-/// Runs LID asynchronously with telemetry recording forced on, returning the
-/// result together with the structured event log (transport events always;
-/// per-node [`NodeEvent`]s too when the `telemetry` feature is compiled).
-pub fn run_lid_traced(problem: &Problem, config: SimConfig) -> (LidResult, EventLog) {
-    run_async(problem, build_nodes(problem), config.telemetry(), |n| n)
-}
-
-/// Runs LID asynchronously with telemetry forced on and reconstructs the
-/// happens-before DAG from the recorded span events.
-///
-/// The returned [`CausalDag`] is the empirical Lemma 5 certificate: on a
-/// live trace `dag.verify()` is empty (span ids are assigned in causal
-/// order, so the parent forest cannot contain a cycle), and
-/// `dag.critical_path()` is the longest PROP/REJ dependency chain — the
-/// latency-limiting sequence of handler activations behind
-/// [`LidResult::end_time`].
-pub fn run_lid_causal(problem: &Problem, config: SimConfig) -> (LidResult, EventLog, CausalDag) {
-    let (result, log) = run_lid_traced(problem, config);
-    let dag = CausalDag::from_log(&log);
-    (result, log, dag)
+    runner.run();
+    sync_result(problem, &runner)
 }
 
 fn sample_sync_round(
@@ -539,23 +536,14 @@ fn sample_sync_round(
 /// totals agree with a full report **bit-for-bit** (asserted by the e18
 /// consistency test).
 pub fn run_lid_sync_series(problem: &Problem) -> (LidResult, ConvergenceSeries) {
-    const MAX_ROUNDS: u64 = 1_000_000;
     let mut runner = SyncRunner::new(build_nodes(problem));
     let mut series = ConvergenceSeries::new();
     runner.start();
     sample_sync_round(problem, &runner, &mut series);
-    let mut quiescent = true;
-    loop {
-        if runner.rounds() >= MAX_ROUNDS {
-            quiescent = runner.pending_count() == 0;
-            break;
-        }
-        if !runner.round() {
-            break;
-        }
+    while runner.round() {
         sample_sync_round(problem, &runner, &mut series);
     }
-    (sync_result(problem, &runner, quiescent), series)
+    (sync_result(problem, &runner), series)
 }
 
 /// Replays a recorded LID event log through fresh Algorithm 1 state
@@ -760,22 +748,31 @@ mod tests {
         for seed in 0..6 {
             let p = Problem::random_gnp(24, 0.3, 2, 500 + seed);
             let cfg = SimConfig::with_seed(seed).latency(LatencyModel::Uniform { lo: 1, hi: 9 });
-            let (r, log) = run_lid_traced(&p, cfg.clone());
+            let r = run_lid(&p, cfg.clone().telemetry());
+            let log = &r.log;
             assert!(r.terminated);
-            // Telemetry must not perturb the run itself.
+            // Telemetry must not perturb the run itself, and an untraced
+            // run holds no log allocation.
             let plain = run_lid(&p, cfg);
             assert!(r.matching.same_edges(&plain.matching));
             assert_eq!(r.stats.sent, plain.stats.sent);
+            assert_eq!(plain.log.events_capacity(), 0);
             // Transport-level counts agree between log and counters.
             assert_eq!(log.deliveries().count() as u64, r.stats.delivered);
             assert_eq!(log.with_tag("sent").count() as u64, r.stats.sent);
             // Trace completeness: the delivered events alone reconstruct
             // the exact final edge set.
-            let replayed = replay_lid_trace(&p, &log).expect("live trace replays");
+            let replayed = replay_lid_trace(&p, log).expect("live trace replays");
             assert!(
                 replayed.same_edges(&r.matching),
                 "seed {seed}: replay diverged from the live run"
             );
+            // The synchronous and reliable runners never record a log.
+            assert_eq!(run_lid_sync(&p).log.events_capacity(), 0);
+            let (s, _) = run_lid_sync_series(&p);
+            assert_eq!(s.log.events_capacity(), 0);
+            let reliable = crate::run_lid_reliable(&p, SimConfig::with_seed(seed), 50);
+            assert_eq!(reliable.log.events_capacity(), 0);
         }
     }
 
@@ -790,7 +787,8 @@ mod tests {
             let cfg = SimConfig::with_seed(seed).faults(FaultPlan::with_drop_probability(0.3));
             let mut sim = Simulator::with_topology(build_nodes(&p), cfg, &p.graph);
             let out = sim.run();
-            let r = lid_result(&p, sim.nodes(), sim.stats(), out.end_time, 0, out.quiescent);
+            let (stats, log) = (sim.stats(), EventLog::disabled());
+            let r = lid_result(&p, sim.nodes(), stats, out.end_time, 0, out.quiescent, log);
             let mut want_edges = Vec::new();
             let mut want_asymmetric = 0;
             for (i, node) in sim.nodes().enumerate() {
@@ -855,8 +853,9 @@ mod tests {
     #[test]
     fn replay_of_tampered_traces_never_panics() {
         let p = Problem::random_gnp(6, 0.6, 2, 17);
-        let (r, log) = run_lid_traced(&p, SimConfig::with_seed(17));
+        let r = run_lid(&p, SimConfig::with_seed(17).telemetry());
         assert!(r.terminated);
+        let log = &r.log;
         let events = log.events();
         // Every prefix of a live trace is a legal partial trace.
         for k in 0..=events.len() {
@@ -909,7 +908,8 @@ mod tests {
         for seed in 0..5 {
             let p = Problem::random_gnp(24, 0.3, 2, 900 + seed);
             let cfg = SimConfig::with_seed(seed).latency(LatencyModel::Uniform { lo: 1, hi: 9 });
-            let (r, _log, dag) = run_lid_causal(&p, cfg);
+            let r = run_lid(&p, cfg.telemetry());
+            let dag = owp_telemetry::CausalDag::from_log(&r.log);
             assert!(r.terminated);
             // Empirical Lemma 5 certificate: the happens-before forest of a
             // live run is acyclic and temporally consistent.
@@ -945,7 +945,8 @@ mod tests {
     #[test]
     fn traced_run_captures_node_transitions() {
         let p = Problem::random_gnp(20, 0.35, 2, 11);
-        let (r, log) = run_lid_traced(&p, SimConfig::with_seed(11));
+        let r = run_lid(&p, SimConfig::with_seed(11).telemetry());
+        let log = &r.log;
         assert!(r.terminated);
         // Every locked edge produces one EdgeLocked event at each endpoint.
         assert_eq!(log.with_tag("edge_locked").count(), 2 * r.matching.size());

@@ -2,7 +2,8 @@
 //! state machine was written before [`LidNode`] moved to per-neighbour
 //! flag bytes. The differential test below drives both with the same
 //! seeded delivery sequences and demands identical behaviour after every
-//! step, in the spirit of `owp_matching::lic::lic_reference`.
+//! step, in the spirit of the key-based LIC oracle of
+//! `tests/rank_equivalence.rs`.
 
 use crate::lid::{LidMessage, LidNode};
 use owp_graph::NodeId;

@@ -27,7 +27,7 @@
 use crate::lid::{run_async, LidMessage, LidNode, LidResult};
 use owp_graph::NodeId;
 use owp_matching::Problem;
-use owp_simnet::{Context, EventLog, NodeEvent, Protocol, SimConfig, SimTime};
+use owp_simnet::{Context, NodeEvent, Protocol, SimConfig, SimTime};
 
 /// Default retransmission interval in ticks.
 pub const DEFAULT_RETRY_INTERVAL: SimTime = 50;
@@ -136,25 +136,11 @@ fn build_nodes(problem: &Problem, interval: SimTime) -> Vec<ReliableLidNode> {
 }
 
 /// Runs reliable LID on the asynchronous simulator. With any loss rate
-/// below 1 the run terminates with the exact LIC-equivalent matching.
+/// below 1 the run terminates with the exact LIC-equivalent matching. With
+/// `config.telemetry()` the result carries the run's event log (the chaos
+/// campaign feeds it to the Lemma 5 causal-acyclicity certificate).
 pub fn run_lid_reliable(problem: &Problem, config: SimConfig, interval: SimTime) -> LidResult {
-    run_async(problem, build_nodes(problem, interval), config, ReliableLidNode::inner).0
-}
-
-/// Runs reliable LID with telemetry recording forced on, returning the
-/// result together with the structured event log (the chaos campaign feeds
-/// the log to the Lemma 5 causal-acyclicity certificate).
-pub fn run_lid_reliable_traced(
-    problem: &Problem,
-    config: SimConfig,
-    interval: SimTime,
-) -> (LidResult, EventLog) {
-    run_async(
-        problem,
-        build_nodes(problem, interval),
-        config.telemetry(),
-        ReliableLidNode::inner,
-    )
+    run_async(problem, build_nodes(problem, interval), config, ReliableLidNode::inner)
 }
 
 #[cfg(test)]
@@ -291,11 +277,11 @@ mod tests {
         let cfg = SimConfig::with_seed(7)
             .latency(LatencyModel::Uniform { lo: 1, hi: 8 })
             .faults(plan);
-        let (r, log) = run_lid_reliable_traced(&p, cfg, 20);
+        let r = run_lid_reliable(&p, cfg.telemetry(), 20);
         assert!(r.terminated);
-        let dag = CausalDag::from_log(&log);
+        let dag = CausalDag::from_log(&r.log);
         assert!(dag.is_certified(), "Lemma 5 certificate survives chaos");
-        assert_eq!(log.with_tag("restarted").count(), 1);
+        assert_eq!(r.log.with_tag("restarted").count(), 1);
     }
 
     #[test]

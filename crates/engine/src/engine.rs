@@ -780,6 +780,52 @@ mod tests {
     }
 
     #[test]
+    fn leaving_the_busiest_nodes_leaves_no_addable_edge() {
+        let p = Problem::random_gnp(30, 0.3, 3, 1);
+        let mut e = Engine::new(p.clone());
+        let mut busiest: Vec<NodeId> = p.nodes().collect();
+        busiest.sort_by_key(|&i| Reverse(e.matching().degree(i)));
+        for &i in &busiest[..3] {
+            let degree = e.matching().degree(i);
+            let r = e.apply(EngineEvent::NodeLeave { node: i }).unwrap();
+            assert!(r.edges_removed.len() >= degree);
+            assert_eq!(e.matching().degree(i), 0, "leaver keeps no connections");
+        }
+        // A rejected event leaves the membership untouched.
+        let gone = busiest[0];
+        let err = e.apply(EngineEvent::NodeLeave { node: gone }).unwrap_err();
+        assert_eq!(err, EngineError::NotActive(gone));
+        assert_eq!(e.dynamic().active_count(), 27);
+        e.certify().expect("exact after churn");
+        owp_matching::verify::check_valid(&p, e.matching()).expect("valid after churn");
+        // Exactness subsumes maximality: no active pair with free quota at
+        // both ends remains unmatched.
+        let free = |i: NodeId| e.matching().degree(i) < p.quotas.get(i) as usize;
+        for edge in p.graph.edges() {
+            let (u, v) = p.graph.endpoints(edge);
+            if !e.matching().contains(edge) && e.dynamic().is_active(u) && e.dynamic().is_active(v)
+            {
+                assert!(!(free(u) && free(v)), "an addable edge was left behind");
+            }
+        }
+    }
+
+    #[test]
+    fn leave_rejoin_round_trip_restores_satisfaction() {
+        let mut e = Engine::new(Problem::random_gnp(30, 0.3, 3, 5));
+        let original = e.matching().clone();
+        let s0 = e.total_satisfaction();
+        assert!(s0 > 0.0);
+        e.apply(EngineEvent::NodeLeave { node: NodeId(5) }).unwrap();
+        assert_eq!(e.dynamic().active_count(), 29);
+        assert!(e.total_satisfaction() <= s0 + 1e-12);
+        e.apply(EngineEvent::NodeJoin { node: NodeId(5) }).unwrap();
+        assert_eq!(e.dynamic().active_count(), 30);
+        assert!(e.matching().same_edges(&original), "round trip is lossless");
+        assert!((e.total_satisfaction() - s0).abs() < 1e-9);
+    }
+
+    #[test]
     fn edge_remove_and_add_seed_the_edge() {
         let mut e = engine(4);
         let g = e.dynamic().graph();

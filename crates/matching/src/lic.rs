@@ -21,15 +21,14 @@
 //! endpoints; cursor advancement and top-edge checks are integer compares,
 //! so no `Rational` is touched after `Problem` construction.
 //!
-//! [`lic_reference`] keeps the original per-node key-sorted formulation
-//! (exact `EdgeKey` comparisons throughout). It exists to cross-check the
-//! rank kernel — the equivalence test in `tests/` asserts bit-identical
-//! matchings — and as the before/after baseline for `bench_lic`.
+//! The original per-node key-sorted formulation (exact `EdgeKey`
+//! comparisons throughout) lives on as the test oracle of
+//! `tests/rank_equivalence.rs`, which asserts bit-identical matchings.
 
 use crate::bmatching::BMatching;
 use crate::problem::Problem;
 use owp_graph::{EdgeId, NodeId};
-use owp_telemetry::{NullRecorder, PhaseProfile, Recorder, TelemetryEvent};
+use owp_telemetry::{NullRecorder, Recorder, TelemetryEvent};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -228,20 +227,17 @@ pub fn lic(problem: &Problem, policy: SelectionPolicy) -> BMatching {
     State::new(problem).run(policy, &mut NullRecorder).0
 }
 
-/// Runs LIC and also returns the order in which edges were selected — each
-/// prefix of this order is a valid "locally heaviest so far" history, used
-/// by the Lemma 3/4 verification tests.
-pub fn lic_with_order(problem: &Problem, policy: SelectionPolicy) -> (BMatching, Vec<EdgeId>) {
-    State::new(problem).run(policy, &mut NullRecorder)
-}
-
 /// Runs LIC recording its decision trace into `rec`: one
 /// [`TelemetryEvent::LicEdgeSelected`] per selection (in selection order),
 /// [`TelemetryEvent::LicNodeSaturated`] for every counter-exhaustion sweep
 /// and [`TelemetryEvent::LicCursorAdvanced`] for every lazy cursor skip.
 ///
+/// Also returns the order in which edges were selected: each prefix of it
+/// is a valid "locally heaviest so far" history (the Lemma 3/4
+/// verification tests check it).
+///
 /// Generic over the [`Recorder`], so `lic_traced(p, policy, &mut
-/// NullRecorder)` monomorphizes to exactly [`lic_with_order`] — the
+/// NullRecorder)` monomorphizes to the uninstrumented run — the
 /// instrumentation is free when unused (no `dyn`, no allocation).
 pub fn lic_traced<R: Recorder>(
     problem: &Problem,
@@ -249,99 +245,6 @@ pub fn lic_traced<R: Recorder>(
     rec: &mut R,
 ) -> (BMatching, Vec<EdgeId>) {
     State::new(problem).run(policy, rec)
-}
-
-/// Runs LIC under a [`PhaseProfile`], splitting wall time into the CSR
-/// incident-array build and the selection loop.
-pub fn lic_profiled(
-    problem: &Problem,
-    policy: SelectionPolicy,
-    prof: &mut PhaseProfile,
-) -> BMatching {
-    prof.time("lic", |prof| {
-        let state = prof.time("csr_build", |_| State::new(problem));
-        prof.time("selection", |_| state.run(policy, &mut NullRecorder).0)
-    })
-}
-
-/// The original key-comparing LIC: per-node `Vec<Vec<EdgeId>>` incident
-/// lists, each sorted by exact [`crate::EdgeKey`] at setup. Kept as the
-/// independent cross-check of the rank kernel ([`lic`] must produce an
-/// identical matching — asserted by the committed equivalence test) and as
-/// the baseline side of the `bench_lic` before/after comparison.
-pub fn lic_reference(problem: &Problem, policy: SelectionPolicy) -> BMatching {
-    let g = &problem.graph;
-    let w = &problem.weights;
-    let n = g.node_count();
-
-    let incident: Vec<Vec<EdgeId>> = g
-        .nodes()
-        .map(|i| {
-            let mut edges: Vec<EdgeId> = g.neighbors(i).iter().map(|&(_, e)| e).collect();
-            edges.sort_by_key(|&e| std::cmp::Reverse(w.key(g, e)));
-            edges
-        })
-        .collect();
-    let mut cursor = vec![0usize; n];
-    let mut removed = vec![false; g.edge_count()];
-    let mut counter: Vec<u32> = g.nodes().map(|i| problem.quotas.get(i)).collect();
-    let mut matching = BMatching::empty(g);
-
-    let top = |i: NodeId, cursor: &mut [usize], removed: &[bool]| -> Option<EdgeId> {
-        let idx = i.index();
-        while cursor[idx] < incident[idx].len() {
-            let e = incident[idx][cursor[idx]];
-            if removed[e.index()] {
-                cursor[idx] += 1;
-            } else {
-                return Some(e);
-            }
-        }
-        None
-    };
-    let saturate = |i: NodeId, removed: &mut [bool], queue: &mut Vec<NodeId>| {
-        for &e in &incident[i.index()] {
-            if !removed[e.index()] {
-                removed[e.index()] = true;
-                queue.push(g.other_endpoint(e, i));
-            }
-        }
-    };
-
-    let mut queue: Vec<NodeId> = match policy {
-        SelectionPolicy::InOrder => (0..n as u32).map(NodeId).collect(),
-        SelectionPolicy::Reverse => (0..n as u32).rev().map(NodeId).collect(),
-        SelectionPolicy::Random(seed) => {
-            let mut q: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-            q.shuffle(&mut StdRng::seed_from_u64(seed));
-            q
-        }
-    };
-    for i in 0..n {
-        if counter[i] == 0 {
-            saturate(NodeId(i as u32), &mut removed, &mut queue);
-        }
-    }
-
-    while let Some(i) = queue.pop() {
-        if let Some(e) = top(i, &mut cursor, &removed) {
-            let j = g.other_endpoint(e, i);
-            if top(j, &mut cursor, &removed) == Some(e) {
-                let (a, b) = g.endpoints(e);
-                matching.insert(problem, e);
-                removed[e.index()] = true;
-                for x in [a, b] {
-                    counter[x.index()] -= 1;
-                    if counter[x.index()] == 0 {
-                        saturate(x, &mut removed, &mut queue);
-                    }
-                }
-                queue.push(a);
-                queue.push(b);
-            }
-        }
-    }
-    matching
 }
 
 #[cfg(test)]
@@ -425,7 +328,7 @@ mod tests {
     fn selection_order_is_locally_heaviest_history() {
         for seed in 0..10 {
             let p = Problem::random_gnp(20, 0.35, 2, 100 + seed);
-            let (m, order) = lic_with_order(&p, SelectionPolicy::Random(seed));
+            let (m, order) = lic_traced(&p, SelectionPolicy::Random(seed), &mut NullRecorder);
             assert_eq!(m.size(), order.len());
             verify::check_selection_order(&p, &order).expect("each selected edge was locally heaviest at its selection point");
         }
@@ -477,20 +380,11 @@ mod tests {
     #[test]
     fn null_recorder_trace_is_free_and_identical() {
         let p = Problem::random_gnp(30, 0.3, 3, 77);
-        let mut null = owp_telemetry::NullRecorder;
-        let (m, order) = lic_traced(&p, SelectionPolicy::Reverse, &mut null);
-        let (m2, order2) = lic_with_order(&p, SelectionPolicy::Reverse);
+        let (m, order) = lic_traced(&p, SelectionPolicy::Reverse, &mut NullRecorder);
+        let mut log = owp_telemetry::EventLog::enabled();
+        let (m2, order2) = lic_traced(&p, SelectionPolicy::Reverse, &mut log);
         assert!(m.same_edges(&m2));
         assert_eq!(order, order2);
-    }
-
-    #[test]
-    fn profiled_run_reports_both_phases() {
-        let p = Problem::random_gnp(40, 0.3, 2, 5);
-        let mut prof = owp_telemetry::PhaseProfile::new();
-        let m = lic_profiled(&p, SelectionPolicy::InOrder, &mut prof);
-        assert!(m.same_edges(&lic(&p, SelectionPolicy::InOrder)));
-        assert!(prof.total_of("lic/csr_build").is_some());
-        assert!(prof.total_of("lic/selection").is_some());
+        assert!(m.same_edges(&lic(&p, SelectionPolicy::Reverse)));
     }
 }

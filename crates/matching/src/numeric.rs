@@ -4,7 +4,8 @@
 //! integers: ranks, list lengths and quotas. Using exact rationals instead of
 //! `f64` makes *locally heaviest* comparisons exact, which in turn makes the
 //! LIC ≡ LID equivalence (Theorem 3) testable bit-for-bit and rules out the
-//! float-tie pathologies the ablation bench (`bench_weights`) demonstrates.
+//! float-tie pathologies (`distinguishes_tiny_differences_f64_conflates`
+//! below constructs one).
 
 use std::cmp::Ordering;
 use std::fmt;

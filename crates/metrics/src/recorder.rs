@@ -1,9 +1,10 @@
 //! [`MetricsRecorder`] — an [`owp_telemetry::Recorder`] that aggregates the
 //! event stream into registry metrics instead of (or alongside) storing it.
 //!
-//! Drop it anywhere a recorder is accepted (`run_lid_traced`'s internals,
-//! `Engine::apply_batch_traced`, or replaying an [`EventLog`] through
-//! [`MetricsRecorder::consume`]) and the registry fills with:
+//! Drop it anywhere a recorder is accepted (`lic_traced`,
+//! `Engine::apply_batch_traced`), or replay a recorded [`EventLog`] — such
+//! as a traced LID run's `LidResult::log` — through
+//! [`MetricsRecorder::consume`], and the registry fills with:
 //!
 //! | metric | type | source |
 //! |---|---|---|

@@ -14,17 +14,17 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// Configuration of one asynchronous run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Link-delay distribution.
+    /// Link-delay distribution. Delivery is per-directed-link FIFO: a
+    /// later send on a link never overtakes an earlier one (delivery times
+    /// are clamped), unless a reordering fault skips the clamp.
     pub latency: LatencyModel,
-    /// Enforce per-directed-link FIFO delivery (clamp delivery times so a
-    /// later send on the same link never overtakes an earlier one).
-    pub fifo: bool,
     /// RNG seed for latency sampling and loss decisions.
     pub seed: u64,
     /// Fault injection plan.
     pub faults: FaultPlan,
-    /// Hard stop: abort after this many deliveries (guards against protocol
-    /// bugs that never quiesce). `u64::MAX` by default.
+    /// Hard stop: abort once deliveries plus timer firings reach this many
+    /// (guards against protocol bugs that never quiesce). `u64::MAX` by
+    /// default.
     pub max_deliveries: u64,
     /// Record the structured telemetry event log (transport events always;
     /// per-node protocol events too when the `telemetry` feature is
@@ -37,7 +37,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             latency: LatencyModel::unit(),
-            fifo: true,
             seed: 0,
             faults: FaultPlan::none(),
             max_deliveries: u64::MAX,
@@ -390,7 +389,7 @@ impl<P: Protocol> Simulator<P> {
                 && self.rng.gen_range(0.0..1.0) < self.faults.reorder_probability;
             if reorder {
                 self.stats.reordered += 1;
-            } else if self.config.fifo {
+            } else {
                 at = self.link_clock.clamp(from, to, at);
             }
             // Duplication fault: an extra copy with its own span and an
@@ -418,10 +417,8 @@ impl<P: Protocol> Simulator<P> {
                     to,
                     kind,
                 });
-                let mut dat = self.now + self.config.latency.sample(&mut self.rng);
-                if self.config.fifo {
-                    dat = self.link_clock.clamp(from, to, dat);
-                }
+                let at = self.now + self.config.latency.sample(&mut self.rng);
+                let dat = self.link_clock.clamp(from, to, at);
                 self.schedule(dat, Pending::Msg(InFlight { from, to, msg: copy, span: dspan }));
             }
         }

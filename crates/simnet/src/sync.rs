@@ -8,32 +8,27 @@
 use crate::protocol::{Context, Payload, Protocol};
 use crate::stats::NetStats;
 use crate::NodeId;
-use owp_telemetry::{EventLog, Recorder as _, SpanId, TelemetryEvent};
 
 /// Outcome of a synchronous run.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SyncOutcome {
     /// Number of rounds executed (round 0 = `on_start`).
     pub rounds: u64,
-    /// `true` iff no messages were pending when the run stopped.
+    /// `true` iff no messages or timers were pending when the run stopped.
     pub quiescent: bool,
 }
 
 /// Synchronous-round engine. Nodes are driven in lock-step rounds.
 pub struct SyncRunner<P: Protocol> {
     nodes: Vec<P>,
-    /// Messages to deliver next round: `(from, to, msg, span)`.
-    pending: Vec<(NodeId, NodeId, P::Message, SpanId)>,
+    /// Messages to deliver next round: `(from, to, msg)`.
+    pending: Vec<(NodeId, NodeId, P::Message)>,
     /// The callbacks' outbox, drained after each callback and handed to
     /// the next one.
     outbox: Vec<(NodeId, P::Message)>,
-    /// Armed timers: `(fire round, node, tag, causal parent at arm time)`.
-    timers: Vec<(u64, NodeId, u64, Option<SpanId>)>,
+    /// Armed timers: `(fire round, node, tag)`.
+    timers: Vec<(u64, NodeId, u64)>,
     stats: NetStats,
-    log: EventLog,
-    telemetry: bool,
-    /// Monotone span-id source (mirrors the asynchronous engine).
-    next_span: u64,
     rounds: u64,
     max_rounds: u64,
     started: bool,
@@ -48,9 +43,6 @@ impl<P: Protocol> SyncRunner<P> {
             outbox: Vec::new(),
             timers: Vec::new(),
             stats: NetStats::default(),
-            log: EventLog::disabled(),
-            telemetry: false,
-            next_span: 0,
             rounds: 0,
             max_rounds: 1_000_000,
             started: false,
@@ -63,62 +55,28 @@ impl<P: Protocol> SyncRunner<P> {
         self
     }
 
-    /// Enables telemetry event recording. Event times are round numbers.
-    pub fn with_telemetry(mut self) -> Self {
-        self.log = EventLog::enabled();
-        self.telemetry = true;
-        self
-    }
-
     /// Runs one callback of node `id` at `round` on a context that reuses
     /// the runner's outbox, then queues its sends for the next round and
-    /// arms its timers. `parent` is the span whose delivery ran the
-    /// callback; every send and timer inherits it as causal parent.
+    /// arms its timers.
     fn callback(
         &mut self,
         id: NodeId,
         round: u64,
-        parent: Option<SpanId>,
         f: impl FnOnce(&mut P, &mut Context<P::Message>),
     ) {
         let outbox = std::mem::take(&mut self.outbox);
-        let mut ctx = Context::reusing(id, round, self.telemetry, outbox);
+        let mut ctx = Context::reusing(id, round, false, outbox);
         f(&mut self.nodes[id.index()], &mut ctx);
-        let (mut outbox, new_timers, events) = ctx.into_parts();
-        // Always empty unless the `telemetry` feature compiled `emit`.
-        for event in events {
-            self.log.record(TelemetryEvent::Node {
-                time: round,
-                node: id,
-                event,
-            });
-        }
+        let (mut outbox, new_timers, _) = ctx.into_parts();
         for (delay, tag) in new_timers {
-            self.timers.push((round + delay, id, tag, parent));
+            self.timers.push((round + delay, id, tag));
         }
         let n = self.nodes.len();
         for (to, msg) in outbox.drain(..) {
             assert!(to.index() < n, "send to unknown node {to:?}");
             assert!(to != id, "node {id:?} sent a message to itself");
-            let kind = msg.kind();
-            let span = SpanId(self.next_span);
-            self.next_span += 1;
-            self.stats.record_send(kind);
-            self.log.record(TelemetryEvent::Sent {
-                time: round,
-                from: id,
-                to,
-                kind,
-            });
-            self.log.record(TelemetryEvent::SpanSent {
-                time: round,
-                span,
-                parent,
-                from: id,
-                to,
-                kind,
-            });
-            self.pending.push((id, to, msg, span));
+            self.stats.record_send(msg.kind());
+            self.pending.push((id, to, msg));
         }
         self.outbox = outbox;
     }
@@ -130,16 +88,17 @@ impl<P: Protocol> SyncRunner<P> {
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            self.callback(NodeId(i as u32), 0, None, |node, ctx| node.on_start(ctx));
+            self.callback(NodeId(i as u32), 0, |node, ctx| node.on_start(ctx));
         }
     }
 
     /// Delivers one full round of messages (plus due timers). Returns
-    /// `false` when idle. If only future timers remain, rounds skip forward
+    /// `false`, doing nothing, when the network is quiescent or the round
+    /// guard is reached. If only future timers remain, rounds skip forward
     /// to the earliest firing.
     pub fn round(&mut self) -> bool {
         self.start();
-        if self.pending.is_empty() && self.timers.is_empty() {
+        if self.is_quiescent() || self.rounds >= self.max_rounds {
             return false;
         }
         self.rounds += 1;
@@ -148,7 +107,7 @@ impl<P: Protocol> SyncRunner<P> {
             let earliest = self
                 .timers
                 .iter()
-                .map(|&(r, _, _, _)| r)
+                .map(|&(r, _, _)| r)
                 .min()
                 .expect("timers non-empty");
             self.rounds = self.rounds.max(earliest);
@@ -158,23 +117,14 @@ impl<P: Protocol> SyncRunner<P> {
         let mut batch = std::mem::take(&mut self.pending);
         // Deterministic delivery order: sender id, then send sequence (stable
         // sort keeps per-sender order — the FIFO property).
-        batch.sort_by_key(|&(from, _, _, _)| from);
-        for (from, to, msg, span) in batch {
+        batch.sort_by_key(|&(from, _, _)| from);
+        for (from, to, msg) in batch {
             self.stats.delivered += 1;
-            self.log.record(TelemetryEvent::Delivered {
-                time: round,
-                from,
-                to,
-                kind: msg.kind(),
-            });
-            self.log.record(TelemetryEvent::SpanDelivered { time: round, span });
-            self.callback(to, round, Some(span), |node, ctx| {
-                node.on_message(from, msg, ctx)
-            });
+            self.callback(to, round, |node, ctx| node.on_message(from, msg, ctx));
         }
 
         // Fire due timers (armed before this round), in (node, tag) order.
-        let mut due: Vec<(u64, NodeId, u64, Option<SpanId>)> = Vec::new();
+        let mut due: Vec<(u64, NodeId, u64)> = Vec::new();
         self.timers.retain(|&t| {
             if t.0 <= round {
                 due.push(t);
@@ -183,34 +133,26 @@ impl<P: Protocol> SyncRunner<P> {
                 true
             }
         });
-        due.sort_by_key(|&(r, node, tag, _)| (r, node, tag));
-        for (_, node, tag, parent) in due {
+        due.sort();
+        for (_, node, tag) in due {
             self.stats.timers_fired += 1;
-            self.log.record(TelemetryEvent::TimerFired {
-                time: round,
-                node,
-                tag,
-            });
-            self.callback(node, round, parent, |n, ctx| n.on_timer(tag, ctx));
+            self.callback(node, round, |n, ctx| n.on_timer(tag, ctx));
         }
         true
     }
 
     /// Runs rounds until quiescence or the round guard trips.
     pub fn run(&mut self) -> SyncOutcome {
-        self.start();
-        while self.rounds < self.max_rounds {
-            if !self.round() {
-                return SyncOutcome {
-                    rounds: self.rounds,
-                    quiescent: true,
-                };
-            }
-        }
+        while self.round() {}
         SyncOutcome {
             rounds: self.rounds,
-            quiescent: self.pending.is_empty() && self.timers.is_empty(),
+            quiescent: self.is_quiescent(),
         }
+    }
+
+    /// `true` iff no message is in flight and no timer is armed.
+    pub fn is_quiescent(&self) -> bool {
+        self.pending.is_empty() && self.timers.is_empty()
     }
 
     /// Immutable access to node `i`'s state.
@@ -226,16 +168,6 @@ impl<P: Protocol> SyncRunner<P> {
     /// Network statistics so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// The recorded telemetry log (empty unless enabled).
-    pub fn telemetry(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// Takes ownership of the telemetry log (leaves an empty disabled one).
-    pub fn take_telemetry(&mut self) -> EventLog {
-        std::mem::take(&mut self.log)
     }
 
     /// Rounds executed so far.
@@ -353,37 +285,6 @@ mod tests {
         assert_eq!(r.pending_count(), 25, "echo wave in flight");
         assert!(r.round());
         assert!(!r.round(), "quiescent after the echoes land");
-    }
-
-    #[test]
-    fn telemetry_records_round_stamped_transport_events() {
-        let mut r = SyncRunner::new(flood_nodes(4)).with_telemetry();
-        let out = r.run();
-        assert!(out.quiescent);
-        let log = r.telemetry();
-        assert_eq!(log.with_tag("sent").count(), 12);
-        assert_eq!(log.deliveries().count(), 12);
-        // Sends from on_start carry round 0; echo sends carry round 1.
-        assert!(log
-            .with_tag("sent")
-            .all(|e| e.time() == 0 || e.time() == 1));
-    }
-
-    #[test]
-    fn flood_causal_forest_certifies() {
-        use owp_telemetry::CausalDag;
-        let mut r = SyncRunner::new(flood_nodes(4)).with_telemetry();
-        let out = r.run();
-        assert!(out.quiescent);
-        let dag = CausalDag::from_log(r.telemetry());
-        assert_eq!(dag.len(), 12);
-        assert_eq!(dag.roots(), 3, "node 0's on_start wave");
-        assert!(dag.is_certified());
-        // Each delivered root wave causes a 3-way echo flood.
-        assert_eq!(dag.max_fanout(), 3);
-        assert_eq!(dag.max_depth(), 2);
-        assert_eq!(dag.critical_path_len(), 2);
-        assert_eq!(dag.kind_fanout().get(&("WAVE", "WAVE")), Some(&9));
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn main() {
 
     // The engine starts from the same (canonical) matching LID converged
     // to, and keeps it exact through every membership change.
-    let mut sim = ChurnSim::new(p);
+    let mut engine = Engine::new(p.clone());
 
     // 15% of peers leave at once.
     let mut peers: Vec<NodeId> = p.nodes().collect();
@@ -46,12 +46,12 @@ fn main() {
     let mut rebuilt = 0usize;
     let mut dirty = 0usize;
     for &i in &leavers {
-        let report = sim.leave(i).expect("active peer leaves");
+        let report = engine.apply(EngineEvent::NodeLeave { node: i }).expect("active peer leaves");
         torn += report.edges_removed.len();
         rebuilt += report.edges_added.len();
         dirty += report.evaluated;
     }
-    let after_leave = sim.active_satisfaction();
+    let after_leave = engine.total_satisfaction();
     println!(
         "\n{} peers left → {torn} links dissolved, {rebuilt} replacement links formed\n\
          repair examined {dirty} edges in total ({:.1} per event, of {} in the overlay)\n\
@@ -61,24 +61,26 @@ fn main() {
         p.edge_count(),
         100.0 * after_leave / initial_sat
     );
-    sim.certify()
+    engine
+        .certify()
         .expect("matching is bit-identical to a from-scratch run on the survivors");
     println!("certified: survivors hold exactly the from-scratch locally-heaviest matching");
 
     // The leavers come back; the engine reconnects them exactly.
     let mut regained = 0usize;
     for &i in &leavers {
-        regained += sim.join(i).expect("peer rejoins").edges_added.len();
+        let report = engine.apply(EngineEvent::NodeJoin { node: i }).expect("peer rejoins");
+        regained += report.edges_added.len();
     }
-    let after_rejoin = sim.active_satisfaction();
+    let after_rejoin = engine.total_satisfaction();
     println!(
         "\nrejoin formed {regained} links → total satisfaction {after_rejoin:.2} ({:.1}%)",
         100.0 * after_rejoin / initial_sat
     );
-    sim.certify().expect("round-trip returns to the canonical matching");
+    engine.certify().expect("round-trip returns to the canonical matching");
     println!(
         "certified: after rejoin the overlay is back to the exact pre-churn matching \
          — no rebuild, {} epochs of bounded repair",
-        sim.engine().epoch().0
+        engine.epoch().0
     );
 }

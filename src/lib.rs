@@ -54,8 +54,8 @@ pub mod prelude {
     };
     pub use owp_core::overlay::{Overlay, OverlayBuilder, OverlayNetwork};
     pub use owp_core::{
-        replay_lid_trace, run_lid, run_lid_causal, run_lid_sync, run_lid_sync_series,
-        run_lid_traced, ChurnSim, DisclosureReport, LidResult,
+        replay_lid_trace, run_lid, run_lid_reliable, run_lid_sync, run_lid_sync_series,
+        DisclosureReport, LidResult,
     };
     pub use owp_engine::{
         DeltaReport, DynamicProblem, Engine, EngineBuilder, EngineError, EngineEvent, Epoch,

@@ -136,7 +136,8 @@ fn causal_certificate_at_scale_sets_the_gauges() {
     let g = overlays_preferences::owp_graph::generators::barabasi_albert(5000, 4, &mut rng);
     let p = Problem::random_over(g, 3, 5);
     let cfg = SimConfig::with_seed(5).latency(LatencyModel::Uniform { lo: 1, hi: 20 });
-    let (r, _log, dag) = run_lid_causal(&p, cfg);
+    let r = run_lid(&p, cfg.telemetry());
+    let dag = CausalDag::from_log(&r.log);
     assert!(r.terminated);
     assert_eq!(dag.len() as u64, r.stats.sent);
 
@@ -160,7 +161,9 @@ fn causal_certificate_at_scale_sets_the_gauges() {
 fn tampered_causal_trace_yields_cycle_violation() {
     let p = Problem::random_gnp(30, 0.25, 2, 77);
     let cfg = SimConfig::with_seed(77).latency(LatencyModel::Uniform { lo: 1, hi: 9 });
-    let (r, log, dag) = run_lid_causal(&p, cfg);
+    let r = run_lid(&p, cfg.telemetry());
+    let log = &r.log;
+    let dag = CausalDag::from_log(log);
     assert!(r.terminated);
     assert!(dag.is_certified());
 
@@ -213,12 +216,12 @@ fn recorder_counters_match_netstats() {
         let cfg = SimConfig::with_seed(seed)
             .latency(LatencyModel::Uniform { lo: 1, hi: 9 })
             .telemetry();
-        let (r, log) = run_lid_traced(&p, cfg);
+        let r = run_lid(&p, cfg);
         assert!(r.terminated);
 
         let reg = MetricsRegistry::new();
         let mut rec = MetricsRecorder::new(&reg);
-        rec.consume(&log);
+        rec.consume(&r.log);
 
         assert_eq!(reg.counter("messages_sent_total").get(), r.stats.sent);
         assert_eq!(reg.counter("messages_delivered_total").get(), r.stats.delivered);

@@ -52,12 +52,12 @@ fn full_pipeline_with_every_metric_kind() {
     // Churn round-trip on top of the built overlay: the engine repairs
     // within each call and stays bit-identical to a from-scratch run.
     let p = &network.problem;
-    let mut churn = ChurnSim::new(p);
-    churn.leave(NodeId(5)).expect("leave 5");
-    churn.leave(NodeId(6)).expect("leave 6");
+    let mut churn = Engine::new(p.clone());
+    churn.apply(EngineEvent::NodeLeave { node: NodeId(5) }).expect("leave 5");
+    churn.apply(EngineEvent::NodeLeave { node: NodeId(6) }).expect("leave 6");
     churn.certify().expect("exact after leaves");
-    churn.join(NodeId(5)).expect("rejoin 5");
-    churn.join(NodeId(6)).expect("rejoin 6");
+    churn.apply(EngineEvent::NodeJoin { node: NodeId(5) }).expect("rejoin 5");
+    churn.apply(EngineEvent::NodeJoin { node: NodeId(6) }).expect("rejoin 6");
     churn.certify().expect("exact after rejoins");
     verify::check_valid(p, churn.matching()).expect("valid after churn");
     verify::check_maximal(p, churn.matching()).expect("maximal after churn");

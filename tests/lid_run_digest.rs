@@ -13,7 +13,6 @@
 //! constant is pinned per feature setting.
 
 use overlays_preferences::prelude::*;
-use owp_core::lid_reliable::{run_lid_reliable, run_lid_reliable_traced};
 
 struct Fnv(u64);
 
@@ -98,9 +97,9 @@ fn lid_digest() -> u64 {
         ] {
             let cfg = SimConfig::with_seed(seed).latency(latency);
             h.result(&run_lid(p, cfg.clone()));
-            let (r, log) = run_lid_traced(p, cfg);
+            let r = run_lid(p, cfg.telemetry());
             h.result(&r);
-            h.log(&log);
+            h.log(&r.log);
         }
 
         h.result(&run_lid_sync(p));
@@ -109,9 +108,10 @@ fn lid_digest() -> u64 {
         h.bytes(series.to_jsonl().as_bytes());
 
         let cfg = SimConfig::with_seed(seed).latency(LatencyModel::Uniform { lo: 1, hi: 9 });
-        let (r, log, dag) = run_lid_causal(p, cfg);
+        let r = run_lid(p, cfg.telemetry());
+        let dag = CausalDag::from_log(&r.log);
         h.result(&r);
-        h.log(&log);
+        h.log(&r.log);
         let path = dag.critical_path();
         h.word(path.end_time);
         h.word(path.hops.len() as u64);
@@ -136,9 +136,9 @@ fn lid_digest() -> u64 {
                 .latency(LatencyModel::Uniform { lo: 1, hi: 10 })
                 .faults(plan);
             h.result(&run_lid_reliable(p, cfg.clone(), 25));
-            let (r, log) = run_lid_reliable_traced(p, cfg, 25);
+            let r = run_lid_reliable(p, cfg.telemetry(), 25);
             h.result(&r);
-            h.log(&log);
+            h.log(&r.log);
         }
     }
     h.0
@@ -149,8 +149,8 @@ fn lid_digest() -> u64 {
 /// build another member can switch `owp-core/telemetry` on for everyone.
 fn node_events_compiled() -> bool {
     let p = Problem::random_gnp(4, 1.0, 1, 1);
-    let (_, log) = run_lid_traced(&p, SimConfig::with_seed(1));
-    log.with_tag("node_terminated").count() > 0
+    let r = run_lid(&p, SimConfig::with_seed(1).telemetry());
+    r.log.with_tag("node_terminated").count() > 0
 }
 
 #[test]

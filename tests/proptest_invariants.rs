@@ -191,7 +191,7 @@ fn graph_builder_handles_arbitrary_edge_lists() {
 
 #[test]
 fn churn_stays_certified_and_valid() {
-    use owp_core::ChurnSim;
+    use owp_engine::{Engine, EngineEvent};
     let mut meta = StdRng::seed_from_u64(0xC4A92);
     for case in 0..CASES {
         let (p, es, ps) = random_instance(&mut meta);
@@ -199,12 +199,13 @@ fn churn_stays_certified_and_valid() {
         let leavers: Vec<usize> = (0..leaver_count)
             .map(|_| meta.gen_range(0usize..24))
             .collect();
-        let mut sim = ChurnSim::new(&p);
+        let mut sim = Engine::new(p.clone());
         let ctx = format!("case {case} (edge_seed {es}, pref_seed {ps}, leavers {leavers:?})");
         for &l in &leavers {
             let i = NodeId((l % p.node_count()) as u32);
-            if sim.is_active(i) {
-                sim.leave(i).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            if sim.dynamic().is_active(i) {
+                sim.apply(EngineEvent::NodeLeave { node: i })
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             }
         }
         // Continuous certified repair: after any leave sequence the
@@ -217,8 +218,9 @@ fn churn_stays_certified_and_valid() {
         );
         // Everyone returns: the full-instance canonical matching again.
         for i in p.nodes() {
-            if !sim.is_active(i) {
-                sim.join(i).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            if !sim.dynamic().is_active(i) {
+                sim.apply(EngineEvent::NodeJoin { node: i })
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             }
         }
         let reference = lic(&p, SelectionPolicy::InOrder);

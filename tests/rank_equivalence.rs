@@ -7,18 +7,98 @@
 //!
 //! 1. `EdgeOrder` ranks induce exactly the `EdgeKey` total order;
 //! 2. rank-based [`lic`] selects the same edges as the key-based
-//!    [`lic_reference`] under all three selection policies;
+//!    `lic_reference` (defined below) under all three selection policies;
 //! 3. the LID runners (async and sync) agree with the key-based reference.
 
 use owp_core::{run_lid, run_lid_sync};
-use owp_graph::{PreferenceTable, Quotas};
-use owp_matching::lic::{lic, lic_reference, SelectionPolicy};
-use owp_matching::Problem;
+use owp_graph::{EdgeId, NodeId, PreferenceTable, Quotas};
+use owp_matching::lic::{lic, SelectionPolicy};
+use owp_matching::{BMatching, Problem};
 use owp_simnet::{LatencyModel, SimConfig};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 const INSTANCES: u64 = 200;
+
+/// The original key-comparing LIC: per-node `Vec<Vec<EdgeId>>` incident
+/// lists, each sorted by exact [`EdgeKey`](owp_matching::EdgeKey) at setup.
+/// The independent oracle of the rank kernel: [`lic`] must produce an
+/// identical matching.
+fn lic_reference(problem: &Problem, policy: SelectionPolicy) -> BMatching {
+    let g = &problem.graph;
+    let w = &problem.weights;
+    let n = g.node_count();
+
+    let incident: Vec<Vec<EdgeId>> = g
+        .nodes()
+        .map(|i| {
+            let mut edges: Vec<EdgeId> = g.neighbors(i).iter().map(|&(_, e)| e).collect();
+            edges.sort_by_key(|&e| std::cmp::Reverse(w.key(g, e)));
+            edges
+        })
+        .collect();
+    let mut cursor = vec![0usize; n];
+    let mut removed = vec![false; g.edge_count()];
+    let mut counter: Vec<u32> = g.nodes().map(|i| problem.quotas.get(i)).collect();
+    let mut matching = BMatching::empty(g);
+
+    let top = |i: NodeId, cursor: &mut [usize], removed: &[bool]| -> Option<EdgeId> {
+        let idx = i.index();
+        while cursor[idx] < incident[idx].len() {
+            let e = incident[idx][cursor[idx]];
+            if removed[e.index()] {
+                cursor[idx] += 1;
+            } else {
+                return Some(e);
+            }
+        }
+        None
+    };
+    let saturate = |i: NodeId, removed: &mut [bool], queue: &mut Vec<NodeId>| {
+        for &e in &incident[i.index()] {
+            if !removed[e.index()] {
+                removed[e.index()] = true;
+                queue.push(g.other_endpoint(e, i));
+            }
+        }
+    };
+
+    let mut queue: Vec<NodeId> = match policy {
+        SelectionPolicy::InOrder => (0..n as u32).map(NodeId).collect(),
+        SelectionPolicy::Reverse => (0..n as u32).rev().map(NodeId).collect(),
+        SelectionPolicy::Random(seed) => {
+            let mut q: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            q.shuffle(&mut StdRng::seed_from_u64(seed));
+            q
+        }
+    };
+    for i in 0..n {
+        if counter[i] == 0 {
+            saturate(NodeId(i as u32), &mut removed, &mut queue);
+        }
+    }
+
+    while let Some(i) = queue.pop() {
+        if let Some(e) = top(i, &mut cursor, &removed) {
+            let j = g.other_endpoint(e, i);
+            if top(j, &mut cursor, &removed) == Some(e) {
+                let (a, b) = g.endpoints(e);
+                matching.insert(problem, e);
+                removed[e.index()] = true;
+                for x in [a, b] {
+                    counter[x.index()] -= 1;
+                    if counter[x.index()] == 0 {
+                        saturate(x, &mut removed, &mut queue);
+                    }
+                }
+                queue.push(a);
+                queue.push(b);
+            }
+        }
+    }
+    matching
+}
 
 /// Mixed instance pool: G(n, p) and Barabási–Albert topologies, random
 /// preferences, heterogeneous quotas. Returns the instance and its seeds.

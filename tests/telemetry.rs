@@ -18,13 +18,13 @@ fn trace_replay_reproduces_the_matching() {
             LatencyModel::Exponential { mean: 7.0 },
         ] {
             let cfg = SimConfig::with_seed(seed).latency(latency);
-            let (r, log) = run_lid_traced(&p, cfg.clone());
+            let r = run_lid(&p, cfg.clone().telemetry());
             assert!(r.terminated);
 
             // The trace agrees with the counters the run reported.
-            assert_eq!(log.deliveries().count() as u64, r.stats.delivered);
+            assert_eq!(r.log.deliveries().count() as u64, r.stats.delivered);
 
-            let replayed = replay_lid_trace(&p, &log).expect("live trace replays");
+            let replayed = replay_lid_trace(&p, &r.log).expect("live trace replays");
             assert!(
                 replayed.same_edges(&r.matching),
                 "seed {seed}: replay must reconstruct the matching exactly"
@@ -77,20 +77,22 @@ fn disabled_telemetry_is_free_and_inert() {
     // Default config: telemetry off.
     let r = run_lid(&p, SimConfig::with_seed(3));
     assert!(r.terminated);
-    let (traced, log) = run_lid_traced(&p, SimConfig::with_seed(3));
+    assert_eq!(r.log.events_capacity(), 0, "untraced run must not allocate a log");
+    let traced = run_lid(&p, SimConfig::with_seed(3).telemetry());
     assert!(traced.matching.same_edges(&r.matching));
-    assert!(log.is_enabled());
-    assert!(log.len() > 0);
+    assert!(traced.log.is_enabled());
+    assert!(!traced.log.is_empty());
 }
 
 /// Typed message-kind counters agree with the trace's own tally.
 #[test]
 fn typed_counters_match_the_trace() {
     let p = Problem::random_gnp(25, 0.25, 3, 7);
-    let (r, log) = run_lid_traced(&p, SimConfig::with_seed(7));
+    let r = run_lid(&p, SimConfig::with_seed(7).telemetry());
     assert!(r.terminated);
     let sent_in_trace = |kind: MessageKind| {
-        log.events()
+        r.log
+            .events()
             .iter()
             .filter(|e| matches!(e, TelemetryEvent::Sent { kind: k, .. } if *k == kind))
             .count() as u64
@@ -114,7 +116,9 @@ fn causal_trace_round_trips_and_replays_deterministically() {
     for seed in 0..4u64 {
         let p = Problem::random_gnp(35, 0.2, 3, 40 + seed);
         let cfg = SimConfig::with_seed(seed).latency(LatencyModel::Uniform { lo: 1, hi: 15 });
-        let (r, log, dag) = run_lid_causal(&p, cfg);
+        let r = run_lid(&p, cfg.telemetry());
+        let log = &r.log;
+        let dag = CausalDag::from_log(log);
         assert!(r.terminated);
         assert!(dag.is_certified(), "live trace must certify (Lemma 5)");
 
@@ -146,9 +150,9 @@ fn causal_trace_round_trips_and_replays_deterministically() {
 #[test]
 fn node_events_mirror_the_matching() {
     let p = Problem::random_gnp(35, 0.2, 3, 13);
-    let (r, log) = run_lid_traced(&p, SimConfig::with_seed(13));
+    let r = run_lid(&p, SimConfig::with_seed(13).telemetry());
     assert!(r.terminated);
-    let count = |tag: &str| log.with_tag(tag).count();
+    let count = |tag: &str| r.log.with_tag(tag).count();
     assert_eq!(count("edge_locked"), 2 * r.matching.size());
     assert_eq!(count("node_terminated"), p.node_count());
 }
