@@ -62,10 +62,12 @@
 //! snapshot, replays every WAL record past the snapshot's epoch, and
 //! **certifies** the rebuilt engine (bit-identity with a from-scratch
 //! `lic()`) — the same recovery path the daemon itself runs before
-//! serving. `--universe <spec>` (e.g. `ba:2000,3,2,42`) replays from a
-//! fresh universe instead, for WALs that predate any snapshot. Exit
-//! status 1 if the log has torn/corrupt bytes or the replay fails to
-//! certify, 0 when clean.
+//! serving. The daemon's checkpoints are deltas against its universe, so
+//! decoding one needs `--universe <spec>` (e.g. `ba:2000,3,2,42`, the
+//! daemon's own spec) beside `--snapshot`; without it the command exits
+//! 2 and says so. `--universe` alone replays from a fresh universe, for
+//! WALs that predate any snapshot. Exit status 1 if the log has
+//! torn/corrupt bytes or the replay fails to certify, 0 when clean.
 //!
 //! `campaign` consumes an attested chaos-campaign report (written by
 //! `experiments e25 --campaign-out <path>`, canonical JSON of
@@ -296,6 +298,16 @@ fn inspect_metrics(path: &str) {
             gauge(owp_metrics::MATCHD_WAL_RECORDS).unwrap_or(0.0),
             gauge(owp_metrics::MATCHD_SNAPSHOT_EPOCH).unwrap_or(0.0),
         );
+        if let Some(h) = hist(owp_metrics::MATCHD_SNAPSHOT_SAVE_US).filter(|h| h.count > 0) {
+            let _ = writeln!(
+                out,
+                "  checkpoint save n={} mean={:.1}us p99~{:.1}us, newest {:.0} byte(s)",
+                h.count,
+                h.mean(),
+                h.quantile_interpolated(0.99).unwrap_or(0.0),
+                gauge(owp_metrics::MATCHD_SNAPSHOT_BYTES).unwrap_or(0.0),
+            );
+        }
         let _ = writeln!(
             out,
             "  {:.0} connection(s) open, {} total, {} request(s), {} ops scrape(s), {} bundle(s) spooled",
@@ -613,14 +625,23 @@ fn inspect_wal(path: &str, snapshot: Option<&str>, universe: Option<&str>) {
     }
 
     // Replay-certify when a starting state is available.
+    let universe = universe.map(|spec| owp_matchd::from_spec(spec).unwrap_or_else(|e| fail(&e)));
     let mut engine_and_floor = None;
     match (snapshot, universe) {
-        (Some(snap_path), _) => {
-            let snap = owp_matchd::load_snapshot_file(std::path::Path::new(snap_path))
-                .unwrap_or_else(|e| fail(&e));
+        (Some(snap_path), universe) => {
+            let snap =
+                owp_matchd::load_snapshot_file(std::path::Path::new(snap_path), universe.as_ref())
+                    .unwrap_or_else(|e| fail(&e));
+            let form = match snap.form {
+                owp_matchd::CheckpointForm::JsonV1 => "v1 JSON".to_string(),
+                owp_matchd::CheckpointForm::Full => "v2 full".to_string(),
+                owp_matchd::CheckpointForm::Delta { overrides } => {
+                    format!("v2 delta with {overrides} override(s)")
+                }
+            };
             let _ = writeln!(
                 out,
-                "  snapshot {snap_path}: epoch {}, CRC-verified, restores bit-identically",
+                "  snapshot {snap_path}: epoch {}, {form}, CRC-verified, restores bit-identically",
                 snap.epoch
             );
             let engine =
@@ -628,8 +649,7 @@ fn inspect_wal(path: &str, snapshot: Option<&str>, universe: Option<&str>) {
                     .unwrap_or_else(|e| fail(&format!("snapshot does not restore: {e}")));
             engine_and_floor = Some((engine, snap.epoch));
         }
-        (None, Some(spec)) => {
-            let problem = owp_matchd::from_spec(spec).unwrap_or_else(|e| fail(&e));
+        (None, Some(problem)) => {
             engine_and_floor = Some((owp_engine::Engine::new(problem), 0));
         }
         (None, None) => {
@@ -736,6 +756,13 @@ fn inspect_ops(addr: &str) {
         status.snapshot_epoch,
         status.snapshot_age_epochs,
     );
+    if let Some(save) = &status.snapshot_save {
+        let _ = writeln!(
+            out,
+            "  checkpoints: {} saved, newest {} byte(s), owner cost mean {}us p99<={}us",
+            save.saves, save.bytes, save.mean_us, save.p99_us,
+        );
+    }
     let _ = writeln!(
         out,
         "  traffic: {} open connection(s) of {} total, {} request(s)",

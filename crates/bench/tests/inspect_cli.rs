@@ -260,9 +260,11 @@ fn forensics_unreplayable_bundle_exits_two() {
 
 /// Builds a real WAL + snapshot pair by driving a matchd data dir the
 /// same way the daemon does: apply batches, append, snapshot, append
-/// more. Returns (wal path, snapshot path, spec, final epoch).
-fn matchd_fixture(dir: &std::path::Path) -> (String, String, &'static str, u64) {
-    use owp_matchd::{FsyncPolicy, SnapshotStore, Wal};
+/// more. The snapshot is a delta checkpoint against the universe, as
+/// the daemon writes, when `delta` is set, else a full one. Returns
+/// (wal path, snapshot path, spec, final epoch).
+fn matchd_fixture(dir: &std::path::Path, delta: bool) -> (String, String, &'static str, u64) {
+    use owp_matchd::{FsyncPolicy, SnapshotStore, UniverseBase, Wal};
     const SPEC: &str = "ring:40,2,9";
     let problem = owp_matchd::from_spec(SPEC).expect("spec");
     let mut engine = Engine::new(problem.clone());
@@ -278,9 +280,16 @@ fn matchd_fixture(dir: &std::path::Path) -> (String, String, &'static str, u64) 
         wal.append(engine.epoch().0, chunk).expect("append");
     }
     let store = SnapshotStore::new(dir);
-    store
-        .save(engine.epoch().0, &owp_engine::OriginSnapshot::capture(engine.dynamic()))
-        .expect("snapshot");
+    if delta {
+        let base = UniverseBase::new(&problem);
+        store
+            .save_delta(engine.epoch().0, engine.dynamic(), &base, &mut Vec::new())
+            .expect("delta checkpoint");
+    } else {
+        store
+            .save(engine.epoch().0, &owp_engine::OriginSnapshot::capture(engine.dynamic()))
+            .expect("snapshot");
+    }
     for chunk in chunks {
         engine.apply_batch(chunk).expect("valid");
         wal.append(engine.epoch().0, chunk).expect("append");
@@ -296,7 +305,7 @@ fn matchd_fixture(dir: &std::path::Path) -> (String, String, &'static str, u64) 
 #[test]
 fn wal_clean_log_exits_zero() {
     let dir = scratch("wal_clean");
-    let (wal, _, _, epoch) = matchd_fixture(&dir);
+    let (wal, _, _, epoch) = matchd_fixture(&dir, false);
     let (code, out, _) = inspect(&["wal", &wal]);
     assert_eq!(code, 0, "clean log: {out}");
     assert!(out.contains(&format!("epochs 1..={epoch}")), "{out}");
@@ -307,7 +316,7 @@ fn wal_clean_log_exits_zero() {
 #[test]
 fn wal_replay_certifies_against_snapshot_and_universe() {
     let dir = scratch("wal_replay");
-    let (wal, snap, spec, epoch) = matchd_fixture(&dir);
+    let (wal, snap, spec, epoch) = matchd_fixture(&dir, false);
     // Snapshot start: records at or below the snapshot epoch are skipped.
     let (code, out, _) = inspect(&["wal", &wal, "--snapshot", &snap]);
     assert_eq!(code, 0, "snapshot replay: {out}");
@@ -322,9 +331,27 @@ fn wal_replay_certifies_against_snapshot_and_universe() {
 }
 
 #[test]
+fn wal_delta_checkpoint_decodes_only_with_its_universe() {
+    let dir = scratch("wal_delta");
+    let (wal, snap, spec, epoch) = matchd_fixture(&dir, true);
+    let (code, _, err) = inspect(&["wal", &wal, "--snapshot", &snap]);
+    assert_eq!(code, 2, "a delta checkpoint without its universe is a usage error: {err}");
+    assert!(err.contains("delta checkpoint") && err.contains("--universe"), "{err}");
+    let (code, out, _) = inspect(&["wal", &wal, "--snapshot", &snap, "--universe", spec]);
+    assert_eq!(code, 0, "delta replay: {out}");
+    assert!(out.contains("v2 delta with 0 override(s)"), "{out}");
+    assert!(out.contains("3 at or below the snapshot epoch skipped"), "{out}");
+    assert!(out.contains(&format!("engine at epoch {epoch}")), "{out}");
+    assert!(out.contains("certify: recovered matching bit-identical"), "{out}");
+    let (code, _, err) = inspect(&["wal", &wal, "--snapshot", &snap, "--universe", "ring:40,2,10"]);
+    assert_eq!(code, 2, "another universe is refused: {err}");
+    assert!(err.contains("universe digest mismatch"), "{err}");
+}
+
+#[test]
 fn wal_torn_tail_exits_one() {
     let dir = scratch("wal_torn");
-    let (wal, snap, _, _) = matchd_fixture(&dir);
+    let (wal, snap, _, _) = matchd_fixture(&dir, false);
     let mut bytes = std::fs::read(&wal).expect("read");
     bytes.extend_from_slice(&[0xba, 0xad, 0xf0, 0x0d]);
     std::fs::write(&wal, &bytes).expect("write");

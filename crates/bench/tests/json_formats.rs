@@ -20,7 +20,7 @@ use owp_engine::{
     EngineEvent, ForensicBundle, InjectedFault, OriginSnapshot, RecordedStep, ShrinkResult,
 };
 use owp_graph::{EdgeId, NodeId};
-use owp_matchd::{OpsStatus, SlowSpan};
+use owp_matchd::{OpsStatus, SlowSpan, SnapshotSave};
 use owp_metrics::{AuditViolation, InvariantKind, MetricsRegistry, MetricsSnapshot};
 use owp_simnet::FaultPlan;
 use owp_telemetry::json;
@@ -117,6 +117,7 @@ fn ops_status() -> OpsStatus {
         wal_records: 7,
         snapshot_epoch: 40,
         snapshot_age_epochs: 2,
+        snapshot_save: None,
         connections: 4,
         connections_total: 9,
         requests_total: 1234,
@@ -275,7 +276,11 @@ fn mutations(doc: &str) -> Vec<String> {
 fn parsers_never_panic_on_malformed_input() {
     // Each reader answers whether it accepted the document.
     type Reader = fn(&str) -> bool;
-    let readers: [(&str, String, Reader); 8] = [
+    let saved = OpsStatus {
+        snapshot_save: Some(SnapshotSave { saves: 3, bytes: 10_038, mean_us: 930, p99_us: 2047 }),
+        ..ops_status()
+    };
+    let readers: [(&str, String, Reader); 9] = [
         // The matchd data-directory path: parse, then restore.
         ("OriginSnapshot", origin().to_json(), |d| OriginSnapshot::parse(d).and_then(|o| o.restore()).is_ok()),
         ("ForensicBundle", bundle().to_json(), |d| ForensicBundle::parse(d).is_ok()),
@@ -285,6 +290,7 @@ fn parsers_never_panic_on_malformed_input() {
         }),
         ("MetricsSnapshot::parse_json", metrics_json(), |d| MetricsSnapshot::parse_json(d).is_ok()),
         ("OpsStatus", ops_status().to_json(), |d| OpsStatus::parse(d).is_ok()),
+        ("OpsStatus with snapshot_save", saved.to_json(), |d| OpsStatus::parse(d).is_ok()),
         ("EventLog", event_log().to_jsonl(), |d| EventLog::parse_jsonl(d).is_ok()),
         ("ConvergenceSeries", series().to_jsonl(), |d| ConvergenceSeries::parse_jsonl(d).is_ok()),
     ];

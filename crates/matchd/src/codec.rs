@@ -447,11 +447,11 @@ impl<'a> Cur<'a> {
         Cur { b, p: 0 }
     }
 
-    fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.b.len() - self.p
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated { what });
         }
@@ -460,11 +460,11 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
         let s = self.take(4, what)?;
         Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
@@ -487,7 +487,11 @@ impl<'a> Cur<'a> {
     /// A declared element count, sanity-checked against the bytes left
     /// (`min_elem` = smallest possible encoding of one element) so a
     /// hostile count can't force a huge allocation.
-    fn count(&mut self, min_elem: usize, what: &'static str) -> Result<usize, CodecError> {
+    pub(crate) fn count(
+        &mut self,
+        min_elem: usize,
+        what: &'static str,
+    ) -> Result<usize, CodecError> {
         let n = self.u32(what)? as usize;
         if n.saturating_mul(min_elem) > self.remaining() {
             return Err(CodecError::Truncated { what });

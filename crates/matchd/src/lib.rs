@@ -16,7 +16,7 @@
 //!
 //! * [`codec`] — length-prefixed, CRC32-checked wire frames;
 //! * [`wal`] — the write-ahead log, torn-tail tolerant;
-//! * [`snapshot`] — atomic `OriginSnapshot` persistence;
+//! * [`snapshot`] — atomic binary checkpoints, delta against the universe;
 //! * [`recovery`] — snapshot + WAL → certified engine;
 //! * [`universe`] — deterministic universe specs and client workloads;
 //! * [`http`] — a minimal HTTP/1.0 codec for the admin endpoint;
@@ -40,9 +40,12 @@ pub mod wal;
 
 pub use client::{EpochInfo, MatchdClient, SubmitOutcome};
 pub use codec::{CodecError, Frame, PROTO_VERSION};
-pub use ops::{OpsStatus, SlowSpan, SLOW_RING_CAPACITY};
+pub use ops::{OpsStatus, SlowSpan, SnapshotSave, SLOW_RING_CAPACITY};
 pub use recovery::{recover, Recovery, WAL_FILE};
 pub use server::{Matchd, MatchdConfig, MatchdStats, ShutdownHandle, View};
-pub use snapshot::{load_snapshot_file, LoadedSnapshot, SnapshotStore, SNAPSHOT_FILE};
+pub use snapshot::{
+    decode_checkpoint, load_snapshot_file, universe_digest, CheckpointForm, LoadedSnapshot,
+    SnapshotStore, UniverseBase, SNAPSHOT_FILE,
+};
 pub use universe::{client_stream, from_spec};
 pub use wal::{FsyncPolicy, Wal, WalRecord, WalSummary};

@@ -93,6 +93,40 @@ impl SlowSpan {
     }
 }
 
+/// What the engine owner's checkpoint saves cost, in `/status` once the
+/// daemon has saved at least one.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SnapshotSave {
+    /// Checkpoints saved since the daemon started.
+    pub saves: u64,
+    /// Size of the newest checkpoint file.
+    pub bytes: u64,
+    /// Mean owner microseconds per save (encode, write, syncs, WAL reset).
+    pub mean_us: u64,
+    /// Upper bound of the histogram bucket holding the 99th percentile.
+    pub p99_us: u64,
+}
+
+impl SnapshotSave {
+    fn write_json(&self, s: &mut String) {
+        let _ = write!(
+            s,
+            "\"snapshot_save\":{{\"saves\":{},\"bytes\":{},\"mean_us\":{},\"p99_us\":{}}},",
+            self.saves, self.bytes, self.mean_us, self.p99_us
+        );
+    }
+
+    fn from_json(v: &Value<'_>) -> Result<SnapshotSave, String> {
+        let num = |key: &str| v.field(key)?.as_u64(key);
+        Ok(SnapshotSave {
+            saves: num("saves")?,
+            bytes: num("bytes")?,
+            mean_us: num("mean_us")?,
+            p99_us: num("p99_us")?,
+        })
+    }
+}
+
 /// The worst-N ring: requests only enter when they beat the current
 /// N-th worst total, so the lock hold in steady state is one comparison.
 #[derive(Debug)]
@@ -192,6 +226,10 @@ pub struct OpsStatus {
     pub snapshot_epoch: u64,
     /// Epochs elapsed since that snapshot (view epoch − snapshot epoch).
     pub snapshot_age_epochs: u64,
+    /// Checkpoint save cost; `None` (and absent from the document) until
+    /// the daemon saved one, so documents from before any save, or from
+    /// daemons that did not report it, parse unchanged.
+    pub snapshot_save: Option<SnapshotSave>,
     /// Connections currently served.
     pub connections: u64,
     /// Connections accepted over the daemon's lifetime.
@@ -226,11 +264,7 @@ impl OpsStatus {
             s,
             "{{\"epoch\":{},\"sigma_s\":{:.6},\"active\":{},\"matched\":{},\
              \"queue_depth\":{},\"queue_capacity\":{},\"wal_bytes\":{},\"wal_records\":{},\
-             \"snapshot_epoch\":{},\"snapshot_age_epochs\":{},\
-             \"connections\":{},\"connections_total\":{},\"requests_total\":{},\
-             \"uptime_ms\":{},\"ready\":{},\"audit_clean\":{},\
-             \"audit_passes\":{},\"audit_failures\":{},\"last_audit_epoch\":{},\
-             \"bundles_spooled\":{},\"rustc\":",
+             \"snapshot_epoch\":{},\"snapshot_age_epochs\":{},",
             self.epoch,
             self.sigma_s,
             self.active,
@@ -241,6 +275,16 @@ impl OpsStatus {
             self.wal_records,
             self.snapshot_epoch,
             self.snapshot_age_epochs,
+        );
+        if let Some(save) = &self.snapshot_save {
+            save.write_json(&mut s);
+        }
+        let _ = write!(
+            s,
+            "\"connections\":{},\"connections_total\":{},\"requests_total\":{},\
+             \"uptime_ms\":{},\"ready\":{},\"audit_clean\":{},\
+             \"audit_passes\":{},\"audit_failures\":{},\"last_audit_epoch\":{},\
+             \"bundles_spooled\":{},\"rustc\":",
             self.connections,
             self.connections_total,
             self.requests_total,
@@ -280,6 +324,12 @@ impl OpsStatus {
             wal_records: num("wal_records")?,
             snapshot_epoch: num("snapshot_epoch")?,
             snapshot_age_epochs: num("snapshot_age_epochs")?,
+            snapshot_save: v
+                .as_obj("status")?
+                .iter()
+                .find(|(k, _)| k == "snapshot_save")
+                .map(|(_, save)| SnapshotSave::from_json(save))
+                .transpose()?,
             connections: num("connections")?,
             connections_total: num("connections_total")?,
             requests_total: num("requests_total")?,
@@ -345,6 +395,7 @@ impl OpsCtx {
         let c = |key: &'static str| self.registry.counter(key).get();
         let (ready, _) = self.ready();
         let snapshot_epoch = g(owp_metrics::MATCHD_SNAPSHOT_EPOCH) as u64;
+        let save = self.registry.histogram(owp_metrics::MATCHD_SNAPSHOT_SAVE_US);
         OpsStatus {
             epoch: view.epoch,
             sigma_s: view.sigma_s,
@@ -356,6 +407,12 @@ impl OpsCtx {
             wal_records: g(owp_metrics::MATCHD_WAL_RECORDS) as u64,
             snapshot_epoch,
             snapshot_age_epochs: view.epoch.saturating_sub(snapshot_epoch),
+            snapshot_save: (save.count() > 0).then(|| SnapshotSave {
+                saves: save.count(),
+                bytes: g(owp_metrics::MATCHD_SNAPSHOT_BYTES) as u64,
+                mean_us: save.mean().round() as u64,
+                p99_us: save.quantile_upper_bound(0.99).unwrap_or(0),
+            }),
             connections: g(owp_metrics::MATCHD_CONNECTIONS) as u64,
             connections_total: c(owp_metrics::MATCHD_CONNECTIONS_TOTAL),
             requests_total: c(owp_metrics::MATCHD_REQUESTS_TOTAL),
@@ -659,6 +716,7 @@ mod tests {
             wal_records: 7,
             snapshot_epoch: 40,
             snapshot_age_epochs: 2,
+            snapshot_save: None,
             connections: 4,
             connections_total: 9,
             requests_total: 1234,
@@ -711,6 +769,16 @@ mod tests {
         s.audit_failures = 3;
         let back = OpsStatus::parse(&s.to_json()).expect("parses");
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn status_round_trips_with_snapshot_cost() {
+        let mut s = sample();
+        s.snapshot_save =
+            Some(SnapshotSave { saves: 3, bytes: 10_266, mean_us: 412, p99_us: 1023 });
+        let doc = s.to_json();
+        assert!(doc.contains("\"snapshot_save\":{\"saves\":3,"), "{doc}");
+        assert_eq!(OpsStatus::parse(&doc).expect("parses"), s);
     }
 
     #[test]

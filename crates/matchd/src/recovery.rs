@@ -32,13 +32,14 @@ pub struct Recovery {
 
 /// Rebuilds the engine state of `data_dir`, or starts fresh from
 /// `universe` when the directory holds no snapshot and no WAL. Fails —
-/// and the daemon must not serve — if the WAL cannot replay or the
-/// recovered engine fails [`Engine::certify`].
+/// and the daemon must not serve — if the snapshot is a delta
+/// checkpoint written against a different universe, if the WAL cannot
+/// replay, or if the recovered engine fails [`Engine::certify`].
 pub fn recover(data_dir: &Path, universe: &Problem, policy: FsyncPolicy) -> Result<Recovery, String> {
     std::fs::create_dir_all(data_dir)
         .map_err(|e| format!("cannot create data dir {}: {e}", data_dir.display()))?;
     let store = SnapshotStore::new(data_dir);
-    let (mut engine, snapshot_epoch) = match store.load()? {
+    let (mut engine, snapshot_epoch) = match store.load(Some(universe))? {
         Some(snap) => {
             let engine = Engine::from_snapshot(&snap.origin, Epoch(snap.epoch))?;
             (engine, snap.epoch)

@@ -25,7 +25,7 @@
 use crate::codec::{self, CodecError, Frame, PROTO_VERSION};
 use crate::ops::{self, OpsCtx, OpsHandle, OpsShared};
 use crate::recovery::recover;
-use crate::snapshot::SnapshotStore;
+use crate::snapshot::{SnapshotStore, UniverseBase};
 use crate::wal::{FsyncPolicy, Wal};
 use owp_engine::{
     DeltaReport, Engine, EngineError, EngineEvent, ForensicBundle, InjectedFault, OriginSnapshot,
@@ -35,8 +35,8 @@ use owp_metrics::{
     Counter, Gauge, Histogram, MetricsRegistry, MATCHD_ADMISSION_REJECTS, MATCHD_BATCH_EVENTS,
     MATCHD_BATCH_LINGER_US, MATCHD_CONNECTIONS, MATCHD_CONNECTIONS_TOTAL, MATCHD_QUEUE_DEPTH,
     MATCHD_REQUESTS_TOTAL, MATCHD_REQ_CONTROL_US, MATCHD_REQ_QUERY_US, MATCHD_REQ_SUBMIT_US,
-    MATCHD_SNAPSHOT_EPOCH, MATCHD_SPAN_ACK_US, MATCHD_SPAN_APPLY_US, MATCHD_SPAN_QUEUE_US,
-    MATCHD_WAL_BYTES, MATCHD_WAL_RECORDS,
+    MATCHD_SNAPSHOT_BYTES, MATCHD_SNAPSHOT_EPOCH, MATCHD_SNAPSHOT_SAVE_US, MATCHD_SPAN_ACK_US,
+    MATCHD_SPAN_APPLY_US, MATCHD_SPAN_QUEUE_US, MATCHD_WAL_BYTES, MATCHD_WAL_RECORDS,
 };
 use owp_telemetry::{EventLog, MessageKind, Recorder, TelemetryEvent};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -484,9 +484,13 @@ impl Matchd {
             let config = config.clone();
             let engine = rec.engine;
             let wal = rec.wal;
+            // The one-off O(n + m) copy every delta checkpoint compares against.
+            let base = UniverseBase::new(universe);
             std::thread::Builder::new()
                 .name("matchd-engine".into())
-                .spawn(move || owner_loop(engine, wal, rx, view, depth, shared, registry, config))
+                .spawn(move || {
+                    owner_loop(engine, wal, base, rx, view, depth, shared, registry, config)
+                })
                 .map_err(|e| format!("cannot spawn engine owner: {e}"))?
         };
 
@@ -757,12 +761,45 @@ fn answer(frame: Frame, v: &View, ctx: &ConnCtx) -> Frame {
     }
 }
 
+/// The engine owner's checkpoint slot: the universe a delta checkpoint
+/// is measured against, one reusable payload buffer, and the metrics a
+/// save updates.
+struct Checkpoints {
+    store: SnapshotStore,
+    base: UniverseBase,
+    buf: Vec<u8>,
+    /// Epoch of the newest durable checkpoint (the recovered epoch at start).
+    last: u64,
+    save_us: Histogram,
+    bytes: Gauge,
+    epoch: Gauge,
+}
+
+impl Checkpoints {
+    /// Writes a delta checkpoint of `engine` and, once it and its
+    /// directory entry are durable, empties the WAL it covers. A failed
+    /// save leaves the WAL alone: recovery still replays it.
+    fn save(&mut self, engine: &Engine, wal: &mut Wal) {
+        let started = Instant::now();
+        let epoch = engine.epoch().0;
+        let saved = self.store.save_delta(epoch, engine.dynamic(), &self.base, &mut self.buf);
+        if let Ok(bytes) = saved {
+            let _ = wal.reset();
+            self.last = epoch;
+            self.save_us.observe(started.elapsed().as_micros() as u64);
+            self.bytes.set(bytes as f64);
+            self.epoch.set(epoch as f64);
+        }
+    }
+}
+
 /// The single engine-owner thread: adaptive batching, WAL-before-ack,
 /// periodic snapshots, view publication.
 #[allow(clippy::too_many_arguments)]
 fn owner_loop(
     mut engine: Engine,
     mut wal: Wal,
+    base: UniverseBase,
     rx: Receiver<Ingest>,
     view: SharedView,
     depth: Arc<AtomicUsize>,
@@ -774,13 +811,20 @@ fn owner_loop(
     let queue_depth: Gauge = registry.gauge(MATCHD_QUEUE_DEPTH);
     let wal_bytes: Gauge = registry.gauge(MATCHD_WAL_BYTES);
     let wal_records: Gauge = registry.gauge(MATCHD_WAL_RECORDS);
-    let snapshot_epoch_g: Gauge = registry.gauge(MATCHD_SNAPSHOT_EPOCH);
     let linger_us: Histogram = registry.histogram(MATCHD_BATCH_LINGER_US);
     let batch_events: Histogram = registry.histogram(MATCHD_BATCH_EVENTS);
     let span_queue_us: Histogram = registry.histogram(MATCHD_SPAN_QUEUE_US);
     let span_apply_us: Histogram = registry.histogram(MATCHD_SPAN_APPLY_US);
     let span_ack_us: Histogram = registry.histogram(MATCHD_SPAN_ACK_US);
-    let store = SnapshotStore::new(&config.data_dir);
+    let mut ckpt = Checkpoints {
+        store: SnapshotStore::new(&config.data_dir),
+        base,
+        buf: Vec::new(),
+        last: engine.epoch().0,
+        save_us: registry.histogram(MATCHD_SNAPSHOT_SAVE_US),
+        bytes: registry.gauge(MATCHD_SNAPSHOT_BYTES),
+        epoch: registry.gauge(MATCHD_SNAPSHOT_EPOCH),
+    };
     let mut trace = config.trace.then(EventLog::enabled);
     let mut pending: Vec<Submission> = Vec::new();
     let mut pending_events = 0usize;
@@ -788,7 +832,6 @@ fn owner_loop(
     let mut report = DeltaReport::default();
     let mut dirty = DirtyChunks::default();
     let mut batches = 0u64;
-    let mut last_snapshot = engine.epoch().0;
     wal_bytes.set(wal.bytes() as f64);
     wal_records.set(wal.records() as f64);
 
@@ -798,7 +841,7 @@ fn owner_loop(
                      wal: &mut Wal,
                      trace: &mut Option<EventLog>,
                      batches: &mut u64,
-                     last_snapshot: &mut u64| {
+                     ckpt: &mut Checkpoints| {
         if pending.is_empty() {
             return;
         }
@@ -870,17 +913,11 @@ fn owner_loop(
             );
             let _ = sub.reply.send(reply);
         }
+        if config.snapshot_every > 0 && epoch_now - ckpt.last >= config.snapshot_every {
+            ckpt.save(engine, wal);
+        }
         wal_bytes.set(wal.bytes() as f64);
         wal_records.set(wal.records() as f64);
-        if config.snapshot_every > 0 && epoch_now - *last_snapshot >= config.snapshot_every {
-            if store.save(epoch_now, &OriginSnapshot::capture(engine.dynamic())).is_ok() {
-                let _ = wal.reset();
-                *last_snapshot = epoch_now;
-                snapshot_epoch_g.set(epoch_now as f64);
-                wal_bytes.set(wal.bytes() as f64);
-                wal_records.set(wal.records() as f64);
-            }
-        }
     };
 
     let graceful = loop {
@@ -902,7 +939,7 @@ fn owner_loop(
                         &mut wal,
                         &mut trace,
                         &mut batches,
-                        &mut last_snapshot,
+                        &mut ckpt,
                     );
                     queue_depth.set(depth.load(Ordering::SeqCst) as f64);
                     continue;
@@ -924,7 +961,7 @@ fn owner_loop(
                         &mut wal,
                         &mut trace,
                         &mut batches,
-                        &mut last_snapshot,
+                        &mut ckpt,
                     );
                 }
             }
@@ -940,7 +977,7 @@ fn owner_loop(
                     &mut wal,
                     &mut trace,
                     &mut batches,
-                    &mut last_snapshot,
+                    &mut ckpt,
                 );
                 let dp = engine.dynamic();
                 let g = dp.graph();
@@ -961,7 +998,7 @@ fn owner_loop(
                     &mut wal,
                     &mut trace,
                     &mut batches,
-                    &mut last_snapshot,
+                    &mut ckpt,
                 );
                 let metrics_json = registry.snapshot().to_json();
                 let bundle = engine.capture_bundle("audit", &reason, None, Some(&metrics_json));
@@ -975,7 +1012,7 @@ fn owner_loop(
                     &mut wal,
                     &mut trace,
                     &mut batches,
-                    &mut last_snapshot,
+                    &mut ckpt,
                 );
                 engine.inject_fault(fault);
                 *view.lock().expect("view lock") = Arc::new(View::from_engine(&engine));
@@ -994,15 +1031,12 @@ fn owner_loop(
             &mut wal,
             &mut trace,
             &mut batches,
-            &mut last_snapshot,
+            &mut ckpt,
         );
-        let epoch_now = engine.epoch().0;
-        if config.snapshot_every > 0 && epoch_now > last_snapshot {
-            if store.save(epoch_now, &OriginSnapshot::capture(engine.dynamic())).is_ok() {
-                let _ = wal.reset();
-                snapshot_epoch_g.set(epoch_now as f64);
-                wal_records.set(wal.records() as f64);
-            }
+        if config.snapshot_every > 0 && engine.epoch().0 > ckpt.last {
+            ckpt.save(&engine, &mut wal);
+            wal_bytes.set(wal.bytes() as f64);
+            wal_records.set(wal.records() as f64);
         }
         let _ = wal.sync();
     }

@@ -102,6 +102,8 @@ fn endpoints_serve_golden_responses_under_ingest_load() {
         let _ = snap; // golden contract: the existing parser accepts the export
         assert!(body.contains("matchd_ready"), "missing matchd_ready in {body}");
         assert!(body.contains("matchd_ops_requests"), "missing ops counter");
+        assert!(body.contains("matchd_snapshot_save_us"), "missing checkpoint cost");
+        assert!(body.contains("matchd_snapshot_bytes"), "missing checkpoint size");
         let (ss, sbody) = get(ops, "/status");
         assert_eq!(ss, 200);
         let status = OpsStatus::parse(&sbody).expect("status parses");
@@ -131,6 +133,11 @@ fn endpoints_serve_golden_responses_under_ingest_load() {
     assert!(status.requests_total >= 25, "at least the submits: {}", status.requests_total);
     assert!(status.connections_total >= 1);
     assert!(status.wal_records > 0 && status.wal_bytes > 0);
+    // snapshot_every = 8 over 25 epochs: checkpoints at 8, 16 and 24.
+    assert_eq!(status.snapshot_epoch, 24);
+    let save = status.snapshot_save.as_ref().expect("checkpoint cost in /status");
+    assert_eq!(save.saves, 3);
+    assert!(save.bytes > 0 && save.mean_us > 0, "{save:?}");
     assert_eq!(status.last_audit_epoch, final_epoch);
     assert_eq!(status.audit_failures, 0);
     assert!(!status.slow.is_empty(), "spans must reach the slow ring");

@@ -39,6 +39,15 @@ pub const MATCHD_BATCH_EVENTS: &str = "matchd_batch_events";
 /// Gauge: epoch of the newest durable snapshot (0 until the first one).
 pub const MATCHD_SNAPSHOT_EPOCH: &str = "matchd_snapshot_epoch";
 
+/// Histogram: microseconds the engine owner spent on one checkpoint —
+/// encoding the delta record, writing and syncing it, the rename, the
+/// directory sync, and the WAL reset it allows. Every submission queued
+/// behind the owner meanwhile waits this long.
+pub const MATCHD_SNAPSHOT_SAVE_US: &str = "matchd_snapshot_save_us";
+
+/// Gauge: size in bytes of the newest checkpoint file.
+pub const MATCHD_SNAPSHOT_BYTES: &str = "matchd_snapshot_bytes";
+
 /// Gauge: records currently in the write-ahead log (resets with the WAL
 /// after each snapshot, like [`MATCHD_WAL_BYTES`]).
 pub const MATCHD_WAL_RECORDS: &str = "matchd_wal_records";
@@ -117,6 +126,8 @@ pub fn register_matchd_metrics(reg: &MetricsRegistry) {
     reg.histogram(MATCHD_BATCH_LINGER_US);
     reg.histogram(MATCHD_BATCH_EVENTS);
     reg.gauge(MATCHD_SNAPSHOT_EPOCH);
+    reg.histogram(MATCHD_SNAPSHOT_SAVE_US);
+    reg.gauge(MATCHD_SNAPSHOT_BYTES);
     reg.gauge(MATCHD_WAL_RECORDS);
     reg.gauge(MATCHD_CONNECTIONS);
     reg.counter(MATCHD_CONNECTIONS_TOTAL);
