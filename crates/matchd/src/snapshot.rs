@@ -247,17 +247,6 @@ fn encode_delta(
     finish(buf)
 }
 
-fn flag_bits<'a>(
-    flags: &'a str,
-    expect: usize,
-    what: &str,
-) -> io::Result<impl Iterator<Item = bool> + 'a> {
-    if flags.len() != expect || !flags.bytes().all(|b| b == b'0' || b == b'1') {
-        return Err(invalid(format!("{what} flags are not {expect} characters of 0/1")));
-    }
-    Ok(flags.bytes().map(|b| b == b'1'))
-}
-
 /// Encodes a full checkpoint of `origin`: edge list inline, every node
 /// overridden.
 fn encode_full(buf: &mut Vec<u8>, epoch: u64, origin: &OriginSnapshot) -> io::Result<()> {
@@ -265,13 +254,14 @@ fn encode_full(buf: &mut Vec<u8>, epoch: u64, origin: &OriginSnapshot) -> io::Re
     if origin.quotas.len() != n || origin.prefs.len() != n {
         return Err(invalid(format!("origin quota/preference tables do not cover its {n} nodes")));
     }
+    let (active, present) = origin.flags().map_err(invalid)?;
     begin(buf, epoch, FORM_FULL, n, m);
     for &(u, v) in &origin.edges {
         codec::put_u32(buf, u);
         codec::put_u32(buf, v);
     }
-    put_bits(buf, flag_bits(&origin.active, n, "active")?);
-    put_bits(buf, flag_bits(&origin.present, m, "present")?);
+    put_bits(buf, active.into_iter());
+    put_bits(buf, present.into_iter());
     codec::put_u32(buf, n as u32);
     for (i, (&quota, list)) in origin.quotas.iter().zip(&origin.prefs).enumerate() {
         put_override(buf, i as u32, quota, list.iter().copied());
