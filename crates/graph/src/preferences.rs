@@ -201,6 +201,18 @@ impl PreferenceTable {
             .map(|pos| ranks[pos].1)
     }
 
+    /// `i`'s `(neighbour, rank)` pairs sorted by neighbour id.
+    ///
+    /// Every list is a permutation of `Γ_i`, and [`Graph::neighbors`] is
+    /// sorted by neighbour id too, so on the graph the table was built for
+    /// slot `k` of this slice names the same neighbour as slot `k` of
+    /// `g.neighbors(i)`. Zipping the two reads every `R_i(j)` of a node
+    /// without a search.
+    #[inline]
+    pub fn ranks_by_id(&self, i: NodeId) -> &[(NodeId, Rank)] {
+        &self.ranks[i.index()]
+    }
+
     /// The full preference list `L_i`, best neighbour first.
     #[inline]
     pub fn list(&self, i: NodeId) -> &[NodeId] {
@@ -238,6 +250,20 @@ mod tests {
             }
             assert_eq!(p.rank(i, i), None);
             assert_eq!(p.list_len(i), g.degree(i));
+        }
+    }
+
+    #[test]
+    fn ranks_by_id_lines_up_with_neighbors() {
+        let g = complete(7);
+        let p = PreferenceTable::random(&g, &mut StdRng::seed_from_u64(21));
+        for i in g.nodes() {
+            let slots = p.ranks_by_id(i);
+            assert_eq!(slots.len(), g.degree(i));
+            for (&(j, r), &(k, _)) in slots.iter().zip(g.neighbors(i)) {
+                assert_eq!(j, k);
+                assert_eq!(p.rank(i, j), Some(r));
+            }
         }
     }
 

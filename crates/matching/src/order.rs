@@ -3,7 +3,7 @@
 //! Every algorithm in this crate only ever needs the *relative order* of
 //! edges under the strict [`EdgeKey`] total order (exact rational weight,
 //! identity tie-break), never the weights themselves. This module pays the
-//! exact arithmetic exactly once: all edges are sorted by `EdgeKey`
+//! exact arithmetic exactly once: all edges are sorted by that order
 //! (decorate–sort–undecorate, so each key is materialized once) and the
 //! result is flattened into a dense `u32` rank per [`EdgeId`] with
 //!
@@ -16,12 +16,20 @@
 //! than `b`?" question run on plain integer compares — no `Rational`
 //! arithmetic appears on any hot path (see `DESIGN.md` §3).
 //!
-//! With the `parallel` feature the decorate–sort step uses rayon's parallel
-//! sort; ranks are a pure function of the weights either way, so the feature
-//! cannot change results.
+//! The sort decorates each edge with a 32-byte compact key: the weight as
+//! an `i64` numerator and denominator, the endpoint pair packed into one
+//! `u64`, and the edge id; two weights compare by one widening `i64 × i64`
+//! cross-multiply each. If any weight lies outside the `i64` range (only
+//! explicit weights passed to [`crate::Problem::with_weights`] can), the
+//! whole call sorts full [`EdgeKey`]s instead. Both orders are the same.
+//!
+//! With the `parallel` feature the sort is rayon's parallel sort; ranks are
+//! a pure function of the weights either way, so the feature cannot change
+//! results.
 
 use crate::weights::{EdgeKey, EdgeWeights};
 use owp_graph::{EdgeId, Graph};
+use std::cmp::Ordering;
 
 /// The rank of an edge in the global heaviest-first order; `0` = heaviest.
 pub type EdgeRank = u32;
@@ -39,21 +47,21 @@ pub struct EdgeOrder {
 
 impl EdgeOrder {
     /// Sorts all edges of `g` by [`EdgeKey`] descending and assigns dense
-    /// ranks. O(m log m) exact-key comparisons — the only place outside
-    /// weight construction where `Rational`s are compared.
+    /// ranks. O(m log m) exact comparisons, on compact `i64` keys whenever
+    /// every weight fits (see the module docs).
     pub fn compute(g: &Graph, weights: &EdgeWeights) -> Self {
-        let mut decorated: Vec<(EdgeKey, EdgeId)> =
-            g.edges().map(|e| (weights.key(g, e), e)).collect();
-
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            decorated.par_sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
-        }
-        #[cfg(not(feature = "parallel"))]
-        decorated.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
-
-        let by_rank: Vec<EdgeId> = decorated.into_iter().map(|(_, e)| e).collect();
+        let by_rank: Vec<EdgeId> = match compact_keys(g, weights) {
+            Some(mut keys) => {
+                sort_by(&mut keys, CompactKey::heavier_first);
+                keys.into_iter().map(|k| k.edge).collect()
+            }
+            None => {
+                let mut decorated: Vec<(EdgeKey, EdgeId)> =
+                    g.edges().map(|e| (weights.key(g, e), e)).collect();
+                sort_by(&mut decorated, |a, b| b.0.cmp(&a.0));
+                decorated.into_iter().map(|(_, e)| e).collect()
+            }
+        };
         let mut rank = vec![0 as EdgeRank; by_rank.len()];
         for (r, &e) in by_rank.iter().enumerate() {
             rank[e.index()] = r as EdgeRank;
@@ -165,10 +173,96 @@ impl EdgeOrder {
     }
 }
 
+/// Sorts `v` by `cmp`, on the thread pool under the `parallel` feature.
+fn sort_by<T: Send + Clone>(v: &mut [T], cmp: impl Fn(&T, &T) -> Ordering + Sync) {
+    #[cfg(feature = "parallel")]
+    {
+        use rayon::prelude::*;
+        v.par_sort_unstable_by(cmp);
+    }
+    #[cfg(not(feature = "parallel"))]
+    v.sort_unstable_by(cmp);
+}
+
+/// An [`EdgeKey`] whose weight fits in `i64`, with the endpoint pair
+/// packed as `u << 32 | v` (which orders like the `(u, v)` tuple).
+#[derive(Clone, Copy)]
+struct CompactKey {
+    num: i64,
+    den: i64,
+    tie: u64,
+    edge: EdgeId,
+}
+
+impl CompactKey {
+    /// Descending [`EdgeKey`] order: `a` sorts first iff `key(a) > key(b)`.
+    #[inline]
+    fn heavier_first(a: &CompactKey, b: &CompactKey) -> Ordering {
+        // Denominators are positive, so cross-multiplying keeps the order.
+        let lhs = b.num as i128 * a.den as i128;
+        let rhs = a.num as i128 * b.den as i128;
+        lhs.cmp(&rhs).then(b.tie.cmp(&a.tie))
+    }
+}
+
+/// Every edge's compact key, or `None` if some weight is outside `i64`.
+fn compact_keys(g: &Graph, weights: &EdgeWeights) -> Option<Vec<CompactKey>> {
+    g.edges()
+        .map(|e| {
+            let (num, den) = weights.get(e).to_i64_parts()?;
+            let (u, v) = g.endpoints(e);
+            Some(CompactKey {
+                num,
+                den,
+                tie: (u.0 as u64) << 32 | v.0 as u64,
+                edge: e,
+            })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
+    use super::compact_keys;
     use crate::weights::heavier;
-    use crate::Problem;
+    use crate::{EdgeWeights, Problem, Rational};
+    use owp_graph::generators::complete;
+    use owp_graph::{EdgeId, PreferenceTable, Quotas};
+
+    /// The permutation a plain `EdgeKey` sort gives.
+    fn key_sorted(p: &Problem) -> Vec<EdgeId> {
+        let mut edges: Vec<EdgeId> = p.graph.edges().collect();
+        edges.sort_unstable_by_key(|&e| std::cmp::Reverse(p.weights.key(&p.graph, e)));
+        edges
+    }
+
+    #[test]
+    fn compact_and_wide_paths_match_the_key_sort() {
+        // Eq. 9 weights fit in i64: the compact path runs.
+        let p = Problem::random_gnp(60, 0.2, 3, 17);
+        assert!(compact_keys(&p.graph, &p.weights).is_some());
+        assert_eq!(p.order.heaviest_first(), &key_sorted(&p)[..]);
+
+        // One weight past i64 sends the whole call to the EdgeKey sort;
+        // repeated weights leave part of the order to the tie-break.
+        let g = complete(9);
+        let raw: Vec<Rational> = g
+            .edges()
+            .map(|e| match e.0 % 3 {
+                0 => Rational::new(i64::MAX as i128 + 1 + e.0 as i128, 3),
+                1 => Rational::new(-5, 7),
+                _ => Rational::new(e.0 as i128, 2),
+            })
+            .collect();
+        let p = Problem::with_weights(
+            g.clone(),
+            PreferenceTable::by_node_id(&g),
+            Quotas::uniform(&g, 2),
+            EdgeWeights::from_raw(raw),
+        );
+        assert!(compact_keys(&p.graph, &p.weights).is_none());
+        assert_eq!(p.order.heaviest_first(), &key_sorted(&p)[..]);
+    }
 
     #[test]
     fn ranks_are_a_permutation() {

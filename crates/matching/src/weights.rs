@@ -6,10 +6,58 @@
 //! needs) and made *unique* by tie-breaking on the canonical endpoint pair
 //! (the paper: "ties can be broken using node identities"); [`EdgeKey`]
 //! realizes that total order.
+//!
+//! [`EdgeWeights::compute`] is one walk over each node's CSR adjacency,
+//! zipped with the node's id-sorted rank slice
+//! ([`PreferenceTable::ranks_by_id`]), so no rank is searched for. The walk
+//! records each endpoint's side `(L−R, b·L)`; a per-edge pass then forms
+//! `(L_i−R_i)·b_j L_j + (L_j−R_j)·b_i L_i` over `b_i L_i b_j L_j` and
+//! reduces it once. The result equals `delta_static(i, j) +
+//! delta_static(j, i)` exactly, which [`weight_matches_eq9`] re-derives.
 
 use crate::numeric::Rational;
 use crate::satisfaction::delta_static;
-use owp_graph::{EdgeId, Graph, PreferenceTable, Quotas};
+use owp_graph::{EdgeId, Graph, NodeId, PreferenceTable, Quotas, Rank};
+
+/// One endpoint's side of eq. 9, `ΔS̄ = gain / scale`: `gain = L − R` and
+/// `scale = b·L`. A node with `b = 0` or `L = 0` contributes `0 / 1`.
+#[inline]
+fn eq9_side(list_len: usize, quota: u32, rank: Rank) -> (u64, u64) {
+    let l = list_len as u64;
+    if quota == 0 || l == 0 {
+        (0, 1)
+    } else {
+        (l - rank as u64, quota as u64 * l)
+    }
+}
+
+/// Eq. 9 from the two sides `(g_i, s_i)` and `(g_j, s_j)`:
+/// `(g_i·s_j + g_j·s_i) / (s_i·s_j)`, reduced once. Gains are below 2^32
+/// and scales below 2^64, so the numerator cannot overflow; a denominator
+/// past `i128` panics.
+#[inline]
+fn eq9((gi, si): (u64, u64), (gj, sj): (u64, u64)) -> Rational {
+    let num = gi as u128 * sj as u128 + gj as u128 * si as u128;
+    let den = i128::try_from(si as u128 * sj as u128).expect("eq. 9 denominator overflowed i128");
+    Rational::new(num as i128, den)
+}
+
+/// `i`'s adjacency zipped slot for slot with its id-sorted ranks, as
+/// `(j, e, R_i(j))`.
+fn ranked_neighbors<'a>(
+    g: &'a Graph,
+    prefs: &'a PreferenceTable,
+    i: NodeId,
+) -> impl Iterator<Item = (NodeId, EdgeId, Rank)> + 'a {
+    const MISMATCH: &str = "preference list does not cover the neighbourhood";
+    let nbrs = g.neighbors(i);
+    let ranks = prefs.ranks_by_id(i);
+    assert_eq!(nbrs.len(), ranks.len(), "{MISMATCH} of {i:?}");
+    nbrs.iter().zip(ranks).map(move |(&(j, e), &(k, r))| {
+        assert_eq!(j, k, "{MISMATCH} of {i:?}");
+        (j, e, r)
+    })
+}
 
 /// Exact per-edge weights, indexed by [`EdgeId`].
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -23,17 +71,35 @@ impl EdgeWeights {
     /// Edges incident to a node with `b_i = 0` receive that endpoint's
     /// contribution as 0 (such nodes cannot participate in any matching; the
     /// algorithms saturate them away immediately).
+    ///
+    /// # Panics
+    /// Panics if some node's preference list does not cover exactly its
+    /// neighbourhood in `g`, or if some edge's `b_i L_i b_j L_j` exceeds
+    /// `i128`.
     pub fn compute(g: &Graph, prefs: &PreferenceTable, quotas: &Quotas) -> Self {
+        // Per node: its scale b·L. Per edge: the gain L − R of its lower
+        // (slot 0) and higher (slot 1) endpoint; gains fit in u32 because
+        // degrees do.
+        let mut scale = vec![1u64; g.node_count()];
+        let mut gains = vec![[0u32; 2]; g.edge_count()];
+        for i in g.nodes() {
+            let (l, b) = (g.degree(i), quotas.get(i));
+            scale[i.index()] = eq9_side(l, b, 0).1;
+            for (j, e, r) in ranked_neighbors(g, prefs, i) {
+                gains[e.index()][(i > j) as usize] = eq9_side(l, b, r).0 as u32;
+            }
+        }
         let per_edge = |e: EdgeId| {
-            let (i, j) = g.endpoints(e);
-            delta_static(prefs, quotas, i, j) + delta_static(prefs, quotas, j, i)
+            let (u, v) = g.endpoints(e);
+            let [gu, gv] = gains[e.index()];
+            eq9((gu as u64, scale[u.index()]), (gv as u64, scale[v.index()]))
         };
         // Pure per-edge map: with the `parallel` feature the edges are
         // computed on a thread pool; the result is identical either way.
         #[cfg(feature = "parallel")]
         let w = {
             use rayon::prelude::*;
-            (0..g.edge_count()).into_par_iter().map(|k| per_edge(EdgeId(k as u32))).collect()
+            (0..g.edge_count() as u32).into_par_iter().map(|k| per_edge(EdgeId(k))).collect()
         };
         #[cfg(not(feature = "parallel"))]
         let w = g.edges().map(per_edge).collect();
@@ -49,7 +115,7 @@ impl EdgeWeights {
     /// quantifies the satisfaction this costs. Zero-quota endpoints still
     /// contribute 0 so the algorithms can exclude them.
     pub fn compute_unnormalized(g: &Graph, prefs: &PreferenceTable, quotas: &Quotas) -> Self {
-        let side = |i: owp_graph::NodeId, j: owp_graph::NodeId| -> Rational {
+        let side = |i: NodeId, j: NodeId| -> Rational {
             let l = prefs.list_len(i) as i128;
             if l == 0 || quotas.get(i) == 0 {
                 return Rational::ZERO;
@@ -88,11 +154,16 @@ impl EdgeWeights {
         g: &Graph,
         prefs: &PreferenceTable,
         quotas: &Quotas,
-        i: owp_graph::NodeId,
+        i: NodeId,
     ) -> Vec<EdgeId> {
         let mut touched = Vec::with_capacity(g.degree(i));
-        for &(j, e) in g.neighbors(i) {
-            self.w[e.index()] = delta_static(prefs, quotas, i, j) + delta_static(prefs, quotas, j, i);
+        for (j, e, r) in ranked_neighbors(g, prefs, i) {
+            let r_ji = prefs
+                .rank(j, i)
+                .unwrap_or_else(|| panic!("{i:?} is not in the preference list of {j:?}"));
+            let own = eq9_side(g.degree(i), quotas.get(i), r);
+            let other = eq9_side(g.degree(j), quotas.get(j), r_ji);
+            self.w[e.index()] = eq9(own, other);
             touched.push(e);
         }
         touched
@@ -178,7 +249,6 @@ pub fn weight_matches_eq9(
 mod tests {
     use super::*;
     use owp_graph::generators::{complete, star};
-    use owp_graph::NodeId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -3,6 +3,7 @@
 //! [`crate::ParIter`].
 
 use crate::{current_num_threads, IntoParallelIterator, ParIter};
+use std::cmp::Ordering;
 
 /// Read-only parallel access to slices.
 pub trait ParallelSlice<T: Sync> {
@@ -33,6 +34,10 @@ pub trait ParallelSliceMut<T: Send + Clone> {
     /// for total orders.
     fn par_sort_unstable_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, key: F);
 
+    /// Parallel unstable sort with a comparator. Same final order as
+    /// `sort_unstable_by` when `cmp` is a total order.
+    fn par_sort_unstable_by<F: Fn(&T, &T) -> Ordering + Sync>(&mut self, cmp: F);
+
     /// Parallel stable sort by key (merges favour the left run on ties).
     fn par_sort_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, key: F);
 
@@ -48,6 +53,14 @@ impl<T: Send + Clone> ParallelSliceMut<T> for [T] {
             self,
             &|chunk: &mut [T]| chunk.sort_unstable_by_key(&key),
             &|a: &T, b: &T| key(a) <= key(b),
+        );
+    }
+
+    fn par_sort_unstable_by<F: Fn(&T, &T) -> Ordering + Sync>(&mut self, cmp: F) {
+        par_merge_sort(
+            self,
+            &|chunk: &mut [T]| chunk.sort_unstable_by(&cmp),
+            &|a: &T, b: &T| cmp(a, b) != Ordering::Greater,
         );
     }
 
@@ -158,6 +171,17 @@ mod tests {
         let mut b = a.clone();
         a.par_sort_unstable_by_key(|&x| x);
         b.sort_unstable();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn par_sort_unstable_by_matches_std_sort() {
+        let mut a: Vec<(u32, u64)> = (0..30_000u64)
+            .map(|i| ((i % 89) as u32, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        let mut b = a.clone();
+        a.par_sort_unstable_by(|x, y| y.cmp(x));
+        b.sort_unstable_by(|x, y| y.cmp(x));
         assert_eq!(a, b);
     }
 
