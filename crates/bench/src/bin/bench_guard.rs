@@ -56,10 +56,9 @@
 //! * `--update` — instead of checking, rewrite the baselines from the
 //!   fresh measurements.
 //!
-//! The harness compiles the telemetry *feature* in, but every run here
-//! leaves the runtime switch off — this is exactly the configuration whose
-//! overhead must stay at zero, so the guard doubles as the regression check
-//! for the "telemetry off costs nothing" claim.
+//! Every run here leaves the runtime telemetry switch
+//! (`SimConfig::telemetry`) off, so the guard doubles as the regression
+//! check for the cost of the untaken `Context::emit` branch.
 
 use owp_bench::experiments::{
     e15_scale, e19_dynamic, e20_critical_path, e22_forensics, e23_matchd, e24_ops,

@@ -25,8 +25,8 @@
 //! violated), violation records embedding a reproducer (campaign seed +
 //! plan id + canonical plan JSON; [`replay`] re-executes it), an
 //! event-count log₂ histogram, and an FNV-1a attestation digest — two runs
-//! of the same seed byte-compare equal, with or without the `parallel`
-//! feature (plans execute sequentially by construction).
+//! of the same seed byte-compare equal (plans execute sequentially by
+//! construction, in the workspace's one build configuration).
 
 use crate::experiments::e19_dynamic::EventGen;
 use owp_core::lid_reliable::run_lid_reliable;
@@ -432,8 +432,7 @@ fn cfg_batch_len(inst: &Instance) -> usize {
 }
 
 /// Runs a full campaign. Plans execute sequentially (determinism by
-/// construction — the report is byte-identical with and without the
-/// `parallel` feature).
+/// construction — same seed, byte-identical report).
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     run_campaign_with_metrics(cfg, None)
 }

@@ -2,11 +2,10 @@
 //!
 //! * same seed ⇒ byte-identical reports across independent in-process
 //!   runs, instrumented or not;
-//! * the canonical bytes are *build-invariant*: the quick E25 report's
-//!   digest is pinned to a constant, so running this suite with and
-//!   without `--features parallel` (CI does both) proves the feature flag
-//!   cannot perturb campaign results — plans execute sequentially by
-//!   construction;
+//! * the canonical bytes are *build-invariant*: the workspace has one
+//!   build configuration and the quick E25 report's digest is pinned to a
+//!   constant, so every profile and machine that runs this suite must
+//!   reproduce it — plans execute sequentially by construction;
 //! * reports survive the JSON round trip bit for bit.
 //!
 //! If the pinned digest changes legitimately (new fault generator, new

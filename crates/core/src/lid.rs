@@ -30,11 +30,12 @@
 //! become edges.
 //!
 //! Observability: the state machine emits typed [`NodeEvent`]s (proposal,
-//! rejection, lock, termination) through `Context::emit` — compiled only
-//! under the `telemetry` feature, free otherwise. An asynchronous run with
-//! `SimConfig::telemetry()` set returns the full interleaved event log in
-//! [`LidResult::log`] (feed it to `CausalDag::from_log` for the Lemma 5
-//! certificate), [`run_lid_sync_series`] samples a per-round convergence
+//! rejection, lock, termination) through `Context::emit`, which records
+//! them only when the run's `SimConfig::telemetry()` switch is on (one
+//! branch per event otherwise). An asynchronous run with that switch set
+//! returns the full interleaved event log in [`LidResult::log`] (feed it
+//! to `CausalDag::from_log` for the Lemma 5 certificate),
+//! [`run_lid_sync_series`] samples a per-round convergence
 //! trajectory, and [`replay_lid_trace`] certifies a recorded trace is
 //! complete by reconstructing the matching from it.
 
@@ -192,6 +193,7 @@ impl LidNode {
     }
 
     /// Adds `slot` to `P` and sends the PROP.
+    #[inline]
     fn propose(&mut self, slot: usize, ctx: &mut Context<LidMessage>) {
         self.set_flags(slot, self.slots[slot].flags | P);
         let v = self.slots[slot].id;
@@ -377,10 +379,10 @@ pub struct LidResult {
     /// can produce them (experiment E11) — such half-locked pairs are *not*
     /// part of [`LidResult::matching`].
     pub asymmetric_locks: usize,
-    /// The run's structured event log: transport events always, per-node
-    /// [`NodeEvent`]s too when the `telemetry` feature is compiled. Filled
-    /// only by asynchronous runs whose config enables telemetry; otherwise
-    /// the disabled log, which holds no allocation.
+    /// The run's structured event log: transport events and per-node
+    /// [`NodeEvent`]s. Filled only by asynchronous runs whose config
+    /// enables telemetry; otherwise the disabled log, which holds no
+    /// allocation.
     pub log: EventLog,
 }
 
@@ -941,7 +943,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_run_captures_node_transitions() {
         let p = Problem::random_gnp(20, 0.35, 2, 11);

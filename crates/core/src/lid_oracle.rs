@@ -168,8 +168,8 @@ mod tests {
         ResetAndStart,
     }
 
-    /// Everything a callback made observable: the sends and (with the
-    /// `telemetry` feature) the emitted node events.
+    /// Everything a callback made observable: the sends and the emitted
+    /// node events.
     fn run_step<N: Protocol<Message = LidMessage>>(
         node: &mut N,
         id: NodeId,
@@ -247,6 +247,7 @@ mod tests {
         let mut steps_run = 0usize;
         let mut terminated_props = 0usize;
         let mut multi_locks = 0usize;
+        let mut node_events = 0usize;
         for (pi, p) in problems().iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(0x5E7 + pi as u64);
             for id in p.graph.nodes() {
@@ -267,6 +268,7 @@ mod tests {
                         let want = run_step(&mut old, id, step, SetLidNode::reset);
                         assert_eq!(got.0, want.0, "{ctx}: outbox");
                         assert_eq!(got.1, want.1, "{ctx}: node events");
+                        node_events += got.1.len();
                         multi_locks += usize::from(old.k.len() > locked_before + 1);
                         assert_same(&new, &old, &neighbours, &ctx);
                         steps_run += 1;
@@ -307,5 +309,6 @@ mod tests {
             "post-termination PROPs exercised: {terminated_props}"
         );
         assert!(multi_locks > 0, "several locks in one delivery exercised");
+        assert!(node_events > 0, "node events compared: {node_events}");
     }
 }

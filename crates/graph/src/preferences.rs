@@ -66,17 +66,6 @@ impl PreferenceTable {
             r.sort_unstable_by_key(|&(j, _)| j);
             r
         };
-        // The per-node rank arrays are a pure function of each list, so the
-        // `parallel` build produces exactly the sequential result.
-        #[cfg(feature = "parallel")]
-        let ranks = {
-            use rayon::prelude::*;
-            (0..lists.len())
-                .into_par_iter()
-                .map(|i| build(&lists[i]))
-                .collect()
-        };
-        #[cfg(not(feature = "parallel"))]
         let ranks = lists.iter().map(|list| build(list)).collect();
         PreferenceTable { lists, ranks }
     }

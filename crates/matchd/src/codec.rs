@@ -538,9 +538,10 @@ fn get_event(cur: &mut Cur<'_>) -> Result<EngineEvent, CodecError> {
     })
 }
 
-/// Decodes a batch of events from a payload slice — shared with the WAL
-/// record format. Returns the events and requires the slice be fully
-/// consumed when `exact` is set.
+/// Decodes a batch of events (a `u32` count, then each event) at the
+/// cursor — shared with the WAL record format. Leaves the cursor after the
+/// last event; callers that need the payload fully consumed check
+/// `Cur::done` themselves.
 pub(crate) fn get_events(cur: &mut Cur<'_>) -> Result<Vec<EngineEvent>, CodecError> {
     let n = cur.count(1, "event count")?;
     let mut events = Vec::with_capacity(n);

@@ -22,14 +22,10 @@
 //! cross-multiply each. If any weight lies outside the `i64` range (only
 //! explicit weights passed to [`crate::Problem::with_weights`] can), the
 //! whole call sorts full [`EdgeKey`]s instead. Both orders are the same.
-//!
-//! With the `parallel` feature the sort is rayon's parallel sort; ranks are
-//! a pure function of the weights either way, so the feature cannot change
-//! results.
 
 use crate::weights::{EdgeKey, EdgeWeights};
 use owp_graph::{EdgeId, Graph};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 
 /// The rank of an edge in the global heaviest-first order; `0` = heaviest.
 pub type EdgeRank = u32;
@@ -52,13 +48,13 @@ impl EdgeOrder {
     pub fn compute(g: &Graph, weights: &EdgeWeights) -> Self {
         let by_rank: Vec<EdgeId> = match compact_keys(g, weights) {
             Some(mut keys) => {
-                sort_by(&mut keys, CompactKey::heavier_first);
+                keys.sort_unstable_by(CompactKey::heavier_first);
                 keys.into_iter().map(|k| k.edge).collect()
             }
             None => {
                 let mut decorated: Vec<(EdgeKey, EdgeId)> =
                     g.edges().map(|e| (weights.key(g, e), e)).collect();
-                sort_by(&mut decorated, |a, b| b.0.cmp(&a.0));
+                decorated.sort_unstable_by_key(|&(key, _)| Reverse(key));
                 decorated.into_iter().map(|(_, e)| e).collect()
             }
         };
@@ -171,17 +167,6 @@ impl EdgeOrder {
     pub fn is_empty(&self) -> bool {
         self.rank.is_empty()
     }
-}
-
-/// Sorts `v` by `cmp`, on the thread pool under the `parallel` feature.
-fn sort_by<T: Send + Clone>(v: &mut [T], cmp: impl Fn(&T, &T) -> Ordering + Sync) {
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        v.par_sort_unstable_by(cmp);
-    }
-    #[cfg(not(feature = "parallel"))]
-    v.sort_unstable_by(cmp);
 }
 
 /// An [`EdgeKey`] whose weight fits in `i64`, with the endpoint pair

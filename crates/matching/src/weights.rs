@@ -94,14 +94,6 @@ impl EdgeWeights {
             let [gu, gv] = gains[e.index()];
             eq9((gu as u64, scale[u.index()]), (gv as u64, scale[v.index()]))
         };
-        // Pure per-edge map: with the `parallel` feature the edges are
-        // computed on a thread pool; the result is identical either way.
-        #[cfg(feature = "parallel")]
-        let w = {
-            use rayon::prelude::*;
-            (0..g.edge_count() as u32).into_par_iter().map(|k| per_edge(EdgeId(k))).collect()
-        };
-        #[cfg(not(feature = "parallel"))]
         let w = g.edges().map(per_edge).collect();
         EdgeWeights { w }
     }

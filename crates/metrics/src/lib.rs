@@ -33,8 +33,8 @@
 //! The crate is intentionally *passive*: nothing here hooks itself into the
 //! simulator or engine. Call sites opt in by handing a recorder or auditor
 //! to the already-generic instrumentation points, so the zero-cost
-//! discipline of the telemetry layer (NullRecorder fold-out, feature-gated
-//! wiring) carries over unchanged — a binary that never constructs a
+//! discipline of the telemetry layer (NullRecorder fold-out, runtime
+//! switches) carries over unchanged — a binary that never constructs a
 //! registry pays nothing.
 
 #![forbid(unsafe_code)]

@@ -2,16 +2,15 @@
 //!
 //! Real rayon is unreachable in this build environment, so the slice of its
 //! API the workspace consumes is re-implemented on `std::thread::scope`:
+//! `(0..n).into_par_iter().map(f).collect()` and `filter_map` over `u64`
+//! ranges — order-preserving and eager.
 //!
-//! * `(range | vec).into_par_iter().map(f).collect()` (also `filter_map`,
-//!   `for_each`, `sum`) — order-preserving, eager;
-//! * [`slice::ParallelSliceMut::par_sort_unstable_by_key`] and friends —
-//!   parallel chunk sort + bottom-up merge.
-//!
-//! Unlike real rayon there is no global work-stealing pool: each adaptor
-//! spawns scoped threads (bounded by `available_parallelism`) per call. For
-//! the coarse-grained loops this workspace runs (one protocol simulation or
-//! one weight table per item), that overhead is noise.
+//! The only consumer is `owp-bench`'s experiment sweeps (one seeded run per
+//! item); the library crates are sequential, so the workspace has a single
+//! build configuration and no output depends on the thread count. Unlike
+//! real rayon there is no global work-stealing pool: each adaptor spawns
+//! scoped threads (bounded by `available_parallelism`) per call. For loops
+//! this coarse, that overhead is noise.
 
 #![warn(missing_docs)]
 
@@ -19,14 +18,11 @@ use std::num::NonZeroUsize;
 
 /// Everything a `use rayon::prelude::*` consumer expects.
 pub mod prelude {
-    pub use crate::slice::{ParallelSlice, ParallelSliceMut};
     pub use crate::{IntoParallelIterator, ParIter};
 }
 
-pub mod slice;
-
 /// Number of worker threads used by the adaptors.
-pub fn current_num_threads() -> usize {
+fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
@@ -93,32 +89,9 @@ impl<T: Send> ParIter<T> {
         }
     }
 
-    /// Parallel for-each (effects only).
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(T) + Sync + Send,
-    {
-        let _ = par_map_vec(self.items, f);
-    }
-
     /// Collects into any `FromIterator` container, preserving order.
     pub fn collect<C: FromIterator<T>>(self) -> C {
         self.items.into_iter().collect()
-    }
-
-    /// Sums the items.
-    pub fn sum<S: std::iter::Sum<T>>(self) -> S {
-        self.items.into_iter().sum()
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` iff there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 }
 
@@ -130,25 +103,13 @@ pub trait IntoParallelIterator {
     fn into_par_iter(self) -> ParIter<Self::Item>;
 }
 
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
+impl IntoParallelIterator for std::ops::Range<u64> {
+    type Item = u64;
+    fn into_par_iter(self) -> ParIter<u64> {
+        let items = self.collect();
+        ParIter { items }
     }
 }
-
-macro_rules! impl_range_par_iter {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for std::ops::Range<$t> {
-            type Item = $t;
-            fn into_par_iter(self) -> ParIter<$t> {
-                ParIter { items: self.collect() }
-            }
-        }
-    )*};
-}
-
-impl_range_par_iter!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 #[cfg(test)]
 mod tests {
@@ -167,11 +128,5 @@ mod tests {
             .filter_map(|x| (x % 3 == 0).then_some(x))
             .collect();
         assert_eq!(out, (0u64..100).filter(|x| x % 3 == 0).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sum_and_vec_sources() {
-        let s: u64 = vec![1u64, 2, 3, 4].into_par_iter().map(|x| x).sum();
-        assert_eq!(s, 10);
     }
 }

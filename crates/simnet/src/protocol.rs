@@ -73,7 +73,7 @@ pub struct Context<M> {
     timers: Vec<(SimTime, u64)>,
     /// Protocol state transitions emitted this callback (drained by the
     /// engine, which stamps node and time). Never allocated unless the
-    /// engine enabled telemetry *and* the `telemetry` feature is on.
+    /// engine enabled telemetry.
     events: Vec<NodeEvent>,
     telemetry: bool,
 }
@@ -116,8 +116,7 @@ impl<M> Context<M> {
     }
 
     /// A detached context that also keeps the protocol events the callback
-    /// emits ([`Context::emitted`]; always empty without the `telemetry`
-    /// feature).
+    /// emits ([`Context::emitted`]).
     pub fn detached_recording(node: NodeId, now: SimTime) -> Self {
         Context::with_telemetry(node, now, true)
     }
@@ -128,7 +127,7 @@ impl<M> Context<M> {
     }
 
     /// The protocol events emitted so far in this callback (recorded only
-    /// when the engine enabled telemetry and the feature is compiled).
+    /// when the engine enabled telemetry).
     pub fn emitted(&self) -> &[NodeEvent] {
         &self.events
     }
@@ -164,31 +163,25 @@ impl<M> Context<M> {
         self.timers.push((delay.max(1), tag));
     }
 
-    /// Whether the engine is recording protocol events this run. Guard
-    /// event *construction* with this when building one is not free.
-    #[inline]
-    pub fn telemetry_enabled(&self) -> bool {
-        cfg!(feature = "telemetry") && self.telemetry
-    }
-
     /// Emits a protocol state transition into the run's event log. The
-    /// engine stamps it with this node's id and the current time.
-    ///
-    /// Without the `telemetry` feature this compiles to nothing; with it
-    /// but recording disabled it is one predictable branch.
-    #[cfg(feature = "telemetry")]
+    /// engine stamps it with this node's id and the current time. With
+    /// recording disabled (`SimConfig::telemetry()` off) it is one
+    /// predictable branch.
     #[inline]
     pub fn emit(&mut self, ev: NodeEvent) {
         if self.telemetry {
-            self.events.push(ev);
+            self.record(ev);
         }
     }
 
-    /// Emits a protocol state transition (no-op: the `telemetry` feature
-    /// is disabled, so the emission path is not compiled).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn emit(&mut self, _ev: NodeEvent) {}
+    /// The push behind [`Context::emit`], kept out of line so that the
+    /// protocol handlers, which emit on every transition, carry only the
+    /// branch.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, ev: NodeEvent) {
+        self.events.push(ev);
+    }
 
     pub(crate) fn into_parts(self) -> CtxParts<M> {
         (self.outbox, self.timers, self.events)
@@ -237,19 +230,19 @@ mod tests {
     #[test]
     fn emit_respects_the_telemetry_switch() {
         // Telemetry off (default construction): events are discarded and
-        // the buffer never allocates, regardless of the feature flag.
+        // the buffer never allocates.
         let mut off: Context<Ping> = Context::new(NodeId(0), 0);
         off.emit(NodeEvent::NodeTerminated);
-        assert!(!off.telemetry_enabled() || cfg!(feature = "telemetry"));
+        assert!(off.emitted().is_empty());
         let (_, _, events) = off.into_parts();
         assert!(events.is_empty());
         assert_eq!(events.capacity(), 0);
 
-        // Telemetry on: events are captured iff the feature is compiled.
+        // Telemetry on: every emitted event is captured.
         let mut on: Context<Ping> = Context::detached_recording(NodeId(0), 0);
         on.emit(NodeEvent::EdgeLocked { peer: NodeId(1) });
-        assert_eq!(on.emitted().len(), usize::from(cfg!(feature = "telemetry")));
+        assert_eq!(on.emitted(), [NodeEvent::EdgeLocked { peer: NodeId(1) }]);
         let (_, _, events) = on.into_parts();
-        assert_eq!(events.len(), usize::from(cfg!(feature = "telemetry")));
+        assert_eq!(events.len(), 1);
     }
 }

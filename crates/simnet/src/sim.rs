@@ -26,10 +26,9 @@ pub struct SimConfig {
     /// (guards against protocol bugs that never quiesce). `u64::MAX` by
     /// default.
     pub max_deliveries: u64,
-    /// Record the structured telemetry event log (transport events always;
-    /// per-node protocol events too when the `telemetry` feature is
-    /// compiled). Off by default: a disabled log costs one branch per
-    /// event and performs no allocation.
+    /// Record the structured telemetry event log: transport events and the
+    /// per-node protocol events of `Context::emit`. Off by default: a
+    /// disabled log costs one branch per event and performs no allocation.
     pub telemetry: bool,
 }
 
@@ -309,7 +308,7 @@ impl<P: Protocol> Simulator<P> {
         let (mut outbox, timers, events) = ctx.into_parts();
         // Protocol state transitions emitted during the callback, stamped
         // with the emitting node and its callback time. `events` is always
-        // empty unless the `telemetry` feature compiled `Context::emit`.
+        // empty unless this run records telemetry.
         for event in events {
             self.log.record(TelemetryEvent::Node {
                 time: self.now,

@@ -6,11 +6,8 @@
 //! the peak in-flight queue size, the round count, the sorted matched edge
 //! list and the JSONL bytes of each traced run's event log. A change to the
 //! LID state machine, the simulator's event order or the synchronous
-//! engine's delivery order moves it; a pure speed-up must not.
-//!
-//! Per-node protocol events are compiled only with the `telemetry` feature,
-//! so the traced logs (and the digest) differ between the two builds: one
-//! constant is pinned per feature setting.
+//! engine's delivery order moves it; a pure speed-up must not. The traced
+//! logs include the per-node protocol events.
 
 use overlays_preferences::prelude::*;
 
@@ -65,10 +62,8 @@ impl Fnv {
     }
 }
 
-/// The digest with per-node events compiled in (the `telemetry` feature).
+/// The digest with per-node events in every traced log.
 const DIGEST_WITH_NODE_EVENTS: u64 = 0xe6cd_0fce_1e23_2df0;
-/// The digest of the default build (transport events only).
-const DIGEST_TRANSPORT_ONLY: u64 = 0xabf0_b3c4_81fe_39e4;
 
 fn instances() -> Vec<Problem> {
     let mut out: Vec<Problem> = (0..3u64)
@@ -144,25 +139,11 @@ fn lid_digest() -> u64 {
     h.0
 }
 
-/// Whether the engines emit per-node events in this build. Asked of a tiny
-/// traced run rather than of this package's feature flags: in a workspace
-/// build another member can switch `owp-core/telemetry` on for everyone.
-fn node_events_compiled() -> bool {
-    let p = Problem::random_gnp(4, 1.0, 1, 1);
-    let r = run_lid(&p, SimConfig::with_seed(1).telemetry());
-    r.log.with_tag("node_terminated").count() > 0
-}
-
 #[test]
 fn lid_run_digest_is_stable() {
-    let (expect, build) = if node_events_compiled() {
-        (DIGEST_WITH_NODE_EVENTS, "telemetry")
-    } else {
-        (DIGEST_TRANSPORT_ONLY, "default")
-    };
     let got = lid_digest();
     assert_eq!(
-        got, expect,
-        "LID run digest moved ({build} build): {got:#018x}"
+        got, DIGEST_WITH_NODE_EVENTS,
+        "LID run digest moved: {got:#018x}"
     );
 }

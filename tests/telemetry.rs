@@ -143,10 +143,9 @@ fn causal_trace_round_trips_and_replays_deterministically() {
     }
 }
 
-/// With the `telemetry` feature compiled in, traced runs also carry the
-/// per-node protocol transitions; the lock events count both endpoints of
-/// every matched edge and every node announces termination exactly once.
-#[cfg(feature = "telemetry")]
+/// Traced runs also carry the per-node protocol transitions; the lock
+/// events count both endpoints of every matched edge and every node
+/// announces termination exactly once.
 #[test]
 fn node_events_mirror_the_matching() {
     let p = Problem::random_gnp(35, 0.2, 3, 13);

@@ -4,9 +4,8 @@
 //! One FNV-1a digest per instance covers each edge's reduced
 //! `(numerator, denominator)` in edge-id order, then `heaviest_first()`.
 //! A faster weight kernel, a different `Rational` code path or a different
-//! sort must leave every constant unchanged. The set-up has no
-//! feature-dependent output, so the same constants hold in default,
-//! `parallel` and `telemetry` builds.
+//! sort must leave every constant unchanged. The workspace has one build
+//! configuration, so each instance has exactly one constant.
 //!
 //! The last instance carries explicit weights whose numerators overflow
 //! `i64`, so `EdgeOrder::compute` must take its exact wide-key path.
