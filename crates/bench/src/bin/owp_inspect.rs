@@ -1,7 +1,7 @@
 //! `owp-inspect` — offline post-processing of run artifacts.
 //!
 //! ```text
-//! owp-inspect trace <series.jsonl|series.csv>   per-phase convergence summary
+//! owp-inspect trace <series.jsonl>              per-phase convergence summary
 //! owp-inspect metrics <snapshot.json|.prom>     metrics summary + audit report
 //! owp-inspect causal <events.jsonl> [--top <k>] [--dot <path>]
 //!                                               happens-before DAG summary
@@ -29,10 +29,10 @@
 //!
 //! `trace` consumes the convergence series written by
 //! `experiments e18 --trace-out <path>` (JSONL schema of
-//! `owp_telemetry::series`; `.csv` files written via `to_csv` parse too)
-//! and splits the trajectory into its two phases — *matching growth* up to
-//! the stabilization round, then the *termination-detection tail* — with
-//! per-phase round, edge and message accounting.
+//! `owp_telemetry::series`) and splits the trajectory into its two
+//! phases — *matching growth* up to the stabilization round, then the
+//! *termination-detection tail* — with per-phase round, edge and message
+//! accounting.
 //!
 //! `metrics` consumes a snapshot written by `experiments --metrics-out`
 //! (JSON, or Prometheus text for `.prom` paths), prints every family with
@@ -124,12 +124,8 @@ fn phase_row(out: &mut String, label: &str, from: &ConvergenceSample, to: &Conve
 fn inspect_trace(path: &str) {
     let doc = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let series = if path.ends_with(".csv") {
-        ConvergenceSeries::parse_csv(&doc)
-    } else {
-        ConvergenceSeries::parse_jsonl(&doc)
-    }
-    .unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
+    let series = ConvergenceSeries::parse_jsonl(&doc)
+        .unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
 
     let mut out = String::new();
     let Some(last) = series.last() else {
@@ -983,7 +979,7 @@ fn main() {
         }
         _ => {
             eprintln!("usage: owp-inspect <trace|metrics|causal|forensics|wal|ops|campaign> <path|addr>");
-            eprintln!("  trace     <series.jsonl|.csv>   per-phase convergence summary");
+            eprintln!("  trace     <series.jsonl>        per-phase convergence summary");
             eprintln!("  metrics   <snapshot.json|.prom> metrics summary + audit report");
             eprintln!("  causal    <events.jsonl> [--top <k>] [--dot <path>]");
             eprintln!("                                  happens-before DAG + critical paths");

@@ -1,14 +1,13 @@
 //! E2 / Table 1 — measured weight of LIC/LID against the exact optimum
 //! (Theorem 2's `½` bound) across topologies, densities and quotas.
 
-use crate::{mean, min, std_dev, Table};
+use crate::{mean, min, par_map, std_dev, Table};
 use owp_graph::generators::{barabasi_albert, complete, watts_strogatz};
 use owp_matching::exact::{optimal_weight, DEFAULT_BUDGET};
 use owp_matching::lic::{lic, SelectionPolicy};
 use owp_matching::Problem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 fn instance(topo: &str, b: u32, seed: u64) -> Problem {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -42,21 +41,21 @@ pub fn run(quick: bool) -> Table {
 
     for topo in topologies {
         for b in quotas {
-            let results: Vec<(f64, bool)> = (0..seeds)
-                .into_par_iter()
-                .filter_map(|seed| {
-                    let p = instance(topo, b, seed);
-                    if p.edge_count() == 0 {
-                        return None;
-                    }
-                    let greedy = lic(&p, SelectionPolicy::InOrder).total_weight(&p);
-                    let opt = optimal_weight(&p, DEFAULT_BUDGET);
-                    if opt.value <= 0.0 {
-                        return None;
-                    }
-                    Some((greedy / opt.value, opt.proven_optimal))
-                })
-                .collect();
+            let results: Vec<(f64, bool)> = par_map(0..seeds, |seed| {
+                let p = instance(topo, b, seed);
+                if p.edge_count() == 0 {
+                    return None;
+                }
+                let greedy = lic(&p, SelectionPolicy::InOrder).total_weight(&p);
+                let opt = optimal_weight(&p, DEFAULT_BUDGET);
+                if opt.value <= 0.0 {
+                    return None;
+                }
+                Some((greedy / opt.value, opt.proven_optimal))
+            })
+            .into_iter()
+            .flatten()
+            .collect();
             let ratios: Vec<f64> = results.iter().map(|&(r, _)| r).collect();
             let proven = results.iter().all(|&(_, p)| p);
             let worst = min(&ratios);

@@ -2,13 +2,12 @@
 //! against the exact satisfaction optimum, compared with Theorem 3's
 //! `¼(1 + 1/b_max)` guarantee.
 
-use crate::{mean, min, std_dev, Table};
+use crate::{mean, min, par_map, std_dev, Table};
 use owp_core::run_lid;
 use owp_matching::bounds::overall_bound;
 use owp_matching::exact::{optimal_satisfaction, DEFAULT_BUDGET};
 use owp_matching::Problem;
 use owp_simnet::SimConfig;
-use rayon::prelude::*;
 
 /// Runs the sweep. `quick` trims seeds for CI.
 pub fn run(quick: bool) -> Table {
@@ -20,25 +19,25 @@ pub fn run(quick: bool) -> Table {
 
     for (label, n, p_edge) in [("gnp(11,0.5)", 11usize, 0.5), ("gnp(10,0.8)", 10, 0.8)] {
         for b in [1u32, 2, 3] {
-            let ratios: Vec<f64> = (0..seeds)
-                .into_par_iter()
-                .filter_map(|seed| {
-                    let p = Problem::random_gnp(n, p_edge, b, 1000 + seed);
-                    if p.edge_count() == 0 || p.bmax() == 0 {
-                        return None;
-                    }
-                    let lid = run_lid(&p, SimConfig::with_seed(seed));
-                    assert!(lid.terminated);
-                    let achieved = lid.matching.total_satisfaction(&p);
-                    let opt = optimal_satisfaction(&p, DEFAULT_BUDGET)
-                        .matching
-                        .total_satisfaction(&p);
-                    if opt <= 0.0 {
-                        return None;
-                    }
-                    Some(achieved / opt)
-                })
-                .collect();
+            let ratios: Vec<f64> = par_map(0..seeds, |seed| {
+                let p = Problem::random_gnp(n, p_edge, b, 1000 + seed);
+                if p.edge_count() == 0 || p.bmax() == 0 {
+                    return None;
+                }
+                let lid = run_lid(&p, SimConfig::with_seed(seed));
+                assert!(lid.terminated);
+                let achieved = lid.matching.total_satisfaction(&p);
+                let opt = optimal_satisfaction(&p, DEFAULT_BUDGET)
+                    .matching
+                    .total_satisfaction(&p);
+                if opt <= 0.0 {
+                    return None;
+                }
+                Some(achieved / opt)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
             if ratios.is_empty() {
                 continue;
             }

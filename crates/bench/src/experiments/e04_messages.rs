@@ -5,13 +5,12 @@
 //! the measured constant is far smaller and flat in `n` for constant average
 //! degree (i.e. the protocol is genuinely local).
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_core::run_lid;
 use owp_matching::Problem;
 use owp_simnet::{MessageKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Runs the sweep. `quick` caps `n`.
 pub fn run(quick: bool) -> Table {
@@ -31,29 +30,26 @@ pub fn run(quick: bool) -> Table {
     for topo in ["gnp", "ba"] {
         for &n in sizes {
             for b in [2u32, 4, 8] {
-                let samples: Vec<(f64, f64, f64)> = (0..seeds)
-                    .into_par_iter()
-                    .map(|seed| {
-                        let mut rng = StdRng::seed_from_u64(seed * 131 + n as u64);
-                        let g = match topo {
-                            "gnp" => owp_graph::generators::erdos_renyi(
-                                n,
-                                avg_degree / (n as f64 - 1.0),
-                                &mut rng,
-                            ),
-                            _ => owp_graph::generators::barabasi_albert(n, 6, &mut rng),
-                        };
-                        let m = g.edge_count() as f64;
-                        let p = Problem::random_over(g, b, seed);
-                        let r = run_lid(&p, SimConfig::with_seed(seed));
-                        assert!(r.terminated);
-                        (
-                            r.stats.sent_of(MessageKind::Prop) as f64 / n as f64,
-                            r.stats.sent_of(MessageKind::Rej) as f64 / n as f64,
-                            r.stats.sent as f64 / m.max(1.0),
-                        )
-                    })
-                    .collect();
+                let samples: Vec<(f64, f64, f64)> = par_map(0..seeds, |seed| {
+                    let mut rng = StdRng::seed_from_u64(seed * 131 + n as u64);
+                    let g = match topo {
+                        "gnp" => owp_graph::generators::erdos_renyi(
+                            n,
+                            avg_degree / (n as f64 - 1.0),
+                            &mut rng,
+                        ),
+                        _ => owp_graph::generators::barabasi_albert(n, 6, &mut rng),
+                    };
+                    let m = g.edge_count() as f64;
+                    let p = Problem::random_over(g, b, seed);
+                    let r = run_lid(&p, SimConfig::with_seed(seed));
+                    assert!(r.terminated);
+                    (
+                        r.stats.sent_of(MessageKind::Prop) as f64 / n as f64,
+                        r.stats.sent_of(MessageKind::Rej) as f64 / n as f64,
+                        r.stats.sent as f64 / m.max(1.0),
+                    )
+                });
                 let prop: Vec<f64> = samples.iter().map(|s| s.0).collect();
                 let rej: Vec<f64> = samples.iter().map(|s| s.1).collect();
                 let per_edge: Vec<f64> = samples.iter().map(|s| s.2).collect();

@@ -6,14 +6,13 @@
 //! which the matching no longer changes — for free from the telemetry
 //! series. The gap between the two is pure termination detection.
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_core::{run_lid, run_lid_sync_series};
 use owp_matching::Problem;
 use owp_metrics::{Auditor, MetricsRegistry};
 use owp_simnet::{LatencyModel, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Runs the sweep. `quick` caps `n`.
 pub fn run(quick: bool) -> Table {
@@ -36,7 +35,7 @@ fn run_inner(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
     };
     let seeds: u64 = if quick { 2 } else { 10 };
 
-    // Handles are cloned once here (cold path); the rayon closures record
+    // Handles are cloned once here (cold path); the `par_map` closures record
     // through them lock-free.
     let hists = reg.map(|r| {
         (
@@ -60,49 +59,46 @@ fn run_inner(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
 
     for &n in sizes {
         for b in [2u32, 8] {
-            let rows: Vec<(f64, f64, f64, f64)> = (0..seeds)
-                .into_par_iter()
-                .map(|seed| {
-                    let mut rng = StdRng::seed_from_u64(seed * 7919 + n as u64);
-                    let g = owp_graph::generators::erdos_renyi(
-                        n,
-                        12.0 / (n as f64 - 1.0),
-                        &mut rng,
-                    );
-                    let p = Problem::random_over(g, b, seed + 5);
-                    let (sync, series) = run_lid_sync_series(&p);
-                    assert!(sync.terminated);
-                    let stable = series.stabilization_round().unwrap_or(0);
-                    let c = run_lid(
-                        &p,
-                        SimConfig::with_seed(seed).latency(LatencyModel::Constant { ticks: 10 }),
-                    );
-                    let e = run_lid(
-                        &p,
-                        SimConfig::with_seed(seed).latency(LatencyModel::Exponential { mean: 10.0 }),
-                    );
-                    assert!(c.terminated && e.terminated);
-                    if let Some((h_rounds, h_stable, h_async)) = &hists {
-                        h_rounds.observe(sync.rounds);
-                        h_stable.observe(stable);
-                        h_async.observe(c.end_time);
-                        h_async.observe(e.end_time);
-                    }
-                    if let Some(r) = reg {
-                        // Per-closure auditor: the handles it publishes
-                        // through are shared registry families, so the
-                        // violation counter aggregates across the sweep.
-                        let mut auditor = Auditor::new(r);
-                        auditor.audit_matching(&p, &sync.matching);
-                    }
-                    (
-                        sync.rounds as f64,
-                        stable as f64,
-                        c.end_time as f64,
-                        e.end_time as f64,
-                    )
-                })
-                .collect();
+            let rows: Vec<(f64, f64, f64, f64)> = par_map(0..seeds, |seed| {
+                let mut rng = StdRng::seed_from_u64(seed * 7919 + n as u64);
+                let g = owp_graph::generators::erdos_renyi(
+                    n,
+                    12.0 / (n as f64 - 1.0),
+                    &mut rng,
+                );
+                let p = Problem::random_over(g, b, seed + 5);
+                let (sync, series) = run_lid_sync_series(&p);
+                assert!(sync.terminated);
+                let stable = series.stabilization_round().unwrap_or(0);
+                let c = run_lid(
+                    &p,
+                    SimConfig::with_seed(seed).latency(LatencyModel::Constant { ticks: 10 }),
+                );
+                let e = run_lid(
+                    &p,
+                    SimConfig::with_seed(seed).latency(LatencyModel::Exponential { mean: 10.0 }),
+                );
+                assert!(c.terminated && e.terminated);
+                if let Some((h_rounds, h_stable, h_async)) = &hists {
+                    h_rounds.observe(sync.rounds);
+                    h_stable.observe(stable);
+                    h_async.observe(c.end_time);
+                    h_async.observe(e.end_time);
+                }
+                if let Some(r) = reg {
+                    // Per-closure auditor: the handles it publishes
+                    // through are shared registry families, so the
+                    // violation counter aggregates across the sweep.
+                    let mut auditor = Auditor::new(r);
+                    auditor.audit_matching(&p, &sync.matching);
+                }
+                (
+                    sync.rounds as f64,
+                    stable as f64,
+                    c.end_time as f64,
+                    e.end_time as f64,
+                )
+            });
             let rounds: Vec<f64> = rows.iter().map(|r| r.0).collect();
             let stable: Vec<f64> = rows.iter().map(|r| r.1).collect();
             let tc: Vec<f64> = rows.iter().map(|r| r.2).collect();

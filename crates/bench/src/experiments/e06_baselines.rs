@@ -3,7 +3,7 @@
 //! better-response dynamics (the stability-seeking alternative), plus
 //! Drake–Hougardy path growing in the one-to-one regime.
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_core::run_lid;
 use owp_matching::baselines::{global_greedy, path_growing, random_maximal, rank_greedy};
 use owp_matching::stable::blocking::blocking_pairs;
@@ -12,7 +12,6 @@ use owp_matching::{BMatching, MatchingReport, Problem};
 use owp_simnet::SimConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 struct Agg {
     weight: Vec<f64>,
@@ -56,33 +55,30 @@ fn run_family(label: &str, b: u32, quick: bool) -> Table {
     let seeds: u64 = if quick { 3 } else { 25 };
     let n = if quick { 96 } else { 256 };
 
-    let per_seed: Vec<Vec<(usize, BMatching)>> = (0..seeds)
-        .into_par_iter()
-        .map(|seed| {
-            let mut rng = StdRng::seed_from_u64(seed * 31 + 7);
-            let g = match label {
-                "gnp" => owp_graph::generators::erdos_renyi(n, 10.0 / (n as f64 - 1.0), &mut rng),
-                _ => owp_graph::generators::barabasi_albert(n, 5, &mut rng),
-            };
-            let p = Problem::random_over(g, b, seed);
-            let mut out: Vec<(usize, BMatching)> = Vec::new();
-            let lid = run_lid(&p, SimConfig::with_seed(seed));
-            assert!(lid.terminated);
-            out.push((0, lid.matching));
-            out.push((1, global_greedy(&p)));
-            out.push((2, random_maximal(&p, seed)));
-            out.push((3, rank_greedy(&p)));
-            let (brm, _) = better_response_from_empty(&p, 200_000);
-            out.push((4, brm));
-            if b == 1 {
-                out.push((5, path_growing(&p)));
-            }
-            out
-        })
-        .collect();
+    let per_seed: Vec<Vec<(usize, BMatching)>> = par_map(0..seeds, |seed| {
+        let mut rng = StdRng::seed_from_u64(seed * 31 + 7);
+        let g = match label {
+            "gnp" => owp_graph::generators::erdos_renyi(n, 10.0 / (n as f64 - 1.0), &mut rng),
+            _ => owp_graph::generators::barabasi_albert(n, 5, &mut rng),
+        };
+        let p = Problem::random_over(g, b, seed);
+        let mut out: Vec<(usize, BMatching)> = Vec::new();
+        let lid = run_lid(&p, SimConfig::with_seed(seed));
+        assert!(lid.terminated);
+        out.push((0, lid.matching));
+        out.push((1, global_greedy(&p)));
+        out.push((2, random_maximal(&p, seed)));
+        out.push((3, rank_greedy(&p)));
+        let (brm, _) = better_response_from_empty(&p, 200_000);
+        out.push((4, brm));
+        if b == 1 {
+            out.push((5, path_growing(&p)));
+        }
+        out
+    });
 
     // Problems are seed-deterministic; re-derive them for the scoring pass
-    // instead of sending them across the rayon boundary.
+    // instead of sending them across the `par_map` boundary.
     let names = [
         "LID (this paper)",
         "global greedy",

@@ -3,14 +3,13 @@
 //! against the analytic `¼(1 + 1/b)` (Theorem 3) and `½(1 + 1/b)`
 //! (Lemma 1) curves.
 
-use crate::{mean, min, Table};
+use crate::{mean, min, par_map, Table};
 use owp_core::run_lid;
 use owp_graph::generators::complete;
 use owp_matching::bounds::{modified_bound, overall_bound};
 use owp_matching::exact::{optimal_satisfaction, DEFAULT_BUDGET};
 use owp_matching::Problem;
 use owp_simnet::SimConfig;
-use rayon::prelude::*;
 
 /// Runs the sweep over `b ∈ 1..=6` on K10 and G(12, 0.5) (quick mode stops
 /// at b = 4 — the satisfaction B&B on K10 grows steeply with b in debug
@@ -25,25 +24,25 @@ pub fn run(quick: bool) -> Table {
 
     for label in ["complete(10)", "gnp(12,0.5)"] {
         for b in 1u32..=b_top {
-            let ratios: Vec<f64> = (0..seeds)
-                .into_par_iter()
-                .filter_map(|seed| {
-                    let p = match label {
-                        "complete(10)" => Problem::random_over(complete(10), b, 300 + seed),
-                        _ => Problem::random_gnp(12, 0.5, b, 300 + seed),
-                    };
-                    if p.edge_count() == 0 {
-                        return None;
-                    }
-                    let lid = run_lid(&p, SimConfig::with_seed(seed));
-                    assert!(lid.terminated);
-                    let achieved = lid.matching.total_satisfaction(&p);
-                    let opt = optimal_satisfaction(&p, DEFAULT_BUDGET)
-                        .matching
-                        .total_satisfaction(&p);
-                    (opt > 0.0).then(|| achieved / opt)
-                })
-                .collect();
+            let ratios: Vec<f64> = par_map(0..seeds, |seed| {
+                let p = match label {
+                    "complete(10)" => Problem::random_over(complete(10), b, 300 + seed),
+                    _ => Problem::random_gnp(12, 0.5, b, 300 + seed),
+                };
+                if p.edge_count() == 0 {
+                    return None;
+                }
+                let lid = run_lid(&p, SimConfig::with_seed(seed));
+                assert!(lid.terminated);
+                let achieved = lid.matching.total_satisfaction(&p);
+                let opt = optimal_satisfaction(&p, DEFAULT_BUDGET)
+                    .matching
+                    .total_satisfaction(&p);
+                (opt > 0.0).then(|| achieved / opt)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
             if ratios.is_empty() {
                 continue;
             }

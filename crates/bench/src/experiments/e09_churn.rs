@@ -9,7 +9,7 @@
 //! the interesting columns are now the satisfaction dip while peers are
 //! away and how small the per-event dirty region stays.
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_core::run_lid;
 use owp_engine::{Engine, EngineEvent};
 use owp_graph::NodeId;
@@ -18,7 +18,6 @@ use owp_simnet::SimConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Runs the churn-fraction sweep on a BA overlay.
 pub fn run(quick: bool) -> Table {
@@ -32,38 +31,35 @@ pub fn run(quick: bool) -> Table {
     );
 
     for &f in &fractions {
-        let rows: Vec<(f64, f64, f64, f64)> = (0..seeds)
-            .into_par_iter()
-            .map(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed * 53 + 11);
-                let g = owp_graph::generators::barabasi_albert(n, 3, &mut rng);
-                let m_edges = g.edge_count() as f64;
-                let p = Problem::random_over(g, 4, seed);
-                let fresh = run_lid(&p, SimConfig::with_seed(seed));
-                assert!(fresh.terminated);
-                let rebuild = fresh.matching.total_satisfaction(&p);
+        let rows: Vec<(f64, f64, f64, f64)> = par_map(0..seeds, |seed| {
+            let mut rng = StdRng::seed_from_u64(seed * 53 + 11);
+            let g = owp_graph::generators::barabasi_albert(n, 3, &mut rng);
+            let m_edges = g.edge_count() as f64;
+            let p = Problem::random_over(g, 4, seed);
+            let fresh = run_lid(&p, SimConfig::with_seed(seed));
+            assert!(fresh.terminated);
+            let rebuild = fresh.matching.total_satisfaction(&p);
 
-                let mut engine = Engine::new(p.clone());
-                let mut peers: Vec<NodeId> = p.nodes().collect();
-                peers.shuffle(&mut rng);
-                let leavers: Vec<NodeId> = peers[..(n as f64 * f) as usize].to_vec();
-                let mut dirty = 0usize;
-                for &i in &leavers {
-                    let report = engine.apply(EngineEvent::NodeLeave { node: i });
-                    dirty += report.expect("leave").evaluated;
-                }
-                // Satisfaction over the full population scale: use the
-                // rebuild total as the normalizer throughout.
-                let after_leave = engine.total_satisfaction() / rebuild;
-                for &i in &leavers {
-                    let report = engine.apply(EngineEvent::NodeJoin { node: i });
-                    dirty += report.expect("rejoin").evaluated;
-                }
-                let after_rejoin = engine.total_satisfaction() / rebuild;
-                let per_event = dirty as f64 / (2.0 * leavers.len() as f64);
-                (after_leave, after_rejoin, per_event, m_edges)
-            })
-            .collect();
+            let mut engine = Engine::new(p.clone());
+            let mut peers: Vec<NodeId> = p.nodes().collect();
+            peers.shuffle(&mut rng);
+            let leavers: Vec<NodeId> = peers[..(n as f64 * f) as usize].to_vec();
+            let mut dirty = 0usize;
+            for &i in &leavers {
+                let report = engine.apply(EngineEvent::NodeLeave { node: i });
+                dirty += report.expect("leave").evaluated;
+            }
+            // Satisfaction over the full population scale: use the
+            // rebuild total as the normalizer throughout.
+            let after_leave = engine.total_satisfaction() / rebuild;
+            for &i in &leavers {
+                let report = engine.apply(EngineEvent::NodeJoin { node: i });
+                dirty += report.expect("rejoin").evaluated;
+            }
+            let after_rejoin = engine.total_satisfaction() / rebuild;
+            let per_event = dirty as f64 / (2.0 * leavers.len() as f64);
+            (after_leave, after_rejoin, per_event, m_edges)
+        });
         let a: Vec<f64> = rows.iter().map(|r| r.0).collect();
         let b: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let d: Vec<f64> = rows.iter().map(|r| r.2).collect();

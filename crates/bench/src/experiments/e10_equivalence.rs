@@ -3,7 +3,7 @@
 //! histories are locally-heaviest (Lemma 3), outputs satisfy the Lemma 4
 //! certificate, and locks are always symmetric.
 
-use crate::Table;
+use crate::{par_map, Table};
 use owp_core::run_lid;
 use owp_graph::{PreferenceTable, Quotas};
 use owp_matching::lic::{lic_traced, SelectionPolicy};
@@ -12,37 +12,33 @@ use owp_simnet::{LatencyModel, SimConfig};
 use owp_telemetry::NullRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Runs the certification batch.
 pub fn run(quick: bool) -> Table {
     let instances: u64 = if quick { 25 } else { 200 };
 
-    let outcomes: Vec<[bool; 5]> = (0..instances)
-        .into_par_iter()
-        .map(|seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = rng.gen_range(8..40);
-            let p_edge = rng.gen_range(0.1..0.6);
-            let g = owp_graph::generators::erdos_renyi(n, p_edge, &mut rng);
-            let prefs = PreferenceTable::random(&g, &mut rng);
-            let quotas = Quotas::random_range(&g, 0, 5, &mut rng);
-            let p = Problem::new(g, prefs, quotas);
+    let outcomes: Vec<[bool; 5]> = par_map(0..instances, |seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(8..40);
+        let p_edge = rng.gen_range(0.1..0.6);
+        let g = owp_graph::generators::erdos_renyi(n, p_edge, &mut rng);
+        let prefs = PreferenceTable::random(&g, &mut rng);
+        let quotas = Quotas::random_range(&g, 0, 5, &mut rng);
+        let p = Problem::new(g, prefs, quotas);
 
-            let (m_lic, order) = lic_traced(&p, SelectionPolicy::Random(seed), &mut NullRecorder);
-            let lid = run_lid(
-                &p,
-                SimConfig::with_seed(seed).latency(LatencyModel::Uniform { lo: 1, hi: 128 }),
-            );
-            [
-                lid.terminated,
-                lid.asymmetric_locks == 0,
-                lid.matching.same_edges(&m_lic),
-                verify::check_selection_order(&p, &order).is_ok(),
-                verify::check_greedy_certificate(&p, &m_lic).is_ok(),
-            ]
-        })
-        .collect();
+        let (m_lic, order) = lic_traced(&p, SelectionPolicy::Random(seed), &mut NullRecorder);
+        let lid = run_lid(
+            &p,
+            SimConfig::with_seed(seed).latency(LatencyModel::Uniform { lo: 1, hi: 128 }),
+        );
+        [
+            lid.terminated,
+            lid.asymmetric_locks == 0,
+            lid.matching.same_edges(&m_lic),
+            verify::check_selection_order(&p, &order).is_ok(),
+            verify::check_greedy_certificate(&p, &m_lic).is_ok(),
+        ]
+    });
 
     let count = |k: usize| outcomes.iter().filter(|o| o[k]).count();
     let mut t = Table::new(

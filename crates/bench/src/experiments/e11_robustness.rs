@@ -5,12 +5,11 @@
 //! assumption: nodes can wait forever on dropped replies and locks can go
 //! asymmetric. The table quantifies the degradation.
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_core::run_lid;
 use owp_matching::lic::{lic, SelectionPolicy};
 use owp_matching::Problem;
 use owp_simnet::{FaultPlan, LatencyModel, SimConfig};
-use rayon::prelude::*;
 
 /// Runs the latency × loss sweep on G(128, avg degree 10), b = 3.
 pub fn run(quick: bool) -> Table {
@@ -37,23 +36,20 @@ pub fn run(quick: bool) -> Table {
 
     for (lname, latency) in latencies {
         for loss in [0.0f64, 0.02, 0.10] {
-            let rows: Vec<(bool, bool, f64, f64)> = (0..seeds)
-                .into_par_iter()
-                .map(|seed| {
-                    let p = Problem::random_gnp(n, 10.0 / (n as f64 - 1.0), 3, 700 + seed);
-                    let reference = lic(&p, SelectionPolicy::InOrder);
-                    let cfg = SimConfig::with_seed(seed)
-                        .latency(latency.clone())
-                        .faults(FaultPlan::with_drop_probability(loss));
-                    let r = run_lid(&p, cfg);
-                    (
-                        r.terminated,
-                        r.matching.same_edges(&reference),
-                        r.asymmetric_locks as f64,
-                        r.stats.sent as f64 / n as f64,
-                    )
-                })
-                .collect();
+            let rows: Vec<(bool, bool, f64, f64)> = par_map(0..seeds, |seed| {
+                let p = Problem::random_gnp(n, 10.0 / (n as f64 - 1.0), 3, 700 + seed);
+                let reference = lic(&p, SelectionPolicy::InOrder);
+                let cfg = SimConfig::with_seed(seed)
+                    .latency(latency.clone())
+                    .faults(FaultPlan::with_drop_probability(loss));
+                let r = run_lid(&p, cfg);
+                (
+                    r.terminated,
+                    r.matching.same_edges(&reference),
+                    r.asymmetric_locks as f64,
+                    r.stats.sent as f64 / n as f64,
+                )
+            });
             let term = rows.iter().filter(|r| r.0).count() as f64 / seeds as f64;
             let same = rows.iter().filter(|r| r.1).count() as f64 / seeds as f64;
             let asym: Vec<f64> = rows.iter().map(|r| r.2).collect();

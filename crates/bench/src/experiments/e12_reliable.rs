@@ -3,12 +3,11 @@
 //! retransmission layer restores 100% termination *and* the exact
 //! LIC-equivalent result, at a bounded message premium.
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_core::{run_lid, run_lid_reliable};
 use owp_matching::lic::{lic, SelectionPolicy};
 use owp_matching::Problem;
 use owp_simnet::{FaultPlan, LatencyModel, SimConfig};
-use rayon::prelude::*;
 
 /// Runs the loss sweep for both variants.
 pub fn run(quick: bool) -> Table {
@@ -29,27 +28,24 @@ pub fn run(quick: bool) -> Table {
 
     for reliable in [false, true] {
         for loss in [0.0f64, 0.05, 0.10, 0.20, 0.30] {
-            let rows: Vec<(bool, bool, f64, f64)> = (0..seeds)
-                .into_par_iter()
-                .map(|seed| {
-                    let p = Problem::random_gnp(n, 10.0 / (n as f64 - 1.0), 3, 900 + seed);
-                    let reference = lic(&p, SelectionPolicy::InOrder);
-                    let cfg = SimConfig::with_seed(seed)
-                        .latency(LatencyModel::Uniform { lo: 1, hi: 20 })
-                        .faults(FaultPlan::with_drop_probability(loss));
-                    let r = if reliable {
-                        run_lid_reliable(&p, cfg, 40)
-                    } else {
-                        run_lid(&p, cfg)
-                    };
-                    (
-                        r.terminated,
-                        r.matching.same_edges(&reference),
-                        r.asymmetric_locks as f64,
-                        r.stats.sent as f64 / n as f64,
-                    )
-                })
-                .collect();
+            let rows: Vec<(bool, bool, f64, f64)> = par_map(0..seeds, |seed| {
+                let p = Problem::random_gnp(n, 10.0 / (n as f64 - 1.0), 3, 900 + seed);
+                let reference = lic(&p, SelectionPolicy::InOrder);
+                let cfg = SimConfig::with_seed(seed)
+                    .latency(LatencyModel::Uniform { lo: 1, hi: 20 })
+                    .faults(FaultPlan::with_drop_probability(loss));
+                let r = if reliable {
+                    run_lid_reliable(&p, cfg, 40)
+                } else {
+                    run_lid(&p, cfg)
+                };
+                (
+                    r.terminated,
+                    r.matching.same_edges(&reference),
+                    r.asymmetric_locks as f64,
+                    r.stats.sent as f64 / n as f64,
+                )
+            });
             let term = rows.iter().filter(|r| r.0).count() as f64 / seeds as f64;
             let same = rows.iter().filter(|r| r.1).count() as f64 / seeds as f64;
             let asym: Vec<f64> = rows.iter().map(|r| r.2).collect();

@@ -7,14 +7,13 @@
 //! (With uniform quotas the two orders coincide, which the harness also
 //! verifies as a sanity row.)
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_graph::{PreferenceTable, Quotas};
 use owp_matching::lic::{lic, SelectionPolicy};
 use owp_matching::weights::EdgeWeights;
 use owp_matching::Problem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Runs the ablation.
 pub fn run(quick: bool) -> Table {
@@ -27,39 +26,36 @@ pub fn run(quick: bool) -> Table {
     );
 
     for quota_kind in ["uniform b=3", "random 1..=6"] {
-        let rows: Vec<(f64, f64, bool, bool)> = (0..seeds)
-            .into_par_iter()
-            .map(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed * 17 + 3);
-                // The uniform sanity row needs *truly* uniform quotas, so its
-                // graph is regular (uniform quotas clamp to degree otherwise).
-                let g = match quota_kind {
-                    "uniform b=3" => owp_graph::generators::random_regular(n, 10, &mut rng),
-                    _ => owp_graph::generators::erdos_renyi(n, 10.0 / (n as f64 - 1.0), &mut rng),
-                };
-                let prefs = PreferenceTable::random(&g, &mut rng);
-                let quotas = match quota_kind {
-                    "uniform b=3" => Quotas::uniform(&g, 3),
-                    _ => Quotas::random_range(&g, 1, 6, &mut rng),
-                };
-                let w_ablate = EdgeWeights::compute_unnormalized(&g, &prefs, &quotas);
-                let p_eq9 = Problem::new(g.clone(), prefs.clone(), quotas.clone());
-                let p_abl = Problem::with_weights(g, prefs, quotas, w_ablate);
+        let rows: Vec<(f64, f64, bool, bool)> = par_map(0..seeds, |seed| {
+            let mut rng = StdRng::seed_from_u64(seed * 17 + 3);
+            // The uniform sanity row needs *truly* uniform quotas, so its
+            // graph is regular (uniform quotas clamp to degree otherwise).
+            let g = match quota_kind {
+                "uniform b=3" => owp_graph::generators::random_regular(n, 10, &mut rng),
+                _ => owp_graph::generators::erdos_renyi(n, 10.0 / (n as f64 - 1.0), &mut rng),
+            };
+            let prefs = PreferenceTable::random(&g, &mut rng);
+            let quotas = match quota_kind {
+                "uniform b=3" => Quotas::uniform(&g, 3),
+                _ => Quotas::random_range(&g, 1, 6, &mut rng),
+            };
+            let w_ablate = EdgeWeights::compute_unnormalized(&g, &prefs, &quotas);
+            let p_eq9 = Problem::new(g.clone(), prefs.clone(), quotas.clone());
+            let p_abl = Problem::with_weights(g, prefs, quotas, w_ablate);
 
-                let m_eq9 = lic(&p_eq9, SelectionPolicy::InOrder);
-                let m_abl = lic(&p_abl, SelectionPolicy::InOrder);
-                // Score BOTH matchings with true satisfaction on the same
-                // instance (weights differ; the metric does not).
-                let s_eq9 = m_eq9.total_satisfaction(&p_eq9);
-                let s_abl = m_abl.total_satisfaction(&p_eq9);
-                (
-                    s_eq9,
-                    s_abl,
-                    s_eq9 > s_abl + 1e-9,
-                    m_eq9.same_edges(&m_abl),
-                )
-            })
-            .collect();
+            let m_eq9 = lic(&p_eq9, SelectionPolicy::InOrder);
+            let m_abl = lic(&p_abl, SelectionPolicy::InOrder);
+            // Score BOTH matchings with true satisfaction on the same
+            // instance (weights differ; the metric does not).
+            let s_eq9 = m_eq9.total_satisfaction(&p_eq9);
+            let s_abl = m_abl.total_satisfaction(&p_eq9);
+            (
+                s_eq9,
+                s_abl,
+                s_eq9 > s_abl + 1e-9,
+                m_eq9.same_edges(&m_abl),
+            )
+        });
         let s_eq9: Vec<f64> = rows.iter().map(|r| r.0).collect();
         let s_abl: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let wins = rows.iter().filter(|r| r.2).count() as f64 / seeds as f64;

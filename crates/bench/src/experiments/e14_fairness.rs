@@ -8,12 +8,11 @@
 //! the tail noticeably fatter than weight-blind pairing, but no algorithm
 //! protects every individual — quantifying the open problem.
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_core::run_lid;
 use owp_matching::baselines::{random_maximal, rank_greedy};
 use owp_matching::{BMatching, MatchingReport, Problem};
 use owp_simnet::SimConfig;
-use rayon::prelude::*;
 
 type AlgFn = Box<dyn Fn(&Problem, u64) -> BMatching + Sync>;
 
@@ -55,25 +54,22 @@ pub fn run(quick: bool) -> Table {
     ];
 
     for (name, alg) in &algs {
-        let rows: Vec<(f64, f64, f64, f64, f64)> = (0..seeds)
-            .into_par_iter()
-            .map(|seed| {
-                let p = Problem::random_gnp(n, 10.0 / (n as f64 - 1.0), 3, 1500 + seed);
-                let m = alg(&p, seed);
-                let r = MatchingReport::compute(&p, &m);
-                let mut per = r.per_node.clone();
-                per.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-                let starved = per.iter().filter(|&&s| s < 1e-12).count() as f64
-                    / per.len().max(1) as f64;
-                (
-                    percentile(&per, 0.0),
-                    percentile(&per, 0.1),
-                    percentile(&per, 0.5),
-                    r.satisfaction_mean,
-                    starved,
-                )
-            })
-            .collect();
+        let rows: Vec<(f64, f64, f64, f64, f64)> = par_map(0..seeds, |seed| {
+            let p = Problem::random_gnp(n, 10.0 / (n as f64 - 1.0), 3, 1500 + seed);
+            let m = alg(&p, seed);
+            let r = MatchingReport::compute(&p, &m);
+            let mut per = r.per_node.clone();
+            per.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            let starved = per.iter().filter(|&&s| s < 1e-12).count() as f64
+                / per.len().max(1) as f64;
+            (
+                percentile(&per, 0.0),
+                percentile(&per, 0.1),
+                percentile(&per, 0.5),
+                r.satisfaction_mean,
+                starved,
+            )
+        });
         let col = |k: usize| -> Vec<f64> {
             rows.iter()
                 .map(|r| match k {

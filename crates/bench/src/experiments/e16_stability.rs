@@ -11,7 +11,7 @@
 //!   fixtures algorithm decide the instance at all, how often do
 //!   better-response dynamics converge, while LID terminates every time?
 
-use crate::{mean, Table};
+use crate::{mean, par_map, Table};
 use owp_core::run_lid;
 use owp_matching::stable::blocking::blocking_pairs;
 use owp_matching::stable::dynamics::better_response_from_empty;
@@ -21,7 +21,6 @@ use owp_matching::Problem;
 use owp_simnet::SimConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Runs both halves; returns two tables.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -33,23 +32,20 @@ pub fn run(quick: bool) -> Vec<Table> {
         &["b", "S(GS)", "S(LID)", "LID gain %", "blocking(GS)", "blocking(LID)"],
     );
     for b in [1u32, 2, 3] {
-        let rows: Vec<(f64, f64, usize, usize)> = (0..seeds)
-            .into_par_iter()
-            .map(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed * 41 + b as u64);
-                let g = owp_graph::generators::random_bipartite(24, 24, 0.3, &mut rng);
-                let p = Problem::random_over(g, b, seed);
-                let gs = gale_shapley(&p).expect("bipartite");
-                let lid = run_lid(&p, SimConfig::with_seed(seed));
-                assert!(lid.terminated);
-                (
-                    gs.total_satisfaction(&p),
-                    lid.matching.total_satisfaction(&p),
-                    blocking_pairs(&p, &gs).len(),
-                    blocking_pairs(&p, &lid.matching).len(),
-                )
-            })
-            .collect();
+        let rows: Vec<(f64, f64, usize, usize)> = par_map(0..seeds, |seed| {
+            let mut rng = StdRng::seed_from_u64(seed * 41 + b as u64);
+            let g = owp_graph::generators::random_bipartite(24, 24, 0.3, &mut rng);
+            let p = Problem::random_over(g, b, seed);
+            let gs = gale_shapley(&p).expect("bipartite");
+            let lid = run_lid(&p, SimConfig::with_seed(seed));
+            assert!(lid.terminated);
+            (
+                gs.total_satisfaction(&p),
+                lid.matching.total_satisfaction(&p),
+                blocking_pairs(&p, &gs).len(),
+                blocking_pairs(&p, &lid.matching).len(),
+            )
+        });
         let s_gs: Vec<f64> = rows.iter().map(|r| r.0).collect();
         let s_lid: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let blk_gs: Vec<f64> = rows.iter().map(|r| r.2 as f64).collect();
@@ -78,22 +74,19 @@ pub fn run(quick: bool) -> Vec<Table> {
         ],
     );
     for b in [1u32, 2] {
-        let rows: Vec<(bool, bool, f64, f64)> = (0..seeds)
-            .into_par_iter()
-            .map(|seed| {
-                let p = Problem::random_gnp(20, 0.4, b, 3000 + seed);
-                let ph1 = phase1(&p);
-                let (dyn_m, out) = better_response_from_empty(&p, 100_000);
-                let lid = run_lid(&p, SimConfig::with_seed(seed));
-                assert!(lid.terminated, "Lemma 5");
-                (
-                    ph1.decided.is_some(),
-                    out.converged,
-                    lid.matching.total_satisfaction(&p),
-                    dyn_m.total_satisfaction(&p),
-                )
-            })
-            .collect();
+        let rows: Vec<(bool, bool, f64, f64)> = par_map(0..seeds, |seed| {
+            let p = Problem::random_gnp(20, 0.4, b, 3000 + seed);
+            let ph1 = phase1(&p);
+            let (dyn_m, out) = better_response_from_empty(&p, 100_000);
+            let lid = run_lid(&p, SimConfig::with_seed(seed));
+            assert!(lid.terminated, "Lemma 5");
+            (
+                ph1.decided.is_some(),
+                out.converged,
+                lid.matching.total_satisfaction(&p),
+                dyn_m.total_satisfaction(&p),
+            )
+        });
         let decided = rows.iter().filter(|r| r.0).count() as f64 / seeds as f64;
         let converged = rows.iter().filter(|r| r.1).count() as f64 / seeds as f64;
         let ratio: Vec<f64> = rows

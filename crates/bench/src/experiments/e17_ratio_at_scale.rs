@@ -1,16 +1,15 @@
 //! E17 / Table 12 — the Theorem 2 ratio at realistic sizes.
 //!
 //! Branch & bound caps the exact-OPT experiments at n ≈ 12; Edmonds'
-//! blossom algorithm (the paper's reference [2], implemented in
+//! blossom algorithm (the paper's reference \[2\], implemented in
 //! `owp_matching::blossom`) computes the exact one-to-one OPT in O(n³),
 //! so the measured LIC/LID approximation ratio can be tracked as overlays
 //! grow into the hundreds of nodes.
 
-use crate::{mean, min, std_dev, Table};
+use crate::{mean, min, par_map, std_dev, Table};
 use owp_matching::blossom::optimal_weight_blossom;
 use owp_matching::lic::{lic, SelectionPolicy};
 use owp_matching::Problem;
-use rayon::prelude::*;
 
 /// Runs the scale sweep (b = 1; blossom is a one-to-one solver).
 pub fn run(quick: bool) -> Table {
@@ -28,25 +27,25 @@ pub fn run(quick: bool) -> Table {
 
     for topo in ["gnp_deg8", "ba_m4"] {
         for &n in sizes {
-            let ratios: Vec<f64> = (0..seeds)
-                .into_par_iter()
-                .filter_map(|seed| {
-                    use rand::SeedableRng;
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 271 + n as u64);
-                    let g = match topo {
-                        "gnp_deg8" => owp_graph::generators::erdos_renyi(
-                            n,
-                            8.0 / (n as f64 - 1.0),
-                            &mut rng,
-                        ),
-                        _ => owp_graph::generators::barabasi_albert(n, 4, &mut rng),
-                    };
-                    let p = Problem::random_over(g, 1, seed);
-                    let greedy = lic(&p, SelectionPolicy::InOrder).total_weight(&p);
-                    let opt = optimal_weight_blossom(&p).total_weight(&p);
-                    (opt > 0.0).then(|| greedy / opt)
-                })
-                .collect();
+            let ratios: Vec<f64> = par_map(0..seeds, |seed| {
+                use rand::SeedableRng;
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 271 + n as u64);
+                let g = match topo {
+                    "gnp_deg8" => owp_graph::generators::erdos_renyi(
+                        n,
+                        8.0 / (n as f64 - 1.0),
+                        &mut rng,
+                    ),
+                    _ => owp_graph::generators::barabasi_albert(n, 4, &mut rng),
+                };
+                let p = Problem::random_over(g, 1, seed);
+                let greedy = lic(&p, SelectionPolicy::InOrder).total_weight(&p);
+                let opt = optimal_weight_blossom(&p).total_weight(&p);
+                (opt > 0.0).then(|| greedy / opt)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
             let worst = min(&ratios);
             assert!(worst >= 0.5 - 1e-9, "Theorem 2 violated at n={n}");
             t.row(vec![

@@ -25,6 +25,40 @@ pub mod table;
 
 pub use table::Table;
 
+/// Order-preserving parallel map for the experiment sweeps: applies `f` to
+/// every item on scoped threads, at most `available_parallelism` of them,
+/// each taking one contiguous chunk. Every item of a sweep is an
+/// independent seeded run, so the output does not depend on the thread
+/// count. A worker's panic resumes on the caller.
+pub fn par_map<T, R>(items: impl IntoIterator<Item = T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+{
+    let items: Vec<T> = items.into_iter().collect();
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |t| t.get())
+        .min(items.len());
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(threads);
+    let mut items = items.into_iter();
+    let f = &f;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let part: Vec<T> = items.by_ref().take(chunk).collect();
+                s.spawn(move || part.into_iter().map(f).collect::<Vec<R>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
 /// Sample mean.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -50,6 +84,18 @@ pub fn min(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_preserves_order() {
+        let out = par_map(0u64..1000, |x| x * 2);
+        assert_eq!(out, (0u64..1000).map(|x| x * 2).collect::<Vec<_>>());
+        let kept: Vec<u64> = par_map(0u64..100, |x| (x % 3 == 0).then_some(x))
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(kept, (0u64..100).filter(|x| x % 3 == 0).collect::<Vec<_>>());
+        assert!(par_map(0u64..0, |x| x).is_empty());
+    }
 
     #[test]
     fn stats_basics() {

@@ -466,9 +466,9 @@ where
     N: Protocol<Message = LidMessage>,
     F: Fn(&N) -> &LidNode,
 {
-    // LID only messages along overlay edges, so the simulator gets the
-    // topology up front and FIFO clamping runs on the dense per-link array.
-    let mut sim = Simulator::with_topology(nodes, config, &problem.graph);
+    // LID only messages along overlay edges: the graph's CSR positions
+    // address the simulator's FIFO links.
+    let mut sim = Simulator::new(nodes, config, &problem.graph);
     let out = sim.run();
     let log = sim.take_telemetry();
     lid_result(
@@ -787,7 +787,7 @@ mod tests {
         for seed in 0..12 {
             let p = Problem::random_gnp(30, 0.3, 2, 40 + seed);
             let cfg = SimConfig::with_seed(seed).faults(FaultPlan::with_drop_probability(0.3));
-            let mut sim = Simulator::with_topology(build_nodes(&p), cfg, &p.graph);
+            let mut sim = Simulator::new(build_nodes(&p), cfg, &p.graph);
             let out = sim.run();
             let (stats, log) = (sim.stats(), EventLog::disabled());
             let r = lid_result(&p, sim.nodes(), stats, out.end_time, 0, out.quiescent, log);

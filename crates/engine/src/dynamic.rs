@@ -29,7 +29,6 @@ pub struct DynamicProblem {
     active: Vec<bool>,
     present: Vec<bool>,
     active_nodes: usize,
-    present_edges: usize,
 }
 
 impl DynamicProblem {
@@ -43,7 +42,6 @@ impl DynamicProblem {
             active: vec![true; n],
             present: vec![true; m],
             active_nodes: n,
-            present_edges: m,
         }
     }
 
@@ -55,13 +53,11 @@ impl DynamicProblem {
         assert_eq!(active.len(), problem.node_count(), "active flag length");
         assert_eq!(present.len(), problem.edge_count(), "present flag length");
         let active_nodes = active.iter().filter(|&&a| a).count();
-        let present_edges = present.iter().filter(|&&p| p).count();
         DynamicProblem {
             problem,
             active,
             present,
             active_nodes,
-            present_edges,
         }
     }
 
@@ -123,16 +119,6 @@ impl DynamicProblem {
         self.active_nodes
     }
 
-    /// Number of present universe edges.
-    pub fn present_count(&self) -> usize {
-        self.present_edges
-    }
-
-    /// Number of alive edges (present with both endpoints active).
-    pub fn alive_count(&self) -> usize {
-        self.problem.graph.edges().filter(|&e| self.is_alive(e)).count()
-    }
-
     pub(crate) fn set_active(&mut self, i: NodeId, on: bool) {
         debug_assert_ne!(self.active[i.index()], on);
         self.active[i.index()] = on;
@@ -146,11 +132,6 @@ impl DynamicProblem {
     pub(crate) fn set_present(&mut self, e: EdgeId, on: bool) {
         debug_assert_ne!(self.present[e.index()], on);
         self.present[e.index()] = on;
-        if on {
-            self.present_edges += 1;
-        } else {
-            self.present_edges -= 1;
-        }
     }
 
     pub(crate) fn active_flags(&self) -> &[bool] {

@@ -389,12 +389,12 @@ impl OriginSnapshot {
     /// list, eq. 9 weights re-derived from the lists and quotas — without
     /// the membership flags or the [`DynamicProblem`] wrapper.
     ///
-    /// This is the expensive, once-per-structure half of [`restore`]
-    /// (`OriginSnapshot::restore`): callers that audit a stream of
+    /// This is the expensive, once-per-structure half of
+    /// [`restore`](OriginSnapshot::restore): callers that audit a stream of
     /// snapshots over an unchanging universe (matchd's continuous auditor)
-    /// rebuild the universe only when [`same_structure`]
-    /// (`OriginSnapshot::same_structure`) breaks, and re-parse just the
-    /// [`flags`](OriginSnapshot::flags) per snapshot.
+    /// rebuild the universe only when
+    /// [`same_structure`](OriginSnapshot::same_structure) breaks, and
+    /// re-parse just the [`flags`](OriginSnapshot::flags) per snapshot.
     pub fn restore_universe(&self) -> Result<Problem, String> {
         if self.quotas.len() != self.n || self.prefs.len() != self.n {
             return Err("origin quota/preference table length mismatch".into());
@@ -422,8 +422,8 @@ impl OriginSnapshot {
     }
 
     /// Parses the membership flag strings into `(active, present)` bool
-    /// vectors — the cheap, per-snapshot half of [`restore`]
-    /// (`OriginSnapshot::restore`).
+    /// vectors — the cheap, per-snapshot half of
+    /// [`restore`](OriginSnapshot::restore).
     pub fn flags(&self) -> Result<(Vec<bool>, Vec<bool>), String> {
         let active = unbits(&self.active, self.n, "origin active flags")?;
         let present = unbits(&self.present, self.edges.len(), "origin present flags")?;
@@ -433,8 +433,8 @@ impl OriginSnapshot {
     /// `true` iff `other` describes the same universe *structure* — node
     /// count, edge list, quotas and preference lists — ignoring the
     /// membership flags. Two snapshots with equal structure restore to
-    /// the same [`Problem`] via [`restore_universe`]
-    /// (`OriginSnapshot::restore_universe`).
+    /// the same [`Problem`] via
+    /// [`restore_universe`](OriginSnapshot::restore_universe).
     pub fn same_structure(&self, other: &OriginSnapshot) -> bool {
         self.n == other.n
             && self.edges == other.edges

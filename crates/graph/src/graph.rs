@@ -155,14 +155,26 @@ impl Graph {
         self.neighbors(i).iter().map(|&(v, _)| v)
     }
 
-    /// The edge id connecting `u` and `v`, if such an edge exists.
+    /// The CSR position of `v` in `u`'s adjacency: `offsets[u]` plus the
+    /// rank of `v` among `u`'s sorted neighbours, or `None` if `u` and `v`
+    /// are not adjacent. Positions are dense over `0..2m` and distinct per
+    /// direction, so they address the graph's directed links.
     ///
     /// Binary search over `u`'s (sorted) adjacency — O(log d_u).
-    pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let nbrs = self.neighbors(u);
-        nbrs.binary_search_by_key(&v, |&(w, _)| w)
+    #[inline]
+    pub fn slot(&self, u: NodeId, v: NodeId) -> Option<usize> {
+        let lo = self.offsets[u.index()] as usize;
+        let hi = self.offsets[u.index() + 1] as usize;
+        self.adj[lo..hi]
+            .binary_search_by_key(&v, |&(w, _)| w)
             .ok()
-            .map(|pos| nbrs[pos].1)
+            .map(|pos| lo + pos)
+    }
+
+    /// The edge id connecting `u` and `v`, if such an edge exists
+    /// (O(log d_u), via [`Graph::slot`]).
+    pub fn edge_between(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
+        self.slot(u, v).map(|s| self.adj[s].1)
     }
 
     /// `true` iff `u` and `v` are adjacent in `G`.
@@ -228,6 +240,39 @@ mod tests {
             assert_eq!(g.edge_between(v, u), Some(e));
         }
         assert!(g.has_edge(NodeId(0), NodeId(1)));
+    }
+
+    #[test]
+    fn slots_are_dense_and_unique() {
+        let g = crate::generators::complete(6);
+        let mut seen = vec![false; 2 * g.edge_count()];
+        for i in g.nodes() {
+            for j in g.neighbor_ids(i) {
+                let s = g.slot(i, j).expect("edge has a slot");
+                assert_eq!(g.adj[s].0, j, "the slot holds the neighbour");
+                assert!(!seen[s], "slot {s} assigned twice");
+                seen[s] = true;
+            }
+        }
+        assert!(seen.into_iter().all(|s| s));
+    }
+
+    #[test]
+    fn non_edges_have_no_slot() {
+        let g = crate::generators::star(4); // hub 0, leaves 1..3: leaves are not adjacent
+        assert!(g.slot(NodeId(1), NodeId(2)).is_none());
+        assert!(g.slot(NodeId(0), NodeId(0)).is_none());
+        assert!(g.slot(NodeId(0), NodeId(3)).is_some());
+    }
+
+    #[test]
+    fn directions_get_distinct_slots() {
+        let g = crate::generators::complete(3);
+        for i in g.nodes() {
+            for j in g.neighbor_ids(i) {
+                assert_ne!(g.slot(i, j), g.slot(j, i));
+            }
+        }
     }
 
     #[test]

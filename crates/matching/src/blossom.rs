@@ -1,5 +1,5 @@
 //! Edmonds' blossom algorithm for maximum-weight matching on general graphs
-//! — the paper's reference [2] ("Paths, trees and flowers") in its weighted
+//! — the paper's reference \[2\] ("Paths, trees and flowers") in its weighted
 //! primal–dual form (Galil's O(n³) formulation, following van Rantwijk's
 //! well-known implementation structure).
 //!

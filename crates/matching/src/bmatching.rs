@@ -89,11 +89,6 @@ impl BMatching {
         &self.connections[i.index()]
     }
 
-    /// All per-node connection lists, indexed by node id.
-    pub fn connection_lists(&self) -> &[Vec<NodeId>] {
-        &self.connections
-    }
-
     /// Number of matched connections of node `i` (`c_i`).
     #[inline]
     pub fn degree(&self, i: NodeId) -> usize {

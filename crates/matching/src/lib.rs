@@ -18,13 +18,13 @@
 //! * [`exact`] — branch & bound optimal solvers for both objectives (the
 //!   measured "OPT" of the approximation-ratio experiments), plus a bitmask
 //!   DP oracle for one-to-one instances;
-//! * [`blossom`] — Edmonds' blossom algorithm (paper reference [2]) for
+//! * [`blossom`] — Edmonds' blossom algorithm (paper reference \[2\]) for
 //!   exact maximum-weight one-to-one matching on general graphs in O(n³);
 //! * [`flow`] — min-cost-flow exact solver for bipartite instances (an
 //!   independent cross-check);
 //! * [`stable`] — blocking pairs, better-response dynamics, the acyclicity
-//!   test of Gai et al., Gale–Shapley deferred acceptance (reference [4])
-//!   and phase 1 of Irving–Scott stable fixtures (reference [7]) — the
+//!   test of Gai et al., Gale–Shapley deferred acceptance (reference \[4\])
+//!   and phase 1 of Irving–Scott stable fixtures (reference \[7\]) — the
 //!   stability-centric alternatives the paper argues against;
 //! * [`verify`] — machine-checkable certificates of Lemmas 3 & 4 and of the
 //!   ½-approximation structure;

@@ -1,4 +1,4 @@
-//! Phase 1 of Irving & Scott's stable fixtures algorithm — reference [7],
+//! Phase 1 of Irving & Scott's stable fixtures algorithm — reference \[7\],
 //! the generalized stable roommates setting the paper's problem lives in.
 //!
 //! Every agent proposes down its preference list until `b_x` of its

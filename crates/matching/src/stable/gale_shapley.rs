@@ -1,5 +1,5 @@
 //! Gale–Shapley deferred acceptance for bipartite b-matching (college
-//! admissions) — reference [4] of the paper.
+//! admissions) — reference \[4\] of the paper.
 //!
 //! On a bipartite instance (proposer side / acceptor side), deferred
 //! acceptance always finds a *stable* b-matching: proposers walk down their

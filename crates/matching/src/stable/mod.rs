@@ -12,10 +12,10 @@
 //!   acyclic systems and may cycle otherwise;
 //! * [`acyclic`] — the acyclicity test on the preference system, and a
 //!   generator of cyclic gadgets;
-//! * [`gale_shapley`] — deferred acceptance on bipartite instances
-//!   (reference [4]; always stable there);
+//! * [`gale_shapley`](mod@gale_shapley) — deferred acceptance on bipartite instances
+//!   (reference \[4\]; always stable there);
 //! * [`fixtures`] — phase 1 of Irving & Scott's stable fixtures algorithm
-//!   (reference [7]; proposal/deletion reduction, decides aligned and many
+//!   (reference \[7\]; proposal/deletion reduction, decides aligned and many
 //!   random instances outright).
 
 pub mod acyclic;

@@ -193,11 +193,6 @@ impl EdgeWeights {
     pub fn is_empty(&self) -> bool {
         self.w.is_empty()
     }
-
-    /// Sum of all weights as `f64`.
-    pub fn total_f64(&self) -> f64 {
-        self.w.iter().map(|r| r.to_f64()).sum()
-    }
 }
 
 /// The strict total order on edges: weight first, canonical endpoint pair as

@@ -256,13 +256,12 @@ pub struct Auditor {
     engine_satisfaction: Gauge,
     lid_critical_path_len: Gauge,
     lid_critical_path_latency: Gauge,
-    epsilon: f64,
     last_epoch: Option<u64>,
 }
 
 impl Auditor {
-    /// An auditor publishing into `reg`, with ε = 0 (the strict
-    /// blocking-edge notion).
+    /// An auditor publishing into `reg`. Its ε-blocking gauge counts with
+    /// ε = 0 (the strict blocking-edge notion).
     pub fn new(reg: &MetricsRegistry) -> Self {
         Auditor {
             violations: Vec::new(),
@@ -274,15 +273,8 @@ impl Auditor {
             engine_satisfaction: reg.gauge("audit_engine_satisfaction"),
             lid_critical_path_len: reg.gauge("lid_critical_path_len"),
             lid_critical_path_latency: reg.gauge("lid_critical_path_latency"),
-            epsilon: 0.0,
             last_epoch: None,
         }
-    }
-
-    /// Sets the slack for the ε-blocking gauge.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon.max(0.0);
-        self
     }
 
     fn push(&mut self, kind: InvariantKind, epoch: Option<u64>, detail: String) {
@@ -403,7 +395,7 @@ impl Auditor {
         let added = self.violations.len() - before;
         if added == 0 {
             self.eps_blocking
-                .set(epsilon_blocking_count_masked(problem, alive, &quota, m, self.epsilon) as f64);
+                .set(epsilon_blocking_count_masked(problem, alive, &quota, m, 0.0) as f64);
             let upper = weight_upper_bound_masked(problem, alive, &quota);
             let ratio = if upper > 0.0 { m.total_weight(problem) / upper } else { 1.0 };
             self.satisfaction_ratio.set(ratio);
@@ -460,7 +452,7 @@ impl Auditor {
         let added = self.violations.len() - before;
         if added == 0 {
             self.eps_blocking
-                .set(epsilon_blocking_count(problem, m, self.epsilon) as f64);
+                .set(epsilon_blocking_count(problem, m, 0.0) as f64);
             let upper = weight_upper_bound(problem);
             let ratio = if upper > 0.0 { m.total_weight(problem) / upper } else { 1.0 };
             self.satisfaction_ratio.set(ratio);

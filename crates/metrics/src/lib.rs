@@ -8,7 +8,7 @@
 //! * [`MetricsRegistry`] — typed [`Counter`]/[`Gauge`]/[`Histogram`]
 //!   handles registered by static key; recording is lock-free (one relaxed
 //!   atomic per observation), histograms are log₂-bucketed, and handles
-//!   are `Send + Sync` for the rayon experiment sweeps.
+//!   are `Send + Sync` for the parallel experiment sweeps.
 //! * [`MetricsSnapshot`] — frozen registry state with two deterministic
 //!   exporters, [`MetricsSnapshot::to_prometheus`] and
 //!   [`MetricsSnapshot::to_json`], and matching parsers for offline

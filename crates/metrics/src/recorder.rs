@@ -2,7 +2,7 @@
 //! event stream into registry metrics instead of (or alongside) storing it.
 //!
 //! Drop it anywhere a recorder is accepted (`lic_traced`,
-//! `Engine::apply_batch_traced`), or replay a recorded [`EventLog`] — such
+//! `Engine::apply_batch_traced`), or replay a recorded [`owp_telemetry::EventLog`] — such
 //! as a traced LID run's `LidResult::log` — through
 //! [`MetricsRecorder::consume`], and the registry fills with:
 //!
@@ -128,14 +128,6 @@ impl MetricsRecorder {
         for &ev in log.events() {
             self.record(ev);
         }
-    }
-
-    /// Drops pairing state for sends that never delivered and proposals
-    /// that never locked (call between independent runs sharing one
-    /// recorder, so stale queue heads cannot skew the next run's pairing).
-    pub fn reset_pairing(&mut self) {
-        self.in_flight.clear();
-        self.pending_props.clear();
     }
 }
 

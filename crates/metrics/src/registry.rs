@@ -6,8 +6,8 @@
 //! registration and snapshot time. Recording through a handle is the hot
 //! path and is **lock-free**: one relaxed atomic RMW per observation, no
 //! allocation, no branch on a registry lookup. Handles are `Send + Sync`,
-//! so the rayon-parallel experiment sweeps record into the same registry
-//! without coordination.
+//! so the parallel experiment sweeps (`owp_bench::par_map`) record into
+//! the same registry without coordination.
 //!
 //! Histograms are log₂-bucketed over `u64` observations (latencies in
 //! ticks, wall times in microseconds, batch sizes in events): bucket `k`

@@ -10,9 +10,10 @@
 //! * [`protocol`] — the [`protocol::Protocol`] trait every
 //!   distributed node implements (`on_start` / `on_message`), plus the
 //!   [`protocol::Context`] handle used to send messages;
-//! * [`sim`] — the asynchronous event-driven [`sim::Simulator`]:
-//!   a deterministic tick-bucketed event queue, per-link FIFO enforcement,
-//!   message statistics and quiescence detection;
+//! * [`sim`] — the asynchronous event-driven [`sim::Simulator`] over a
+//!   topology graph: a deterministic tick-bucketed event queue, per-link
+//!   FIFO enforcement on the graph's own CSR positions, message statistics
+//!   and quiescence detection;
 //! * [`latency`] — pluggable link-delay distributions (constant, uniform,
 //!   exponential, log-normal) so asynchrony and message reordering across
 //!   different links can be exercised (the condition Lemma 5's termination
@@ -28,16 +29,15 @@
 //!   (`EventLog` of typed `TelemetryEvent`s, enabled per run via
 //!   [`sim::SimConfig::telemetry`]).
 //!
-//! Determinism: given the same seed, node set and configuration, a run
-//! delivers exactly the same events in the same order. Every experiment in
-//! `EXPERIMENTS.md` relies on this.
+//! Determinism: given the same seed, node set, topology and configuration,
+//! a run delivers exactly the same events in the same order. Every
+//! experiment in `EXPERIMENTS.md` relies on this.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod faults;
 pub mod latency;
-pub mod link;
 pub mod protocol;
 pub mod sim;
 pub mod stats;
@@ -45,7 +45,6 @@ pub mod sync;
 
 pub use faults::{CompiledFaults, FaultPlan, LinkLoss, Partition};
 pub use latency::LatencyModel;
-pub use link::LinkIndex;
 pub use owp_graph::NodeId;
 pub use owp_telemetry::{EventLog, MessageKind, NodeEvent, Recorder, TelemetryEvent};
 pub use protocol::{Context, Payload, Protocol};

@@ -2,14 +2,14 @@
 
 use crate::faults::{CompiledFaults, FaultPlan};
 use crate::latency::LatencyModel;
-use crate::link::LinkIndex;
 use crate::protocol::{Context, Payload, Protocol};
 use crate::stats::NetStats;
 use crate::{NodeId, SimTime};
+use owp_graph::Graph;
 use owp_telemetry::{EventLog, Recorder as _, SpanId, TelemetryEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Configuration of one asynchronous run.
 #[derive(Clone, Debug)]
@@ -110,42 +110,6 @@ enum Pending<M> {
     Restart { node: NodeId },
 }
 
-/// Per-directed-link "last scheduled delivery" store for the FIFO clamp.
-///
-/// With a known topology ([`Simulator::with_topology`]) the timestamps live
-/// in a flat array indexed by dense [`LinkIndex`] slots; without one they
-/// fall back to a hash map keyed by `(from, to)` — functionally identical,
-/// but one hash per send instead of an array write.
-enum LinkClock {
-    Dense {
-        index: LinkIndex,
-        last: Vec<SimTime>,
-    },
-    Sparse(HashMap<(u32, u32), SimTime>),
-}
-
-impl LinkClock {
-    /// Clamps `at` so this send does not overtake the previous send on the
-    /// same directed link, and records the result as the link's new last
-    /// delivery time.
-    fn clamp(&mut self, from: NodeId, to: NodeId, mut at: SimTime) -> SimTime {
-        let last: &mut SimTime = match self {
-            LinkClock::Dense { index, last } => {
-                let slot = index.slot(from, to).unwrap_or_else(|| {
-                    panic!("with_topology: {from:?} sent to non-neighbour {to:?}")
-                });
-                &mut last[slot]
-            }
-            LinkClock::Sparse(map) => map.entry((from.0, to.0)).or_insert(0),
-        };
-        if at <= *last {
-            at = *last + 1;
-        }
-        *last = at;
-        at
-    }
-}
-
 /// The pending-event queue: an ordered map from delivery tick to a FIFO
 /// bucket of the events due at that tick.
 ///
@@ -200,13 +164,18 @@ impl<T> TickQueue<T> {
     }
 }
 
-/// Deterministic discrete-event simulator over a set of [`Protocol`] nodes.
+/// Deterministic discrete-event simulator over a set of [`Protocol`] nodes
+/// that message each other along the edges of a topology graph.
 ///
 /// Events are ordered by `(delivery time, schedule order)`: simultaneous
 /// deliveries resolve in the order they were scheduled, so a run is a pure
-/// function of `(nodes, config)`.
-pub struct Simulator<P: Protocol> {
+/// function of `(nodes, config, topology)`.
+pub struct Simulator<'g, P: Protocol> {
     nodes: Vec<P>,
+    /// The communication graph: node `i` runs `nodes[i]`, and every
+    /// directed link `from → to` is addressed by its CSR position
+    /// [`Graph::slot`].
+    topology: &'g Graph,
     /// The fault plan compiled against the node count: O(1) crash/restart/
     /// partition/link-loss queries on the delivery path.
     faults: CompiledFaults,
@@ -224,38 +193,27 @@ pub struct Simulator<P: Protocol> {
     /// The callbacks' outbox, drained after each callback and handed to
     /// the next one, so deliveries allocate no outbox of their own.
     outbox: Vec<(NodeId, P::Message)>,
-    /// Last scheduled delivery time per directed link, for FIFO clamping.
-    link_clock: LinkClock,
+    /// Last scheduled delivery time per directed link, for FIFO clamping,
+    /// indexed by the link's CSR position (length `2m`).
+    last: Vec<SimTime>,
     stats: NetStats,
     log: EventLog,
     started: bool,
 }
 
-impl<P: Protocol> Simulator<P> {
-    /// Creates a simulator over `nodes` (node `i` gets id `i`), with no
-    /// topology information (FIFO timestamps in a hash map).
-    pub fn new(nodes: Vec<P>, config: SimConfig) -> Self {
-        Self::with_clock(nodes, config, LinkClock::Sparse(HashMap::new()))
-    }
-
+impl<'g, P: Protocol> Simulator<'g, P> {
     /// Creates a simulator whose nodes communicate only along the edges of
-    /// `topology` (node `i` of the graph runs `nodes[i]`). The FIFO clamp
-    /// then uses a dense per-directed-link array instead of a hash map.
+    /// `topology` (node `i` of the graph runs `nodes[i]`).
     ///
     /// # Panics
-    /// A send to a non-neighbour panics at dispatch time.
-    pub fn with_topology(nodes: Vec<P>, config: SimConfig, topology: &owp_graph::Graph) -> Self {
+    /// If `nodes` and `topology` differ in node count. A send to a
+    /// non-neighbour panics at dispatch time.
+    pub fn new(nodes: Vec<P>, config: SimConfig, topology: &'g Graph) -> Self {
         assert_eq!(
             nodes.len(),
             topology.node_count(),
             "one protocol node per topology node"
         );
-        let index = LinkIndex::from_graph(topology);
-        let last = vec![0; index.directed_link_count()];
-        Self::with_clock(nodes, config, LinkClock::Dense { index, last })
-    }
-
-    fn with_clock(nodes: Vec<P>, config: SimConfig, link_clock: LinkClock) -> Self {
         let n = nodes.len();
         let rng = StdRng::seed_from_u64(config.seed);
         let faults = CompiledFaults::compile(&config.faults, n)
@@ -267,6 +225,7 @@ impl<P: Protocol> Simulator<P> {
         };
         Simulator {
             nodes,
+            topology,
             faults,
             incarnation: vec![0; n],
             config,
@@ -275,11 +234,23 @@ impl<P: Protocol> Simulator<P> {
             next_span: 0,
             queue: TickQueue::new(),
             outbox: Vec::new(),
-            link_clock,
+            last: vec![0; 2 * topology.edge_count()],
             stats: NetStats::default(),
             log,
             started: false,
         }
+    }
+
+    /// Clamps `at` so this send does not overtake the previous send on the
+    /// directed link at CSR position `slot`, and records the result as the
+    /// link's new last delivery time.
+    fn clamp(&mut self, slot: usize, mut at: SimTime) -> SimTime {
+        let last = &mut self.last[slot];
+        if at <= *last {
+            at = *last + 1;
+        }
+        *last = at;
+        at
     }
 
     /// Runs one callback of `node` at the current time on a context that
@@ -324,11 +295,12 @@ impl<P: Protocol> Simulator<P> {
             );
         }
         for (to, msg) in outbox.drain(..) {
-            assert!(
-                to.index() < self.nodes.len(),
-                "send to unknown node {to:?}"
-            );
-            assert!(to != from, "node {from:?} sent a message to itself");
+            // The link's CSR position; an unknown id, `from` itself and any
+            // other non-adjacent node have none.
+            let slot = self
+                .topology
+                .slot(from, to)
+                .unwrap_or_else(|| panic!("node {from:?} sent to non-neighbour {to:?}"));
             let kind = msg.kind();
             let span = SpanId(self.next_span);
             self.next_span += 1;
@@ -389,7 +361,7 @@ impl<P: Protocol> Simulator<P> {
             if reorder {
                 self.stats.reordered += 1;
             } else {
-                at = self.link_clock.clamp(from, to, at);
+                at = self.clamp(slot, at);
             }
             // Duplication fault: an extra copy with its own span and an
             // independent latency draw (so the copy can arrive long after —
@@ -417,7 +389,7 @@ impl<P: Protocol> Simulator<P> {
                     kind,
                 });
                 let at = self.now + self.config.latency.sample(&mut self.rng);
-                let dat = self.link_clock.clamp(from, to, at);
+                let dat = self.clamp(slot, at);
                 self.schedule(dat, Pending::Msg(InFlight { from, to, msg: copy, span: dspan }));
             }
         }
@@ -584,6 +556,7 @@ impl<P: Protocol> Simulator<P> {
 mod tests {
     use super::*;
     use crate::protocol::Payload;
+    use owp_graph::generators;
     use owp_telemetry::MessageKind;
 
     /// Token-ring protocol: node 0 starts a token that makes `hops` hops.
@@ -654,7 +627,8 @@ mod tests {
 
     #[test]
     fn token_ring_quiesces_with_exact_counts() {
-        let mut sim = Simulator::new(ring(5, 12), SimConfig::with_seed(1));
+        let g = generators::ring(5);
+        let mut sim = Simulator::new(ring(5, 12), SimConfig::with_seed(1), &g);
         let out = sim.run();
         assert!(out.quiescent);
         assert_eq!(out.deliveries, 12);
@@ -665,9 +639,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "non-neighbour")]
+    fn send_to_non_neighbour_panics() {
+        // The token's third hop, 2 → 0, closes a ring that the path lacks.
+        let g = generators::path(3);
+        Simulator::new(ring(3, 5), SimConfig::with_seed(1), &g).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "one protocol node per topology node")]
+    fn node_count_must_match_the_topology() {
+        let g = generators::ring(4);
+        Simulator::new(ring(5, 1), SimConfig::with_seed(1), &g);
+    }
+
+    #[test]
     fn constant_latency_time_is_hops() {
         let cfg = SimConfig::with_seed(2).latency(LatencyModel::Constant { ticks: 3 });
-        let mut sim = Simulator::new(ring(4, 8), cfg);
+        let g = generators::ring(4);
+        let mut sim = Simulator::new(ring(4, 8), cfg, &g);
         let out = sim.run();
         assert_eq!(out.end_time, 8 * 3);
     }
@@ -678,7 +668,8 @@ mod tests {
             let cfg = SimConfig::with_seed(seed)
                 .latency(LatencyModel::Exponential { mean: 7.0 })
                 .telemetry();
-            let mut sim = Simulator::new(ring(6, 30), cfg);
+            let g = generators::ring(6);
+            let mut sim = Simulator::new(ring(6, 30), cfg, &g);
             let out = sim.run();
             (out, sim.telemetry().events().to_vec())
         };
@@ -697,7 +688,8 @@ mod tests {
             max_deliveries: 5,
             ..SimConfig::with_seed(3)
         };
-        let mut sim = Simulator::new(ring(4, 100), cfg);
+        let g = generators::ring(4);
+        let mut sim = Simulator::new(ring(4, 100), cfg, &g);
         let out = sim.run();
         assert!(!out.quiescent);
         assert_eq!(out.deliveries, 5);
@@ -706,7 +698,8 @@ mod tests {
     #[test]
     fn message_loss_kills_the_token() {
         let cfg = SimConfig::with_seed(4).faults(FaultPlan::with_drop_probability(1.0));
-        let mut sim = Simulator::new(ring(4, 10), cfg);
+        let g = generators::ring(4);
+        let mut sim = Simulator::new(ring(4, 10), cfg, &g);
         let out = sim.run();
         assert!(out.quiescent);
         assert_eq!(out.deliveries, 0);
@@ -719,7 +712,8 @@ mod tests {
         let cfg = SimConfig::with_seed(5)
             .faults(FaultPlan::none().crash(NodeId(1), 0))
             .telemetry();
-        let mut sim = Simulator::new(ring(4, 10), cfg);
+        let g = generators::ring(4);
+        let mut sim = Simulator::new(ring(4, 10), cfg, &g);
         let out = sim.run();
         assert!(out.quiescent);
         assert_eq!(sim.stats().dead_lettered, 1);
@@ -764,7 +758,8 @@ mod tests {
             },
         ];
         let cfg = SimConfig::with_seed(6).latency(LatencyModel::Uniform { lo: 1, hi: 50 });
-        let mut sim = Simulator::new(nodes, cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(nodes, cfg, &g);
         sim.run();
         let got = &sim.node(NodeId(1)).received;
         assert_eq!(*got, (0..20).collect::<Vec<_>>());
@@ -833,7 +828,8 @@ mod tests {
     #[test]
     fn timers_drive_retransmission_to_completion() {
         let cfg = SimConfig::with_seed(1).telemetry();
-        let mut sim = Simulator::new(retry_nodes(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         let out = sim.run();
         assert!(out.quiescent);
         assert!(sim.node(NodeId(0)).done);
@@ -853,7 +849,8 @@ mod tests {
         // is not expressible; use 50% loss and verify the retry loop still
         // finishes (timers are local and lossless).
         let cfg = SimConfig::with_seed(33).faults(FaultPlan::with_drop_probability(0.5));
-        let mut sim = Simulator::new(retry_nodes(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         let out = sim.run();
         assert!(out.quiescent);
         assert!(sim.node(NodeId(0)).done, "retransmission defeats loss");
@@ -862,7 +859,8 @@ mod tests {
     #[test]
     fn crashed_node_timers_do_not_fire() {
         let cfg = SimConfig::with_seed(2).faults(FaultPlan::none().crash(NodeId(0), 5));
-        let mut sim = Simulator::new(retry_nodes(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         sim.run();
         // Node 0 crashed before its first timer (t=10): no retransmissions.
         assert_eq!(sim.stats().sent_of(MessageKind::Other("PING")), 1);
@@ -871,7 +869,8 @@ mod tests {
 
     #[test]
     fn terminated_fraction_reports() {
-        let mut sim = Simulator::new(ring(4, 4), SimConfig::with_seed(7));
+        let g = generators::ring(4);
+        let mut sim = Simulator::new(ring(4, 4), SimConfig::with_seed(7), &g);
         assert_eq!(sim.terminated_fraction(), 0.0);
         sim.run();
         assert_eq!(sim.terminated_fraction(), 0.25); // exactly one node saw remaining=0
@@ -881,7 +880,8 @@ mod tests {
     fn token_ring_causal_chain_is_one_certified_path() {
         use owp_telemetry::CausalDag;
         let cfg = SimConfig::with_seed(1).telemetry();
-        let mut sim = Simulator::new(ring(5, 12), cfg);
+        let g = generators::ring(5);
+        let mut sim = Simulator::new(ring(5, 12), cfg, &g);
         sim.run();
         let dag = CausalDag::from_log(sim.telemetry());
         // Every hop is caused by the previous delivery: one root, one chain.
@@ -899,7 +899,8 @@ mod tests {
     fn timer_sends_inherit_the_arming_parent() {
         use owp_telemetry::{CausalDag, MessageKind};
         let cfg = SimConfig::with_seed(1).telemetry();
-        let mut sim = Simulator::new(retry_nodes(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         sim.run();
         let dag = CausalDag::from_log(sim.telemetry());
         assert!(dag.is_certified());
@@ -928,7 +929,8 @@ mod tests {
         let cfg = SimConfig::with_seed(4)
             .faults(FaultPlan::with_drop_probability(1.0))
             .telemetry();
-        let mut sim = Simulator::new(ring(4, 10), cfg);
+        let g = generators::ring(4);
+        let mut sim = Simulator::new(ring(4, 10), cfg, &g);
         sim.run();
         let dag = CausalDag::from_log(sim.telemetry());
         assert_eq!(dag.len(), 1);
@@ -938,7 +940,8 @@ mod tests {
         let cfg = SimConfig::with_seed(5)
             .faults(FaultPlan::none().crash(NodeId(1), 0))
             .telemetry();
-        let mut sim = Simulator::new(ring(4, 10), cfg);
+        let g = generators::ring(4);
+        let mut sim = Simulator::new(ring(4, 10), cfg, &g);
         sim.run();
         let dag = CausalDag::from_log(sim.telemetry());
         assert_eq!(dag.spans()[0].outcome, SpanOutcome::DeadLettered);
@@ -953,7 +956,8 @@ mod tests {
         let cfg = SimConfig::with_seed(8)
             .faults(FaultPlan::none().partition(vec![NodeId(0)], 0, 15))
             .telemetry();
-        let mut sim = Simulator::new(retry_nodes(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         let out = sim.run();
         assert!(out.quiescent);
         assert!(sim.node(NodeId(0)).done, "retransmission defeats the cut");
@@ -973,7 +977,8 @@ mod tests {
             ..SimConfig::with_seed(9)
                 .faults(FaultPlan::none().link_loss(NodeId(0), NodeId(1), 1.0))
         };
-        let mut sim = Simulator::new(retry_nodes(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         sim.run();
         assert!(!sim.node(NodeId(0)).done);
         assert_eq!(sim.node(NodeId(1)).pings_seen, 0);
@@ -1009,7 +1014,8 @@ mod tests {
         let cfg = SimConfig::with_seed(10)
             .faults(FaultPlan::none().duplicate(1.0))
             .telemetry();
-        let mut sim = Simulator::new(nodes, cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(nodes, cfg, &g);
         let out = sim.run();
         assert_eq!(sim.stats().sent, 5, "protocol-level sends are unchanged");
         assert_eq!(sim.stats().duplicated, 5);
@@ -1053,7 +1059,8 @@ mod tests {
         let cfg = SimConfig::with_seed(6)
             .latency(LatencyModel::Uniform { lo: 1, hi: 50 })
             .faults(FaultPlan::none().reorder(1.0));
-        let mut sim = Simulator::new(mk(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(mk(), cfg, &g);
         sim.run();
         assert_eq!(sim.stats().reordered, 20);
         let got = sim.node(NodeId(1)).received.clone();
@@ -1072,7 +1079,8 @@ mod tests {
         let cfg = SimConfig::with_seed(11)
             .faults(FaultPlan::none().crash(NodeId(0), 5).restart(NodeId(0), 35))
             .telemetry();
-        let mut sim = Simulator::new(retry_nodes(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         let out = sim.run();
         assert!(out.quiescent);
         assert_eq!(sim.stats().restarts, 1);
@@ -1091,7 +1099,8 @@ mod tests {
         // restart at t=20 boots it via on_restart and the run completes.
         let cfg = SimConfig::with_seed(12)
             .faults(FaultPlan::none().crash(NodeId(0), 0).restart(NodeId(0), 20));
-        let mut sim = Simulator::new(retry_nodes(), cfg);
+        let g = generators::path(2);
+        let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         let out = sim.run();
         assert!(out.quiescent);
         assert!(sim.node(NodeId(0)).done);
@@ -1115,7 +1124,8 @@ mod tests {
                     .faults(plan)
                     .telemetry()
             };
-            let mut sim = Simulator::new(retry_nodes(), cfg);
+            let g = generators::path(2);
+            let mut sim = Simulator::new(retry_nodes(), cfg, &g);
             let out = sim.run();
             (out, sim.stats().clone(), sim.telemetry().to_jsonl())
         };
@@ -1126,7 +1136,8 @@ mod tests {
 
     #[test]
     fn disabled_telemetry_stays_unallocated() {
-        let mut sim = Simulator::new(ring(5, 40), SimConfig::with_seed(9));
+        let g = generators::ring(5);
+        let mut sim = Simulator::new(ring(5, 40), SimConfig::with_seed(9), &g);
         sim.run();
         assert!(sim.telemetry().is_empty());
         assert_eq!(sim.telemetry().events_capacity(), 0);

@@ -7,7 +7,8 @@
 //! the conservation law `sent = delivered + dropped + dead_lettered` once
 //! the network has drained.
 
-use owp_graph::NodeId;
+use owp_graph::generators::{complete, path};
+use owp_graph::{Graph, NodeId};
 use owp_simnet::{
     Context, FaultPlan, MessageKind, Payload, Protocol, SimConfig, Simulator, TelemetryEvent,
 };
@@ -53,17 +54,21 @@ impl Protocol for Chatter {
     }
 }
 
-fn run(n: u32, volleys: u32, faults: FaultPlan, seed: u64) -> Simulator<Chatter> {
+/// Runs `Chatter` over `g`, which must be complete: every node pings all
+/// the others.
+fn run(g: &Graph, volleys: u32, faults: FaultPlan, seed: u64) -> Simulator<'_, Chatter> {
+    let n = g.node_count() as u32;
     let nodes = (0..n)
         .map(|i| Chatter { id: NodeId(i), n, volleys, received: 0 })
         .collect();
-    let mut sim = Simulator::new(nodes, SimConfig::with_seed(seed).faults(faults).telemetry());
+    let config = SimConfig::with_seed(seed).faults(faults).telemetry();
+    let mut sim = Simulator::new(nodes, config, g);
     sim.start();
     sim.run();
     sim
 }
 
-fn count(sim: &Simulator<Chatter>, tag: &str) -> u64 {
+fn count(sim: &Simulator<'_, Chatter>, tag: &str) -> u64 {
     sim.telemetry().with_tag(tag).count() as u64
 }
 
@@ -74,7 +79,8 @@ fn dead_letters_match_crashed_destinations() {
     let n = 6u64;
     let volleys = 4u64;
     let faults = FaultPlan::none().crash(NodeId(1), 0).crash(NodeId(3), 0);
-    let sim = run(n as u32, volleys as u32, faults, 7);
+    let g = complete(n as usize);
+    let sim = run(&g, volleys as u32, faults, 7);
     let stats = sim.stats();
 
     let senders = n - 2; // crashed nodes crash before on_start fires
@@ -104,7 +110,8 @@ fn random_drops_and_dead_letters_conserve_messages() {
     // partition into delivered/dropped/dead-lettered must be exact, and the
     // per-class counters must equal their telemetry event counts.
     let faults = FaultPlan::with_drop_probability(0.35).crash(NodeId(2), 0);
-    let sim = run(8, 3, faults, 42);
+    let g = complete(8);
+    let sim = run(&g, 3, faults, 42);
     let stats = sim.stats();
 
     assert_eq!(sim.in_flight(), 0, "network must drain");
@@ -135,8 +142,8 @@ fn late_crash_splits_the_timeline() {
         Chatter { id: NodeId(0), n: 2, volleys: 12, received: 0 },
         Chatter { id: NodeId(1), n: 2, volleys: 0, received: 0 },
     ];
-    let mut sim =
-        Simulator::new(nodes, SimConfig::with_seed(9).faults(faults).telemetry());
+    let g = path(2);
+    let mut sim = Simulator::new(nodes, SimConfig::with_seed(9).faults(faults).telemetry(), &g);
     sim.start();
     sim.run();
     let stats = sim.stats();
@@ -154,7 +161,8 @@ fn late_crash_splits_the_timeline() {
 
 #[test]
 fn no_faults_means_no_losses() {
-    let sim = run(5, 2, FaultPlan::none(), 3);
+    let g = complete(5);
+    let sim = run(&g, 2, FaultPlan::none(), 3);
     let stats = sim.stats();
     assert_eq!(stats.dropped, 0);
     assert_eq!(stats.dead_lettered, 0);

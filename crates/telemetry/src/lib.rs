@@ -22,8 +22,8 @@
 //! * [`series`] — **per-round convergence time-series**: the
 //!   [`series::ConvergenceSeries`] collector samples matched-edge count,
 //!   total weight, total satisfaction, in-flight messages and the
-//!   terminated-node fraction at every simulator round, with JSONL and
-//!   CSV export for plotting and regression tracking.
+//!   terminated-node fraction at every simulator round, with JSONL
+//!   export for plotting and regression tracking.
 //! * [`causal`] — **happens-before analysis**: every in-flight message
 //!   carries a [`event::SpanId`] plus the span of the delivery that caused
 //!   it; [`causal::CausalDag`] rebuilds the causal forest from a trace,

@@ -4,7 +4,7 @@
 //! convergence *trajectories* — rounds-to-stability and message complexity
 //! over time — not just endpoints. [`ConvergenceSeries`] is the collector
 //! the LID runners fill: one [`ConvergenceSample`] per simulator round,
-//! exported as JSONL (one object per line, schema below) or CSV.
+//! exported as JSONL (one object per line, schema below).
 //!
 //! JSONL schema (stable, consumed by `experiments --trace-out`):
 //!
@@ -59,16 +59,6 @@ impl ConvergenceSample {
         out.push('}');
     }
 
-    /// Appends one CSV row matching [`ConvergenceSeries::CSV_HEADER`].
-    fn write_csv(&self, out: &mut String) {
-        let _ = write!(out, "{},{},", self.round, self.matched_edges);
-        json::write_f64(out, self.total_weight);
-        out.push(',');
-        json::write_f64(out, self.satisfaction_total);
-        let _ = write!(out, ",{},{},", self.messages_sent, self.in_flight);
-        json::write_f64(out, self.terminated_fraction);
-    }
-
     fn from_json(v: &Value<'_>) -> Result<ConvergenceSample, String> {
         let float = |key: &str| match v.field(key)?.nullable() {
             None => Ok(f64::NAN),
@@ -93,10 +83,6 @@ pub struct ConvergenceSeries {
 }
 
 impl ConvergenceSeries {
-    /// CSV header of [`ConvergenceSeries::to_csv`].
-    pub const CSV_HEADER: &'static str =
-        "round,matched_edges,total_weight,satisfaction_total,messages_sent,in_flight,terminated_fraction";
-
     /// Empty series.
     pub fn new() -> Self {
         ConvergenceSeries::default()
@@ -140,26 +126,9 @@ impl ConvergenceSeries {
         out
     }
 
-    /// CSV document with header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity((self.samples.len() + 1) * 64);
-        out.push_str(Self::CSV_HEADER);
-        out.push('\n');
-        for s in &self.samples {
-            s.write_csv(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-
     /// Writes the JSONL document to `path`.
     pub fn write_jsonl<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
         std::fs::write(path, self.to_jsonl())
-    }
-
-    /// Writes the CSV document to `path`.
-    pub fn write_csv<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
     }
 
     /// Parses a JSONL document produced by [`ConvergenceSeries::to_jsonl`]
@@ -176,48 +145,6 @@ impl ConvergenceSeries {
             Some(w) => Err(format!("round {} follows round {}", w[1].round, w[0].round)),
             None => Ok(ConvergenceSeries { samples }),
         }
-    }
-
-    /// Parses a CSV document produced by [`ConvergenceSeries::to_csv`].
-    /// The header row must match [`ConvergenceSeries::CSV_HEADER`] exactly —
-    /// schema drift is an error, not a silent remap.
-    pub fn parse_csv(doc: &str) -> Result<ConvergenceSeries, String> {
-        let mut lines = doc.lines();
-        let header = lines.next().ok_or("empty document")?;
-        if header != Self::CSV_HEADER {
-            return Err(format!(
-                "header mismatch: expected {:?}, found {header:?}",
-                Self::CSV_HEADER
-            ));
-        }
-        let mut samples = Vec::new();
-        for (lineno, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let cols: Vec<&str> = line.split(',').collect();
-            if cols.len() != 7 {
-                return Err(format!("row {}: expected 7 columns, found {}", lineno + 2, cols.len()));
-            }
-            let ctx = |what: String| format!("row {}: {what}", lineno + 2);
-            let f64_col = |v: &str| -> Result<f64, String> {
-                if v == "null" {
-                    Ok(f64::NAN)
-                } else {
-                    v.parse().map_err(|e| format!("{e}: {v}"))
-                }
-            };
-            samples.push(ConvergenceSample {
-                round: cols[0].parse().map_err(|e| ctx(format!("round: {e}")))?,
-                matched_edges: cols[1].parse().map_err(|e| ctx(format!("matched_edges: {e}")))?,
-                total_weight: f64_col(cols[2]).map_err(ctx)?,
-                satisfaction_total: f64_col(cols[3]).map_err(ctx)?,
-                messages_sent: cols[4].parse().map_err(|e| ctx(format!("messages_sent: {e}")))?,
-                in_flight: cols[5].parse().map_err(|e| ctx(format!("in_flight: {e}")))?,
-                terminated_fraction: f64_col(cols[6]).map_err(ctx)?,
-            });
-        }
-        Self::from_samples(samples)
     }
 
     /// First round at which the matched-edge count reached its final value
@@ -255,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_csv_shape() {
+    fn jsonl_shape() {
         let mut series = ConvergenceSeries::new();
         series.push(s(0, 0, 0.0));
         series.push(s(1, 3, 1.5));
@@ -265,14 +192,6 @@ mod tests {
         assert!(jsonl.starts_with("{\"round\":0,\"matched_edges\":0,\"total_weight\":0.0"));
         for line in jsonl.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'));
-        }
-        let csv = series.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(ConvergenceSeries::CSV_HEADER));
-        assert_eq!(lines.next(), Some("0,0,0.0,0.0,0,20,0.0"));
-        // Column count matches the header everywhere.
-        for line in csv.lines() {
-            assert_eq!(line.split(',').count(), 7);
         }
     }
 
@@ -285,16 +204,6 @@ mod tests {
         assert_eq!(series.stabilization_round(), Some(2));
         assert_eq!(series.last().unwrap().matched_edges, 5);
         assert_eq!(ConvergenceSeries::new().stabilization_round(), None);
-    }
-
-    #[test]
-    fn csv_header_is_pinned() {
-        // Downstream tooling (owp-inspect, plotting scripts) keys on these
-        // exact column names; changing them is a breaking schema change.
-        assert_eq!(
-            ConvergenceSeries::CSV_HEADER,
-            "round,matched_edges,total_weight,satisfaction_total,messages_sent,in_flight,terminated_fraction"
-        );
     }
 
     #[test]
@@ -319,23 +228,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_parses_back_bit_for_bit() {
-        let mut series = ConvergenceSeries::new();
-        for (r, e) in [(0u64, 0usize), (1, 2), (3, 7)] {
-            series.push(s(r, e, e as f64 * 1.25));
-        }
-        let back = ConvergenceSeries::parse_csv(&series.to_csv()).expect("parses");
-        assert_eq!(back.to_csv(), series.to_csv());
-        assert_eq!(back.stabilization_round(), series.stabilization_round());
-    }
-
-    #[test]
     fn parsers_reject_schema_drift() {
-        // CSV: a renamed column is an error, not a silent remap.
-        let bad = "round,edges,total_weight,satisfaction_total,messages_sent,in_flight,terminated_fraction\n0,0,0.0,0.0,0,0,0.0\n";
-        assert!(ConvergenceSeries::parse_csv(bad).is_err());
-        assert!(ConvergenceSeries::parse_csv("").is_err());
-        // JSONL: reordered/missing fields are errors.
+        // Reordered/missing fields are errors.
         assert!(ConvergenceSeries::parse_jsonl("{\"matched_edges\":0,\"round\":0}").is_err());
         assert!(ConvergenceSeries::parse_jsonl("not json\n").is_err());
         // Empty JSONL is a valid empty series.
