@@ -303,7 +303,7 @@ fn main() {
                 );
                 continue;
             };
-            if let Some((label, col, ceiling)) = g.cap.filter(|_| g.cap_key.map_or(true, |k| k == key)) {
+            if let Some((label, col, ceiling)) = g.cap.filter(|_| g.cap_key.is_none_or(|k| k == key)) {
                 let now: f64 = fresh.cell(fresh_row, col).parse().expect("numeric cell");
                 compared += 1;
                 let verdict = if now <= ceiling { "ok" } else { "OVER BUDGET" };

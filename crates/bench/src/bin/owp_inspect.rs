@@ -224,7 +224,7 @@ fn inspect_metrics(path: &str) {
     if gauge(owp_metrics::ALLOCATIONS_PER_BATCH).is_some() {
         out.push_str("engine:\n");
         match gauge(owp_metrics::ALLOCATIONS_PER_BATCH) {
-            Some(rate) if rate == 0.0 => out.push_str(
+            Some(0.0) => out.push_str(
                 "  steady-state batches allocation-free (engine_allocations_per_batch = 0)\n",
             ),
             Some(rate) => {
@@ -344,10 +344,10 @@ fn inspect_metrics(path: &str) {
         );
         for class in owp_metrics::CAMPAIGN_CLASSES {
             let plans = owp_metrics::campaign_plans_key(class)
-                .and_then(|k| counter(k))
+                .and_then(&counter)
                 .unwrap_or(0);
             let violations = owp_metrics::campaign_violations_key(class)
-                .and_then(|k| counter(k))
+                .and_then(&counter)
                 .unwrap_or(0);
             let _ = writeln!(
                 out,

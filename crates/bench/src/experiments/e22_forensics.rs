@@ -233,7 +233,7 @@ mod tests {
         assert_eq!(sweep.row_count(), 4, "2 fault kinds x 2 quick seeds");
         for r in 0..sweep.row_count() {
             let len: usize = sweep.cell(r, 4).parse().unwrap();
-            assert!(len >= 1 && len <= 10, "row {r}: reproducer stays small, got {len}");
+            assert!((1..=10).contains(&len), "row {r}: reproducer stays small, got {len}");
             assert_eq!(sweep.cell(r, 6), "yes", "row {r}: must replay to the same violation");
         }
 

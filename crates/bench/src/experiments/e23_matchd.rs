@@ -127,10 +127,8 @@ fn run_inner(quick: bool, reg: Option<&MetricsRegistry>) -> Vec<Table> {
         &["linger us", "clients", "events", "batches", "ingest ms", "events/s", "p99 ms", "busy"],
     );
     let mut durability = Table::new(
-        format!(
-            "E23 — durability cut: abort (no flush, no final snapshot) mid-stream, \
-             recover from WAL + latest snapshot, certify"
-        ),
+        "E23 — durability cut: abort (no flush, no final snapshot) mid-stream, \
+         recover from WAL + latest snapshot, certify",
         &["linger us", "acked epoch", "recovered epoch", "replayed", "snapshot epoch", "certified"],
     );
 
@@ -222,11 +220,11 @@ fn run_inner(quick: bool, reg: Option<&MetricsRegistry>) -> Vec<Table> {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    ingest.note(format!(
+    ingest.note(
         "p99 is the per-submission round trip observed by clients (TCP write → engine \
          apply → WAL append → ack read), log₂-bucket upper bound; linger 0 flushes \
-         every submission, larger lingers merge concurrent clients into fewer batches"
-    ));
+         every submission, larger lingers merge concurrent clients into fewer batches",
+    );
     ingest.note(format!(
         "busy counts admission-control rejections (bounded {}-submission ingest queue) \
          the clients retried through; acked events always total clients × stream length",

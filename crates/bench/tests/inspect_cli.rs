@@ -128,10 +128,10 @@ fn metrics_unparseable_input_exits_two() {
 fn causal_consistent_trace_exits_zero() {
     let dir = scratch("causal_clean");
     let trace = "\
-{\"ev\":\"span_sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
-{\"ev\":\"span_delivered\",\"time\":1,\"span\":0}
-{\"ev\":\"span_sent\",\"time\":2,\"span\":1,\"parent\":0,\"from\":7,\"to\":3,\"kind\":\"ACC\"}
-{\"ev\":\"span_delivered\",\"time\":3,\"span\":1}
+{\"ev\":\"sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
+{\"ev\":\"delivered\",\"time\":1,\"span\":0,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
+{\"ev\":\"sent\",\"time\":2,\"span\":1,\"parent\":0,\"from\":7,\"to\":3,\"kind\":\"ACC\"}
+{\"ev\":\"delivered\",\"time\":3,\"span\":1,\"from\":7,\"to\":3,\"kind\":\"ACC\"}
 ";
     let path = write(&dir, "events.jsonl", trace);
     let (code, out, _) = inspect(&["causal", &path]);
@@ -142,12 +142,12 @@ fn causal_consistent_trace_exits_zero() {
 #[test]
 fn causal_violated_certificate_exits_one() {
     let dir = scratch("causal_dirty");
-    // Span 1 claims parent 99, which has no span_sent record — a
+    // Span 1 claims parent 99, which has no sent record — a
     // broken happens-before edge the certificate must reject.
     let trace = "\
-{\"ev\":\"span_sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
-{\"ev\":\"span_delivered\",\"time\":1,\"span\":0}
-{\"ev\":\"span_sent\",\"time\":2,\"span\":1,\"parent\":99,\"from\":7,\"to\":3,\"kind\":\"ACC\"}
+{\"ev\":\"sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
+{\"ev\":\"delivered\",\"time\":1,\"span\":0,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
+{\"ev\":\"sent\",\"time\":2,\"span\":1,\"parent\":99,\"from\":7,\"to\":3,\"kind\":\"ACC\"}
 ";
     let path = write(&dir, "events.jsonl", trace);
     let (code, out, _) = inspect(&["causal", &path]);

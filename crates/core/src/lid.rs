@@ -574,7 +574,7 @@ pub fn replay_lid_trace(problem: &Problem, log: &EventLog) -> Result<BMatching, 
     }
     let n = nodes.len();
     for (i, ev) in log.events().iter().enumerate() {
-        let TelemetryEvent::Delivered { time, from, to, kind } = *ev else {
+        let TelemetryEvent::Delivered { time, from, to, kind, .. } = *ev else {
             continue;
         };
         let msg = match kind {
@@ -812,7 +812,8 @@ mod tests {
     }
 
     fn delivery(from: u32, to: u32, kind: MessageKind) -> TelemetryEvent {
-        TelemetryEvent::Delivered { time: 1, from: NodeId(from), to: NodeId(to), kind }
+        let (span, from, to) = (owp_telemetry::SpanId(0), NodeId(from), NodeId(to));
+        TelemetryEvent::Delivered { time: 1, span, from, to, kind }
     }
 
     fn replay_events(p: &Problem, events: &[TelemetryEvent]) -> Result<BMatching, String> {

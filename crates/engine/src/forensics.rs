@@ -584,9 +584,6 @@ pub struct ForensicBundle {
     pub ring_jsonl: String,
     /// Epoch watermarks `(epoch, events_seen)`, oldest first.
     pub watermarks: Vec<(u64, u64)>,
-    /// The span-carrying tail of the ring (causal-DAG fragment), as
-    /// telemetry JSONL — empty unless span events were teed into the ring.
-    pub causal_tail_jsonl: String,
     /// A metrics snapshot (JSON) the caller attached, if any.
     pub metrics_json: Option<String>,
 }
@@ -729,7 +726,6 @@ impl ForensicBundle {
             let _ = write!(o, "[{e},{s}]");
         }
         o.push(']');
-        str_field(&mut o, "causal_tail", &self.causal_tail_jsonl);
         match &self.metrics_json {
             Some(m) => str_field(&mut o, "metrics", m),
             None => o.push_str(",\"metrics\":null"),
@@ -816,7 +812,6 @@ impl ForensicBundle {
             ring_seen: u64_at("ring_seen")?,
             ring_jsonl: str_at("ring")?,
             watermarks,
-            causal_tail_jsonl: str_at("causal_tail")?,
             metrics_json: top
                 .field("metrics")?
                 .nullable()
@@ -929,17 +924,6 @@ impl Engine {
             None => self.epoch().0,
         };
         let ring = self.flight();
-        let causal_tail: Vec<String> = ring
-            .iter()
-            .filter(|ev| ev.tag().starts_with("span_"))
-            .map(|ev| ev.to_json())
-            .collect();
-        let tail_start = causal_tail.len().saturating_sub(64);
-        let mut causal_tail_jsonl = String::new();
-        for line in &causal_tail[tail_start..] {
-            causal_tail_jsonl.push_str(line);
-            causal_tail_jsonl.push('\n');
-        }
         ForensicBundle {
             trigger: trigger.to_string(),
             reason: reason.to_string(),
@@ -963,7 +947,6 @@ impl Engine {
             ring_seen: ring.seen(),
             ring_jsonl: ring.to_jsonl(),
             watermarks: ring.watermarks().collect(),
-            causal_tail_jsonl,
             metrics_json: metrics_json.map(str::to_string),
         }
     }
@@ -1173,6 +1156,21 @@ mod tests {
         let parsed = ForensicBundle::parse(&bundle.to_json()).expect("a u64::MAX seed parses");
         assert_eq!(parsed.seed, Some(u64::MAX));
         assert_eq!(parsed, bundle);
+    }
+
+    #[test]
+    fn bundle_with_the_retired_causal_tail_field_still_parses() {
+        // Bundles written before the field was retired hold an always
+        // empty `"causal_tail":""` between the watermarks and the metrics.
+        let mut e = Engine::new(problem(27));
+        for b in structural_stream(&e, 2) {
+            e.apply_batch(&b).unwrap();
+        }
+        let bundle = e.capture_bundle("manual", "older layout", None, None);
+        let doc = bundle.to_json();
+        let old = doc.replacen(",\"metrics\":", ",\"causal_tail\":\"\",\"metrics\":", 1);
+        assert_ne!(old, doc);
+        assert_eq!(ForensicBundle::parse(&old), Ok(bundle));
     }
 
     #[test]

@@ -146,6 +146,6 @@ mod tests {
         }
         engine.certify().expect("certified");
         // Self-inverse: everything returned to the initial state.
-        assert_eq!(engine.epoch().0 as usize, (merged.len() + 6) / 7);
+        assert_eq!(engine.epoch().0 as usize, merged.len().div_ceil(7));
     }
 }

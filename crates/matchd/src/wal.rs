@@ -188,7 +188,7 @@ impl Wal {
             File::open(path)?.read_to_end(&mut bytes)?;
         }
         let (summary, records) = scan_bytes(&bytes);
-        let file = OpenOptions::new().create(true).read(true).write(true).open(path)?;
+        let file = OpenOptions::new().create(true).read(true).write(true).truncate(false).open(path)?;
         if summary.torn_bytes > 0 {
             file.set_len(summary.valid_bytes)?;
             file.sync_data()?;

@@ -277,12 +277,12 @@ fn malformed_requests_never_take_the_plane_down() {
         let _ = s.write_all(&bytes);
         let _ = s.flush();
         let _ = s.shutdown(std::net::Shutdown::Write);
-        match http::read_response(&mut s, 1 << 20) {
-            Ok((status, _)) => assert!(
+        // The daemon may close without a response — fine for hopeless input.
+        if let Ok((status, _)) = http::read_response(&mut s, 1 << 20) {
+            assert!(
                 matches!(status, 200 | 400 | 404 | 405),
                 "unexpected status {status} for {bytes:?}"
-            ),
-            Err(_) => {} // daemon closed without a response — fine for hopeless input
+            );
         }
     }
     // An 8KiB+ head must be refused without a panic or a hang: either a

@@ -65,7 +65,7 @@ impl Blossom {
             neighbend[j].push(2 * k);
         }
         let mut dualvar = vec![maxweight; nvertex];
-        dualvar.extend(std::iter::repeat(0).take(nvertex));
+        dualvar.extend(std::iter::repeat_n(0, nvertex));
         Blossom {
             nvertex,
             nedge,
@@ -79,7 +79,7 @@ impl Blossom {
             blossomparent: vec![NONE; 2 * nvertex],
             blossomchilds: vec![Vec::new(); 2 * nvertex],
             blossombase: (0..nvertex as i64)
-                .chain(std::iter::repeat(NONE).take(nvertex))
+                .chain(std::iter::repeat_n(NONE, nvertex))
                 .collect(),
             blossomendps: vec![Vec::new(); 2 * nvertex],
             bestedge: vec![NONE; 2 * nvertex],

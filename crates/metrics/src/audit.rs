@@ -719,9 +719,9 @@ mod tests {
             let p = instance(seed);
             // Deterministically deactivate some nodes and remove some edges.
             let active: Vec<bool> =
-                (0..p.node_count()).map(|i| (i * 7 + seed as usize) % 5 != 0).collect();
+                (0..p.node_count()).map(|i| !(i * 7 + seed as usize).is_multiple_of(5)).collect();
             let present: Vec<bool> =
-                (0..p.edge_count()).map(|k| (k * 11 + seed as usize) % 7 != 0).collect();
+                (0..p.edge_count()).map(|k| !(k * 11 + seed as usize).is_multiple_of(7)).collect();
             let dp = DynamicProblem::from_parts(p.clone(), active, present);
             let (sub, map) = dp.snapshot_with_map();
             let sub_m = lic(&sub, SelectionPolicy::InOrder);
@@ -808,7 +808,7 @@ mod tests {
     fn causal_audit_certifies_clean_and_flags_tampered() {
         use owp_graph::NodeId as N;
         use owp_telemetry::{CausalDag, EventLog, MessageKind, Recorder as _, SpanId, TelemetryEvent};
-        let sent = |time, span, parent: Option<u64>, from: u32, to: u32| TelemetryEvent::SpanSent {
+        let sent = |time, span, parent: Option<u64>, from: u32, to: u32| TelemetryEvent::Sent {
             time,
             span: SpanId(span),
             parent: parent.map(SpanId),
@@ -816,12 +816,19 @@ mod tests {
             to: N(to),
             kind: MessageKind::Prop,
         };
+        let delivered = |time, span, from: u32, to: u32| TelemetryEvent::Delivered {
+            time,
+            span: SpanId(span),
+            from: N(from),
+            to: N(to),
+            kind: MessageKind::Prop,
+        };
         // Clean 2-hop chain refreshes the critical-path gauges.
         let mut log = EventLog::enabled();
         log.record(sent(0, 0, None, 0, 1));
-        log.record(TelemetryEvent::SpanDelivered { time: 2, span: SpanId(0) });
+        log.record(delivered(2, 0, 0, 1));
         log.record(sent(2, 1, Some(0), 1, 2));
-        log.record(TelemetryEvent::SpanDelivered { time: 5, span: SpanId(1) });
+        log.record(delivered(5, 1, 1, 2));
         let reg = MetricsRegistry::new();
         let mut auditor = Auditor::new(&reg);
         assert_eq!(auditor.audit_causal(&CausalDag::from_log(&log)), 0);
@@ -833,9 +840,9 @@ mod tests {
         // and leaves the healthy gauge values untouched (degraded mode).
         let mut bad = EventLog::enabled();
         bad.record(sent(0, 5, Some(6), 0, 1));
-        bad.record(TelemetryEvent::SpanDelivered { time: 1, span: SpanId(5) });
+        bad.record(delivered(1, 5, 0, 1));
         bad.record(sent(1, 6, Some(5), 1, 0));
-        bad.record(TelemetryEvent::SpanDelivered { time: 2, span: SpanId(6) });
+        bad.record(delivered(2, 6, 1, 0));
         let added = auditor.audit_causal(&CausalDag::from_log(&bad));
         assert!(added > 0);
         assert!(auditor

@@ -14,7 +14,7 @@
 //! | `messages_dropped_total` | counter | `Dropped` |
 //! | `messages_dead_lettered_total` | counter | `DeadLettered` |
 //! | `timers_fired_total` | counter | `TimerFired` |
-//! | `message_latency_ticks` | histogram | matched `Sent`→`Delivered` |
+//! | `message_latency_ticks` | histogram | `Sent`→`Delivered` of one span |
 //! | `prop_accept_latency_ticks` | histogram | `PropSent`→`EdgeLocked` per node |
 //! | `node_termination_time_ticks` | histogram | `NodeTerminated` |
 //! | `retransmits_total` | counter | `Retransmit` |
@@ -24,14 +24,15 @@
 //! | `engine_edges_added_total` / `engine_edges_removed_total` | counter | edge deltas |
 //! | `engine_reranked_total` | counter | `EngineReranked` |
 //!
-//! Latency pairing keeps a FIFO queue per `(from, to, kind)` link — exactly
-//! the per-link FIFO discipline of the simnet — so reordered interleavings
-//! across links still pair correctly. Unmatched sends (dropped, dead
-//! lettered, still in flight) simply never produce a latency sample.
+//! Latency pairing keys each send by its span id: `Sent` records the send
+//! time, and the span's `Delivered`, `Dropped` or `DeadLettered` record
+//! takes it out again, so reordered, duplicated and lost messages pair
+//! exactly. Unmatched sends (dropped, dead lettered, still in flight)
+//! simply never produce a latency sample.
 
 use crate::registry::{Counter, Histogram, MetricsRegistry};
-use owp_telemetry::{MessageKind, NodeEvent, Recorder, TelemetryEvent};
-use std::collections::{BTreeMap, VecDeque};
+use owp_telemetry::{MessageKind, NodeEvent, Recorder, SpanId, TelemetryEvent};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Aggregating recorder over a [`MetricsRegistry`].
 ///
@@ -66,8 +67,8 @@ pub struct MetricsRecorder {
     /// distinct `Other` label seen, so custom kinds stay distinguishable
     /// instead of folding into the total alone.
     sent_other: BTreeMap<&'static str, Counter>,
-    /// Send times awaiting their delivery, FIFO per (from, to, kind) link.
-    in_flight: BTreeMap<(u32, u32, MessageKind), VecDeque<u64>>,
+    /// Send times of the spans not yet delivered, dropped or dead-lettered.
+    in_flight: HashMap<SpanId, u64>,
     /// Outstanding proposals awaiting a lock, keyed (proposer, peer).
     pending_props: BTreeMap<(u32, u32), VecDeque<u64>>,
 }
@@ -117,7 +118,7 @@ impl MetricsRecorder {
             engine_reranked_total: reg.counter("engine_reranked_total"),
             registry: reg.clone(),
             sent_other: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
+            in_flight: HashMap::new(),
             pending_props: BTreeMap::new(),
         }
     }
@@ -139,7 +140,7 @@ impl Recorder for MetricsRecorder {
 
     fn record(&mut self, ev: TelemetryEvent) {
         match ev {
-            TelemetryEvent::Sent { time, from, to, kind } => {
+            TelemetryEvent::Sent { time, span, kind, .. } => {
                 self.sent_total.inc();
                 match kind.fixed_slot() {
                     Some(slot) => self.sent_kind[slot].inc(),
@@ -152,34 +153,22 @@ impl Recorder for MetricsRecorder {
                             .inc();
                     }
                 }
-                self.in_flight.entry((from.0, to.0, kind)).or_default().push_back(time);
+                self.in_flight.insert(span, time);
             }
-            TelemetryEvent::Delivered { time, from, to, kind } => {
+            TelemetryEvent::Delivered { time, span, .. } => {
                 self.delivered_total.inc();
-                if let Some(sent) =
-                    self.in_flight.get_mut(&(from.0, to.0, kind)).and_then(VecDeque::pop_front)
-                {
+                if let Some(sent) = self.in_flight.remove(&span) {
                     self.message_latency.observe(time.saturating_sub(sent));
                 }
             }
-            TelemetryEvent::Dropped { from, to, kind, .. } => {
+            TelemetryEvent::Dropped { span, .. } => {
                 self.dropped_total.inc();
-                // The lost message occupies the oldest queue slot of its
-                // link (per-link FIFO), so evict that to keep pairing sane.
-                self.in_flight.get_mut(&(from.0, to.0, kind)).and_then(VecDeque::pop_front);
+                self.in_flight.remove(&span);
             }
-            TelemetryEvent::DeadLettered { from, to, kind, .. } => {
+            TelemetryEvent::DeadLettered { span, .. } => {
                 self.dead_lettered_total.inc();
-                self.in_flight.get_mut(&(from.0, to.0, kind)).and_then(VecDeque::pop_front);
+                self.in_flight.remove(&span);
             }
-            // Span lifecycle events carry causal identity, not new counts —
-            // their transport twins (`Sent`/`Delivered`/...) are what the
-            // counters and latency pairing aggregate. Offline causal
-            // analysis consumes them via `owp_telemetry::CausalDag`.
-            TelemetryEvent::SpanSent { .. }
-            | TelemetryEvent::SpanDelivered { .. }
-            | TelemetryEvent::SpanDropped { .. }
-            | TelemetryEvent::SpanDeadLettered { .. } => {}
             TelemetryEvent::TimerFired { .. } => self.timers_fired_total.inc(),
             // Restarts are a fault-plan artefact; the chaos campaign counts
             // them per fault class through its own `campaign_*` ledger.
@@ -232,44 +221,36 @@ mod tests {
     use owp_graph::NodeId;
     use owp_telemetry::EventLog;
 
-    fn msg(
-        mk: fn(u64, NodeId, NodeId, MessageKind) -> TelemetryEvent,
-        t: u64,
-        from: u32,
-        to: u32,
-        kind: MessageKind,
-    ) -> TelemetryEvent {
-        mk(t, NodeId(from), NodeId(to), kind)
+    fn sent(t: u64, span: u64, from: u32, to: u32, kind: MessageKind) -> TelemetryEvent {
+        let (span, from, to) = (SpanId(span), NodeId(from), NodeId(to));
+        TelemetryEvent::Sent { time: t, span, parent: None, from, to, kind }
     }
 
-    fn sent(t: u64, from: u32, to: u32, kind: MessageKind) -> TelemetryEvent {
-        msg(|time, from, to, kind| TelemetryEvent::Sent { time, from, to, kind }, t, from, to, kind)
-    }
-
-    fn delivered(t: u64, from: u32, to: u32, kind: MessageKind) -> TelemetryEvent {
-        msg(
-            |time, from, to, kind| TelemetryEvent::Delivered { time, from, to, kind },
-            t,
-            from,
-            to,
-            kind,
-        )
+    fn delivered(t: u64, span: u64, from: u32, to: u32, kind: MessageKind) -> TelemetryEvent {
+        let (span, from, to) = (SpanId(span), NodeId(from), NodeId(to));
+        TelemetryEvent::Delivered { time: t, span, from, to, kind }
     }
 
     #[test]
-    fn latency_pairing_is_per_link_fifo() {
+    fn latency_pairs_each_delivery_with_its_own_send() {
         let reg = MetricsRegistry::new();
         let mut rec = MetricsRecorder::new(&reg);
-        // Two sends on one link, one on another; deliveries interleaved.
-        rec.record(sent(0, 0, 1, MessageKind::Prop));
-        rec.record(sent(2, 0, 1, MessageKind::Prop));
-        rec.record(sent(1, 5, 6, MessageKind::Rej));
-        rec.record(delivered(4, 0, 1, MessageKind::Prop)); // latency 4
-        rec.record(delivered(9, 5, 6, MessageKind::Rej)); // latency 8
-        rec.record(delivered(3, 0, 1, MessageKind::Prop)); // latency 1
+        // Two sends on one link, one on another; the second send on the
+        // first link overtakes the first (a reordering fault).
+        rec.record(sent(0, 0, 0, 1, MessageKind::Prop));
+        rec.record(sent(2, 1, 0, 1, MessageKind::Prop));
+        rec.record(sent(1, 2, 5, 6, MessageKind::Rej));
+        rec.record(delivered(3, 1, 0, 1, MessageKind::Prop)); // latency 1
+        rec.record(delivered(9, 2, 5, 6, MessageKind::Rej)); // latency 8
+        rec.record(delivered(4, 0, 0, 1, MessageKind::Prop)); // latency 4
         let lat = reg.histogram("message_latency_ticks");
         assert_eq!(lat.count(), 3);
         assert_eq!(lat.sum(), 13);
+        let want = MetricsRegistry::new().histogram("want");
+        for v in [1, 8, 4] {
+            want.observe(v);
+        }
+        assert_eq!(lat.buckets(), want.buckets());
         assert_eq!(reg.counter("messages_sent_total").get(), 3);
         assert_eq!(reg.counter("messages_sent_prop").get(), 2);
         assert_eq!(reg.counter("messages_sent_rej").get(), 1);
@@ -277,23 +258,24 @@ mod tests {
     }
 
     #[test]
-    fn drops_evict_their_queue_slot() {
+    fn drops_retire_their_own_span() {
         let reg = MetricsRegistry::new();
         let mut rec = MetricsRecorder::new(&reg);
-        rec.record(sent(0, 0, 1, MessageKind::Prop));
-        rec.record(sent(10, 0, 1, MessageKind::Prop));
-        // First send lost: the later delivery must pair with the t=10 send.
-        rec.record(msg(
-            |time, from, to, kind| TelemetryEvent::Dropped { time, from, to, kind },
-            1,
-            0,
-            1,
-            MessageKind::Prop,
-        ));
-        rec.record(delivered(12, 0, 1, MessageKind::Prop));
+        rec.record(sent(0, 0, 0, 1, MessageKind::Prop));
+        rec.record(sent(10, 1, 0, 1, MessageKind::Prop));
+        // The simulator decides a loss at send time, so the newest send on
+        // the link is the lost one: the delivery pairs with the t=0 send.
+        rec.record(TelemetryEvent::Dropped {
+            time: 10,
+            span: SpanId(1),
+            from: NodeId(0),
+            to: NodeId(1),
+            kind: MessageKind::Prop,
+        });
+        rec.record(delivered(12, 0, 0, 1, MessageKind::Prop));
         let lat = reg.histogram("message_latency_ticks");
         assert_eq!(lat.count(), 1);
-        assert_eq!(lat.sum(), 2);
+        assert_eq!(lat.sum(), 12);
         assert_eq!(reg.counter("messages_dropped_total").get(), 1);
     }
 
@@ -302,10 +284,10 @@ mod tests {
         let reg = MetricsRegistry::new();
         let mut rec = MetricsRecorder::new(&reg);
         // Two custom kinds plus a fixed one: the labels must not fold.
-        rec.record(sent(0, 0, 1, MessageKind::Other("TOKEN")));
-        rec.record(sent(1, 0, 1, MessageKind::Other("TOKEN")));
-        rec.record(sent(2, 1, 0, MessageKind::Other("PING")));
-        rec.record(sent(3, 1, 0, MessageKind::Ack));
+        rec.record(sent(0, 0, 0, 1, MessageKind::Other("TOKEN")));
+        rec.record(sent(1, 1, 0, 1, MessageKind::Other("TOKEN")));
+        rec.record(sent(2, 2, 1, 0, MessageKind::Other("PING")));
+        rec.record(sent(3, 3, 1, 0, MessageKind::Ack));
         assert_eq!(reg.counter("messages_sent_total").get(), 4);
         assert_eq!(reg.counter(super::sent_other_key("TOKEN")).get(), 2);
         assert_eq!(reg.counter(super::sent_other_key("PING")).get(), 1);
@@ -314,27 +296,6 @@ mod tests {
         let snap = reg.snapshot();
         assert!(snap.counters.iter().any(|(k, v)| k == "messages_sent_other_TOKEN" && *v == 2));
         assert!(snap.counters.iter().any(|(k, v)| k == "messages_sent_other_PING" && *v == 1));
-    }
-
-    #[test]
-    fn span_events_do_not_double_count() {
-        use owp_telemetry::SpanId;
-        let reg = MetricsRegistry::new();
-        let mut rec = MetricsRecorder::new(&reg);
-        rec.record(sent(0, 0, 1, MessageKind::Prop));
-        rec.record(TelemetryEvent::SpanSent {
-            time: 0,
-            span: SpanId(0),
-            parent: None,
-            from: NodeId(0),
-            to: NodeId(1),
-            kind: MessageKind::Prop,
-        });
-        rec.record(delivered(2, 0, 1, MessageKind::Prop));
-        rec.record(TelemetryEvent::SpanDelivered { time: 2, span: SpanId(0) });
-        assert_eq!(reg.counter("messages_sent_total").get(), 1);
-        assert_eq!(reg.counter("messages_delivered_total").get(), 1);
-        assert_eq!(reg.histogram("message_latency_ticks").count(), 1);
     }
 
     #[test]

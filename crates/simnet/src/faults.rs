@@ -586,7 +586,7 @@ mod tests {
             .contains("duplicate crash entry"));
         // Trailing garbage is rejected.
         let mut json = FaultPlan::none().to_json();
-        json.push_str("x");
+        json.push('x');
         assert!(FaultPlan::parse(&json).unwrap_err().contains("trailing"));
     }
 

@@ -79,11 +79,11 @@ impl SpanInfo {
 /// engine can produce none of these; they certify trace integrity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CausalViolationKind {
-    /// Two `span_sent` records share a span id.
+    /// Two `sent` records share a span id.
     DuplicateSpan,
-    /// A lifecycle event (`span_delivered`/...) names an unknown span.
+    /// A lifecycle event (`delivered`/...) names an unknown span.
     UnknownSpan,
-    /// A parent reference names a span with no `span_sent` record.
+    /// A parent reference names a span with no `sent` record.
     UnknownParent,
     /// A span claims itself as parent.
     SelfParent,
@@ -230,12 +230,12 @@ impl CausalDag {
         let mut dag = CausalDag::default();
         for ev in log.events() {
             match *ev {
-                TelemetryEvent::SpanSent { time, span, parent, from, to, kind } => {
+                TelemetryEvent::Sent { time, span, parent, from, to, kind } => {
                     if dag.index.contains_key(&span.0) {
                         dag.build_violations.push(CausalViolation {
                             kind: CausalViolationKind::DuplicateSpan,
                             span,
-                            detail: format!("second span_sent at time {time}"),
+                            detail: format!("second sent record at time {time}"),
                         });
                         continue;
                     }
@@ -251,13 +251,13 @@ impl CausalDag {
                         outcome: SpanOutcome::InFlight,
                     });
                 }
-                TelemetryEvent::SpanDelivered { time, span } => {
+                TelemetryEvent::Delivered { time, span, .. } => {
                     dag.resolve(span, time, SpanOutcome::Delivered, true)
                 }
-                TelemetryEvent::SpanDropped { time, span } => {
+                TelemetryEvent::Dropped { time, span, .. } => {
                     dag.resolve(span, time, SpanOutcome::Dropped, false)
                 }
-                TelemetryEvent::SpanDeadLettered { time, span } => {
+                TelemetryEvent::DeadLettered { time, span, .. } => {
                     dag.resolve(span, time, SpanOutcome::DeadLettered, false)
                 }
                 _ => {}
@@ -329,7 +329,7 @@ impl CausalDag {
                 out.push(CausalViolation {
                     kind: CausalViolationKind::UnknownParent,
                     span: s.span,
-                    detail: format!("parent {p} has no span_sent record"),
+                    detail: format!("parent {p} has no sent record"),
                 });
                 continue;
             };
@@ -646,7 +646,7 @@ mod tests {
     use crate::recorder::Recorder;
 
     fn sent(time: u64, span: u64, parent: Option<u64>, from: u32, to: u32, kind: MessageKind) -> TelemetryEvent {
-        TelemetryEvent::SpanSent {
+        TelemetryEvent::Sent {
             time,
             span: SpanId(span),
             parent: parent.map(SpanId),
@@ -656,8 +656,16 @@ mod tests {
         }
     }
 
+    /// The analysis keys deliveries by span alone; the endpoints and kind
+    /// are placeholders.
     fn delivered(time: u64, span: u64) -> TelemetryEvent {
-        TelemetryEvent::SpanDelivered { time, span: SpanId(span) }
+        TelemetryEvent::Delivered {
+            time,
+            span: SpanId(span),
+            from: NodeId(0),
+            to: NodeId(0),
+            kind: MessageKind::Prop,
+        }
     }
 
     /// 0 --PROP--> 1 (s0), 1 --REJ--> 0 (s1, parent s0),

@@ -157,56 +157,11 @@ pub enum NodeEvent {
 /// for the centralized LIC events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum TelemetryEvent {
-    /// A message was handed to the network (before loss).
+    /// A message was handed to the network (before loss). `span` is the
+    /// message's causal identity; `parent` is the span of the delivery
+    /// (if any) whose handler emitted it, `None` for a root span (a send
+    /// from `on_start` or `on_restart`).
     Sent {
-        /// Send time.
-        time: u64,
-        /// Sender.
-        from: NodeId,
-        /// Destination.
-        to: NodeId,
-        /// Message class.
-        kind: MessageKind,
-    },
-    /// A message was delivered to its destination's handler.
-    Delivered {
-        /// Delivery time.
-        time: u64,
-        /// Sender.
-        from: NodeId,
-        /// Destination.
-        to: NodeId,
-        /// Message class.
-        kind: MessageKind,
-    },
-    /// A message was dropped by fault injection.
-    Dropped {
-        /// Time the drop was decided.
-        time: u64,
-        /// Sender.
-        from: NodeId,
-        /// Destination.
-        to: NodeId,
-        /// Message class.
-        kind: MessageKind,
-    },
-    /// A message was discarded because its destination had crashed.
-    DeadLettered {
-        /// Time of the discard.
-        time: u64,
-        /// Sender.
-        from: NodeId,
-        /// Destination.
-        to: NodeId,
-        /// Message class.
-        kind: MessageKind,
-    },
-    /// Causal identity of a send: the span id assigned to the message and
-    /// the span of the delivery (if any) whose handler emitted it. Recorded
-    /// alongside [`TelemetryEvent::Sent`] so legacy consumers that count
-    /// `sent` tags keep working; `parent: None` marks a root span (a send
-    /// from `on_start`).
-    SpanSent {
         /// Send time.
         time: u64,
         /// The span id of this message.
@@ -220,26 +175,44 @@ pub enum TelemetryEvent {
         /// Message class.
         kind: MessageKind,
     },
-    /// The span's message reached its destination handler.
-    SpanDelivered {
+    /// A message was delivered to its destination's handler.
+    Delivered {
         /// Delivery time.
         time: u64,
         /// The delivered span.
         span: SpanId,
+        /// Sender.
+        from: NodeId,
+        /// Destination.
+        to: NodeId,
+        /// Message class.
+        kind: MessageKind,
     },
-    /// The span's message was dropped by fault injection.
-    SpanDropped {
+    /// A message was dropped by fault injection.
+    Dropped {
         /// Time the drop was decided.
         time: u64,
         /// The dropped span.
         span: SpanId,
+        /// Sender.
+        from: NodeId,
+        /// Destination.
+        to: NodeId,
+        /// Message class.
+        kind: MessageKind,
     },
-    /// The span's message was discarded at a crashed destination.
-    SpanDeadLettered {
+    /// A message was discarded because its destination had crashed.
+    DeadLettered {
         /// Time of the discard.
         time: u64,
         /// The discarded span.
         span: SpanId,
+        /// Sender.
+        from: NodeId,
+        /// Destination.
+        to: NodeId,
+        /// Message class.
+        kind: MessageKind,
     },
     /// A crashed node came back up (crash-restart fault plans): the engine
     /// is about to run the node's `on_restart` recovery hook. Timers armed
@@ -378,10 +351,6 @@ impl TelemetryEvent {
             | TelemetryEvent::Delivered { time, .. }
             | TelemetryEvent::Dropped { time, .. }
             | TelemetryEvent::DeadLettered { time, .. }
-            | TelemetryEvent::SpanSent { time, .. }
-            | TelemetryEvent::SpanDelivered { time, .. }
-            | TelemetryEvent::SpanDropped { time, .. }
-            | TelemetryEvent::SpanDeadLettered { time, .. }
             | TelemetryEvent::Restarted { time, .. }
             | TelemetryEvent::TimerFired { time, .. }
             | TelemetryEvent::Node { time, .. }
@@ -405,10 +374,6 @@ impl TelemetryEvent {
             TelemetryEvent::Delivered { .. } => "delivered",
             TelemetryEvent::Dropped { .. } => "dropped",
             TelemetryEvent::DeadLettered { .. } => "dead_lettered",
-            TelemetryEvent::SpanSent { .. } => "span_sent",
-            TelemetryEvent::SpanDelivered { .. } => "span_delivered",
-            TelemetryEvent::SpanDropped { .. } => "span_dropped",
-            TelemetryEvent::SpanDeadLettered { .. } => "span_dead_lettered",
             TelemetryEvent::Restarted { .. } => "restarted",
             TelemetryEvent::TimerFired { .. } => "timer_fired",
             TelemetryEvent::Node { event, .. } => match event {
@@ -441,14 +406,7 @@ impl TelemetryEvent {
     pub(crate) fn write_json(&self, s: &mut String) {
         let _ = write!(s, "{{\"ev\":\"{}\"", self.tag());
         match *self {
-            TelemetryEvent::Sent { time, from, to, kind }
-            | TelemetryEvent::Delivered { time, from, to, kind }
-            | TelemetryEvent::Dropped { time, from, to, kind }
-            | TelemetryEvent::DeadLettered { time, from, to, kind } => {
-                let _ = write!(s, ",\"time\":{time},\"from\":{},\"to\":{},\"kind\":", from.0, to.0);
-                json::write_str(s, kind.label());
-            }
-            TelemetryEvent::SpanSent { time, span, parent, from, to, kind } => {
+            TelemetryEvent::Sent { time, span, parent, from, to, kind } => {
                 let _ = write!(s, ",\"time\":{time},\"span\":{}", span.0);
                 match parent {
                     Some(p) => {
@@ -459,10 +417,15 @@ impl TelemetryEvent {
                 let _ = write!(s, ",\"from\":{},\"to\":{},\"kind\":", from.0, to.0);
                 json::write_str(s, kind.label());
             }
-            TelemetryEvent::SpanDelivered { time, span }
-            | TelemetryEvent::SpanDropped { time, span }
-            | TelemetryEvent::SpanDeadLettered { time, span } => {
-                let _ = write!(s, ",\"time\":{time},\"span\":{}", span.0);
+            TelemetryEvent::Delivered { time, span, from, to, kind }
+            | TelemetryEvent::Dropped { time, span, from, to, kind }
+            | TelemetryEvent::DeadLettered { time, span, from, to, kind } => {
+                let _ = write!(
+                    s,
+                    ",\"time\":{time},\"span\":{},\"from\":{},\"to\":{},\"kind\":",
+                    span.0, from.0, to.0
+                );
+                json::write_str(s, kind.label());
             }
             TelemetryEvent::Restarted { time, node } => {
                 let _ = write!(s, ",\"time\":{time},\"node\":{}", node.0);
@@ -546,6 +509,8 @@ mod tests {
     fn time_coordinate_per_layer() {
         let sent = TelemetryEvent::Sent {
             time: 7,
+            span: SpanId(0),
+            parent: None,
             from: NodeId(0),
             to: NodeId(1),
             kind: MessageKind::Prop,
@@ -566,6 +531,7 @@ mod tests {
         let events = [
             TelemetryEvent::Delivered {
                 time: 2,
+                span: SpanId(3),
                 from: NodeId(4),
                 to: NodeId(5),
                 kind: MessageKind::Rej,
@@ -599,8 +565,8 @@ mod tests {
     }
 
     #[test]
-    fn span_events_time_tag_and_json() {
-        let root = TelemetryEvent::SpanSent {
+    fn transport_events_time_tag_and_json() {
+        let root = TelemetryEvent::Sent {
             time: 0,
             span: SpanId(0),
             parent: None,
@@ -609,12 +575,12 @@ mod tests {
             kind: MessageKind::Prop,
         };
         assert_eq!(root.time(), 0);
-        assert_eq!(root.tag(), "span_sent");
+        assert_eq!(root.tag(), "sent");
         assert_eq!(
             root.to_json(),
-            "{\"ev\":\"span_sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"PROP\"}"
+            "{\"ev\":\"sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"PROP\"}"
         );
-        let child = TelemetryEvent::SpanSent {
+        let child = TelemetryEvent::Sent {
             time: 2,
             span: SpanId(5),
             parent: Some(SpanId(0)),
@@ -624,16 +590,26 @@ mod tests {
         };
         assert_eq!(
             child.to_json(),
-            "{\"ev\":\"span_sent\",\"time\":2,\"span\":5,\"parent\":0,\"from\":7,\"to\":3,\"kind\":\"REJ\"}"
+            "{\"ev\":\"sent\",\"time\":2,\"span\":5,\"parent\":0,\"from\":7,\"to\":3,\"kind\":\"REJ\"}"
         );
-        let delivered = TelemetryEvent::SpanDelivered { time: 3, span: SpanId(5) };
-        assert_eq!(delivered.tag(), "span_delivered");
-        assert_eq!(delivered.to_json(), "{\"ev\":\"span_delivered\",\"time\":3,\"span\":5}");
-        let dropped = TelemetryEvent::SpanDropped { time: 1, span: SpanId(2) };
-        assert_eq!(dropped.to_json(), "{\"ev\":\"span_dropped\",\"time\":1,\"span\":2}");
-        let dead = TelemetryEvent::SpanDeadLettered { time: 4, span: SpanId(6) };
-        assert_eq!(dead.tag(), "span_dead_lettered");
-        assert_eq!(dead.to_json(), "{\"ev\":\"span_dead_lettered\",\"time\":4,\"span\":6}");
+        let (from, to, kind) = (NodeId(7), NodeId(3), MessageKind::Rej);
+        let delivered = TelemetryEvent::Delivered { time: 3, span: SpanId(5), from, to, kind };
+        assert_eq!(delivered.tag(), "delivered");
+        assert_eq!(
+            delivered.to_json(),
+            "{\"ev\":\"delivered\",\"time\":3,\"span\":5,\"from\":7,\"to\":3,\"kind\":\"REJ\"}"
+        );
+        let dropped = TelemetryEvent::Dropped { time: 1, span: SpanId(2), from, to, kind };
+        assert_eq!(
+            dropped.to_json(),
+            "{\"ev\":\"dropped\",\"time\":1,\"span\":2,\"from\":7,\"to\":3,\"kind\":\"REJ\"}"
+        );
+        let dead = TelemetryEvent::DeadLettered { time: 4, span: SpanId(6), from, to, kind };
+        assert_eq!(dead.tag(), "dead_lettered");
+        assert_eq!(
+            dead.to_json(),
+            "{\"ev\":\"dead_lettered\",\"time\":4,\"span\":6,\"from\":7,\"to\":3,\"kind\":\"REJ\"}"
+        );
         assert_eq!(format!("{}", SpanId(9)), "s9");
     }
 

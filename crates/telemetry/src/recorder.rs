@@ -146,56 +146,42 @@ fn event_from_json(v: &Value<'_>) -> Result<TelemetryEvent, String> {
     let num = |key: &str| v.field(key)?.as_u64(key);
     let num32 = |key: &str| v.field(key)?.as_u32(key);
     let node = |key: &str| num32(key).map(NodeId);
+    let span = || num("span").map(SpanId);
     let kind = || -> Result<MessageKind, String> {
         Ok(MessageKind::parse(v.field("kind")?.as_str("kind")?))
     };
     let ev = match v.field("ev")?.as_str("ev")? {
-        "sent" => TelemetryEvent::Sent {
-            time: num("time")?,
-            from: node("from")?,
-            to: node("to")?,
-            kind: kind()?,
-        },
-        "delivered" => TelemetryEvent::Delivered {
-            time: num("time")?,
-            from: node("from")?,
-            to: node("to")?,
-            kind: kind()?,
-        },
-        "dropped" => TelemetryEvent::Dropped {
-            time: num("time")?,
-            from: node("from")?,
-            to: node("to")?,
-            kind: kind()?,
-        },
-        "dead_lettered" => TelemetryEvent::DeadLettered {
-            time: num("time")?,
-            from: node("from")?,
-            to: node("to")?,
-            kind: kind()?,
-        },
-        "span_sent" => {
+        "sent" => {
             let parent = v.field("parent")?.nullable().map(|p| p.as_u64("parent")).transpose()?;
-            TelemetryEvent::SpanSent {
+            TelemetryEvent::Sent {
                 time: num("time")?,
-                span: SpanId(num("span")?),
+                span: span()?,
                 parent: parent.map(SpanId),
                 from: node("from")?,
                 to: node("to")?,
                 kind: kind()?,
             }
         }
-        "span_delivered" => TelemetryEvent::SpanDelivered {
+        "delivered" => TelemetryEvent::Delivered {
             time: num("time")?,
-            span: SpanId(num("span")?),
+            span: span()?,
+            from: node("from")?,
+            to: node("to")?,
+            kind: kind()?,
         },
-        "span_dropped" => TelemetryEvent::SpanDropped {
+        "dropped" => TelemetryEvent::Dropped {
             time: num("time")?,
-            span: SpanId(num("span")?),
+            span: span()?,
+            from: node("from")?,
+            to: node("to")?,
+            kind: kind()?,
         },
-        "span_dead_lettered" => TelemetryEvent::SpanDeadLettered {
+        "dead_lettered" => TelemetryEvent::DeadLettered {
             time: num("time")?,
-            span: SpanId(num("span")?),
+            span: span()?,
+            from: node("from")?,
+            to: node("to")?,
+            kind: kind()?,
         },
         "restarted" => TelemetryEvent::Restarted {
             time: num("time")?,
@@ -488,12 +474,14 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<'_, A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{MessageKind, NodeEvent};
+    use crate::event::{MessageKind, NodeEvent, SpanId};
     use owp_graph::NodeId;
 
     fn sample(i: u32) -> TelemetryEvent {
         TelemetryEvent::Sent {
             time: i as u64,
+            span: SpanId(i as u64),
+            parent: None,
             from: NodeId(i),
             to: NodeId(i + 1),
             kind: MessageKind::Prop,
@@ -529,6 +517,7 @@ mod tests {
         log.record(sample(0));
         log.record(TelemetryEvent::Delivered {
             time: 2,
+            span: SpanId(0),
             from: NodeId(0),
             to: NodeId(1),
             kind: MessageKind::Prop,
@@ -547,12 +536,10 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_every_variant() {
-        use crate::event::SpanId;
         use owp_graph::EdgeId;
         let mut log = EventLog::enabled();
         for ev in [
-            TelemetryEvent::Sent { time: 0, from: NodeId(1), to: NodeId(2), kind: MessageKind::Prop },
-            TelemetryEvent::SpanSent {
+            TelemetryEvent::Sent {
                 time: 0,
                 span: SpanId(0),
                 parent: None,
@@ -560,10 +547,8 @@ mod tests {
                 to: NodeId(2),
                 kind: MessageKind::Prop,
             },
-            TelemetryEvent::Delivered { time: 1, from: NodeId(1), to: NodeId(2), kind: MessageKind::Prop },
-            TelemetryEvent::SpanDelivered { time: 1, span: SpanId(0) },
-            TelemetryEvent::Sent { time: 1, from: NodeId(2), to: NodeId(1), kind: MessageKind::Rej },
-            TelemetryEvent::SpanSent {
+            TelemetryEvent::Delivered { time: 1, span: SpanId(0), from: NodeId(1), to: NodeId(2), kind: MessageKind::Prop },
+            TelemetryEvent::Sent {
                 time: 1,
                 span: SpanId(1),
                 parent: Some(SpanId(0)),
@@ -571,10 +556,14 @@ mod tests {
                 to: NodeId(1),
                 kind: MessageKind::Other("TOKEN"),
             },
-            TelemetryEvent::SpanDropped { time: 2, span: SpanId(1) },
-            TelemetryEvent::Dropped { time: 2, from: NodeId(2), to: NodeId(1), kind: MessageKind::Rej },
-            TelemetryEvent::DeadLettered { time: 3, from: NodeId(0), to: NodeId(4), kind: MessageKind::Ack },
-            TelemetryEvent::SpanDeadLettered { time: 3, span: SpanId(2) },
+            TelemetryEvent::Dropped {
+                time: 2,
+                span: SpanId(1),
+                from: NodeId(2),
+                to: NodeId(1),
+                kind: MessageKind::Other("TOKEN"),
+            },
+            TelemetryEvent::DeadLettered { time: 3, span: SpanId(2), from: NodeId(0), to: NodeId(4), kind: MessageKind::Ack },
             TelemetryEvent::Restarted { time: 3, node: NodeId(4) },
             TelemetryEvent::TimerFired { time: 4, node: NodeId(3), tag: 11 },
             TelemetryEvent::Node { time: 4, node: NodeId(3), event: NodeEvent::PropSent { to: NodeId(5) } },
@@ -612,6 +601,10 @@ mod tests {
         assert!(EventLog::parse_jsonl("\n\n").expect("blank ok").is_empty());
         let err = EventLog::parse_jsonl("{\"ev\":\"nope\"}").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+        // The tag of the retired second transport record is unknown too.
+        let old = "{\"ev\":\"span_sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":1,\"to\":2,\"kind\":\"PROP\"}";
+        let err = EventLog::parse_jsonl(old).unwrap_err();
+        assert!(err.contains("unknown event tag \"span_sent\""), "{err}");
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn tampered_causal_trace_yields_cycle_violation() {
     let needle = format!("\"span\":{},\"parent\":null", root.0);
     let patched = format!("\"span\":{},\"parent\":{}", root.0, child.0);
     let tampered = doc.replacen(&needle, &patched, 1);
-    assert_ne!(tampered, doc, "the root's span_sent line must exist");
+    assert_ne!(tampered, doc, "the root's sent line must exist");
 
     let bad_log = EventLog::parse_jsonl(&tampered).expect("tampered trace still parses");
     let bad_dag = CausalDag::from_log(&bad_log); // reconstruction never panics
@@ -241,5 +241,43 @@ fn recorder_counters_match_netstats() {
         let prom =
             MetricsSnapshot::parse_prometheus(&snap.to_prometheus()).expect("prom round-trip");
         assert_eq!(prom.to_prometheus(), snap.to_prometheus());
+    }
+}
+
+/// `message_latency_ticks` holds exactly the latencies of the delivered
+/// spans, under loss (a drop is decided at send time, so the lost message
+/// is the newest on its link) and under reordering (a later send on a
+/// link may arrive first). Several seeds, because some runs happen to
+/// pair correctly by link order alone.
+#[test]
+fn recorder_latencies_are_the_delivered_span_latencies() {
+    for (name, plan) in [
+        ("loss 0.2", FaultPlan::with_drop_probability(0.2)),
+        ("reorder 0.3", FaultPlan::none().reorder(0.3)),
+    ] {
+        for seed in 0..20u64 {
+            let p = Problem::random_gnp(30, 0.3, 2, seed);
+            let cfg = SimConfig::with_seed(seed)
+                .latency(LatencyModel::Uniform { lo: 1, hi: 9 })
+                .faults(plan.clone())
+                .telemetry();
+            let r = run_lid_reliable(&p, cfg, 20);
+
+            let reg = MetricsRegistry::new();
+            MetricsRecorder::new(&reg).consume(&r.log);
+            let got = reg.histogram("message_latency_ticks");
+            let want = reg.histogram("delivered_span_latency_ticks");
+            for s in CausalDag::from_log(&r.log).spans() {
+                if let Some(at) = s.delivered {
+                    want.observe(at - s.sent);
+                }
+            }
+            assert_eq!(want.count(), r.stats.delivered, "{name}, seed {seed}");
+            assert_eq!(
+                (got.count(), got.sum(), got.buckets()),
+                (want.count(), want.sum(), want.buckets()),
+                "{name}, seed {seed}"
+            );
+        }
     }
 }

@@ -10,6 +10,7 @@
 //! logs include the per-node protocol events.
 
 use overlays_preferences::prelude::*;
+use owp_telemetry::TelemetryEvent;
 
 struct Fnv(u64);
 
@@ -55,8 +56,45 @@ impl Fnv {
         }
     }
 
+    /// Hashes the log in the layout the constant was pinned on, where
+    /// each message event took two lines: the endpoint line (`sent`,
+    /// `delivered`, ...) and then the span line (`span_sent`,
+    /// `span_delivered`, ...). Both are cut back out of the one merged
+    /// line, so the constant also proves the merged line keeps every
+    /// field of the two in the same order.
     fn log(&mut self, log: &EventLog) {
-        let jsonl = log.to_jsonl();
+        let mut jsonl = String::new();
+        for ev in log.events() {
+            let line = ev.to_json();
+            let span_fields = match *ev {
+                TelemetryEvent::Sent { span, parent, .. } => {
+                    let parent = parent.map_or("null".to_string(), |p| p.0.to_string());
+                    format!(",\"span\":{},\"parent\":{parent}", span.0)
+                }
+                TelemetryEvent::Delivered { span, .. }
+                | TelemetryEvent::Dropped { span, .. }
+                | TelemetryEvent::DeadLettered { span, .. } => format!(",\"span\":{}", span.0),
+                _ => {
+                    jsonl.push_str(&line);
+                    jsonl.push('\n');
+                    continue;
+                }
+            };
+            let plain = line.replacen(&span_fields, "", 1);
+            assert_ne!(plain, line, "{line}");
+            jsonl.push_str(&plain);
+            jsonl.push('\n');
+            // `span_sent` kept every field; the other span lines kept only
+            // the time and the span.
+            let mut span_line = line.replacen("{\"ev\":\"", "{\"ev\":\"span_", 1);
+            if !matches!(ev, TelemetryEvent::Sent { .. }) {
+                let end = span_line.find(",\"from\":").expect("endpoints follow the span");
+                span_line.truncate(end);
+                span_line.push('}');
+            }
+            jsonl.push_str(&span_line);
+            jsonl.push('\n');
+        }
         self.word(jsonl.len() as u64);
         self.bytes(jsonl.as_bytes());
     }

@@ -73,8 +73,8 @@ fn lic_reference(problem: &Problem, policy: SelectionPolicy) -> BMatching {
             q
         }
     };
-    for i in 0..n {
-        if counter[i] == 0 {
+    for (i, &c) in counter.iter().enumerate() {
+        if c == 0 {
             saturate(NodeId(i as u32), &mut removed, &mut queue);
         }
     }

@@ -123,7 +123,7 @@ fn reference_parts(r: reference::Rational) -> (i128, i128) {
 
 #[test]
 fn rational_matches_the_i128_reference() {
-    let mut rng = StdRng::seed_from_u64(0x5A710_64);
+    let mut rng = StdRng::seed_from_u64(0x05A7_1064);
     let mut fast_and_wide = [0u32; 2];
     let mut defined_sums = 0u32;
     for case in 0..20_000 {

@@ -122,7 +122,7 @@ fn causal_trace_round_trips_and_replays_deterministically() {
         assert!(r.terminated);
         assert!(dag.is_certified(), "live trace must certify (Lemma 5)");
 
-        // JSONL round-trip: every event (span records included) survives.
+        // JSONL round-trip: every event, span ids and parents included, survives.
         let reparsed = EventLog::parse_jsonl(&log.to_jsonl()).expect("parses");
         assert_eq!(reparsed.events(), log.events());
 
