@@ -6,10 +6,9 @@
 use crate::{par_map, Table};
 use owp_core::run_lid;
 use owp_graph::{PreferenceTable, Quotas};
-use owp_matching::lic::{lic_traced, SelectionPolicy};
+use owp_matching::lic::{lic_with_order, SelectionPolicy};
 use owp_matching::{verify, Problem};
 use owp_simnet::{LatencyModel, SimConfig};
-use owp_telemetry::NullRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,7 +25,7 @@ pub fn run(quick: bool) -> Table {
         let quotas = Quotas::random_range(&g, 0, 5, &mut rng);
         let p = Problem::new(g, prefs, quotas);
 
-        let (m_lic, order) = lic_traced(&p, SelectionPolicy::Random(seed), &mut NullRecorder);
+        let (m_lic, order) = lic_with_order(&p, SelectionPolicy::Random(seed));
         let lid = run_lid(
             &p,
             SimConfig::with_seed(seed).latency(LatencyModel::Uniform { lo: 1, hi: 128 }),

@@ -46,12 +46,11 @@ pub fn run(quick: bool) -> Vec<Table> {
     run_inner(quick, None)
 }
 
-/// [`run`] with metrics: batches go through `apply_batch_traced` into a
-/// [`owp_metrics::MetricsRecorder`] (batch-size and dirty-region
-/// histograms, add/remove counters), repair wall times land in a
-/// `engine_repair_wall_us` histogram, and an [`owp_metrics::Auditor`]
-/// consumes every `DeltaReport` and re-audits the maintained matching
-/// after each batch. On the BA instance it then publishes the
+/// [`run`] with metrics: an [`owp_metrics::Auditor`] consumes every
+/// `DeltaReport` (batch-size and dirty-region histograms, add/remove and
+/// re-rank counters) and re-audits the maintained matching after each
+/// batch, and repair wall times land in a `engine_repair_wall_us`
+/// histogram. On the BA instance it then publishes the
 /// steady-state `engine_allocations_per_batch` gauge and the flight-ring
 /// gauges (`publish_steady_state`). The un-instrumented [`run`] stays
 /// the `bench_guard` surface, so guarded wall times never include the
@@ -197,13 +196,8 @@ fn sweep(
         // One auditor per engine lifetime: epochs restart at 1 for every
         // batch-size cell, so monotonicity must be tracked per engine. The
         // registry handles are shared families, so counts still aggregate.
-        let mut instruments = reg.map(|r| {
-            (
-                owp_metrics::MetricsRecorder::new(r),
-                owp_metrics::Auditor::new(r),
-                r.histogram("engine_repair_wall_us"),
-            )
-        });
+        let mut instruments =
+            reg.map(|r| (owp_metrics::Auditor::new(r), r.histogram("engine_repair_wall_us")));
         let p = Problem::random_over(g.clone(), 4, seed);
         let mut engine = Engine::new(p);
         let mut gen = EventGen::new(&g, seed * 1000 + (pct * 10.0) as u64);
@@ -217,14 +211,9 @@ fn sweep(
             let batch = gen.batch(events_per_batch);
 
             let t0 = Instant::now();
-            let report = match instruments.as_mut() {
-                None => engine.apply_batch(&batch).expect("generated batches are valid"),
-                Some((rec, _, _)) => engine
-                    .apply_batch_traced(&batch, rec)
-                    .expect("generated batches are valid"),
-            };
+            let report = engine.apply_batch(&batch).expect("generated batches are valid");
             repair_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            if let Some((_, auditor, wall)) = instruments.as_mut() {
+            if let Some((auditor, wall)) = instruments.as_mut() {
                 wall.observe((repair_ms.last().unwrap() * 1e3) as u64);
                 auditor.observe_delta(&report);
                 auditor.audit_engine(&engine);

@@ -4,7 +4,7 @@
 //!
 //! Two tables:
 //!
-//! 1. **Recorder overhead** (headline, `bench_guard` schema, all
+//! 1. **Flight-recorder overhead** (headline, `bench_guard` schema, all
 //!    numeric): the E19 churn workload applied batch-interleaved to two
 //!    otherwise identical engines — flight + history rings at their
 //!    defaults vs both disabled — and the relative wall-time overhead of

@@ -27,8 +27,7 @@ use owp_metrics::{AuditViolation, InvariantKind, MetricsRegistry, MetricsSnapsho
 use owp_simnet::FaultPlan;
 use owp_telemetry::json;
 use owp_telemetry::{
-    ConvergenceSample, ConvergenceSeries, EventLog, MessageKind, NodeEvent, Recorder, SpanId,
-    TelemetryEvent,
+    ConvergenceSample, ConvergenceSeries, EventLog, MessageKind, NodeEvent, SpanId, TelemetryEvent,
 };
 
 fn origin() -> OriginSnapshot {
@@ -153,15 +152,10 @@ fn event_log() -> EventLog {
         TelemetryEvent::Node { time: 4, node: n3, event: NodeEvent::EdgeLocked { peer: n5 } },
         TelemetryEvent::Node { time: 5, node: n3, event: NodeEvent::NodeTerminated },
         TelemetryEvent::Node { time: 5, node: n3, event: NodeEvent::Retransmit { to: n5 } },
-        TelemetryEvent::LicEdgeSelected { step: 0, edge: EdgeId(7), a, b },
-        TelemetryEvent::LicNodeSaturated { step: 1, node: b, discarded: 3 },
-        TelemetryEvent::LicCursorAdvanced { node: b, skipped: 2 },
         TelemetryEvent::EngineBatchApplied { epoch: 9, events: 2, evaluated: 10, added: 1, removed: 0 },
         TelemetryEvent::EngineEdgeAdded { epoch: 9, edge: EdgeId(4) },
         TelemetryEvent::EngineEdgeRemoved { epoch: 10, edge: EdgeId(4) },
         TelemetryEvent::EngineReranked { epoch: 10, edges: 6 },
-        TelemetryEvent::WireFrameReceived { time: 120, conn: 3, req: 41, kind: MessageKind::Other("SUBMIT"), bytes: 64 },
-        TelemetryEvent::WireFrameSent { time: 130, conn: 3, req: 41, kind: MessageKind::Other("ACCEPTED"), bytes: 9 },
     ] {
         log.record(ev);
     }
@@ -236,7 +230,7 @@ fn writer_output_bytes_are_pinned() {
         ("FaultPlan::to_json", fault_plan().to_json(), "4fbe0638a8ed989b"),
         ("AuditViolation::to_json", audit, "a9d4bfdcae92c772"),
         ("OpsStatus::to_json", ops_status().to_json(), "515086e328c2899f"),
-        ("EventLog::to_jsonl", event_log().to_jsonl(), "afd50c58e9d66e7c"),
+        ("EventLog::to_jsonl", event_log().to_jsonl(), "ac8b81671259bc33"),
         ("ConvergenceSeries::to_jsonl", series().to_jsonl(), "acf20db4bb082e01"),
         ("Table::to_json", table().to_json(), "18125d74db949f75"),
     ];

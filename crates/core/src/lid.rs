@@ -817,7 +817,6 @@ mod tests {
     }
 
     fn replay_events(p: &Problem, events: &[TelemetryEvent]) -> Result<BMatching, String> {
-        use owp_simnet::Recorder as _;
         let mut log = EventLog::enabled();
         for &ev in events {
             log.record(ev);

@@ -53,7 +53,7 @@ use crate::scratch::EngineScratch;
 use owp_graph::{EdgeId, Graph, NodeId};
 use owp_matching::satisfaction::node_satisfaction;
 use owp_matching::{lic, BMatching, EdgeOrder, EdgeRank, Problem, SelectionPolicy};
-use owp_telemetry::{FlightRecorder, NullRecorder, Recorder, Tee, TelemetryEvent};
+use owp_telemetry::{FlightRecorder, TelemetryEvent};
 use std::cmp::Reverse;
 
 /// Default flight-recorder capacity, in telemetry events. Sized so the
@@ -363,54 +363,30 @@ impl Engine {
     /// the canonical matching.
     pub fn apply_batch(&mut self, events: &[EngineEvent]) -> Result<DeltaReport, EngineError> {
         let mut report = DeltaReport::default();
-        self.apply_batch_traced_into(events, &mut NullRecorder, &mut report)?;
+        self.apply_batch_into(events, &mut report)?;
         Ok(report)
     }
 
     /// [`Engine::apply_batch`] writing into a caller-owned report, so the
     /// delta `Vec`s are reused across batches instead of reallocated —
-    /// the steady-state zero-allocation entry point. The report's
-    /// previous contents are overwritten (untouched on `Err`).
+    /// the steady-state zero-allocation entry point, and the one every
+    /// other delegates to. The report's previous contents are overwritten
+    /// (untouched on `Err`). The batch's `Engine*` events (one
+    /// `EngineReranked` per weight-changing event, one
+    /// `EngineEdgeAdded`/`EngineEdgeRemoved` per matching flip, a closing
+    /// `EngineBatchApplied`, all stamped with the new epoch) go into the
+    /// engine's flight ring, and every successful batch is appended to
+    /// the black-box history — both allocation-free once warm.
     pub fn apply_batch_into(
         &mut self,
         events: &[EngineEvent],
-        report: &mut DeltaReport,
-    ) -> Result<(), EngineError> {
-        self.apply_batch_traced_into(events, &mut NullRecorder, report)
-    }
-
-    /// [`Engine::apply_batch`] that also emits the `Engine*` telemetry
-    /// branch: one `EngineReranked` per weight-changing event, one
-    /// `EngineEdgeAdded`/`EngineEdgeRemoved` per matching flip, and a
-    /// closing `EngineBatchApplied`, all stamped with the new epoch.
-    pub fn apply_batch_traced<R: Recorder>(
-        &mut self,
-        events: &[EngineEvent],
-        rec: &mut R,
-    ) -> Result<DeltaReport, EngineError> {
-        let mut report = DeltaReport::default();
-        self.apply_batch_traced_into(events, rec, &mut report)?;
-        Ok(report)
-    }
-
-    /// The full entry point: traced **and** report-reusing. Everything
-    /// else delegates here. The caller's recorder is teed with the
-    /// engine's own flight ring, and every successful batch is appended
-    /// to the black-box history — both allocation-free once warm.
-    pub fn apply_batch_traced_into<R: Recorder>(
-        &mut self,
-        events: &[EngineEvent],
-        rec: &mut R,
         out: &mut DeltaReport,
     ) -> Result<(), EngineError> {
         // The flight ring is moved out for the duration of the batch so
-        // the tee can borrow it alongside `&mut self` (`take` swaps in a
+        // it can be borrowed alongside `&mut self` (`take` swaps in a
         // capacity-0 ring: no allocation).
         let mut flight = std::mem::take(&mut self.flight);
-        let res = {
-            let mut tee = Tee::new(&mut flight, rec);
-            self.apply_core(events, &mut tee, out)
-        };
+        let res = self.apply_core(events, &mut flight, out);
         if res.is_ok() {
             flight.stamp(self.epoch.0);
             self.record_step(events, None);
@@ -476,10 +452,10 @@ impl Engine {
         self.history.push_step(self.epoch.0, events, fault);
     }
 
-    fn apply_core<R: Recorder>(
+    fn apply_core(
         &mut self,
         events: &[EngineEvent],
-        rec: &mut R,
+        flight: &mut FlightRecorder,
         out: &mut DeltaReport,
     ) -> Result<(), EngineError> {
         self.validate(events)?;
@@ -521,8 +497,8 @@ impl Engine {
                     EngineEvent::QuotaChange { node, quota } => {
                         let changed = dp.apply_quota(*node, *quota);
                         reranked += changed.len();
-                        if rec.is_enabled() {
-                            rec.record(TelemetryEvent::EngineReranked {
+                        if flight.is_enabled() {
+                            flight.record(TelemetryEvent::EngineReranked {
                                 epoch: epoch.0,
                                 edges: changed.len() as u32,
                             });
@@ -534,8 +510,8 @@ impl Engine {
                     EngineEvent::PreferenceUpdate { node, list } => {
                         let changed = dp.apply_prefs(*node, list.clone());
                         reranked += changed.len();
-                        if rec.is_enabled() {
-                            rec.record(TelemetryEvent::EngineReranked {
+                        if flight.is_enabled() {
+                            flight.record(TelemetryEvent::EngineReranked {
                                 epoch: epoch.0,
                                 edges: changed.len() as u32,
                             });
@@ -577,12 +553,12 @@ impl Engine {
             out.edges_added.sort_unstable_by_key(|&e| order.rank(e));
             out.edges_removed.sort_unstable_by_key(|&e| order.rank(e));
         }
-        if rec.is_enabled() {
+        if flight.is_enabled() {
             for &e in &out.edges_added {
-                rec.record(TelemetryEvent::EngineEdgeAdded { epoch: epoch.0, edge: e });
+                flight.record(TelemetryEvent::EngineEdgeAdded { epoch: epoch.0, edge: e });
             }
             for &e in &out.edges_removed {
-                rec.record(TelemetryEvent::EngineEdgeRemoved { epoch: epoch.0, edge: e });
+                flight.record(TelemetryEvent::EngineEdgeRemoved { epoch: epoch.0, edge: e });
             }
         }
 
@@ -607,8 +583,8 @@ impl Engine {
         self.scratch.touched_nodes.clear();
 
         self.epoch = epoch;
-        if rec.is_enabled() {
-            rec.record(TelemetryEvent::EngineBatchApplied {
+        if flight.is_enabled() {
+            flight.record(TelemetryEvent::EngineBatchApplied {
                 epoch: epoch.0,
                 events: events.len() as u32,
                 evaluated: evaluated as u32,
@@ -955,12 +931,9 @@ mod tests {
 
     #[test]
     fn traced_batches_emit_the_engine_taxonomy() {
-        use owp_telemetry::EventLog;
         let mut e = engine(10);
-        let mut log = EventLog::enabled();
-        e.apply_batch_traced(&[EngineEvent::NodeLeave { node: NodeId(4) }], &mut log)
-            .unwrap();
-        let tags: Vec<&str> = log.events().iter().map(|ev| ev.tag()).collect();
+        e.apply_batch(&[EngineEvent::NodeLeave { node: NodeId(4) }]).unwrap();
+        let tags: Vec<&str> = e.flight().iter().map(|ev| ev.tag()).collect();
         assert_eq!(tags.last(), Some(&"engine_batch_applied"));
         assert!(tags
             .iter()

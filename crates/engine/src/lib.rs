@@ -38,9 +38,9 @@
 //! changed — and each at most once per batch (see `DESIGN.md` §8).
 //!
 //! Each batch returns an [`Epoch`]-stamped [`DeltaReport`] (edges
-//! added/removed, dirty-region size, ΔΣS) and can emit the `Engine*`
-//! branch of the `owp-telemetry` event taxonomy through any
-//! `Recorder` ([`Engine::apply_batch_traced`]).
+//! added/removed, dirty-region size, ΔΣS) and records the `Engine*`
+//! branch of the `owp-telemetry` event taxonomy into the engine's flight
+//! ring ([`Engine::flight`]).
 //!
 //! ## The black box: divergence forensics
 //!

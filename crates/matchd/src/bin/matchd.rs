@@ -4,7 +4,7 @@
 //! matchd --addr 127.0.0.1:7311 --universe ba:2000,3,2,42 --data-dir /var/lib/matchd \
 //!        [--batch-max 256] [--linger-us 2000] [--queue-cap 1024] \
 //!        [--snapshot-every 256] [--fsync always|snapshot|never] \
-//!        [--port-file PATH] [--trace-out PATH] \
+//!        [--port-file PATH] \
 //!        [--ops-addr HOST:PORT] [--ops-port-file PATH] \
 //!        [--audit-every-ms N] [--spool-dir DIR] [--ready-watermark PCT]
 //! ```
@@ -36,7 +36,7 @@ fn usage() -> ! {
         "usage: matchd --addr HOST:PORT --universe SPEC --data-dir DIR\n\
          \x20                [--batch-max N] [--linger-us N] [--queue-cap N]\n\
          \x20                [--snapshot-every N] [--fsync always|snapshot|never]\n\
-         \x20                [--port-file PATH] [--trace-out PATH]\n\
+         \x20                [--port-file PATH]\n\
          \x20                [--ops-addr HOST:PORT] [--ops-port-file PATH]\n\
          \x20                [--audit-every-ms N] [--spool-dir DIR] [--ready-watermark PCT]\n\
          universe specs: ba:n,m,b,seed | gnp:n,milli_p,b,seed | ring:n,b,seed"
@@ -79,7 +79,6 @@ fn main() {
     let mut snapshot_every = 256u64;
     let mut fsync = owp_matchd::FsyncPolicy::OnSnapshot;
     let mut port_file: Option<String> = None;
-    let mut trace_out: Option<String> = None;
     let mut ops_addr: Option<String> = None;
     let mut ops_port_file: Option<String> = None;
     let mut audit_every_ms = 200u64;
@@ -104,7 +103,6 @@ fn main() {
                 })
             }
             "--port-file" => port_file = Some(value()),
-            "--trace-out" => trace_out = Some(value()),
             "--ops-addr" => ops_addr = Some(value()),
             "--ops-port-file" => ops_port_file = Some(value()),
             "--audit-every-ms" => audit_every_ms = value().parse().unwrap_or_else(|_| usage()),
@@ -138,7 +136,6 @@ fn main() {
     config.queue_capacity = queue_cap;
     config.snapshot_every = snapshot_every;
     config.fsync = fsync;
-    config.trace = trace_out.is_some();
     config.ops_addr = ops_addr;
     config.audit_every = Duration::from_millis(audit_every_ms.max(1));
     config.spool_dir = spool_dir.map(Into::into);
@@ -202,12 +199,6 @@ fn main() {
         "matchd: shutdown at epoch {} after {} batches, sigma_s {:.6}",
         stats.epoch, stats.batches, stats.sigma_s
     );
-    if let (Some(path), Some(log)) = (&trace_out, &stats.trace) {
-        match std::fs::write(path, log.to_jsonl()) {
-            Ok(()) => println!("matchd: wrote {} trace events to {path}", log.len()),
-            Err(e) => eprintln!("matchd: cannot write trace {path}: {e}"),
-        }
-    }
     match stats.certify {
         Ok(()) => {
             println!("matchd: final state certified");

@@ -232,8 +232,7 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Stable label for telemetry (`WireFrameReceived`/`WireFrameSent`
-    /// message kinds) and summaries.
+    /// Stable label for the slow-request ring and error messages.
     pub fn kind_label(&self) -> &'static str {
         match self {
             Frame::Hello { .. } => "HELLO",

@@ -11,9 +11,11 @@
 //!   request, [`crate::http`]'s HTTP/1.0, no new dependencies.
 //! * The **continuous auditor** periodically rendezvous-probes the
 //!   engine owner for an epoch-stamped [`owp_engine::OriginSnapshot`]
-//!   (captured at a batch boundary), restores it *off* the hot path,
-//!   and runs [`owp_metrics::Auditor::audit_live`] over the alive
-//!   sub-instance: quota feasibility, mutuality, the Lemma 4
+//!   (captured at a batch boundary), re-derives the universe from it
+//!   *off* the hot path (only when its structure changed), and runs
+//!   [`owp_metrics::Auditor::audit_live_masked`] over the alive
+//!   sub-instance, named by an edge mask over the universe: quota
+//!   feasibility, mutuality, the Lemma 4
 //!   locally-heaviest certificate, and the ε-blocking-edge gauge of
 //!   Floréen et al. On a violation it escalates: captures a
 //!   [`owp_engine::ForensicBundle`] from the live engine, spools it to

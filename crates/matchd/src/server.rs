@@ -38,7 +38,6 @@ use owp_metrics::{
     MATCHD_SNAPSHOT_BYTES, MATCHD_SNAPSHOT_EPOCH, MATCHD_SNAPSHOT_SAVE_US, MATCHD_SPAN_ACK_US,
     MATCHD_SPAN_APPLY_US, MATCHD_SPAN_QUEUE_US, MATCHD_WAL_BYTES, MATCHD_WAL_RECORDS,
 };
-use owp_telemetry::{EventLog, MessageKind, Recorder, TelemetryEvent};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -65,9 +64,6 @@ pub struct MatchdConfig {
     pub snapshot_every: u64,
     /// WAL fsync policy.
     pub fsync: FsyncPolicy,
-    /// Record codec-level wire telemetry + the engine trace into an
-    /// [`EventLog`] returned by [`MatchdStats::trace`].
-    pub trace: bool,
     /// Bind the ops plane (admin HTTP endpoint + continuous auditor) on
     /// this address (`"127.0.0.1:0"` picks an ephemeral port). `None`
     /// disables the ops plane entirely — the ingest path then pays no
@@ -93,7 +89,6 @@ impl MatchdConfig {
             queue_capacity: 1024,
             snapshot_every: 256,
             fsync: FsyncPolicy::OnSnapshot,
-            trace: false,
             ops_addr: None,
             audit_every: Duration::from_millis(200),
             spool_dir: None,
@@ -253,7 +248,6 @@ pub(crate) struct Submission {
     conn: u64,
     /// Daemon-wide request id of the carrying frame (the span key).
     req: u64,
-    bytes: u32,
     reply: Sender<Reply>,
 }
 
@@ -266,14 +260,9 @@ impl AsRef<[EngineEvent]> for Submission {
 fn apply_one(
     engine: &mut Engine,
     events: &[EngineEvent],
-    trace: &mut Option<EventLog>,
     report: &mut DeltaReport,
 ) -> Result<u64, EngineError> {
-    match trace.as_mut() {
-        Some(log) => engine.apply_batch_traced_into(events, log, report),
-        None => engine.apply_batch_into(events, report),
-    }
-    .map(|()| report.epoch.0)
+    engine.apply_batch_into(events, report).map(|()| report.epoch.0)
 }
 
 /// Applies one flush to the engine: the merged batch of all `subs`, or,
@@ -288,7 +277,6 @@ fn apply_flush<S: AsRef<[EngineEvent]>>(
     subs: &[S],
     merged: &mut Vec<EngineEvent>,
     report: &mut DeltaReport,
-    trace: &mut Option<EventLog>,
     dirty: &mut DirtyChunks,
     mut commit: impl FnMut(u64, &[EngineEvent]) -> Result<(), String>,
 ) -> (Vec<Reply>, u64) {
@@ -296,7 +284,7 @@ fn apply_flush<S: AsRef<[EngineEvent]>>(
     for sub in subs {
         merged.extend_from_slice(sub.as_ref());
     }
-    if let Ok(epoch) = apply_one(engine, merged, trace, report) {
+    if let Ok(epoch) = apply_one(engine, merged, report) {
         dirty.note(engine, report, merged);
         let reply = commit(epoch, merged).map(|()| epoch);
         return (vec![reply; subs.len()], 1);
@@ -306,7 +294,7 @@ fn apply_flush<S: AsRef<[EngineEvent]>>(
         .iter()
         .map(|sub| {
             let events = sub.as_ref();
-            let epoch = apply_one(engine, events, trace, report).map_err(|e| e.to_string())?;
+            let epoch = apply_one(engine, events, report).map_err(|e| e.to_string())?;
             dirty.note(engine, report, events);
             commit(epoch, events)?;
             batches += 1;
@@ -357,7 +345,6 @@ struct OwnerExit {
     batches: u64,
     graceful: bool,
     certify: Result<(), String>,
-    trace: Option<EventLog>,
 }
 
 /// Final daemon state, returned by [`Matchd::shutdown`] /
@@ -373,8 +360,6 @@ pub struct MatchdStats {
     pub graceful: bool,
     /// Certification of the final state (always computed, even on abort).
     pub certify: Result<(), String>,
-    /// Wire + engine telemetry, when [`MatchdConfig::trace`] was on.
-    pub trace: Option<EventLog>,
     /// The final engine itself, for tests and experiments.
     pub engine: Engine,
 }
@@ -594,7 +579,6 @@ impl Matchd {
             batches: exit.batches,
             graceful: exit.graceful,
             certify: exit.certify,
-            trace: exit.trace,
             engine: exit.engine,
         }
     }
@@ -667,14 +651,12 @@ fn handle_conn(mut stream: TcpStream, ctx: Arc<ConnCtx>, conn: u64) {
         let mut read_epoch = 0;
         let response = match frame {
             Frame::Submit { events } => {
-                let bytes = events.len() as u32;
                 let (reply_tx, reply_rx) = std::sync::mpsc::channel();
                 let sub = Submission {
                     events,
                     enqueued: Instant::now(),
                     conn,
                     req,
-                    bytes,
                     reply: reply_tx,
                 };
                 // Count the submission before it can reach the owner,
@@ -807,7 +789,6 @@ fn owner_loop(
     registry: MetricsRegistry,
     config: MatchdConfig,
 ) -> OwnerExit {
-    let started = Instant::now();
     let queue_depth: Gauge = registry.gauge(MATCHD_QUEUE_DEPTH);
     let wal_bytes: Gauge = registry.gauge(MATCHD_WAL_BYTES);
     let wal_records: Gauge = registry.gauge(MATCHD_WAL_RECORDS);
@@ -825,7 +806,6 @@ fn owner_loop(
         bytes: registry.gauge(MATCHD_SNAPSHOT_BYTES),
         epoch: registry.gauge(MATCHD_SNAPSHOT_EPOCH),
     };
-    let mut trace = config.trace.then(EventLog::enabled);
     let mut pending: Vec<Submission> = Vec::new();
     let mut pending_events = 0usize;
     let mut merged: Vec<EngineEvent> = Vec::new();
@@ -839,7 +819,6 @@ fn owner_loop(
                      pending_events: &mut usize,
                      engine: &mut Engine,
                      wal: &mut Wal,
-                     trace: &mut Option<EventLog>,
                      batches: &mut u64,
                      ckpt: &mut Checkpoints| {
         if pending.is_empty() {
@@ -848,18 +827,6 @@ fn owner_loop(
         let oldest = pending[0].enqueued;
         linger_us.observe(oldest.elapsed().as_micros() as u64);
         batch_events.observe(*pending_events as u64);
-        let now_us = || started.elapsed().as_micros() as u64;
-        if let Some(log) = trace.as_mut() {
-            for sub in pending.iter() {
-                log.record(TelemetryEvent::WireFrameReceived {
-                    time: now_us(),
-                    conn: sub.conn,
-                    req: sub.req,
-                    kind: MessageKind::Other("SUBMIT"),
-                    bytes: sub.bytes,
-                });
-            }
-        }
         // The span legs: every submission in this flush shares the
         // apply leg (one merged engine call + WAL append), while its
         // queue leg is individual — enqueue to flush start.
@@ -871,7 +838,6 @@ fn owner_loop(
             pending.as_slice(),
             &mut merged,
             &mut report,
-            trace,
             &mut dirty,
             |epoch, events| {
                 wal.append(epoch, events).map_err(|e| format!("WAL append failed: {e}"))
@@ -886,16 +852,6 @@ fn owner_loop(
         // client that sees its ack is guaranteed to read its own write.
         publish(&view, engine, &mut dirty);
         for (sub, reply) in pending.drain(..).zip(results) {
-            let kind = if reply.is_ok() { "ACCEPTED" } else { "REJECTED" };
-            if let Some(log) = trace.as_mut() {
-                log.record(TelemetryEvent::WireFrameSent {
-                    time: now_us(),
-                    conn: sub.conn,
-                    req: sub.req,
-                    kind: MessageKind::Other(kind),
-                    bytes: 9,
-                });
-            }
             let queue_us = flush_start.duration_since(sub.enqueued).as_micros() as u64;
             let ack_us = apply_done.elapsed().as_micros() as u64;
             span_queue_us.observe(queue_us);
@@ -937,7 +893,6 @@ fn owner_loop(
                         &mut pending_events,
                         &mut engine,
                         &mut wal,
-                        &mut trace,
                         &mut batches,
                         &mut ckpt,
                     );
@@ -959,7 +914,6 @@ fn owner_loop(
                         &mut pending_events,
                         &mut engine,
                         &mut wal,
-                        &mut trace,
                         &mut batches,
                         &mut ckpt,
                     );
@@ -975,7 +929,6 @@ fn owner_loop(
                     &mut pending_events,
                     &mut engine,
                     &mut wal,
-                    &mut trace,
                     &mut batches,
                     &mut ckpt,
                 );
@@ -996,7 +949,6 @@ fn owner_loop(
                     &mut pending_events,
                     &mut engine,
                     &mut wal,
-                    &mut trace,
                     &mut batches,
                     &mut ckpt,
                 );
@@ -1010,7 +962,6 @@ fn owner_loop(
                     &mut pending_events,
                     &mut engine,
                     &mut wal,
-                    &mut trace,
                     &mut batches,
                     &mut ckpt,
                 );
@@ -1029,7 +980,6 @@ fn owner_loop(
             &mut pending_events,
             &mut engine,
             &mut wal,
-            &mut trace,
             &mut batches,
             &mut ckpt,
         );
@@ -1044,7 +994,7 @@ fn owner_loop(
     // crash semantics. Their reply senders hang up, which handlers
     // surface as "daemon stopped before applying".
     let certify = engine.certify();
-    OwnerExit { engine, batches, graceful, certify, trace }
+    OwnerExit { engine, batches, graceful, certify }
 }
 
 #[cfg(test)]
@@ -1147,14 +1097,12 @@ mod tests {
                 let at = rng.gen_range(0..=subs.len());
                 subs.insert(at, vec![EngineEvent::NodeLeave { node: NodeId(n + 7) }]);
             }
-            let mut trace = (step % 3 == 0).then(EventLog::enabled);
             let before = engine.epoch().0;
             let (replies, batches) = apply_flush(
                 &mut engine,
                 &subs,
                 &mut merged,
                 &mut report,
-                &mut trace,
                 &mut dirty,
                 |_, _| Ok(()),
             );

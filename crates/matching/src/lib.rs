@@ -54,7 +54,7 @@ pub mod weights;
 
 pub use bmatching::BMatching;
 pub use csr::FixedCsr;
-pub use lic::{lic, lic_traced, SelectionPolicy};
+pub use lic::{lic, lic_with_order, SelectionPolicy};
 pub use metrics::{matching_totals, MatchingReport};
 pub use numeric::Rational;
 pub use order::{EdgeOrder, EdgeRank};

@@ -28,7 +28,6 @@
 use crate::bmatching::BMatching;
 use crate::problem::Problem;
 use owp_graph::{EdgeId, NodeId};
-use owp_telemetry::{NullRecorder, Recorder, TelemetryEvent};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -61,7 +60,7 @@ struct State<'p> {
     /// Per node: remaining quota (Algorithm 2's `counter`).
     counter: Vec<u32>,
     matching: BMatching,
-    /// Selection order, for tests and traces.
+    /// Selection order, returned by [`lic_with_order`].
     order: Vec<EdgeId>,
 }
 
@@ -102,11 +101,10 @@ impl<'p> State<'p> {
     }
 
     /// Current heaviest pool edge of `i`, advancing the cursor lazily.
-    fn top<R: Recorder>(&mut self, i: NodeId, rec: &mut R) -> Option<EdgeId> {
+    fn top(&mut self, i: NodeId) -> Option<EdgeId> {
         let idx = i.index();
         let end = self.offsets[idx + 1];
-        let start = self.cursor[idx];
-        let mut c = start;
+        let mut c = self.cursor[idx];
         let mut found = None;
         while c < end {
             let e = self.incident[c as usize];
@@ -117,68 +115,43 @@ impl<'p> State<'p> {
             c += 1;
         }
         self.cursor[idx] = c;
-        // With `NullRecorder` this whole block constant-folds away, leaving
-        // the uninstrumented cursor walk.
-        if rec.is_enabled() && c > start {
-            rec.record(TelemetryEvent::LicCursorAdvanced {
-                node: i,
-                skipped: c - start,
-            });
-        }
         found
     }
 
     /// Discards all pool edges of a saturated node, re-queueing the nodes
     /// whose pool shrank (their top edge may have become locally heaviest).
     /// Scans from the cursor: everything before it is already removed.
-    fn saturate<R: Recorder>(&mut self, i: NodeId, queue: &mut Vec<NodeId>, rec: &mut R) {
+    fn saturate(&mut self, i: NodeId, queue: &mut Vec<NodeId>) {
         let idx = i.index();
-        let mut discarded = 0u32;
         for k in self.cursor[idx]..self.offsets[idx + 1] {
             let e = self.incident[k as usize];
             if !self.removed[e.index()] {
                 self.removed[e.index()] = true;
-                discarded += 1;
                 queue.push(self.problem.graph.other_endpoint(e, i));
             }
         }
         self.cursor[idx] = self.offsets[idx + 1];
-        if rec.is_enabled() {
-            rec.record(TelemetryEvent::LicNodeSaturated {
-                step: self.order.len() as u32,
-                node: i,
-                discarded,
-            });
-        }
     }
 
     /// Selects a locally heaviest edge (Algorithm 2 lines 5–9).
-    fn select<R: Recorder>(&mut self, e: EdgeId, queue: &mut Vec<NodeId>, rec: &mut R) {
+    fn select(&mut self, e: EdgeId, queue: &mut Vec<NodeId>) {
         debug_assert!(!self.removed[e.index()]);
         let (a, b) = self.problem.graph.endpoints(e);
         debug_assert!(self.counter[a.index()] > 0 && self.counter[b.index()] > 0);
-        if rec.is_enabled() {
-            rec.record(TelemetryEvent::LicEdgeSelected {
-                step: self.order.len() as u32,
-                edge: e,
-                a,
-                b,
-            });
-        }
         self.matching.insert(self.problem, e);
         self.order.push(e);
         self.removed[e.index()] = true;
         for x in [a, b] {
             self.counter[x.index()] -= 1;
             if self.counter[x.index()] == 0 {
-                self.saturate(x, queue, rec);
+                self.saturate(x, queue);
             }
         }
         queue.push(a);
         queue.push(b);
     }
 
-    fn run<R: Recorder>(mut self, policy: SelectionPolicy, rec: &mut R) -> (BMatching, Vec<EdgeId>) {
+    fn run(mut self, policy: SelectionPolicy) -> (BMatching, Vec<EdgeId>) {
         let n = self.problem.graph.node_count();
         let mut queue: Vec<NodeId> = match policy {
             SelectionPolicy::InOrder => (0..n as u32).map(NodeId).collect(),
@@ -195,7 +168,7 @@ impl<'p> State<'p> {
         let mut extra = Vec::new();
         for i in 0..n {
             if self.counter[i] == 0 {
-                self.saturate(NodeId(i as u32), &mut extra, rec);
+                self.saturate(NodeId(i as u32), &mut extra);
             }
         }
         queue.extend(extra);
@@ -206,10 +179,10 @@ impl<'p> State<'p> {
             // locally heaviest edge (eq. 13). select() re-queues i, so any
             // further selections at i happen on later worklist visits,
             // keeping the traversal policy-driven.
-            if let Some(e) = self.top(i, rec) {
+            if let Some(e) = self.top(i) {
                 let j = self.problem.graph.other_endpoint(e, i);
-                if self.top(j, rec) == Some(e) {
-                    self.select(e, &mut queue, rec);
+                if self.top(j) == Some(e) {
+                    self.select(e, &mut queue);
                 }
             }
         }
@@ -224,27 +197,14 @@ impl<'p> State<'p> {
 
 /// Runs LIC and returns the matching.
 pub fn lic(problem: &Problem, policy: SelectionPolicy) -> BMatching {
-    State::new(problem).run(policy, &mut NullRecorder).0
+    State::new(problem).run(policy).0
 }
 
-/// Runs LIC recording its decision trace into `rec`: one
-/// [`TelemetryEvent::LicEdgeSelected`] per selection (in selection order),
-/// [`TelemetryEvent::LicNodeSaturated`] for every counter-exhaustion sweep
-/// and [`TelemetryEvent::LicCursorAdvanced`] for every lazy cursor skip.
-///
-/// Also returns the order in which edges were selected: each prefix of it
-/// is a valid "locally heaviest so far" history (the Lemma 3/4
-/// verification tests check it).
-///
-/// Generic over the [`Recorder`], so `lic_traced(p, policy, &mut
-/// NullRecorder)` monomorphizes to the uninstrumented run — the
-/// instrumentation is free when unused (no `dyn`, no allocation).
-pub fn lic_traced<R: Recorder>(
-    problem: &Problem,
-    policy: SelectionPolicy,
-    rec: &mut R,
-) -> (BMatching, Vec<EdgeId>) {
-    State::new(problem).run(policy, rec)
+/// Runs LIC and also returns the order in which edges were selected: each
+/// prefix of it is a valid "locally heaviest so far" history, which
+/// [`crate::verify::check_selection_order`] checks (Lemmas 3/4).
+pub fn lic_with_order(problem: &Problem, policy: SelectionPolicy) -> (BMatching, Vec<EdgeId>) {
+    State::new(problem).run(policy)
 }
 
 #[cfg(test)]
@@ -328,7 +288,7 @@ mod tests {
     fn selection_order_is_locally_heaviest_history() {
         for seed in 0..10 {
             let p = Problem::random_gnp(20, 0.35, 2, 100 + seed);
-            let (m, order) = lic_traced(&p, SelectionPolicy::Random(seed), &mut NullRecorder);
+            let (m, order) = lic_with_order(&p, SelectionPolicy::Random(seed));
             assert_eq!(m.size(), order.len());
             verify::check_selection_order(&p, &order).expect("each selected edge was locally heaviest at its selection point");
         }
@@ -349,42 +309,5 @@ mod tests {
         let p = Problem::random_over(complete(6), 5, 9);
         let m = lic(&p, SelectionPolicy::InOrder);
         assert_eq!(m.size(), 15);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_and_replays_the_selection_order() {
-        use owp_telemetry::{EventLog, TelemetryEvent};
-        for seed in 0..5 {
-            let p = Problem::random_gnp(25, 0.35, 2, 300 + seed);
-            let mut log = EventLog::enabled();
-            let (m, order) = lic_traced(&p, SelectionPolicy::InOrder, &mut log);
-            assert!(m.same_edges(&lic(&p, SelectionPolicy::InOrder)));
-
-            // The LicEdgeSelected events ARE the selection order.
-            let selected: Vec<_> = log
-                .events()
-                .iter()
-                .filter_map(|e| match *e {
-                    TelemetryEvent::LicEdgeSelected { step, edge, .. } => Some((step, edge)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(selected.len(), order.len());
-            for (k, (&(step, edge), &expect)) in selected.iter().zip(order.iter()).enumerate() {
-                assert_eq!(step as usize, k);
-                assert_eq!(edge, expect);
-            }
-        }
-    }
-
-    #[test]
-    fn null_recorder_trace_is_free_and_identical() {
-        let p = Problem::random_gnp(30, 0.3, 3, 77);
-        let (m, order) = lic_traced(&p, SelectionPolicy::Reverse, &mut NullRecorder);
-        let mut log = owp_telemetry::EventLog::enabled();
-        let (m2, order2) = lic_traced(&p, SelectionPolicy::Reverse, &mut log);
-        assert!(m.same_edges(&m2));
-        assert_eq!(order, order2);
-        assert!(m.same_edges(&lic(&p, SelectionPolicy::Reverse)));
     }
 }

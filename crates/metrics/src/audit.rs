@@ -36,9 +36,20 @@
 //!
 //! Ratio gauges are only refreshed by an audit pass that found no
 //! structural violation — degraded mode keeps the last healthy values
-//! rather than publishing numbers derived from a corrupt state.
+//! rather than publishing numbers derived from a corrupt state. Each gauge
+//! is registered by the first pass that sets it, so a snapshot lists only
+//! what was measured: a run that audits only a causal trace carries no
+//! matching gauges, and one that audits only a matching carries no
+//! `lid_critical_path_*`.
+//!
+//! # Engine batch metrics
+//!
+//! [`Auditor::observe_delta`] also aggregates each [`DeltaReport`] into
+//! `engine_batch_events` / `engine_batch_evaluated` (histograms) and
+//! `engine_edges_added_total` / `engine_edges_removed_total` /
+//! `engine_reranked_total` (counters).
 
-use crate::registry::{Counter, Gauge, MetricsRegistry};
+use crate::registry::{Counter, MetricsRegistry};
 use owp_engine::{DeltaReport, Engine};
 use owp_graph::NodeId;
 use owp_matching::problem::Problem;
@@ -250,31 +261,27 @@ pub struct Auditor {
     violations: Vec<AuditViolation>,
     violations_total: Counter,
     checks_total: Counter,
-    eps_blocking: Gauge,
-    satisfaction_ratio: Gauge,
-    engine_matching_size: Gauge,
-    engine_satisfaction: Gauge,
-    lid_critical_path_len: Gauge,
-    lid_critical_path_latency: Gauge,
+    reg: MetricsRegistry,
     last_epoch: Option<u64>,
 }
 
 impl Auditor {
     /// An auditor publishing into `reg`. Its ε-blocking gauge counts with
-    /// ε = 0 (the strict blocking-edge notion).
+    /// ε = 0 (the strict blocking-edge notion). Only the two counters are
+    /// registered here; each gauge appears with the first pass that sets
+    /// it.
     pub fn new(reg: &MetricsRegistry) -> Self {
         Auditor {
             violations: Vec::new(),
             violations_total: reg.counter("audit_violations_total"),
             checks_total: reg.counter("audit_checks_total"),
-            eps_blocking: reg.gauge("audit_epsilon_blocking_edges"),
-            satisfaction_ratio: reg.gauge("audit_satisfaction_ratio"),
-            engine_matching_size: reg.gauge("audit_engine_matching_size"),
-            engine_satisfaction: reg.gauge("audit_engine_satisfaction"),
-            lid_critical_path_len: reg.gauge("lid_critical_path_len"),
-            lid_critical_path_latency: reg.gauge("lid_critical_path_latency"),
+            reg: reg.clone(),
             last_epoch: None,
         }
+    }
+
+    fn set_gauge(&self, key: &'static str, v: f64) {
+        self.reg.gauge(key).set(v);
     }
 
     fn push(&mut self, kind: InvariantKind, epoch: Option<u64>, detail: String) {
@@ -394,11 +401,11 @@ impl Auditor {
 
         let added = self.violations.len() - before;
         if added == 0 {
-            self.eps_blocking
-                .set(epsilon_blocking_count_masked(problem, alive, &quota, m, 0.0) as f64);
+            let eps = epsilon_blocking_count_masked(problem, alive, &quota, m, 0.0);
+            self.set_gauge("audit_epsilon_blocking_edges", eps as f64);
             let upper = weight_upper_bound_masked(problem, alive, &quota);
             let ratio = if upper > 0.0 { m.total_weight(problem) / upper } else { 1.0 };
-            self.satisfaction_ratio.set(ratio);
+            self.set_gauge("audit_satisfaction_ratio", ratio);
         }
         added
     }
@@ -451,11 +458,11 @@ impl Auditor {
 
         let added = self.violations.len() - before;
         if added == 0 {
-            self.eps_blocking
-                .set(epsilon_blocking_count(problem, m, 0.0) as f64);
+            let eps = epsilon_blocking_count(problem, m, 0.0);
+            self.set_gauge("audit_epsilon_blocking_edges", eps as f64);
             let upper = weight_upper_bound(problem);
             let ratio = if upper > 0.0 { m.total_weight(problem) / upper } else { 1.0 };
-            self.satisfaction_ratio.set(ratio);
+            self.set_gauge("audit_satisfaction_ratio", ratio);
         }
         added
     }
@@ -518,8 +525,8 @@ impl Auditor {
 
         let added = self.violations.len() - before;
         if added == 0 {
-            self.engine_matching_size.set(m.size() as f64);
-            self.engine_satisfaction.set(engine.total_satisfaction());
+            self.set_gauge("audit_engine_matching_size", m.size() as f64);
+            self.set_gauge("audit_engine_satisfaction", engine.total_satisfaction());
         }
         added
     }
@@ -543,17 +550,25 @@ impl Auditor {
         }
         if added == 0 {
             let path = dag.critical_path();
-            self.lid_critical_path_len.set(path.len() as f64);
-            self.lid_critical_path_latency.set(path.total_latency() as f64);
+            self.set_gauge("lid_critical_path_len", path.len() as f64);
+            self.set_gauge("lid_critical_path_latency", path.total_latency() as f64);
         }
         added
     }
 
-    /// Consumes one engine [`DeltaReport`]: checks strict epoch advance and
-    /// refreshes the engine gauges from the report. Returns the violations
-    /// added (0 or 1).
+    /// Consumes one engine [`DeltaReport`]: aggregates it into the engine
+    /// batch metrics (events and evaluated edges per batch, edges added,
+    /// removed and re-ranked), checks strict epoch advance and refreshes
+    /// the engine gauges from the report. Returns the violations added
+    /// (0 or 1).
     pub fn observe_delta(&mut self, report: &DeltaReport) -> usize {
         self.checks_total.inc();
+        let reg = &self.reg;
+        reg.histogram("engine_batch_events").observe(report.events as u64);
+        reg.histogram("engine_batch_evaluated").observe(report.evaluated as u64);
+        reg.counter("engine_edges_added_total").add(report.edges_added.len() as u64);
+        reg.counter("engine_edges_removed_total").add(report.edges_removed.len() as u64);
+        reg.counter("engine_reranked_total").add(report.reranked as u64);
         let epoch = report.epoch.0;
         let mut added = 0;
         if let Some(last) = self.last_epoch {
@@ -568,8 +583,8 @@ impl Auditor {
         }
         self.last_epoch = Some(epoch);
         if added == 0 {
-            self.engine_matching_size.set(report.matching_size as f64);
-            self.engine_satisfaction.set(report.total_satisfaction);
+            self.set_gauge("audit_engine_matching_size", report.matching_size as f64);
+            self.set_gauge("audit_engine_satisfaction", report.total_satisfaction);
         }
         added
     }
@@ -807,7 +822,7 @@ mod tests {
     #[test]
     fn causal_audit_certifies_clean_and_flags_tampered() {
         use owp_graph::NodeId as N;
-        use owp_telemetry::{CausalDag, EventLog, MessageKind, Recorder as _, SpanId, TelemetryEvent};
+        use owp_telemetry::{CausalDag, EventLog, MessageKind, SpanId, TelemetryEvent};
         let sent = |time, span, parent: Option<u64>, from: u32, to: u32| TelemetryEvent::Sent {
             time,
             span: SpanId(span),
@@ -877,5 +892,66 @@ mod tests {
         assert_eq!(auditor.observe_delta(&mk(2)), 1);
         assert_eq!(auditor.report()[0].kind, InvariantKind::EpochMonotonicity);
         assert_eq!(auditor.report()[0].epoch, Some(2));
+    }
+
+    #[test]
+    fn observe_delta_aggregates_engine_batch_metrics() {
+        let reg = MetricsRegistry::new();
+        let mut auditor = Auditor::new(&reg);
+        let report = DeltaReport {
+            epoch: owp_engine::Epoch(1),
+            events: 4,
+            edges_added: vec![owp_graph::EdgeId(3), owp_graph::EdgeId(5)],
+            edges_removed: vec![owp_graph::EdgeId(8)],
+            evaluated: 17,
+            reranked: 6,
+            delta_satisfaction: 0.0,
+            total_satisfaction: 1.0,
+            matching_size: 2,
+        };
+        assert_eq!(auditor.observe_delta(&report), 0);
+        assert_eq!(reg.histogram("engine_batch_events").sum(), 4);
+        assert_eq!(reg.histogram("engine_batch_evaluated").sum(), 17);
+        assert_eq!(reg.counter("engine_edges_added_total").get(), 2);
+        assert_eq!(reg.counter("engine_edges_removed_total").get(), 1);
+        assert_eq!(reg.counter("engine_reranked_total").get(), 6);
+    }
+
+    #[test]
+    fn gauges_appear_only_when_measured() {
+        use owp_graph::NodeId as N;
+        use owp_telemetry::{CausalDag, EventLog, MessageKind, SpanId, TelemetryEvent};
+        let gauges = |reg: &MetricsRegistry| -> Vec<String> {
+            reg.snapshot().gauges.into_iter().map(|(k, _)| k).collect()
+        };
+        let matching_gauges = [
+            "audit_epsilon_blocking_edges",
+            "audit_satisfaction_ratio",
+            "audit_engine_matching_size",
+            "audit_engine_satisfaction",
+        ];
+        let critical_path = ["lid_critical_path_latency", "lid_critical_path_len"];
+
+        // A causal-only audit publishes the critical path and nothing else.
+        let (span, from, to, kind) = (SpanId(0), N(0), N(1), MessageKind::Prop);
+        let mut log = EventLog::enabled();
+        log.record(TelemetryEvent::Sent { time: 0, span, parent: None, from, to, kind });
+        log.record(TelemetryEvent::Delivered { time: 3, span, from, to, kind });
+        let reg = MetricsRegistry::new();
+        let mut auditor = Auditor::new(&reg);
+        assert!(gauges(&reg).is_empty(), "construction registers no gauge");
+        assert_eq!(auditor.audit_causal(&CausalDag::from_log(&log)), 0);
+        let seen = gauges(&reg);
+        assert_eq!(seen, critical_path);
+        assert!(matching_gauges.iter().all(|g| !seen.iter().any(|s| s == g)), "{seen:?}");
+
+        // A matching-only audit publishes no critical path.
+        let reg = MetricsRegistry::new();
+        let mut auditor = Auditor::new(&reg);
+        let p = instance(1);
+        assert_eq!(auditor.audit_matching(&p, &lic(&p, SelectionPolicy::InOrder)), 0);
+        let seen = gauges(&reg);
+        assert_eq!(seen, ["audit_epsilon_blocking_edges", "audit_satisfaction_ratio"]);
+        assert!(critical_path.iter().all(|g| !seen.iter().any(|s| s == g)), "{seen:?}");
     }
 }

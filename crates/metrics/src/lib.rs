@@ -13,16 +13,16 @@
 //!   exporters, [`MetricsSnapshot::to_prometheus`] and
 //!   [`MetricsSnapshot::to_json`], and matching parsers for offline
 //!   inspection (`owp-inspect`).
-//! * [`MetricsRecorder`] — an [`owp_telemetry::Recorder`] that aggregates
-//!   the event stream into the registry: per-kind message counters,
-//!   send→deliver latency histograms (per-link FIFO pairing), PROP→accept
-//!   latency, termination times, engine batch/repair distributions.
+//! * [`MetricsRecorder`] — aggregates a simulator event stream into the
+//!   registry: per-kind message counters, send→deliver latency histograms
+//!   (paired by span), PROP→accept latency, termination times.
 //! * [`Auditor`] — the online invariant auditor: quota feasibility,
 //!   matching mutuality, eq. 9 weight symmetry, the Lemma 4
 //!   locally-heaviest certificate (Theorem 2's ½-approximation), engine
 //!   repair consistency and epoch monotonicity, reported as structured
 //!   [`AuditViolation`]s (never panics) alongside ε-blocking-edge and
-//!   satisfaction-ratio gauges.
+//!   satisfaction-ratio gauges; it also aggregates the engine's
+//!   `DeltaReport`s into the batch-size and repair distributions.
 //! * [`alloc`](mod@alloc) — allocation accounting for the engine's
 //!   zero-allocation batch contract (the `engine_allocations_per_batch`
 //!   gauge) plus the engine's flight-ring gauges.
@@ -31,11 +31,10 @@
 //!   linger), shared between `owp-matchd` and the inspectors.
 //!
 //! The crate is intentionally *passive*: nothing here hooks itself into the
-//! simulator or engine. Call sites opt in by handing a recorder or auditor
-//! to the already-generic instrumentation points, so the zero-cost
-//! discipline of the telemetry layer (NullRecorder fold-out, runtime
-//! switches) carries over unchanged — a binary that never constructs a
-//! registry pays nothing.
+//! simulator or engine. Call sites opt in by replaying a finished run's
+//! event log through a recorder or handing results to an auditor, so the
+//! runtime switches of the telemetry layer carry over unchanged — a binary
+//! that never constructs a registry pays nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,10 @@
-//! [`MetricsRecorder`] — an [`owp_telemetry::Recorder`] that aggregates the
-//! event stream into registry metrics instead of (or alongside) storing it.
+//! [`MetricsRecorder`] — aggregates a simulator event stream into registry
+//! metrics instead of storing it.
 //!
-//! Drop it anywhere a recorder is accepted (`lic_traced`,
-//! `Engine::apply_batch_traced`), or replay a recorded [`owp_telemetry::EventLog`] — such
-//! as a traced LID run's `LidResult::log` — through
-//! [`MetricsRecorder::consume`], and the registry fills with:
+//! Replay a recorded [`owp_telemetry::EventLog`] — such as a traced LID
+//! run's `LidResult::log` — through [`MetricsRecorder::consume`] (or feed
+//! events one at a time to [`MetricsRecorder::record`]), and the registry
+//! fills with:
 //!
 //! | metric | type | source |
 //! |---|---|---|
@@ -18,11 +18,9 @@
 //! | `prop_accept_latency_ticks` | histogram | `PropSent`→`EdgeLocked` per node |
 //! | `node_termination_time_ticks` | histogram | `NodeTerminated` |
 //! | `retransmits_total` | counter | `Retransmit` |
-//! | `lic_edges_selected_total` | counter | `LicEdgeSelected` |
-//! | `lic_discarded_total` / `lic_cursor_skips_total` | counter | LIC events |
-//! | `engine_batch_events` / `engine_batch_evaluated` | histogram | `EngineBatchApplied` |
-//! | `engine_edges_added_total` / `engine_edges_removed_total` | counter | edge deltas |
-//! | `engine_reranked_total` | counter | `EngineReranked` |
+//!
+//! The engine's batch metrics come from its `DeltaReport`s instead, through
+//! [`crate::Auditor::observe_delta`].
 //!
 //! Latency pairing keys each send by its span id: `Sent` records the send
 //! time, and the span's `Delivered`, `Dropped` or `DeadLettered` record
@@ -31,7 +29,7 @@
 //! simply never produce a latency sample.
 
 use crate::registry::{Counter, Histogram, MetricsRegistry};
-use owp_telemetry::{MessageKind, NodeEvent, Recorder, SpanId, TelemetryEvent};
+use owp_telemetry::{MessageKind, NodeEvent, SpanId, TelemetryEvent};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Aggregating recorder over a [`MetricsRegistry`].
@@ -51,14 +49,6 @@ pub struct MetricsRecorder {
     message_latency: Histogram,
     prop_accept_latency: Histogram,
     node_termination_time: Histogram,
-    lic_edges_selected_total: Counter,
-    lic_discarded_total: Counter,
-    lic_cursor_skips_total: Counter,
-    engine_batch_events: Histogram,
-    engine_batch_evaluated: Histogram,
-    engine_edges_added_total: Counter,
-    engine_edges_removed_total: Counter,
-    engine_reranked_total: Counter,
     /// Registry handle kept for lazy registration of per-label counters —
     /// `MessageKind::Other` labels are open-ended, so their families cannot
     /// be created up front like the fixed kinds.
@@ -108,14 +98,6 @@ impl MetricsRecorder {
             message_latency: reg.histogram("message_latency_ticks"),
             prop_accept_latency: reg.histogram("prop_accept_latency_ticks"),
             node_termination_time: reg.histogram("node_termination_time_ticks"),
-            lic_edges_selected_total: reg.counter("lic_edges_selected_total"),
-            lic_discarded_total: reg.counter("lic_discarded_total"),
-            lic_cursor_skips_total: reg.counter("lic_cursor_skips_total"),
-            engine_batch_events: reg.histogram("engine_batch_events"),
-            engine_batch_evaluated: reg.histogram("engine_batch_evaluated"),
-            engine_edges_added_total: reg.counter("engine_edges_added_total"),
-            engine_edges_removed_total: reg.counter("engine_edges_removed_total"),
-            engine_reranked_total: reg.counter("engine_reranked_total"),
             registry: reg.clone(),
             sent_other: BTreeMap::new(),
             in_flight: HashMap::new(),
@@ -130,15 +112,9 @@ impl MetricsRecorder {
             self.record(ev);
         }
     }
-}
 
-impl Recorder for MetricsRecorder {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, ev: TelemetryEvent) {
+    /// Aggregates one event into the registry.
+    pub fn record(&mut self, ev: TelemetryEvent) {
         match ev {
             TelemetryEvent::Sent { time, span, kind, .. } => {
                 self.sent_total.inc();
@@ -190,27 +166,12 @@ impl Recorder for MetricsRecorder {
                 NodeEvent::RejSent { .. } => {}
                 NodeEvent::Retransmit { .. } => self.retransmits_total.inc(),
             },
-            TelemetryEvent::LicEdgeSelected { .. } => self.lic_edges_selected_total.inc(),
-            TelemetryEvent::LicNodeSaturated { discarded, .. } => {
-                self.lic_discarded_total.add(discarded as u64)
-            }
-            TelemetryEvent::LicCursorAdvanced { skipped, .. } => {
-                self.lic_cursor_skips_total.add(skipped as u64)
-            }
-            TelemetryEvent::EngineBatchApplied { events, evaluated, added, removed, .. } => {
-                self.engine_batch_events.observe(events as u64);
-                self.engine_batch_evaluated.observe(evaluated as u64);
-                self.engine_edges_added_total.add(added as u64);
-                self.engine_edges_removed_total.add(removed as u64);
-            }
-            TelemetryEvent::EngineEdgeAdded { .. } | TelemetryEvent::EngineEdgeRemoved { .. } => {}
-            TelemetryEvent::EngineReranked { edges, .. } => {
-                self.engine_reranked_total.add(edges as u64)
-            }
-            // Wire frames are daemon-boundary events; matchd aggregates
-            // them through its own `matchd_*` instruments, not through
-            // the protocol counters this recorder maintains.
-            TelemetryEvent::WireFrameReceived { .. } | TelemetryEvent::WireFrameSent { .. } => {}
+            // Engine batches are aggregated from their `DeltaReport`s by
+            // `Auditor::observe_delta`.
+            TelemetryEvent::EngineBatchApplied { .. }
+            | TelemetryEvent::EngineEdgeAdded { .. }
+            | TelemetryEvent::EngineEdgeRemoved { .. }
+            | TelemetryEvent::EngineReranked { .. } => {}
         }
     }
 }
@@ -314,25 +275,19 @@ mod tests {
     }
 
     #[test]
-    fn consume_replays_a_log_and_engine_events_aggregate() {
+    fn consume_replays_a_log() {
         let mut log = EventLog::enabled();
-        log.record(TelemetryEvent::EngineBatchApplied {
-            epoch: 1,
-            events: 4,
-            evaluated: 17,
-            added: 2,
-            removed: 1,
-        });
+        log.record(sent(0, 0, 0, 1, MessageKind::Prop));
+        log.record(delivered(5, 0, 0, 1, MessageKind::Prop));
+        log.record(TelemetryEvent::TimerFired { time: 6, node: NodeId(1), tag: 2 });
         log.record(TelemetryEvent::EngineReranked { epoch: 1, edges: 6 });
-        log.record(TelemetryEvent::LicNodeSaturated { step: 0, node: NodeId(0), discarded: 3 });
         let reg = MetricsRegistry::new();
         let mut rec = MetricsRecorder::new(&reg);
         rec.consume(&log);
-        assert_eq!(reg.histogram("engine_batch_events").sum(), 4);
-        assert_eq!(reg.histogram("engine_batch_evaluated").sum(), 17);
-        assert_eq!(reg.counter("engine_edges_added_total").get(), 2);
-        assert_eq!(reg.counter("engine_edges_removed_total").get(), 1);
-        assert_eq!(reg.counter("engine_reranked_total").get(), 6);
-        assert_eq!(reg.counter("lic_discarded_total").get(), 3);
+        assert_eq!(reg.counter("messages_sent_total").get(), 1);
+        assert_eq!(reg.histogram("message_latency_ticks").sum(), 5);
+        assert_eq!(reg.counter("timers_fired_total").get(), 1);
+        // Engine events carry nothing this recorder aggregates.
+        assert!(reg.snapshot().histograms.iter().all(|(k, _)| !k.starts_with("engine_")));
     }
 }

@@ -46,7 +46,7 @@ pub mod sync;
 pub use faults::{CompiledFaults, FaultPlan, LinkLoss, Partition};
 pub use latency::LatencyModel;
 pub use owp_graph::NodeId;
-pub use owp_telemetry::{EventLog, MessageKind, NodeEvent, Recorder, TelemetryEvent};
+pub use owp_telemetry::{EventLog, MessageKind, NodeEvent, TelemetryEvent};
 pub use protocol::{Context, Payload, Protocol};
 pub use sim::{RunOutcome, SimConfig, Simulator};
 pub use stats::NetStats;

@@ -6,7 +6,7 @@ use crate::protocol::{Context, Payload, Protocol};
 use crate::stats::NetStats;
 use crate::{NodeId, SimTime};
 use owp_graph::Graph;
-use owp_telemetry::{EventLog, Recorder as _, SpanId, TelemetryEvent};
+use owp_telemetry::{EventLog, SpanId, TelemetryEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};

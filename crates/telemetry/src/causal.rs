@@ -643,7 +643,6 @@ impl CausalDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
 
     fn sent(time: u64, span: u64, parent: Option<u64>, from: u32, to: u32, kind: MessageKind) -> TelemetryEvent {
         TelemetryEvent::Sent {

@@ -1,15 +1,15 @@
 //! The typed event vocabulary of the telemetry layer.
 //!
-//! One flat enum covers all three execution layers so a single recorder
-//! can hold an interleaved trace of a whole run:
+//! One flat enum covers the execution layers so a single log can hold an
+//! interleaved trace of a whole run:
 //!
 //! * **transport** — what the simnet engines do with messages
 //!   (send/deliver/drop/dead-letter, timer firings);
 //! * **protocol** — per-node LID state transitions ([`NodeEvent`]),
 //!   stamped with node and time by the engine when it drains a callback's
 //!   context;
-//! * **LIC** — centralized selection-loop decisions, where "time" is the
-//!   selection step counter instead of simulated ticks.
+//! * **engine** — the dynamic engine's batch repairs, where "time" is the
+//!   epoch the batch produced.
 
 use crate::json;
 use owp_graph::{EdgeId, NodeId};
@@ -153,8 +153,8 @@ pub enum NodeEvent {
 }
 
 /// One structured event. `time` is simulated ticks for asynchronous runs,
-/// the round number for synchronous runs, and the selection-step counter
-/// for the centralized LIC events.
+/// the round number for synchronous runs, and the epoch for the engine
+/// events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum TelemetryEvent {
     /// A message was handed to the network (before loss). `span` is the
@@ -242,35 +242,6 @@ pub enum TelemetryEvent {
         /// The transition itself.
         event: NodeEvent,
     },
-    /// LIC selected a locally heaviest edge (Algorithm 2 lines 5–7).
-    LicEdgeSelected {
-        /// Selection step (0-based position in the selection order).
-        step: u32,
-        /// The selected edge.
-        edge: EdgeId,
-        /// One endpoint.
-        a: NodeId,
-        /// The other endpoint.
-        b: NodeId,
-    },
-    /// A node's counter hit zero and its remaining pool edges were
-    /// discarded (Algorithm 2 lines 8–9).
-    LicNodeSaturated {
-        /// Selection step at which saturation happened.
-        step: u32,
-        /// The saturated node.
-        node: NodeId,
-        /// Pool edges discarded by the saturation sweep.
-        discarded: u32,
-    },
-    /// A node's rank cursor skipped past removed edges to find its current
-    /// top pool edge.
-    LicCursorAdvanced {
-        /// The node whose cursor moved.
-        node: NodeId,
-        /// Removed entries skipped by this advance.
-        skipped: u32,
-    },
     /// The dynamic engine finished applying an event batch (owp-engine).
     /// "Time" for all `Engine*` events is the epoch the batch produced.
     EngineBatchApplied {
@@ -307,44 +278,11 @@ pub enum TelemetryEvent {
         /// Edges whose rank keys were recomputed.
         edges: u32,
     },
-    /// A `matchd` wire frame crossed the codec boundary inbound: the
-    /// daemon decoded one length-prefixed frame off a client connection.
-    /// "Time" for the wire events is microseconds since the daemon
-    /// started (a steady clock, not wall time).
-    WireFrameReceived {
-        /// Microseconds since daemon start.
-        time: u64,
-        /// Daemon-assigned connection id (monotone per accept).
-        conn: u64,
-        /// Daemon-wide request id (monotone per decoded frame) — the span
-        /// key threading one request from accept through queue, engine
-        /// apply, and ack.
-        req: u64,
-        /// The frame's message class (`SUBMIT`, `QUERY`, ...).
-        kind: MessageKind,
-        /// Decoded payload size in bytes (excludes the 8-byte header).
-        bytes: u32,
-    },
-    /// A `matchd` wire frame crossed the codec boundary outbound: the
-    /// daemon encoded one response frame onto a client connection.
-    WireFrameSent {
-        /// Microseconds since daemon start.
-        time: u64,
-        /// Daemon-assigned connection id (monotone per accept).
-        conn: u64,
-        /// Request id of the inbound frame this responds to (pairs the
-        /// send with its [`TelemetryEvent::WireFrameReceived`] span).
-        req: u64,
-        /// The frame's message class (`ACK`, `BUSY`, ...).
-        kind: MessageKind,
-        /// Encoded payload size in bytes (excludes the 8-byte header).
-        bytes: u32,
-    },
 }
 
 impl TelemetryEvent {
     /// The event's time coordinate (ticks / rounds for the simulated
-    /// events, the selection step for LIC events).
+    /// events, the epoch for engine events).
     pub fn time(&self) -> u64 {
         match *self {
             TelemetryEvent::Sent { time, .. }
@@ -353,12 +291,7 @@ impl TelemetryEvent {
             | TelemetryEvent::DeadLettered { time, .. }
             | TelemetryEvent::Restarted { time, .. }
             | TelemetryEvent::TimerFired { time, .. }
-            | TelemetryEvent::Node { time, .. }
-            | TelemetryEvent::WireFrameReceived { time, .. }
-            | TelemetryEvent::WireFrameSent { time, .. } => time,
-            TelemetryEvent::LicEdgeSelected { step, .. }
-            | TelemetryEvent::LicNodeSaturated { step, .. } => step as u64,
-            TelemetryEvent::LicCursorAdvanced { .. } => 0,
+            | TelemetryEvent::Node { time, .. } => time,
             TelemetryEvent::EngineBatchApplied { epoch, .. }
             | TelemetryEvent::EngineEdgeAdded { epoch, .. }
             | TelemetryEvent::EngineEdgeRemoved { epoch, .. }
@@ -383,15 +316,10 @@ impl TelemetryEvent {
                 NodeEvent::NodeTerminated => "node_terminated",
                 NodeEvent::Retransmit { .. } => "retransmit",
             },
-            TelemetryEvent::LicEdgeSelected { .. } => "lic_edge_selected",
-            TelemetryEvent::LicNodeSaturated { .. } => "lic_node_saturated",
-            TelemetryEvent::LicCursorAdvanced { .. } => "lic_cursor_advanced",
             TelemetryEvent::EngineBatchApplied { .. } => "engine_batch_applied",
             TelemetryEvent::EngineEdgeAdded { .. } => "engine_edge_added",
             TelemetryEvent::EngineEdgeRemoved { .. } => "engine_edge_removed",
             TelemetryEvent::EngineReranked { .. } => "engine_reranked",
-            TelemetryEvent::WireFrameReceived { .. } => "wire_received",
-            TelemetryEvent::WireFrameSent { .. } => "wire_sent",
         }
     }
 
@@ -447,23 +375,6 @@ impl TelemetryEvent {
                     NodeEvent::NodeTerminated => {}
                 }
             }
-            TelemetryEvent::LicEdgeSelected { step, edge, a, b } => {
-                let _ = write!(
-                    s,
-                    ",\"step\":{step},\"edge\":{},\"a\":{},\"b\":{}",
-                    edge.0, a.0, b.0
-                );
-            }
-            TelemetryEvent::LicNodeSaturated { step, node, discarded } => {
-                let _ = write!(
-                    s,
-                    ",\"step\":{step},\"node\":{},\"discarded\":{discarded}",
-                    node.0
-                );
-            }
-            TelemetryEvent::LicCursorAdvanced { node, skipped } => {
-                let _ = write!(s, ",\"node\":{},\"skipped\":{skipped}", node.0);
-            }
             TelemetryEvent::EngineBatchApplied { epoch, events, evaluated, added, removed } => {
                 let _ = write!(
                     s,
@@ -476,12 +387,6 @@ impl TelemetryEvent {
             }
             TelemetryEvent::EngineReranked { epoch, edges } => {
                 let _ = write!(s, ",\"epoch\":{epoch},\"edges\":{edges}");
-            }
-            TelemetryEvent::WireFrameReceived { time, conn, req, kind, bytes }
-            | TelemetryEvent::WireFrameSent { time, conn, req, kind, bytes } => {
-                let _ = write!(s, ",\"time\":{time},\"conn\":{conn},\"req\":{req},\"kind\":");
-                json::write_str(s, kind.label());
-                let _ = write!(s, ",\"bytes\":{bytes}");
             }
         }
         s.push('}');
@@ -516,14 +421,9 @@ mod tests {
             kind: MessageKind::Prop,
         };
         assert_eq!(sent.time(), 7);
-        let lic = TelemetryEvent::LicEdgeSelected {
-            step: 3,
-            edge: EdgeId(9),
-            a: NodeId(1),
-            b: NodeId(2),
-        };
-        assert_eq!(lic.time(), 3);
-        assert_eq!(lic.tag(), "lic_edge_selected");
+        let engine = TelemetryEvent::EngineEdgeAdded { epoch: 3, edge: EdgeId(9) };
+        assert_eq!(engine.time(), 3);
+        assert_eq!(engine.tag(), "engine_edge_added");
     }
 
     #[test]
@@ -546,11 +446,7 @@ mod tests {
                 node: NodeId(5),
                 event: NodeEvent::NodeTerminated,
             },
-            TelemetryEvent::LicNodeSaturated {
-                step: 1,
-                node: NodeId(0),
-                discarded: 4,
-            },
+            TelemetryEvent::EngineReranked { epoch: 1, edges: 4 },
         ];
         for ev in events {
             let j = ev.to_json();

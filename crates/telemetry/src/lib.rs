@@ -8,17 +8,14 @@
 //! execution layers thread through:
 //!
 //! * [`event`] / [`recorder`] — **structured event tracing**: one typed
-//!   [`event::TelemetryEvent`] vocabulary covering LIC edge decisions,
-//!   LID protocol actions and simnet transport, recorded through the
-//!   zero-cost-when-disabled [`recorder::Recorder`] trait. The hot paths
-//!   are instrumented generically ([`recorder::NullRecorder`]
-//!   monomorphizes every call site away) or through the enum-dispatched
+//!   [`event::TelemetryEvent`] vocabulary covering simnet transport, LID
+//!   protocol actions and the dynamic engine's batch repairs, recorded
+//!   into one of two concrete sinks. The simulators own an
 //!   [`recorder::EventLog`] (one branch per event, no `dyn`, no
-//!   allocation while disabled). The bounded-memory
+//!   allocation while disabled); the bounded-memory
 //!   [`recorder::FlightRecorder`] ring (always-on black box; overwrites
 //!   oldest, counts drops, stamps epoch watermarks, never allocates after
-//!   construction) and the [`recorder::Tee`] combinator feed the engine's
-//!   post-mortem forensics.
+//!   construction) feeds the engine's post-mortem forensics.
 //! * [`series`] — **per-round convergence time-series**: the
 //!   [`series::ConvergenceSeries`] collector samples matched-edge count,
 //!   total weight, total satisfaction, in-flight messages and the
@@ -39,11 +36,9 @@
 //!   benches.
 //!
 //! Overhead policy: recording must never perturb what it measures. Every
-//! instrument is off by default; a disabled recorder performs no
-//! allocation and at most one predictable branch per event, and the LIC
-//! selection loop is instrumented through monomorphized generics so the
-//! disabled build is bit-identical machine code to the uninstrumented
-//! one.
+//! instrument but the engine's flight ring is off by default, and a
+//! disabled sink performs no allocation and at most one predictable
+//! branch per event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,5 +56,5 @@ pub use causal::{
 };
 pub use event::{MessageKind, NodeEvent, SpanId, TelemetryEvent};
 pub use profile::{PhaseProfile, PhaseToken};
-pub use recorder::{EventLog, FlightRecorder, NullRecorder, Recorder, Tee};
+pub use recorder::{EventLog, FlightRecorder};
 pub use series::{ConvergenceSample, ConvergenceSeries};

@@ -1,66 +1,20 @@
-//! Event sinks: the [`Recorder`] trait and its two implementations.
+//! Event sinks: the growable [`EventLog`] and the fixed-capacity
+//! [`FlightRecorder`] ring. Both are plain types with inherent
+//! `is_enabled`/`record` methods — no trait, no `dyn` — and each call site
+//! names its sink.
 //!
-//! Hot loops are instrumented in one of two dispatch styles, both free of
-//! `dyn`:
-//!
-//! * **generic** — `fn lic_traced<R: Recorder>(..., rec: &mut R)`: with
-//!   [`NullRecorder`] every `record` call monomorphizes to nothing, so the
-//!   untraced entry point compiles to the identical machine code it had
-//!   before instrumentation;
-//! * **enum-dispatched** — the engines own an [`EventLog`] whose disabled
-//!   state is a single predictable branch per event and never allocates
-//!   (the event vector is only created on first enabled push).
+//! * [`EventLog`] — the simulators own one; its disabled state is a single
+//!   predictable branch per event and never allocates (the event vector
+//!   is only created on first enabled push).
+//! * [`FlightRecorder`] — the engine's always-on black box: bounded
+//!   memory, overwrites oldest, never allocates after construction.
 
 use crate::event::{MessageKind, NodeEvent, SpanId, TelemetryEvent};
 use crate::json::{self, Value};
 use owp_graph::{EdgeId, NodeId};
 
-/// A sink for [`TelemetryEvent`]s.
-///
-/// Call sites that would do extra work *building* an event (counting
-/// skipped entries, cloning sets) should guard on [`Recorder::is_enabled`]
-/// first; `record` itself must already be free when disabled.
-pub trait Recorder {
-    /// `true` iff recorded events are kept. Constant-foldable for
-    /// [`NullRecorder`].
-    fn is_enabled(&self) -> bool;
-
-    /// Records one event. Must be a no-op when disabled.
-    fn record(&mut self, ev: TelemetryEvent);
-}
-
-/// Forwarding impl so instrumented functions can be handed `&mut log`
-/// without giving up the caller's ownership.
-impl<R: Recorder + ?Sized> Recorder for &mut R {
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        (**self).is_enabled()
-    }
-
-    #[inline(always)]
-    fn record(&mut self, ev: TelemetryEvent) {
-        (**self).record(ev)
-    }
-}
-
-/// The zero-cost disabled recorder: generic call sites instantiated with
-/// `NullRecorder` compile to the uninstrumented code.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn record(&mut self, _ev: TelemetryEvent) {}
-}
-
 /// An append-only in-memory event log with a runtime on/off switch —
-/// the enum-dispatched recorder the simulation engines own (they cannot be
-/// generic over tracing without bifurcating every caller).
+/// the sink the simulators own.
 ///
 /// Disabled is the default and costs one branch per offered event; the
 /// backing vector is not even allocated until the first enabled push, so a
@@ -84,6 +38,21 @@ impl EventLog {
     /// Creates a disabled log (records nothing, allocates nothing).
     pub fn disabled() -> Self {
         EventLog::default()
+    }
+
+    /// `true` iff recorded events are kept. Call sites that would do
+    /// extra work *building* an event guard on this first.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Records one event; a no-op while disabled.
+    #[inline]
+    pub fn record(&mut self, ev: TelemetryEvent) {
+        if self.enabled {
+            self.events.push(ev);
+        }
     }
 
     /// The recorded events, in occurrence order.
@@ -217,21 +186,6 @@ fn event_from_json(v: &Value<'_>) -> Result<TelemetryEvent, String> {
             node: node("node")?,
             event: NodeEvent::NodeTerminated,
         },
-        "lic_edge_selected" => TelemetryEvent::LicEdgeSelected {
-            step: num32("step")?,
-            edge: EdgeId(num32("edge")?),
-            a: node("a")?,
-            b: node("b")?,
-        },
-        "lic_node_saturated" => TelemetryEvent::LicNodeSaturated {
-            step: num32("step")?,
-            node: node("node")?,
-            discarded: num32("discarded")?,
-        },
-        "lic_cursor_advanced" => TelemetryEvent::LicCursorAdvanced {
-            node: node("node")?,
-            skipped: num32("skipped")?,
-        },
         "engine_batch_applied" => TelemetryEvent::EngineBatchApplied {
             epoch: num("epoch")?,
             events: num32("events")?,
@@ -251,37 +205,9 @@ fn event_from_json(v: &Value<'_>) -> Result<TelemetryEvent, String> {
             epoch: num("epoch")?,
             edges: num32("edges")?,
         },
-        "wire_received" => TelemetryEvent::WireFrameReceived {
-            time: num("time")?,
-            conn: num("conn")?,
-            req: num("req")?,
-            kind: kind()?,
-            bytes: num32("bytes")?,
-        },
-        "wire_sent" => TelemetryEvent::WireFrameSent {
-            time: num("time")?,
-            conn: num("conn")?,
-            req: num("req")?,
-            kind: kind()?,
-            bytes: num32("bytes")?,
-        },
         other => return Err(format!("unknown event tag {other:?}")),
     };
     Ok(ev)
-}
-
-impl Recorder for EventLog {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TelemetryEvent) {
-        if self.enabled {
-            self.events.push(ev);
-        }
-    }
 }
 
 /// Fixed-capacity watermark ring size — enough to frame the event ring by
@@ -303,7 +229,7 @@ const WATERMARK_CAPACITY: usize = 64;
 /// post-mortem reader can attribute ring segments to engine epochs even
 /// after wraparound.
 ///
-/// A capacity of 0 is the disabled state: [`Recorder::is_enabled`] is
+/// A capacity of 0 is the disabled state: [`FlightRecorder::is_enabled`] is
 /// `false` and nothing is ever stored (this is also the [`Default`]).
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
@@ -337,6 +263,29 @@ impl FlightRecorder {
     /// The fixed event capacity chosen at construction.
     pub fn capacity(&self) -> usize {
         self.cap
+    }
+
+    /// `true` iff the ring has room for events (capacity > 0).
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.cap > 0
+    }
+
+    /// Records one event, overwriting the oldest once full; a no-op while
+    /// disabled.
+    #[inline]
+    pub fn record(&mut self, ev: TelemetryEvent) {
+        if self.cap == 0 {
+            return;
+        }
+        if self.buf.len() < self.cap {
+            self.buf.push(ev);
+        } else {
+            self.buf[self.head] = ev;
+            self.head = (self.head + 1) % self.cap;
+            self.dropped += 1;
+        }
+        self.seen += 1;
     }
 
     /// Events currently retained (≤ capacity).
@@ -420,57 +369,6 @@ impl FlightRecorder {
     }
 }
 
-impl Recorder for FlightRecorder {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        self.cap > 0
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TelemetryEvent) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-        self.seen += 1;
-    }
-}
-
-/// Records every event into two sinks at once — how the engine keeps its
-/// own [`FlightRecorder`] fed while still honouring whatever recorder the
-/// caller passed in. Enabled iff either side is; each side keeps its own
-/// disabled fast path.
-pub struct Tee<'a, A: Recorder, B: Recorder> {
-    a: &'a mut A,
-    b: &'a mut B,
-}
-
-impl<'a, A: Recorder, B: Recorder> Tee<'a, A, B> {
-    /// Tees `a` and `b` together.
-    pub fn new(a: &'a mut A, b: &'a mut B) -> Self {
-        Tee { a, b }
-    }
-}
-
-impl<A: Recorder, B: Recorder> Recorder for Tee<'_, A, B> {
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        self.a.is_enabled() || self.b.is_enabled()
-    }
-
-    #[inline]
-    fn record(&mut self, ev: TelemetryEvent) {
-        self.a.record(ev);
-        self.b.record(ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,13 +399,6 @@ mod tests {
         // created, so its capacity is still 0 after 10k offered events.
         assert_eq!(log.events_capacity(), 0);
         assert_eq!(log.to_jsonl(), "");
-    }
-
-    #[test]
-    fn null_recorder_is_disabled() {
-        let mut r = NullRecorder;
-        assert!(!r.is_enabled());
-        r.record(sample(1)); // no-op, nothing to observe — must not panic
     }
 
     #[test]
@@ -571,27 +462,10 @@ mod tests {
             TelemetryEvent::Node { time: 4, node: NodeId(3), event: NodeEvent::EdgeLocked { peer: NodeId(5) } },
             TelemetryEvent::Node { time: 5, node: NodeId(3), event: NodeEvent::NodeTerminated },
             TelemetryEvent::Node { time: 5, node: NodeId(3), event: NodeEvent::Retransmit { to: NodeId(5) } },
-            TelemetryEvent::LicEdgeSelected { step: 0, edge: EdgeId(7), a: NodeId(1), b: NodeId(2) },
-            TelemetryEvent::LicNodeSaturated { step: 1, node: NodeId(2), discarded: 3 },
-            TelemetryEvent::LicCursorAdvanced { node: NodeId(2), skipped: 2 },
             TelemetryEvent::EngineBatchApplied { epoch: 9, events: 2, evaluated: 10, added: 1, removed: 0 },
             TelemetryEvent::EngineEdgeAdded { epoch: 9, edge: EdgeId(4) },
             TelemetryEvent::EngineEdgeRemoved { epoch: 10, edge: EdgeId(4) },
             TelemetryEvent::EngineReranked { epoch: 10, edges: 6 },
-            TelemetryEvent::WireFrameReceived {
-                time: 120,
-                conn: 3,
-                req: 41,
-                kind: MessageKind::Other("SUBMIT"),
-                bytes: 64,
-            },
-            TelemetryEvent::WireFrameSent {
-                time: 130,
-                conn: 3,
-                req: 41,
-                kind: MessageKind::Other("ACCEPTED"),
-                bytes: 9,
-            },
         ] {
             log.record(ev);
         }
@@ -601,24 +475,16 @@ mod tests {
         assert!(EventLog::parse_jsonl("\n\n").expect("blank ok").is_empty());
         let err = EventLog::parse_jsonl("{\"ev\":\"nope\"}").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
-        // The tag of the retired second transport record is unknown too.
-        let old = "{\"ev\":\"span_sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":1,\"to\":2,\"kind\":\"PROP\"}";
-        let err = EventLog::parse_jsonl(old).unwrap_err();
-        assert!(err.contains("unknown event tag \"span_sent\""), "{err}");
-    }
-
-    #[test]
-    fn mut_ref_forwarding() {
-        let mut log = EventLog::enabled();
-        fn takes_generic<R: Recorder>(rec: &mut R) {
-            rec.record(TelemetryEvent::TimerFired {
-                time: 1,
-                node: NodeId(0),
-                tag: 9,
-            });
+        // The tags of retired records are unknown too: the second
+        // transport record, LIC's decision events and matchd's wire trace.
+        for (old, tag) in [
+            ("{\"ev\":\"span_sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":1,\"to\":2,\"kind\":\"PROP\"}", "span_sent"),
+            ("{\"ev\":\"lic_edge_selected\",\"step\":0,\"edge\":7,\"a\":1,\"b\":2}", "lic_edge_selected"),
+            ("{\"ev\":\"wire_received\",\"time\":120,\"conn\":3,\"req\":41,\"kind\":\"SUBMIT\",\"bytes\":64}", "wire_received"),
+        ] {
+            let err = EventLog::parse_jsonl(old).unwrap_err();
+            assert!(err.contains(&format!("unknown event tag \"{tag}\"")), "{err}");
         }
-        takes_generic(&mut &mut log);
-        assert_eq!(log.len(), 1);
     }
 
     #[test]
@@ -691,21 +557,5 @@ mod tests {
         assert_eq!(ring.seen(), 0);
         assert_eq!(ring.watermarks().count(), 0);
         assert_eq!(ring.to_jsonl(), "");
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks() {
-        let mut ring = FlightRecorder::new(2);
-        let mut log = EventLog::disabled();
-        {
-            let mut tee = Tee::new(&mut ring, &mut log);
-            assert!(tee.is_enabled(), "enabled ring dominates a disabled log");
-            tee.record(sample(1));
-        }
-        assert_eq!(ring.len(), 1);
-        assert!(log.is_empty(), "disabled side stays inert");
-        let mut null = NullRecorder;
-        let mut off = FlightRecorder::default();
-        assert!(!Tee::new(&mut off, &mut null).is_enabled());
     }
 }

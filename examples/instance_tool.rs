@@ -17,11 +17,10 @@
 
 use owp_graph::io::{read_instance, write_instance, Instance};
 use owp_graph::{PreferenceTable, Quotas};
-use owp_matching::lic::{lic, lic_traced, SelectionPolicy};
+use owp_matching::lic::{lic, lic_with_order, SelectionPolicy};
 use owp_matching::{verify, MatchingReport, Problem};
 use owp_core::run_lid;
 use owp_simnet::{MessageKind, SimConfig};
-use owp_telemetry::NullRecorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Read;
@@ -118,7 +117,7 @@ fn main() {
         Some("verify") => {
             let p = read_problem_from_stdin();
             verify::check_weights(&p).unwrap_or_else(|e| die(&e));
-            let (m, order) = lic_traced(&p, SelectionPolicy::InOrder, &mut NullRecorder);
+            let (m, order) = lic_with_order(&p, SelectionPolicy::InOrder);
             verify::check_valid(&p, &m).unwrap_or_else(|e| die(&e));
             verify::check_maximal(&p, &m).unwrap_or_else(|e| die(&e));
             verify::check_selection_order(&p, &order).unwrap_or_else(|e| die(&e));

@@ -94,13 +94,12 @@ fn equivalence_with_heterogeneous_quotas() {
 
 #[test]
 fn selection_histories_are_valid_lemma3_witnesses() {
-    use owp_matching::lic::lic_traced;
+    use owp_matching::lic::lic_with_order;
     use owp_matching::verify::check_selection_order;
-    use owp_telemetry::NullRecorder;
     for seed in 0..10 {
         let p = Problem::random_gnp(22, 0.3, 3, 40 + seed);
         for policy in [SelectionPolicy::InOrder, SelectionPolicy::Random(seed)] {
-            let (_, order) = lic_traced(&p, policy, &mut NullRecorder);
+            let (_, order) = lic_with_order(&p, policy);
             check_selection_order(&p, &order).expect("locally heaviest at each step");
         }
     }

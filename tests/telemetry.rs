@@ -3,7 +3,7 @@
 //! guarantee, and the zero-cost-when-disabled contract.
 
 use overlays_preferences::prelude::*;
-use owp_simnet::{Recorder as _, TelemetryEvent};
+use owp_simnet::TelemetryEvent;
 
 /// The transport trace is a complete causal record: feeding the delivered
 /// messages back through fresh protocol state machines reproduces the exact
