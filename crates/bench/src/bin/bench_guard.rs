@@ -56,15 +56,12 @@
 //! * `--update` — instead of checking, rewrite the baselines from the
 //!   fresh measurements.
 //!
-//! Every run here leaves the runtime telemetry switch
-//! (`SimConfig::telemetry`) off, so the guard doubles as the regression
-//! check for the cost of the untaken `Context::emit` branch.
+//! Each guard runs `experiments::run(id, false, None)`, the full-size run
+//! without a metrics registry. Every run here leaves the runtime telemetry
+//! switch (`SimConfig::telemetry`) off, so the guard doubles as the
+//! regression check for the cost of the untaken `Context::emit` branch.
 
-use owp_bench::experiments::{
-    e15_scale, e19_dynamic, e20_critical_path, e22_forensics, e23_matchd, e24_ops,
-    e25_campaign, tables_to_json,
-};
-use owp_bench::Table;
+use owp_bench::experiments::{self, tables_to_json};
 use owp_telemetry::json;
 use std::time::Instant;
 
@@ -89,7 +86,6 @@ struct Guard {
     key_col: usize,
     key_label: &'static str,
     cols: &'static [(&'static str, usize, Check)],
-    run: fn(bool) -> Vec<Table>,
     /// Absolute ceiling on one column of every *fresh* row, checked
     /// independently of the baseline: `(label, column, ceiling)`. Used
     /// for ratio columns whose budget is a design contract rather than a
@@ -114,7 +110,6 @@ const GUARDS: &[Guard] = &[
             ("msgs/node", 4, Exact),
             ("sync rounds", 5, Exact),
         ],
-        run: e15_scale::run,
         cap: None,
         cap_key: None,
     },
@@ -124,7 +119,6 @@ const GUARDS: &[Guard] = &[
         key_col: 0,
         key_label: "batch %",
         cols: &[("repair ms", 2, Timed), ("rebuild ms", 3, Timed)],
-        run: e19_dynamic::run,
         cap: None,
         cap_key: None,
     },
@@ -139,7 +133,6 @@ const GUARDS: &[Guard] = &[
             ("crit latency", 6, Exact),
             ("sync rounds", 8, Exact),
         ],
-        run: e20_critical_path::run,
         cap: None,
         cap_key: None,
     },
@@ -149,7 +142,6 @@ const GUARDS: &[Guard] = &[
         key_col: 0,
         key_label: "ring",
         cols: &[("ms", 3, Timed)],
-        run: e22_forensics::run,
         cap: Some(("overhead %", 4, 10.0)),
         cap_key: None,
     },
@@ -164,7 +156,6 @@ const GUARDS: &[Guard] = &[
             ("certified", 4, Exact),
             ("violated", 5, Exact),
         ],
-        run: e25_campaign::run,
         cap: None,
         cap_key: None,
     },
@@ -174,7 +165,6 @@ const GUARDS: &[Guard] = &[
         key_col: 0,
         key_label: "linger us",
         cols: &[("ingest ms", 4, Timed), ("p99 ms", 6, Timed)],
-        run: e23_matchd::run,
         cap: None,
         cap_key: None,
     },
@@ -184,7 +174,6 @@ const GUARDS: &[Guard] = &[
         key_col: 0,
         key_label: "linger us",
         cols: &[("off ms", 2, Timed), ("on ms", 3, Timed)],
-        run: e24_ops::run,
         // The observability budget is a design contract: the admin
         // endpoint + continuous auditor + request spans may cost the
         // ingest path at most 5% events/s against the ops-off daemon.
@@ -263,7 +252,8 @@ fn main() {
 
         eprintln!("bench_guard: running the {}...", g.what);
         let start = Instant::now();
-        let tables = (g.run)(false);
+        let (tables, _) =
+            experiments::run(g.id, false, None).expect("guarded ids are experiments");
         let elapsed = start.elapsed();
         let fresh = &tables[0];
 

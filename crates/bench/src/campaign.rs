@@ -432,19 +432,12 @@ fn cfg_batch_len(inst: &Instance) -> usize {
 }
 
 /// Runs a full campaign. Plans execute sequentially (determinism by
-/// construction — same seed, byte-identical report).
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    run_campaign_with_metrics(cfg, None)
-}
-
-/// [`run_campaign`] that additionally feeds the `campaign_*` ledger of a
-/// [`MetricsRegistry`]: per-class plan/violation counters plus wall-time
-/// and event-count histograms. Wall times live only in the registry — the
-/// attested report contains exclusively deterministic data.
-pub fn run_campaign_with_metrics(
-    cfg: &CampaignConfig,
-    reg: Option<&MetricsRegistry>,
-) -> CampaignReport {
+/// construction — same seed, byte-identical report). A supplied
+/// [`MetricsRegistry`] additionally gets the `campaign_*` ledger:
+/// per-class plan/violation counters plus wall-time and event-count
+/// histograms. Wall times live only in the registry — the attested report
+/// contains exclusively deterministic data.
+pub fn run_campaign(cfg: &CampaignConfig, reg: Option<&MetricsRegistry>) -> CampaignReport {
     let pool = build_pool(cfg);
     let own_reg;
     let audit_reg = match reg {
@@ -852,7 +845,7 @@ mod tests {
 
     #[test]
     fn small_campaign_covers_every_class() {
-        let report = run_campaign(&small_cfg(42));
+        let report = run_campaign(&small_cfg(42), None);
         for class in FaultClass::ALL {
             let row = report.coverage_of(class);
             assert_eq!(row.generated, 3, "{}", class.label());
@@ -876,16 +869,16 @@ mod tests {
 
     #[test]
     fn same_seed_reports_are_byte_identical() {
-        let a = run_campaign(&small_cfg(7)).to_json();
-        let b = run_campaign(&small_cfg(7)).to_json();
+        let a = run_campaign(&small_cfg(7), None).to_json();
+        let b = run_campaign(&small_cfg(7), None).to_json();
         assert_eq!(a, b);
-        let c = run_campaign(&small_cfg(8)).to_json();
+        let c = run_campaign(&small_cfg(8), None).to_json();
         assert_ne!(a, c, "different seeds must differ somewhere");
     }
 
     #[test]
     fn report_round_trips_through_json() {
-        let report = run_campaign(&small_cfg(42));
+        let report = run_campaign(&small_cfg(42), None);
         let json = report.to_json();
         let parsed = CampaignReport::parse(&json).expect("parses");
         assert_eq!(parsed, report);
@@ -900,7 +893,7 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_canary_violation() {
-        let report = run_campaign(&small_cfg(42));
+        let report = run_campaign(&small_cfg(42), None);
         let out = replay(&report, 7).expect("replayable");
         assert!(out.matches, "replay: {:?} vs {:?}", out.reasons, out.recorded);
         assert!(!out.reasons.is_empty());
@@ -915,7 +908,7 @@ mod tests {
     #[test]
     fn metrics_ledger_matches_the_report() {
         let reg = MetricsRegistry::new();
-        let report = run_campaign_with_metrics(&small_cfg(42), Some(&reg));
+        let report = run_campaign(&small_cfg(42), Some(&reg));
         let snap = reg.snapshot();
         let json = snap.to_json();
         assert!(json.contains("campaign_plans_total"));
@@ -923,7 +916,7 @@ mod tests {
             assert!(json.contains(campaign_plans_key(class.label()).unwrap()));
         }
         // Metrics do not perturb the attested bytes.
-        assert_eq!(report.to_json(), run_campaign(&small_cfg(42)).to_json());
+        assert_eq!(report.to_json(), run_campaign(&small_cfg(42), None).to_json());
     }
 
     #[test]

@@ -14,20 +14,13 @@ use owp_simnet::{LatencyModel, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Runs the sweep. `quick` caps `n`.
-pub fn run(quick: bool) -> Table {
-    run_inner(quick, None)
-}
-
-/// [`run`] with metrics: per-run histograms (`lid_sync_rounds`,
-/// `lid_stabilization_round`, `lid_async_completion_ticks`) land in `reg`,
-/// and every synchronous result is audited (quota/mutuality/Lemma 4) —
-/// the auditor's violation counter stays at zero on a healthy build.
-pub fn run_with_metrics(quick: bool, reg: &MetricsRegistry) -> Table {
-    run_inner(quick, Some(reg))
-}
-
-fn run_inner(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
+/// Runs the sweep. `quick` caps `n`. With a registry, per-run histograms
+/// (`lid_sync_rounds`, `lid_stabilization_round`,
+/// `lid_async_completion_ticks`) land in `reg`, and every synchronous
+/// result is audited (quota/mutuality/Lemma 4) — the auditor's violation
+/// counter stays at zero on a healthy build. The table is the same either
+/// way.
+pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
     let sizes: &[usize] = if quick {
         &[64, 256]
     } else {
@@ -125,7 +118,7 @@ mod tests {
     #[test]
     fn metrics_variant_fills_histograms_and_audits_clean() {
         let reg = MetricsRegistry::new();
-        let t = super::run_with_metrics(true, &reg);
+        let t = super::run(true, Some(&reg));
         assert_eq!(t.row_count(), 4);
         // 4 cells × 2 seeds = 8 sync runs, each observed once.
         assert_eq!(reg.histogram("lid_sync_rounds").count(), 8);
@@ -138,7 +131,7 @@ mod tests {
 
     #[test]
     fn quick_run() {
-        let t = super::run(true);
+        let t = super::run(true, None);
         assert_eq!(t.row_count(), 4);
         for r in 0..t.row_count() {
             let rounds: f64 = t.cell(r, 2).parse().unwrap();

@@ -9,11 +9,14 @@
 //! the quick test asserts that with `f64::to_bits`.
 //!
 //! With `experiments e18 --trace-out <path>` the raw series is additionally
-//! written as JSONL (schema in `owp_telemetry::series`).
+//! written as JSONL (schema in `owp_telemetry::series`); with
+//! `--metrics-out` an extra asynchronous traced run feeds the metrics
+//! registry.
 
 use crate::Table;
 use owp_core::run_lid_sync_series;
 use owp_matching::Problem;
+use owp_metrics::MetricsRegistry;
 use owp_telemetry::ConvergenceSeries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +32,14 @@ fn instance(quick: bool) -> Problem {
 
 /// Runs the traced convergence run and returns the table plus the raw
 /// series (for `--trace-out`).
-pub fn run_with_series(quick: bool) -> (Table, ConvergenceSeries) {
+///
+/// With a registry, an *additional* asynchronous traced run of the same
+/// instance is replayed through a [`owp_metrics::MetricsRecorder`]
+/// (message counters, send→deliver and PROP→accept latency histograms,
+/// termination times), and the instance's weights and the run's final
+/// matching are audited. The synchronous table and series are
+/// byte-identical either way.
+pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> (Table, ConvergenceSeries) {
     let p = instance(quick);
     let (r, series) = run_lid_sync_series(&p);
     assert!(r.terminated, "sync LID must terminate");
@@ -67,39 +77,20 @@ pub fn run_with_series(quick: bool) -> (Table, ConvergenceSeries) {
         ));
     }
     t.note("final row equals MatchingReport of the finished run bit-for-bit");
+
+    if let Some(reg) = reg {
+        let cfg = owp_simnet::SimConfig::with_seed(18)
+            .latency(owp_simnet::LatencyModel::Constant { ticks: 10 })
+            .telemetry();
+        let r = owp_core::run_lid(&p, cfg);
+        let mut rec = owp_metrics::MetricsRecorder::new(reg);
+        rec.consume(&r.log);
+
+        let mut auditor = owp_metrics::Auditor::new(reg);
+        auditor.audit_weights(&p);
+        auditor.audit_matching(&p, &r.matching);
+    }
     (t, series)
-}
-
-/// Runs the experiment (table only).
-pub fn run(quick: bool) -> Table {
-    run_with_series(quick).0
-}
-
-/// [`run_with_series`] plus the metrics surface: an *additional*
-/// asynchronous traced run of the same instance is replayed through a
-/// [`owp_metrics::MetricsRecorder`] (message counters, send→deliver and
-/// PROP→accept latency histograms, termination times) and both final
-/// matchings are audited. The synchronous table/series are byte-identical
-/// to the un-instrumented run.
-pub fn run_with_series_metrics(
-    quick: bool,
-    reg: &owp_metrics::MetricsRegistry,
-) -> (Table, ConvergenceSeries) {
-    let (table, series) = run_with_series(quick);
-
-    let p = instance(quick);
-    let cfg = owp_simnet::SimConfig::with_seed(18)
-        .latency(owp_simnet::LatencyModel::Constant { ticks: 10 })
-        .telemetry();
-    let r = owp_core::run_lid(&p, cfg);
-    let mut rec = owp_metrics::MetricsRecorder::new(reg);
-    rec.consume(&r.log);
-
-    let mut auditor = owp_metrics::Auditor::new(reg);
-    auditor.audit_weights(&p);
-    auditor.audit_matching(&p, &r.matching);
-
-    (table, series)
 }
 
 #[cfg(test)]
@@ -133,7 +124,7 @@ mod tests {
         assert_eq!(last.terminated_fraction, 1.0);
 
         // The rendered table mirrors the series row for row.
-        let t = run(true);
+        let (t, _) = run(true, None);
         assert_eq!(t.row_count(), series.len());
         let final_row = t.row_count() - 1;
         assert_eq!(t.cell(final_row, 1), edges.to_string());
@@ -142,7 +133,7 @@ mod tests {
     #[test]
     fn metrics_variant_records_traffic_and_audits_clean() {
         let reg = owp_metrics::MetricsRegistry::new();
-        let (t, series) = run_with_series_metrics(true, &reg);
+        let (t, series) = run(true, Some(&reg));
         assert_eq!(t.row_count(), series.len());
         // The async traced run produced real traffic and matched latencies.
         assert!(reg.counter("messages_sent_total").get() > 0);
@@ -162,7 +153,7 @@ mod tests {
 
     #[test]
     fn stabilization_precedes_quiescence() {
-        let (t, series) = run_with_series(true);
+        let (t, series) = run(true, None);
         let stable = series.stabilization_round().expect("non-empty");
         let last = series.last().unwrap();
         assert!(stable <= last.round);

@@ -42,24 +42,16 @@ const CYCLE: usize = 6;
 
 /// Runs the dynamic-repair sweep. Returns the BA headline table (tracked
 /// by `BENCH_e19.json` / `bench_guard`) and the ER counterpart.
-pub fn run(quick: bool) -> Vec<Table> {
-    run_inner(quick, None)
-}
-
-/// [`run`] with metrics: an [`owp_metrics::Auditor`] consumes every
+///
+/// With a registry, an [`owp_metrics::Auditor`] consumes every
 /// `DeltaReport` (batch-size and dirty-region histograms, add/remove and
 /// re-rank counters) and re-audits the maintained matching after each
 /// batch, and repair wall times land in a `engine_repair_wall_us`
-/// histogram. On the BA instance it then publishes the
-/// steady-state `engine_allocations_per_batch` gauge and the flight-ring
-/// gauges (`publish_steady_state`). The un-instrumented [`run`] stays
-/// the `bench_guard` surface, so guarded wall times never include the
-/// audit cost.
-pub fn run_with_metrics(quick: bool, reg: &owp_metrics::MetricsRegistry) -> Vec<Table> {
-    run_inner(quick, Some(reg))
-}
-
-fn run_inner(quick: bool, reg: Option<&owp_metrics::MetricsRegistry>) -> Vec<Table> {
+/// histogram. On the BA instance it then publishes the steady-state
+/// `engine_allocations_per_batch` gauge and the flight-ring gauges
+/// (`publish_steady_state`). `bench_guard` times the `reg = None` run, so
+/// guarded wall times never include the audit cost.
+pub fn run(quick: bool, reg: Option<&owp_metrics::MetricsRegistry>) -> Vec<Table> {
     let n: usize = if quick { 5_000 } else { 20_000 };
     let pcts: &[f64] = if quick { &[0.2, 1.0] } else { &[0.1, 0.5, 1.0] };
 
@@ -353,7 +345,7 @@ mod tests {
     #[test]
     fn metrics_variant_audits_every_batch_clean() {
         let reg = owp_metrics::MetricsRegistry::new();
-        let tables = run_with_metrics(true, &reg);
+        let tables = run(true, Some(&reg));
         assert_eq!(tables.len(), 2);
         // 2 topologies × 2 batch sizes × 8 batches, each: one delta
         // observed, one engine audit, one wall-time sample.
@@ -400,7 +392,7 @@ mod tests {
 
     #[test]
     fn quick_run_beats_rebuild_and_certifies() {
-        let tables = run(true);
+        let tables = run(true, None);
         assert_eq!(tables.len(), 2, "BA and ER");
         for t in &tables {
             assert_eq!(t.row_count(), 2);

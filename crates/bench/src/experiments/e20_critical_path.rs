@@ -23,6 +23,7 @@
 use crate::Table;
 use owp_core::{run_lid, run_lid_sync};
 use owp_matching::Problem;
+use owp_metrics::MetricsRegistry;
 use owp_simnet::{LatencyModel, SimConfig};
 use owp_telemetry::{CausalDag, EventLog};
 use rand::rngs::StdRng;
@@ -106,7 +107,13 @@ fn sizes(quick: bool) -> &'static [usize] {
 /// Runs both sweeps and returns the tables plus the raw event log of the
 /// largest BA run (the `--trace-out` artifact, consumed by `owp-inspect
 /// causal`).
-pub fn run_with_log(quick: bool) -> (Vec<Table>, EventLog) {
+///
+/// With a registry, that log is replayed through the
+/// [`owp_metrics::MetricsRecorder`] and its causal DAG through
+/// [`owp_metrics::Auditor::audit_causal`], which certifies acyclicity
+/// online and refreshes the `lid_critical_path_len` /
+/// `lid_critical_path_latency` gauges.
+pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> (Vec<Table>, EventLog) {
     let b = 3;
     let mut ba = Table::new(
         format!("E20 — causal critical path, Barabási–Albert (m = 4, b = {b})"),
@@ -139,30 +146,13 @@ pub fn run_with_log(quick: bool) -> (Vec<Table>, EventLog) {
         push(&mut er, &row);
     }
 
+    if let Some(reg) = reg {
+        let mut rec = owp_metrics::MetricsRecorder::new(reg);
+        rec.consume(&headline_log);
+        let mut auditor = owp_metrics::Auditor::new(reg);
+        auditor.audit_causal(&CausalDag::from_log(&headline_log));
+    }
     (vec![ba, er], headline_log)
-}
-
-/// Runs the experiment (tables only).
-pub fn run(quick: bool) -> Vec<Table> {
-    run_with_log(quick).0
-}
-
-/// [`run_with_log`] plus the metrics surface: the largest BA run's log is
-/// replayed through the [`owp_metrics::MetricsRecorder`] and its causal
-/// DAG through [`owp_metrics::Auditor::audit_causal`], which certifies
-/// acyclicity online and refreshes the `lid_critical_path_len` /
-/// `lid_critical_path_latency` gauges.
-pub fn run_with_metrics(
-    quick: bool,
-    reg: &owp_metrics::MetricsRegistry,
-) -> (Vec<Table>, EventLog) {
-    let (tables, log) = run_with_log(quick);
-    let mut rec = owp_metrics::MetricsRecorder::new(reg);
-    rec.consume(&log);
-    let dag = owp_telemetry::CausalDag::from_log(&log);
-    let mut auditor = owp_metrics::Auditor::new(reg);
-    auditor.audit_causal(&dag);
-    (tables, log)
 }
 
 #[cfg(test)]
@@ -172,7 +162,7 @@ mod tests {
 
     #[test]
     fn quick_run_certifies_every_instance() {
-        let (tables, log) = run_with_log(true);
+        let (tables, log) = run(true, None);
         assert_eq!(tables.len(), 2);
         for t in &tables {
             assert_eq!(t.row_count(), sizes(true).len());
@@ -198,7 +188,7 @@ mod tests {
     #[test]
     fn metrics_variant_sets_the_critical_path_gauge() {
         let reg = owp_metrics::MetricsRegistry::new();
-        let (tables, _log) = run_with_metrics(true, &reg);
+        let (tables, _log) = run(true, Some(&reg));
         assert_eq!(reg.counter("audit_violations_total").get(), 0);
         let last = tables[0].row_count() - 1;
         let expect: f64 = tables[0].cell(last, 5).parse().unwrap();

@@ -30,15 +30,9 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 /// Runs E22. Returns the overhead table (tracked by `BENCH_e22.json` /
-/// `bench_guard`) and the corruption sweep.
-pub fn run(quick: bool) -> Vec<Table> {
-    run_with_bundle(quick).0
-}
-
-/// [`run`], also surfacing the first forensic bundle the corruption
-/// sweep captured so the binary can honor `--forensics-out` without
-/// running the sweep twice.
-pub fn run_with_bundle(quick: bool) -> (Vec<Table>, Option<ForensicBundle>) {
+/// `bench_guard`) and the corruption sweep, plus the first forensic
+/// bundle the sweep captured (the `--forensics-out` artifact).
+pub fn run(quick: bool) -> (Vec<Table>, Option<ForensicBundle>) {
     let overhead = overhead_table(quick);
     let (sweep, bundle) = corruption_table(quick);
     (vec![overhead, sweep], bundle)
@@ -218,7 +212,7 @@ fn corruption_table(quick: bool) -> (Table, Option<ForensicBundle>) {
 mod tests {
     #[test]
     fn quick_sweep_shrinks_and_reproduces_every_fault() {
-        let (tables, bundle) = super::run_with_bundle(true);
+        let (tables, bundle) = super::run(true);
         assert_eq!(tables.len(), 2);
 
         let overhead = &tables[0];

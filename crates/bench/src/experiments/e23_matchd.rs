@@ -44,18 +44,6 @@ const CHUNK: usize = 16;
 /// Client threads (= disjoint node-ownership partitions).
 const CLIENTS: usize = 4;
 
-/// Runs the ingest sweep + durability table.
-pub fn run(quick: bool) -> Vec<Table> {
-    run_inner(quick, None)
-}
-
-/// [`run`] with metrics: the daemon of the *last* linger configuration
-/// publishes its `matchd_*` gauges/counters/histograms into `reg` (fresh
-/// local registries isolate every other configuration).
-pub fn run_with_metrics(quick: bool, reg: &MetricsRegistry) -> Vec<Table> {
-    run_inner(quick, Some(reg))
-}
-
 fn scale(quick: bool) -> usize {
     if quick {
         return 2_000;
@@ -112,7 +100,11 @@ fn drive_client(
     tally
 }
 
-fn run_inner(quick: bool, reg: Option<&MetricsRegistry>) -> Vec<Table> {
+/// Runs the ingest sweep + durability table. With a registry, the daemon
+/// of the *last* linger configuration publishes its `matchd_*`
+/// gauges/counters/histograms into `reg` (fresh local registries isolate
+/// every other configuration).
+pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Vec<Table> {
     let n = scale(quick);
     let lingers_us: &[u64] = if quick { &[0, 2000] } else { &[0, 500, 2000] };
     let spec = format!("ba:{n},3,2,42");
@@ -244,7 +236,7 @@ mod tests {
 
     #[test]
     fn quick_run_reports_consistent_numbers() {
-        let tables = run(true);
+        let tables = run(true, None);
         assert_eq!(tables.len(), 2);
         let (ingest, durability) = (&tables[0], &tables[1]);
         assert_eq!(ingest.row_count(), 2, "quick sweeps lingers 0 and 2000");
@@ -269,7 +261,7 @@ mod tests {
     #[test]
     fn metrics_variant_populates_the_daemon_instruments() {
         let reg = MetricsRegistry::new();
-        let tables = run_with_metrics(true, &reg);
+        let tables = run(true, Some(&reg));
         assert_eq!(tables.len(), 2);
         let json = reg.snapshot().to_json();
         for key in [

@@ -24,7 +24,7 @@
 //! With `--campaign-out <path>` the full attested report is written as
 //! canonical JSON (the input of `owp-inspect campaign`).
 
-use crate::campaign::{run_campaign_with_metrics, CampaignConfig, CampaignReport};
+use crate::campaign::{run_campaign, CampaignConfig, CampaignReport};
 use crate::Table;
 use owp_metrics::MetricsRegistry;
 
@@ -57,27 +57,13 @@ pub fn config(quick: bool) -> CampaignConfig {
     }
 }
 
-/// Runs E25. The first table is the exact-guarded coverage ledger.
-pub fn run(quick: bool) -> Vec<Table> {
-    run_with_report(quick).0
-}
-
-/// [`run`], also surfacing the attested report so the binary can honor
-/// `--campaign-out` without running the campaign twice.
-pub fn run_with_report(quick: bool) -> (Vec<Table>, CampaignReport) {
-    run_full(quick, None)
-}
-
-/// The metrics-instrumented variant: identical tables, and the registry
-/// additionally carries the `campaign_*` ledger (per-class plan and
-/// violation counters, wall-time and event-count histograms).
-pub fn run_with_metrics(quick: bool, reg: &MetricsRegistry) -> Vec<Table> {
-    run_full(quick, Some(reg)).0
-}
-
-/// Full variant: optional instrumentation plus the attested report.
-pub fn run_full(quick: bool, reg: Option<&MetricsRegistry>) -> (Vec<Table>, CampaignReport) {
-    let report = run_campaign_with_metrics(&config(quick), reg);
+/// Runs E25: the tables (the first is the exact-guarded coverage ledger)
+/// plus the attested report (the `--campaign-out` artifact). A supplied
+/// registry also gets the `campaign_*` ledger (per-class plan and
+/// violation counters, wall-time and event-count histograms); the tables
+/// and the report are identical either way.
+pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> (Vec<Table>, CampaignReport) {
+    let report = run_campaign(&config(quick), reg);
     (tables(&report), report)
 }
 
@@ -162,7 +148,7 @@ mod tests {
 
     #[test]
     fn quick_campaign_covers_every_class_and_stays_clean() {
-        let (tables, report) = run_with_report(true);
+        let (tables, report) = run(true, None);
         assert_eq!(tables.len(), 3);
 
         let cov = &tables[0];
@@ -195,7 +181,7 @@ mod tests {
     #[test]
     fn metrics_variant_populates_the_campaign_ledger() {
         let reg = MetricsRegistry::new();
-        let tables = run_with_metrics(true, &reg);
+        let (tables, _) = run(true, Some(&reg));
         assert_eq!(tables.len(), 3);
         let json = reg.snapshot().to_json();
         assert!(json.contains("campaign_plans_total"));

@@ -1,5 +1,9 @@
-//! One module per experiment; each returns a [`crate::Table`] so the
-//! binary stays thin and the harness is unit-testable.
+//! One module per experiment, each with one `run` that returns its
+//! [`crate::Table`]s plus any [`Artifact`], so the binary stays thin and
+//! the harness is unit-testable. [`run`] dispatches by id; [`ALL`] lists
+//! every id with the path flag it honours. Experiments with a metrics
+//! form take an `Option<&MetricsRegistry>`; `None` is the plain run that
+//! `bench_guard` times.
 //!
 //! The `quick` flag shrinks sweeps/seed counts to keep CI fast; the numbers
 //! in `EXPERIMENTS.md` come from full (`quick = false`) runs.
@@ -29,174 +33,134 @@ pub mod e23_matchd;
 pub mod e24_ops;
 pub mod e25_campaign;
 
+use crate::campaign::CampaignReport;
 use crate::Table;
+use owp_engine::ForensicBundle;
 use owp_metrics::MetricsRegistry;
 use owp_telemetry::{ConvergenceSeries, EventLog};
 
-/// All experiment ids, in order.
-pub const ALL: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e22", "e23", "e24", "e25",
+/// The flag naming the file a [`Artifact::Series`] or [`Artifact::Events`]
+/// is written to.
+pub const TRACE_OUT: &str = "--trace-out";
+/// The flag naming the file a [`Artifact::Bundle`] is written to.
+pub const FORENSICS_OUT: &str = "--forensics-out";
+/// The flag naming the file a [`Artifact::Report`] is written to.
+pub const CAMPAIGN_OUT: &str = "--campaign-out";
+
+/// Every experiment, in order: its id and the path flag its artifact is
+/// written to, if it attaches one (see [`Artifact`]).
+pub const ALL: &[(&str, Option<&str>)] = &[
+    ("e1", None), ("e2", None), ("e3", None), ("e4", None), ("e5", None), ("e6", None),
+    ("e7", None), ("e8", None), ("e9", None), ("e10", None), ("e11", None), ("e12", None),
+    ("e13", None), ("e14", None), ("e15", None), ("e16", None), ("e17", None),
+    ("e18", Some(TRACE_OUT)), ("e19", None), ("e20", Some(TRACE_OUT)),
+    ("e22", Some(FORENSICS_OUT)), ("e23", None), ("e24", None), ("e25", Some(CAMPAIGN_OUT)),
 ];
 
-/// The experiments that record a raw trace artifact — i.e. that honor
-/// `--trace-out`. `e18` writes a per-round [`ConvergenceSeries`]; `e20`
-/// writes the span-annotated telemetry [`EventLog`] (the input format of
-/// `owp-inspect causal`). Everything else ignores the flag (the binary
-/// warns per experiment).
-pub const TRACED: &[&str] = &["e18", "e20"];
-
-/// The experiments with a metrics-instrumented variant — i.e. that
-/// populate a [`MetricsRegistry`] under `--metrics-out`/`--watch`. The
-/// rest run un-instrumented even when a registry is supplied.
-pub const INSTRUMENTED: &[&str] = &["e5", "e18", "e19", "e20", "e23", "e25"];
-
-/// The experiments that capture a [`owp_engine::ForensicBundle`] — i.e.
-/// that honor `--forensics-out`. `e22` surfaces the first post-mortem
-/// bundle its injected-corruption sweep produced (the input format of
-/// `owp-inspect forensics`).
-pub const FORENSIC: &[&str] = &["e22"];
-
-/// The experiments that run a chaos campaign and carry an attested
-/// [`crate::campaign::CampaignReport`] — i.e. that honor
-/// `--campaign-out`. `e25` writes the canonical report JSON (the input
-/// format of `owp-inspect campaign`).
-pub const CAMPAIGN: &[&str] = &["e25"];
-
-/// The raw artifact a traced experiment attaches to its tables; what
-/// `--trace-out` serializes (each variant has its own JSONL schema).
-pub enum TraceArtifact {
-    /// Per-round convergence samples (`owp_telemetry::series` schema).
+/// The artifact an experiment attaches to its tables. Each variant is
+/// written to the path given with its own flag.
+pub enum Artifact {
+    /// E18's per-round convergence samples (`owp_telemetry::series`
+    /// schema; input of `owp-inspect trace`).
     Series(ConvergenceSeries),
-    /// Structured telemetry events with causal span records
+    /// E20's telemetry events with causal span records
     /// (`owp_telemetry::event` schema; input of `owp-inspect causal`).
     Events(EventLog),
+    /// E22's first post-mortem bundle (input of `owp-inspect forensics`).
+    Bundle(ForensicBundle),
+    /// E25's attested campaign report (input of `owp-inspect campaign`).
+    Report(CampaignReport),
 }
 
-impl TraceArtifact {
-    /// Number of JSONL rows the artifact serializes to.
-    pub fn len(&self) -> usize {
+impl Artifact {
+    /// The flag that names the artifact's output file.
+    pub fn flag(&self) -> &'static str {
         match self {
-            TraceArtifact::Series(s) => s.len(),
-            TraceArtifact::Events(l) => l.len(),
+            Artifact::Series(_) | Artifact::Events(_) => TRACE_OUT,
+            Artifact::Bundle(_) => FORENSICS_OUT,
+            Artifact::Report(_) => CAMPAIGN_OUT,
         }
     }
 
-    /// `true` iff the artifact has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The file contents: JSONL for traces, JSON for bundles and reports.
+    pub fn serialize(&self) -> String {
+        match self {
+            Artifact::Series(s) => s.to_jsonl(),
+            Artifact::Events(l) => l.to_jsonl(),
+            Artifact::Bundle(b) => b.to_json(),
+            Artifact::Report(r) => r.to_json(),
+        }
     }
 
-    /// The artifact in its JSONL serialization.
-    pub fn to_jsonl(&self) -> String {
+    /// A one-phrase description for the binary's "wrote ..." line.
+    pub fn describe(&self) -> String {
         match self {
-            TraceArtifact::Series(s) => s.to_jsonl(),
-            TraceArtifact::Events(l) => l.to_jsonl(),
+            Artifact::Series(s) => format!("{} trace rows", s.len()),
+            Artifact::Events(l) => format!("{} trace rows", l.len()),
+            Artifact::Bundle(b) => format!(
+                "forensic bundle ({} recorded step(s), reproducer {})",
+                b.steps.len(),
+                b.reproducer().len()
+            ),
+            Artifact::Report(r) => format!(
+                "campaign report ({} plan(s), {} violation(s), digest {})",
+                r.config.plans,
+                r.violations.len(),
+                r.digest
+            ),
         }
     }
 }
 
-/// Dispatches an experiment by id. Returns the tables it produced.
-pub fn run(id: &str, quick: bool) -> Option<Vec<Table>> {
-    run_with_trace(id, quick).map(|(tables, _)| tables)
-}
-
-/// Like [`run`], but also returns the raw [`TraceArtifact`] for
-/// experiments that record one (see [`TRACED`]) so the binary can honor
-/// `--trace-out` without running the experiment twice.
-pub fn run_with_trace(id: &str, quick: bool) -> Option<(Vec<Table>, Option<TraceArtifact>)> {
-    run_instrumented(id, quick, None)
-}
-
-/// Full dispatch: like [`run_with_trace`], and when a registry is supplied
-/// the experiments listed in [`INSTRUMENTED`] run their metrics variant
-/// (registry histograms/counters + online audit) instead of the plain one.
-/// Tables are identical either way.
-pub fn run_instrumented(
+/// Runs an experiment by id: its tables plus the artifact it attaches,
+/// if any; `None` for an unknown id. With a registry, e5, e18, e19, e20,
+/// e23 and e25 also record metrics and audits into it, and every other
+/// experiment ignores it. Tables and artifacts are the same either way.
+pub fn run(
     id: &str,
     quick: bool,
-    metrics: Option<&MetricsRegistry>,
-) -> Option<(Vec<Table>, Option<TraceArtifact>)> {
-    if id == "e18" {
-        let (table, series) = match metrics {
-            Some(reg) => e18_convergence_trace::run_with_series_metrics(quick, reg),
-            None => e18_convergence_trace::run_with_series(quick),
-        };
-        return Some((vec![table], Some(TraceArtifact::Series(series))));
-    }
-    if id == "e20" {
-        let (tables, log) = match metrics {
-            Some(reg) => e20_critical_path::run_with_metrics(quick, reg),
-            None => e20_critical_path::run_with_log(quick),
-        };
-        return Some((tables, Some(TraceArtifact::Events(log))));
-    }
-    if let Some(reg) = metrics {
-        match id {
-            "e5" => return Some((vec![e05_convergence::run_with_metrics(quick, reg)], None)),
-            "e19" => return Some((e19_dynamic::run_with_metrics(quick, reg), None)),
-            "e23" => return Some((e23_matchd::run_with_metrics(quick, reg), None)),
-            "e25" => return Some((e25_campaign::run_with_metrics(quick, reg), None)),
-            _ => {}
+    reg: Option<&MetricsRegistry>,
+) -> Option<(Vec<Table>, Option<Artifact>)> {
+    let (tables, artifact) = match id {
+        "e1" => (vec![e01_figure1::run()], None),
+        "e2" => (vec![e02_weight_ratio::run(quick)], None),
+        "e3" => (vec![e03_satisfaction_ratio::run(quick)], None),
+        "e4" => (vec![e04_messages::run(quick)], None),
+        "e5" => (vec![e05_convergence::run(quick, reg)], None),
+        "e6" => (e06_baselines::run(quick), None),
+        "e7" => (vec![e07_bmax_sweep::run(quick)], None),
+        "e8" => (vec![e08_lemma1_tightness::run()], None),
+        "e9" => (vec![e09_churn::run(quick)], None),
+        "e10" => (vec![e10_equivalence::run(quick)], None),
+        "e11" => (vec![e11_robustness::run(quick)], None),
+        "e12" => (vec![e12_reliable::run(quick)], None),
+        "e13" => (vec![e13_normalization::run(quick)], None),
+        "e14" => (vec![e14_fairness::run(quick)], None),
+        "e15" => (e15_scale::run(quick), None),
+        "e16" => (e16_stability::run(quick), None),
+        "e17" => (vec![e17_ratio_at_scale::run(quick)], None),
+        "e18" => {
+            let (table, series) = e18_convergence_trace::run(quick, reg);
+            (vec![table], Some(Artifact::Series(series)))
         }
-    }
-    let tables = match id {
-        "e1" => vec![e01_figure1::run()],
-        "e2" => vec![e02_weight_ratio::run(quick)],
-        "e3" => vec![e03_satisfaction_ratio::run(quick)],
-        "e4" => vec![e04_messages::run(quick)],
-        "e5" => vec![e05_convergence::run(quick)],
-        "e6" => e06_baselines::run(quick),
-        "e7" => vec![e07_bmax_sweep::run(quick)],
-        "e8" => vec![e08_lemma1_tightness::run()],
-        "e9" => vec![e09_churn::run(quick)],
-        "e10" => vec![e10_equivalence::run(quick)],
-        "e11" => vec![e11_robustness::run(quick)],
-        "e12" => vec![e12_reliable::run(quick)],
-        "e13" => vec![e13_normalization::run(quick)],
-        "e14" => vec![e14_fairness::run(quick)],
-        "e15" => e15_scale::run(quick),
-        "e16" => e16_stability::run(quick),
-        "e17" => vec![e17_ratio_at_scale::run(quick)],
-        "e19" => e19_dynamic::run(quick),
-        "e22" => e22_forensics::run(quick),
-        "e23" => e23_matchd::run(quick),
-        "e24" => e24_ops::run(quick),
-        "e25" => e25_campaign::run(quick),
+        "e19" => (e19_dynamic::run(quick, reg), None),
+        "e20" => {
+            let (tables, log) = e20_critical_path::run(quick, reg);
+            (tables, Some(Artifact::Events(log)))
+        }
+        "e22" => {
+            let (tables, bundle) = e22_forensics::run(quick);
+            (tables, bundle.map(Artifact::Bundle))
+        }
+        "e23" => (e23_matchd::run(quick, reg), None),
+        "e24" => (e24_ops::run(quick), None),
+        "e25" => {
+            let (tables, report) = e25_campaign::run(quick, reg);
+            (tables, Some(Artifact::Report(report)))
+        }
         _ => return None,
     };
-    Some((tables, None))
-}
-
-/// Like [`run`], but for experiments in [`FORENSIC`] also returns the
-/// captured post-mortem bundle so the binary can honor `--forensics-out`
-/// without running the sweep twice. Non-forensic ids return `None` for
-/// the bundle.
-pub fn run_with_forensics(
-    id: &str,
-    quick: bool,
-) -> Option<(Vec<Table>, Option<owp_engine::ForensicBundle>)> {
-    if id == "e22" {
-        let (tables, bundle) = e22_forensics::run_with_bundle(quick);
-        return Some((tables, bundle));
-    }
-    run(id, quick).map(|tables| (tables, None))
-}
-
-/// Like [`run_instrumented`], but for experiments in [`CAMPAIGN`] also
-/// returns the attested campaign report so the binary can honor
-/// `--campaign-out` without running the campaign twice (campaign capture
-/// composes with metrics: a supplied registry gets the `campaign_*`
-/// ledger either way). Other ids return `None` for the report.
-pub fn run_with_campaign(
-    id: &str,
-    quick: bool,
-    metrics: Option<&MetricsRegistry>,
-) -> Option<(Vec<Table>, Option<crate::campaign::CampaignReport>)> {
-    if id == "e25" {
-        let (tables, report) = e25_campaign::run_full(quick, metrics);
-        return Some((tables, Some(report)));
-    }
-    run_instrumented(id, quick, metrics).map(|(tables, _)| (tables, None))
+    Some((tables, artifact))
 }
 
 /// Serializes an experiment's tables as the `BENCH_<id>.json` document:
@@ -226,12 +190,12 @@ mod tests {
     use super::*;
 
     /// Dispatch sanity on a few cheap experiments (each experiment module
-    /// carries its own full quick test; re-running all 17 here would double
+    /// carries its own full quick test; re-running all 24 here would double
     /// the suite's cost for no extra coverage).
     #[test]
     fn dispatch_produces_tables() {
         for id in ["e1", "e8", "e10"] {
-            let tables = run(id, true).unwrap_or_else(|| panic!("unknown id {id}"));
+            let (tables, _) = run(id, true, None).unwrap_or_else(|| panic!("unknown id {id}"));
             assert!(!tables.is_empty(), "{id} produced no tables");
             for t in &tables {
                 assert!(t.row_count() > 0, "{id} produced an empty table");
@@ -241,41 +205,44 @@ mod tests {
         }
     }
 
-    /// Every id in ALL dispatches and ids are unique.
+    /// Ids are unique.
     #[test]
     fn all_ids_are_known_and_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for id in ALL {
+        for (id, _) in ALL {
             assert!(seen.insert(*id), "duplicate id {id}");
         }
         // E21 (sharded repair) is retired; the other ids keep their numbers.
         assert_eq!(ALL.len(), 24);
-        assert!(!ALL.contains(&"e21"));
+        assert!(!seen.contains("e21"));
     }
 
-    /// E18 carries a convergence series, E20 a raw event log; the others
-    /// return `None` for the trace artifact.
+    /// E18 carries a convergence series under the flag [`ALL`] lists for
+    /// it; e1 carries no artifact.
     #[test]
     fn trace_is_attached_exactly_where_expected() {
-        let (tables, artifact) = run_with_trace("e18", true).expect("e18 runs");
+        let (tables, artifact) = run("e18", true, None).expect("e18 runs");
         let artifact = artifact.expect("e18 records a trace");
-        assert!(matches!(artifact, TraceArtifact::Series(_)));
+        let Artifact::Series(series) = &artifact else { panic!("e18 attaches a series") };
+        assert_eq!(Some(artifact.flag()), ALL.iter().find(|(id, _)| *id == "e18").unwrap().1);
         assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].row_count(), artifact.len());
-        assert!(!artifact.is_empty());
-        assert!(artifact.to_jsonl().lines().count() == artifact.len());
-        let (_, none) = run_with_trace("e1", true).expect("e1 runs");
-        assert!(none.is_none(), "e1 has no trace artifact");
+        assert_eq!(tables[0].row_count(), series.len());
+        assert!(!series.is_empty());
+        assert_eq!(artifact.serialize().lines().count(), series.len());
+        assert_eq!(artifact.describe(), format!("{} trace rows", series.len()));
+        let (_, none) = run("e1", true, None).expect("e1 runs");
+        assert!(none.is_none(), "e1 has no artifact");
     }
 
     /// The E20 artifact is a telemetry event log whose JSONL round-trips
     /// into a certified causal DAG (the `owp-inspect causal` input path).
     #[test]
     fn e20_trace_artifact_is_a_causal_event_log() {
-        let (_, artifact) = run_with_trace("e20", true).expect("e20 runs");
+        let (_, artifact) = run("e20", true, None).expect("e20 runs");
         let artifact = artifact.expect("e20 records a trace");
-        assert!(matches!(artifact, TraceArtifact::Events(_)));
-        let log = owp_telemetry::EventLog::parse_jsonl(&artifact.to_jsonl()).expect("parses");
+        assert!(matches!(artifact, Artifact::Events(_)));
+        assert_eq!(artifact.flag(), TRACE_OUT);
+        let log = owp_telemetry::EventLog::parse_jsonl(&artifact.serialize()).expect("parses");
         let dag = owp_telemetry::CausalDag::from_log(&log);
         assert!(!dag.is_empty());
         assert!(dag.is_certified());
@@ -283,24 +250,13 @@ mod tests {
 
     #[test]
     fn unknown_id_is_none() {
-        assert!(run("e99", true).is_none());
-        assert!(run_instrumented("e99", true, Some(&owp_metrics::MetricsRegistry::new())).is_none());
-    }
-
-    /// TRACED/INSTRUMENTED are subsets of ALL (a typo'd id there would make
-    /// the binary's warnings lie).
-    #[test]
-    fn capability_lists_are_consistent() {
-        for id in TRACED.iter().chain(INSTRUMENTED).chain(FORENSIC).chain(CAMPAIGN) {
-            assert!(ALL.contains(id), "{id} not in ALL");
-        }
-        assert!(TRACED.iter().all(|id| INSTRUMENTED.contains(id)),
-            "traced experiments must also have a metrics variant");
+        assert!(run("e99", true, None).is_none());
+        assert!(run("e99", true, Some(&MetricsRegistry::new())).is_none());
     }
 
     #[test]
     fn json_document_has_the_expected_shape() {
-        let tables = run("e1", true).expect("e1 runs");
+        let (tables, _) = run("e1", true, None).expect("e1 runs");
         let doc = tables_to_json("e1", true, std::time::Duration::from_millis(12), &tables);
         assert!(doc.starts_with("{\"experiment\":\"e1\",\"quick\":true,\"elapsed_ms\":12.0,"));
         assert!(doc.contains("\"tables\":[{\"title\":"));

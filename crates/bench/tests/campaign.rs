@@ -12,7 +12,7 @@
 //! certificate, protocol change), update it together with
 //! `BENCH_e25.json` — both attest the same determinism claim.
 
-use owp_bench::campaign::{run_campaign, run_campaign_with_metrics};
+use owp_bench::campaign::run_campaign;
 use owp_bench::experiments::e25_campaign;
 use owp_metrics::MetricsRegistry;
 
@@ -23,19 +23,19 @@ const QUICK_E25_DIGEST: &str = "42626cb2d39f7376";
 #[test]
 fn same_seed_runs_are_byte_identical() {
     let cfg = e25_campaign::config(true);
-    let a = run_campaign(&cfg);
-    let b = run_campaign(&cfg);
+    let a = run_campaign(&cfg, None);
+    let b = run_campaign(&cfg, None);
     assert_eq!(a.to_json(), b.to_json(), "two plain runs");
 
     // Metrics instrumentation must not perturb the attested bytes.
     let reg = MetricsRegistry::new();
-    let c = run_campaign_with_metrics(&cfg, Some(&reg));
+    let c = run_campaign(&cfg, Some(&reg));
     assert_eq!(a.to_json(), c.to_json(), "instrumented run");
 }
 
 #[test]
 fn quick_campaign_digest_is_pinned_across_builds() {
-    let report = run_campaign(&e25_campaign::config(true));
+    let report = run_campaign(&e25_campaign::config(true), None);
     assert!(report.verify_digest().is_ok());
     assert_eq!(
         report.digest, QUICK_E25_DIGEST,
@@ -46,7 +46,7 @@ fn quick_campaign_digest_is_pinned_across_builds() {
 
 #[test]
 fn report_json_round_trip_is_bitwise() {
-    let report = run_campaign(&e25_campaign::config(true));
+    let report = run_campaign(&e25_campaign::config(true), None);
     let json = report.to_json();
     let parsed = owp_bench::campaign::CampaignReport::parse(&json).expect("parses");
     assert_eq!(parsed, report);

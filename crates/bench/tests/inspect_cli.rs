@@ -438,14 +438,15 @@ fn ops_unreachable_endpoint_exits_two() {
 /// A small but fully featured campaign: every fault class covered, the
 /// PhantomEdge canary injected at plan 7.
 fn campaign_fixture() -> owp_bench::campaign::CampaignReport {
-    owp_bench::campaign::run_campaign(&owp_bench::campaign::CampaignConfig {
+    let cfg = owp_bench::campaign::CampaignConfig {
         seed: 0xC11,
         plans: 15,
         n: 14,
         instances: 3,
         quota: 2,
         inject_at: Some(7),
-    })
+    };
+    owp_bench::campaign::run_campaign(&cfg, None)
 }
 
 #[test]
@@ -495,14 +496,15 @@ fn campaign_coverage_gap_exits_one() {
     let dir = scratch("campaign_gap");
     // 3 plans round-robin over 5 classes: reordering and crash_restart
     // never execute, which is a coverage failure even with zero violations.
-    let report = owp_bench::campaign::run_campaign(&owp_bench::campaign::CampaignConfig {
+    let cfg = owp_bench::campaign::CampaignConfig {
         seed: 0xC11,
         plans: 3,
         n: 14,
         instances: 1,
         quota: 2,
         inject_at: None,
-    });
+    };
+    let report = owp_bench::campaign::run_campaign(&cfg, None);
     let path = write(&dir, "report.json", &report.to_json());
     let (code, out, _) = inspect(&["campaign", &path]);
     assert_eq!(code, 1, "uncovered fault classes must exit 1: {out}");
