@@ -11,11 +11,11 @@
 //! without scraping stdout.
 //!
 //! With `--metrics-out <path>`, the experiments with a metrics form (e5,
-//! e18, e19, e20, e23, e25) run with a shared `MetricsRegistry` —
-//! histograms, message counters and the online invariant audit — and the
-//! final snapshot is written to `path`: Prometheus text format if the path
-//! ends in `.prom`, JSON otherwise. Any audit violation makes the run exit
-//! non-zero.
+//! e18, e19, e20, e23, e25; `experiments::ALL` marks them) run with one
+//! shared `MetricsRegistry` — histograms, message counters and the online
+//! invariant audit — and the final snapshot is written to `path`:
+//! Prometheus text format if the path ends in `.prom`, JSON otherwise.
+//! Any audit violation makes the run exit non-zero.
 //!
 //! Each artifact flag writes the artifact of the one experiment that
 //! honours it (`experiments::ALL` lists which):
@@ -29,10 +29,12 @@
 //! * `--campaign-out <path>` — `e25`'s attested chaos-campaign report as
 //!   canonical JSON (the input of `owp-inspect campaign`).
 //!
-//! Before any experiment runs, the binary exits 2 on an unknown id, on an
-//! artifact flag that no selected experiment honours, and on one that two
-//! selected experiments honour (the second would overwrite the first).
-//! The other selected experiments warn and ignore the flag.
+//! Before any experiment runs, the binary exits 2 on an unknown id, on a
+//! path flag that no selected experiment honours, and on an artifact flag
+//! that two selected experiments honour (the second would overwrite the
+//! first). The other selected experiments warn and ignore an artifact
+//! flag; `--metrics-out` collects from every selected experiment that
+//! records metrics, and the rest run plain.
 
 use owp_bench::experiments::{self, CAMPAIGN_OUT, FORENSICS_OUT, TRACE_OUT};
 use owp_metrics::MetricsRegistry;
@@ -84,17 +86,17 @@ fn main() {
             "usage: experiments <e1..e25|all> [--quick] [--json] [--metrics-out <path>] \
              [--trace-out <path>] [--forensics-out <path>] [--campaign-out <path>]"
         );
-        let known: Vec<&str> = experiments::ALL.iter().map(|&(id, _)| id).collect();
+        let known: Vec<&str> = experiments::ALL.iter().map(|&(id, ..)| id).collect();
         eprintln!("known experiments: {}", known.join(", "));
         exit(2);
     }
 
-    let selected: Vec<(&str, Option<&str>)> = if ids.iter().any(|i| i == "all") {
+    let selected: Vec<(&str, Option<&str>, bool)> = if ids.iter().any(|i| i == "all") {
         experiments::ALL.to_vec()
     } else {
         ids.iter()
             .map(|id| {
-                *experiments::ALL.iter().find(|(e, _)| e == id).unwrap_or_else(|| {
+                *experiments::ALL.iter().find(|(e, ..)| e == id).unwrap_or_else(|| {
                     eprintln!("unknown experiment id: {id}");
                     exit(2);
                 })
@@ -103,8 +105,17 @@ fn main() {
     };
 
     let metrics_out = paths.remove(METRICS_OUT);
-    let honouring = |list: &[(&'static str, Option<&str>)], flag: &str| -> Vec<&'static str> {
-        list.iter().filter(|(_, f)| *f == Some(flag)).map(|&(id, _)| id).collect()
+    if metrics_out.is_some() && !selected.iter().any(|&(.., metrics)| metrics) {
+        let ids: Vec<&str> =
+            experiments::ALL.iter().filter(|&&(.., m)| m).map(|&(id, ..)| id).collect();
+        eprintln!(
+            "{METRICS_OUT} given but no selected experiment records metrics (use {})",
+            ids.join(", ")
+        );
+        exit(2);
+    }
+    let honouring = |list: &[(&'static str, Option<&str>, bool)], flag: &str| -> Vec<&'static str> {
+        list.iter().filter(|(_, f, _)| *f == Some(flag)).map(|&(id, ..)| id).collect()
     };
     for &flag in paths.keys() {
         match honouring(&selected, flag).as_slice() {
@@ -129,7 +140,7 @@ fn main() {
 
     let registry = metrics_out.is_some().then(MetricsRegistry::new);
     let mut written = BTreeSet::new();
-    for (id, honoured) in selected {
+    for (id, honoured, _) in selected {
         for &flag in paths.keys().filter(|&&f| Some(f) != honoured) {
             eprintln!("warning: {id} writes no artifact for {flag}, ignored for it");
         }

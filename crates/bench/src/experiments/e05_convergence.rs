@@ -106,7 +106,10 @@ pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
             ]);
         }
     }
-    t.note("rounds grow slowly (rejection chains), not linearly in n — the protocol is local");
+    t.note(
+        "on these G(n,p) instances rounds grow slowly (rejection chains); \
+         not a bound: a b=1 path takes n − 1 rounds",
+    );
     t.note("the matching stabilizes before the protocol quiesces: the tail rounds are termination detection");
     t
 }

@@ -1,9 +1,10 @@
 //! One module per experiment, each with one `run` that returns its
 //! [`crate::Table`]s plus any [`Artifact`], so the binary stays thin and
 //! the harness is unit-testable. [`run`] dispatches by id; [`ALL`] lists
-//! every id with the path flag it honours. Experiments with a metrics
-//! form take an `Option<&MetricsRegistry>`; `None` is the plain run that
-//! `bench_guard` times.
+//! every id with the path flag it honours and whether it records
+//! metrics. Experiments with a metrics form take an
+//! `Option<&MetricsRegistry>`; `None` is the plain run that `bench_guard`
+//! times.
 //!
 //! The `quick` flag shrinks sweeps/seed counts to keep CI fast; the numbers
 //! in `EXPERIMENTS.md` come from full (`quick = false`) runs.
@@ -47,14 +48,17 @@ pub const FORENSICS_OUT: &str = "--forensics-out";
 /// The flag naming the file a [`Artifact::Report`] is written to.
 pub const CAMPAIGN_OUT: &str = "--campaign-out";
 
-/// Every experiment, in order: its id and the path flag its artifact is
-/// written to, if it attaches one (see [`Artifact`]).
-pub const ALL: &[(&str, Option<&str>)] = &[
-    ("e1", None), ("e2", None), ("e3", None), ("e4", None), ("e5", None), ("e6", None),
-    ("e7", None), ("e8", None), ("e9", None), ("e10", None), ("e11", None), ("e12", None),
-    ("e13", None), ("e14", None), ("e15", None), ("e16", None), ("e17", None),
-    ("e18", Some(TRACE_OUT)), ("e19", None), ("e20", Some(TRACE_OUT)),
-    ("e22", Some(FORENSICS_OUT)), ("e23", None), ("e24", None), ("e25", Some(CAMPAIGN_OUT)),
+/// Every experiment, in order: its id, the path flag its artifact is
+/// written to if it attaches one (see [`Artifact`]), and whether [`run`]
+/// records into a metrics registry when given one.
+pub const ALL: &[(&str, Option<&str>, bool)] = &[
+    ("e1", None, false), ("e2", None, false), ("e3", None, false), ("e4", None, false),
+    ("e5", None, true), ("e6", None, false), ("e7", None, false), ("e8", None, false),
+    ("e9", None, false), ("e10", None, false), ("e11", None, false), ("e12", None, false),
+    ("e13", None, false), ("e14", None, false), ("e15", None, false), ("e16", None, false),
+    ("e17", None, false), ("e18", Some(TRACE_OUT), true), ("e19", None, true),
+    ("e20", Some(TRACE_OUT), true), ("e22", Some(FORENSICS_OUT), false), ("e23", None, true),
+    ("e24", None, false), ("e25", Some(CAMPAIGN_OUT), true),
 ];
 
 /// The artifact an experiment attaches to its tables. Each variant is
@@ -113,9 +117,10 @@ impl Artifact {
 }
 
 /// Runs an experiment by id: its tables plus the artifact it attaches,
-/// if any; `None` for an unknown id. With a registry, e5, e18, e19, e20,
-/// e23 and e25 also record metrics and audits into it, and every other
-/// experiment ignores it. Tables and artifacts are the same either way.
+/// if any; `None` for an unknown id. With a registry, the experiments
+/// [`ALL`] marks (e5, e18, e19, e20, e23 and e25) also record metrics and
+/// audits into it, and every other experiment ignores it. Tables and
+/// artifacts are the same either way.
 pub fn run(
     id: &str,
     quick: bool,
@@ -209,7 +214,7 @@ mod tests {
     #[test]
     fn all_ids_are_known_and_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for (id, _) in ALL {
+        for (id, _, _) in ALL {
             assert!(seen.insert(*id), "duplicate id {id}");
         }
         // E21 (sharded repair) is retired; the other ids keep their numbers.
@@ -224,7 +229,7 @@ mod tests {
         let (tables, artifact) = run("e18", true, None).expect("e18 runs");
         let artifact = artifact.expect("e18 records a trace");
         let Artifact::Series(series) = &artifact else { panic!("e18 attaches a series") };
-        assert_eq!(Some(artifact.flag()), ALL.iter().find(|(id, _)| *id == "e18").unwrap().1);
+        assert_eq!(Some(artifact.flag()), ALL.iter().find(|(id, ..)| *id == "e18").unwrap().1);
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].row_count(), series.len());
         assert!(!series.is_empty());
@@ -246,6 +251,17 @@ mod tests {
         let dag = owp_telemetry::CausalDag::from_log(&log);
         assert!(!dag.is_empty());
         assert!(dag.is_certified());
+    }
+
+    /// [`ALL`]'s metrics column says which experiments reach the registry.
+    #[test]
+    fn metrics_column_matches_the_registry_use() {
+        for id in ["e1", "e8", "e10", "e18"] {
+            let reg = MetricsRegistry::new();
+            run(id, true, Some(&reg)).expect("known id");
+            let marked = ALL.iter().find(|(e, ..)| *e == id).unwrap().2;
+            assert_eq!(!reg.snapshot().is_empty(), marked, "{id}");
+        }
     }
 
     #[test]

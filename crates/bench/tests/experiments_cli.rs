@@ -1,8 +1,9 @@
 //! The `experiments` flag contract, driven through the real binary
 //! (`CARGO_BIN_EXE_experiments`): each artifact flag is honoured by
 //! exactly one selected experiment or the run exits 2 before anything is
-//! written. Only experiments that finish in milliseconds with `--quick`
-//! are used (e1, e18, e20).
+//! written, and `--metrics-out` needs one selected experiment that
+//! records metrics. Only experiments that finish in milliseconds with
+//! `--quick` are used (e1, e18, e20).
 
 use owp_metrics::MetricsSnapshot;
 use owp_telemetry::ConvergenceSeries;
@@ -79,4 +80,25 @@ fn the_removed_live_table_flag_is_unknown() {
     let (code, _, err) = experiments(&dir, &["e1", "--quick", flag]);
     assert_eq!(code, 2);
     assert!(err.contains(&format!("unknown flag: {flag}")), "{err}");
+}
+
+#[test]
+fn metrics_out_with_no_experiment_that_records_metrics_exits_two() {
+    let dir = scratch("metrics_unhonoured");
+    let (code, out, err) = experiments(&dir, &["e1", "--quick", "--metrics-out", "q.prom"]);
+    assert_eq!(code, 2, "stdout: {out}\nstderr: {err}");
+    assert!(err.contains("e5, e18, e19, e20, e23, e25"), "names the ids that record: {err}");
+    assert!(out.is_empty(), "nothing ran: {out}");
+    assert!(!dir.join("q.prom").exists(), "no snapshot is written");
+}
+
+/// One recording experiment is enough; the others share the registry
+/// without recording into it.
+#[test]
+fn metrics_out_is_honoured_when_one_selected_experiment_records() {
+    let dir = scratch("metrics_honoured");
+    let (code, out, err) = experiments(&dir, &["e1", "e18", "--quick", "--metrics-out", "q.prom"]);
+    assert_eq!(code, 0, "stdout: {out}\nstderr: {err}");
+    let prom = std::fs::read_to_string(dir.join("q.prom")).expect("metrics written");
+    assert!(!MetricsSnapshot::parse_prometheus(&prom).expect("parses").is_empty());
 }

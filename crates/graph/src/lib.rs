@@ -12,8 +12,7 @@
 //! * per-node [`preferences`] — the private preference lists `L_i` with rank
 //!   function `R_i(j) ∈ {0, …, |L_i|−1}` (0 = most desirable neighbour);
 //! * per-node connection [`quota`]s `b_i` (the "b" of the b-matching);
-//! * structural [`properties`] (components, degrees, clustering) used by the
-//!   experiment harness, and an edge-list [`io`] format for reproducibility.
+//! * an edge-list [`io`] format for reproducibility.
 //!
 //! The crate is dependency-light by design: the whole substrate is built from
 //! scratch (no `petgraph`), per the reproduction mandate in `DESIGN.md`.
@@ -26,7 +25,6 @@ pub mod generators;
 pub mod graph;
 pub mod io;
 pub mod preferences;
-pub mod properties;
 pub mod quota;
 
 pub use builder::GraphBuilder;

@@ -20,7 +20,8 @@
 //! * [`recovery`] — snapshot + WAL → certified engine;
 //! * [`universe`] — deterministic universe specs and client workloads;
 //! * [`http`] — a minimal HTTP/1.0 codec for the admin endpoint;
-//! * [`server`] — the daemon itself;
+//! * [`server`] — the daemon itself, over `owner`, the engine owner's
+//!   step machine;
 //! * [`ops`] — the live operations plane (admin endpoint, continuous
 //!   auditor, slow-request ring);
 //! * [`client`] — a small blocking client.
@@ -32,6 +33,7 @@ pub mod client;
 pub mod codec;
 pub mod http;
 pub mod ops;
+mod owner;
 pub mod recovery;
 pub mod server;
 pub mod snapshot;

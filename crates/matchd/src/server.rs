@@ -9,13 +9,13 @@
 //!   the engine), and forward **submissions** into a bounded
 //!   `sync_channel`; a full channel is answered `BUSY` + retry-after
 //!   *without blocking* — that is the admission control;
-//! * a single **engine owner** thread drains the channel, batching
-//!   adaptively: a batch flushes when it reaches
-//!   [`MatchdConfig::max_batch`] events or when the oldest queued
-//!   submission has lingered [`MatchdConfig::max_linger`] — the
-//!   latency/throughput knob. Each flush applies the merged batch,
-//!   appends it to the WAL, *then* acknowledges every submitter, so an
-//!   acknowledged write is always recoverable.
+//! * a single **engine owner** thread drains the channel into an `Owner`
+//!   step machine (`owner.rs`), batching adaptively: a batch flushes when
+//!   it reaches [`MatchdConfig::max_batch`] events or when the oldest
+//!   queued submission has lingered [`MatchdConfig::max_linger`]. A flush
+//!   applies the merged batch, appends it to the WAL and publishes the
+//!   view; only then are the submitters acked, after the step, so an
+//!   acknowledged write is always recoverable and readable.
 //!
 //! If a merged batch fails engine validation the owner falls back to
 //! applying each submission separately: good submissions commit with
@@ -24,19 +24,18 @@
 
 use crate::codec::{self, CodecError, Frame, PROTO_VERSION};
 use crate::ops::{self, OpsCtx, OpsHandle, OpsShared};
+use crate::owner::Owner;
 use crate::recovery::recover;
-use crate::snapshot::{SnapshotStore, UniverseBase};
-use crate::wal::{FsyncPolicy, Wal};
+use crate::snapshot::UniverseBase;
+use crate::wal::FsyncPolicy;
 use owp_engine::{
     DeltaReport, Engine, EngineError, EngineEvent, ForensicBundle, InjectedFault, OriginSnapshot,
 };
 use owp_graph::{EdgeId, NodeId};
 use owp_metrics::{
-    Counter, Gauge, Histogram, MetricsRegistry, MATCHD_ADMISSION_REJECTS, MATCHD_BATCH_EVENTS,
-    MATCHD_BATCH_LINGER_US, MATCHD_CONNECTIONS, MATCHD_CONNECTIONS_TOTAL, MATCHD_QUEUE_DEPTH,
-    MATCHD_REQUESTS_TOTAL, MATCHD_REQ_CONTROL_US, MATCHD_REQ_QUERY_US, MATCHD_REQ_SUBMIT_US,
-    MATCHD_SNAPSHOT_BYTES, MATCHD_SNAPSHOT_EPOCH, MATCHD_SNAPSHOT_SAVE_US, MATCHD_SPAN_ACK_US,
-    MATCHD_SPAN_APPLY_US, MATCHD_SPAN_QUEUE_US, MATCHD_WAL_BYTES, MATCHD_WAL_RECORDS,
+    Counter, Gauge, Histogram, MetricsRegistry, MATCHD_ADMISSION_REJECTS, MATCHD_CONNECTIONS,
+    MATCHD_CONNECTIONS_TOTAL, MATCHD_REQUESTS_TOTAL, MATCHD_REQ_CONTROL_US, MATCHD_REQ_QUERY_US,
+    MATCHD_REQ_SUBMIT_US,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -154,7 +153,7 @@ pub struct View {
 impl View {
     /// Full build: every chunk filled from the engine. Used at start-up,
     /// after a fault injection, and as the oracle for [`View::advance`].
-    fn from_engine(engine: &Engine) -> View {
+    pub(crate) fn from_engine(engine: &Engine) -> View {
         let n = engine.dynamic().graph().node_count();
         let chunks = (0..n.div_ceil(CHUNK)).map(|c| Arc::new(Chunk::fill(engine, c))).collect();
         View::stamp(engine, chunks)
@@ -208,7 +207,7 @@ impl View {
 /// leave, quota change or preference update. These are exactly the
 /// nodes whose connections or satisfaction the engine may have changed.
 #[derive(Debug, Default)]
-struct DirtyChunks(Vec<usize>);
+pub(crate) struct DirtyChunks(Vec<usize>);
 
 impl DirtyChunks {
     fn note(&mut self, engine: &Engine, report: &DeltaReport, events: &[EngineEvent]) {
@@ -232,23 +231,23 @@ impl DirtyChunks {
 /// Swaps in the view of `engine`'s state, rebuilt from the published
 /// one where `dirty` says the last flush touched it. Only the engine
 /// owner publishes, so reading the slot and then replacing it is safe.
-fn publish(slot: &SharedView, engine: &Engine, dirty: &mut DirtyChunks) {
+pub(crate) fn publish(slot: &SharedView, engine: &Engine, dirty: &mut DirtyChunks) {
     let current = slot.lock().expect("view lock").clone();
     let next = Arc::new(current.advance(engine, dirty));
     *slot.lock().expect("view lock") = next;
 }
 
-type SharedView = Arc<Mutex<Arc<View>>>;
+pub(crate) type SharedView = Arc<Mutex<Arc<View>>>;
 
-type Reply = Result<u64, String>;
+pub(crate) type Reply = Result<u64, String>;
 
 pub(crate) struct Submission {
-    events: Vec<EngineEvent>,
-    enqueued: Instant,
-    conn: u64,
+    pub(crate) events: Vec<EngineEvent>,
+    pub(crate) enqueued: Instant,
+    pub(crate) conn: u64,
     /// Daemon-wide request id of the carrying frame (the span key).
-    req: u64,
-    reply: Sender<Reply>,
+    pub(crate) req: u64,
+    pub(crate) reply: Sender<Reply>,
 }
 
 impl AsRef<[EngineEvent]> for Submission {
@@ -272,7 +271,7 @@ fn apply_one(
 /// append); its `Err` refuses that ack. Every applied batch marks its
 /// view chunks in `dirty`. Returns one reply per submission and the
 /// number of batches flushed.
-fn apply_flush<S: AsRef<[EngineEvent]>>(
+pub(crate) fn apply_flush<S: AsRef<[EngineEvent]>>(
     engine: &mut Engine,
     subs: &[S],
     merged: &mut Vec<EngineEvent>,
@@ -339,14 +338,6 @@ pub(crate) enum Ingest {
     Abort,
 }
 
-/// What the owner thread hands back when it stops.
-struct OwnerExit {
-    engine: Engine,
-    batches: u64,
-    graceful: bool,
-    certify: Result<(), String>,
-}
-
 /// Final daemon state, returned by [`Matchd::shutdown`] /
 /// [`Matchd::abort`] / [`Matchd::wait`].
 pub struct MatchdStats {
@@ -370,7 +361,7 @@ pub struct MatchdStats {
 pub struct Matchd {
     addr: SocketAddr,
     ingest: SyncSender<Ingest>,
-    owner: JoinHandle<OwnerExit>,
+    owner: JoinHandle<MatchdStats>,
     acceptor: JoinHandle<()>,
     stop: Arc<AtomicBool>,
     ops: Option<OpsHandle>,
@@ -454,30 +445,21 @@ impl Matchd {
         let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind: {e}"))?;
         listener.set_nonblocking(true).map_err(|e| format!("cannot set nonblocking: {e}"))?;
         let local = listener.local_addr().map_err(|e| format!("no local addr: {e}"))?;
-        let view: SharedView = Arc::new(Mutex::new(Arc::new(View::from_engine(&rec.engine))));
+        // The one-off O(n + m) copy every delta checkpoint compares against.
+        let base = UniverseBase::new(universe);
+        let (replayed, torn_bytes) = (rec.replayed, rec.torn_bytes);
+        let owner = Owner::new(rec, base, &config, &registry);
+        let view = Arc::clone(&owner.view);
+        let depth = Arc::clone(&owner.depth);
+        let shared = Arc::clone(&owner.shared);
         let stop = Arc::new(AtomicBool::new(false));
-        let depth = Arc::new(AtomicUsize::new(0));
-        let shared = Arc::new(OpsShared::new());
         let (tx, rx) = sync_channel::<Ingest>(config.queue_capacity);
         let nodes = universe.graph.node_count() as u32;
 
-        let owner = {
-            let view = Arc::clone(&view);
-            let depth = Arc::clone(&depth);
-            let shared = Arc::clone(&shared);
-            let registry = registry.clone();
-            let config = config.clone();
-            let engine = rec.engine;
-            let wal = rec.wal;
-            // The one-off O(n + m) copy every delta checkpoint compares against.
-            let base = UniverseBase::new(universe);
-            std::thread::Builder::new()
-                .name("matchd-engine".into())
-                .spawn(move || {
-                    owner_loop(engine, wal, base, rx, view, depth, shared, registry, config)
-                })
-                .map_err(|e| format!("cannot spawn engine owner: {e}"))?
-        };
+        let owner = std::thread::Builder::new()
+            .name("matchd-engine".into())
+            .spawn(move || owner_thread(owner, rx))
+            .map_err(|e| format!("cannot spawn engine owner: {e}"))?;
 
         let acceptor = {
             let ctx = Arc::new(ConnCtx {
@@ -533,8 +515,8 @@ impl Matchd {
             stop,
             ops: ops_handle,
             recovered_epoch,
-            replayed: rec.replayed,
-            torn_bytes: rec.torn_bytes,
+            replayed,
+            torn_bytes,
         })
     }
 
@@ -566,21 +548,14 @@ impl Matchd {
     }
 
     fn join(self) -> MatchdStats {
-        let exit = self.owner.join().expect("engine owner thread panicked");
+        let stats = self.owner.join().expect("engine owner thread panicked");
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.acceptor.join();
         if let Some(ops) = self.ops {
             let _ = ops.listener.join();
             let _ = ops.auditor.join();
         }
-        MatchdStats {
-            epoch: exit.engine.epoch().0,
-            sigma_s: exit.engine.total_satisfaction(),
-            batches: exit.batches,
-            graceful: exit.graceful,
-            certify: exit.certify,
-            engine: exit.engine,
-        }
+        stats
     }
 
     /// Graceful stop: flush pending batches, snapshot, certify, join.
@@ -616,10 +591,7 @@ fn acceptor_loop(listener: TcpListener, stop: Arc<AtomicBool>, ctx: Arc<ConnCtx>
                     .name(format!("matchd-conn-{id}"))
                     .spawn(move || handle_conn(stream, ctx, id));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(_) => std::thread::sleep(Duration::from_millis(2)), // WouldBlock or a failed accept
         }
     }
 }
@@ -743,258 +715,28 @@ fn answer(frame: Frame, v: &View, ctx: &ConnCtx) -> Frame {
     }
 }
 
-/// The engine owner's checkpoint slot: the universe a delta checkpoint
-/// is measured against, one reusable payload buffer, and the metrics a
-/// save updates.
-struct Checkpoints {
-    store: SnapshotStore,
-    base: UniverseBase,
-    buf: Vec<u8>,
-    /// Epoch of the newest durable checkpoint (the recovered epoch at start).
-    last: u64,
-    save_us: Histogram,
-    bytes: Gauge,
-    epoch: Gauge,
-}
-
-impl Checkpoints {
-    /// Writes a delta checkpoint of `engine` and, once it and its
-    /// directory entry are durable, empties the WAL it covers. A failed
-    /// save leaves the WAL alone: recovery still replays it.
-    fn save(&mut self, engine: &Engine, wal: &mut Wal) {
-        let started = Instant::now();
-        let epoch = engine.epoch().0;
-        let saved = self.store.save_delta(epoch, engine.dynamic(), &self.base, &mut self.buf);
-        if let Ok(bytes) = saved {
-            let _ = wal.reset();
-            self.last = epoch;
-            self.save_us.observe(started.elapsed().as_micros() as u64);
-            self.bytes.set(bytes as f64);
-            self.epoch.set(epoch as f64);
-        }
-    }
-}
-
-/// The single engine-owner thread: adaptive batching, WAL-before-ack,
-/// periodic snapshots, view publication.
-#[allow(clippy::too_many_arguments)]
-fn owner_loop(
-    mut engine: Engine,
-    mut wal: Wal,
-    base: UniverseBase,
-    rx: Receiver<Ingest>,
-    view: SharedView,
-    depth: Arc<AtomicUsize>,
-    shared: Arc<OpsShared>,
-    registry: MetricsRegistry,
-    config: MatchdConfig,
-) -> OwnerExit {
-    let queue_depth: Gauge = registry.gauge(MATCHD_QUEUE_DEPTH);
-    let wal_bytes: Gauge = registry.gauge(MATCHD_WAL_BYTES);
-    let wal_records: Gauge = registry.gauge(MATCHD_WAL_RECORDS);
-    let linger_us: Histogram = registry.histogram(MATCHD_BATCH_LINGER_US);
-    let batch_events: Histogram = registry.histogram(MATCHD_BATCH_EVENTS);
-    let span_queue_us: Histogram = registry.histogram(MATCHD_SPAN_QUEUE_US);
-    let span_apply_us: Histogram = registry.histogram(MATCHD_SPAN_APPLY_US);
-    let span_ack_us: Histogram = registry.histogram(MATCHD_SPAN_ACK_US);
-    let mut ckpt = Checkpoints {
-        store: SnapshotStore::new(&config.data_dir),
-        base,
-        buf: Vec::new(),
-        last: engine.epoch().0,
-        save_us: registry.histogram(MATCHD_SNAPSHOT_SAVE_US),
-        bytes: registry.gauge(MATCHD_SNAPSHOT_BYTES),
-        epoch: registry.gauge(MATCHD_SNAPSHOT_EPOCH),
-    };
-    let mut pending: Vec<Submission> = Vec::new();
-    let mut pending_events = 0usize;
-    let mut merged: Vec<EngineEvent> = Vec::new();
-    let mut report = DeltaReport::default();
-    let mut dirty = DirtyChunks::default();
-    let mut batches = 0u64;
-    wal_bytes.set(wal.bytes() as f64);
-    wal_records.set(wal.records() as f64);
-
-    let mut flush = |pending: &mut Vec<Submission>,
-                     pending_events: &mut usize,
-                     engine: &mut Engine,
-                     wal: &mut Wal,
-                     batches: &mut u64,
-                     ckpt: &mut Checkpoints| {
-        if pending.is_empty() {
-            return;
-        }
-        let oldest = pending[0].enqueued;
-        linger_us.observe(oldest.elapsed().as_micros() as u64);
-        batch_events.observe(*pending_events as u64);
-        // The span legs: every submission in this flush shares the
-        // apply leg (one merged engine call + WAL append), while its
-        // queue leg is individual — enqueue to flush start.
-        let flush_start = Instant::now();
-        // A failed WAL append means the batch is applied but not logged:
-        // the ack is refused so no client believes it durable.
-        let (results, flushed) = apply_flush(
-            engine,
-            pending.as_slice(),
-            &mut merged,
-            &mut report,
-            &mut dirty,
-            |epoch, events| {
-                wal.append(epoch, events).map_err(|e| format!("WAL append failed: {e}"))
-            },
-        );
-        *batches += flushed;
-        *pending_events = 0;
-        let apply_done = Instant::now();
-        let apply_us = apply_done.duration_since(flush_start).as_micros() as u64;
-        let epoch_now = engine.epoch().0;
-        // Replies are deferred until after the view is published, so a
-        // client that sees its ack is guaranteed to read its own write.
-        publish(&view, engine, &mut dirty);
-        for (sub, reply) in pending.drain(..).zip(results) {
-            let queue_us = flush_start.duration_since(sub.enqueued).as_micros() as u64;
-            let ack_us = apply_done.elapsed().as_micros() as u64;
-            span_queue_us.observe(queue_us);
-            span_apply_us.observe(apply_us);
-            span_ack_us.observe(ack_us);
-            shared.slow.note(
-                sub.req,
-                sub.conn,
-                "SUBMIT",
-                epoch_now,
-                queue_us,
-                apply_us,
-                ack_us,
-                queue_us + apply_us + ack_us,
-            );
-            let _ = sub.reply.send(reply);
-        }
-        if config.snapshot_every > 0 && epoch_now - ckpt.last >= config.snapshot_every {
-            ckpt.save(engine, wal);
-        }
-        wal_bytes.set(wal.bytes() as f64);
-        wal_records.set(wal.records() as f64);
-    };
-
-    let graceful = loop {
-        let msg = if pending.is_empty() {
-            match rx.recv() {
-                Ok(m) => m,
-                Err(_) => break true, // all senders gone: clean stop
-            }
-        } else {
-            let deadline = pending[0].enqueued + config.max_linger;
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => {
-                    flush(
-                        &mut pending,
-                        &mut pending_events,
-                        &mut engine,
-                        &mut wal,
-                        &mut batches,
-                        &mut ckpt,
-                    );
-                    queue_depth.set(depth.load(Ordering::SeqCst) as f64);
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break true,
-            }
+/// The engine-owner thread: each channel receive is one
+/// [`Owner::step`], each linger timeout one [`Owner::on_deadline`], and
+/// the replies a step queued are sent after it.
+fn owner_thread(mut owner: Owner, rx: Receiver<Ingest>) -> MatchdStats {
+    loop {
+        let msg = match owner.deadline() {
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
         };
-        match msg {
-            Ingest::Submit(sub) => {
-                depth.fetch_sub(1, Ordering::SeqCst);
-                queue_depth.set(depth.load(Ordering::SeqCst) as f64);
-                pending_events += sub.events.len();
-                pending.push(sub);
-                if pending_events >= config.max_batch {
-                    flush(
-                        &mut pending,
-                        &mut pending_events,
-                        &mut engine,
-                        &mut wal,
-                        &mut batches,
-                        &mut ckpt,
-                    );
-                }
+        let stop = match msg {
+            Ok(msg) => owner.step(msg, Instant::now()),
+            Err(RecvTimeoutError::Timeout) => {
+                owner.on_deadline(Instant::now());
+                None
             }
-            // Control rendezvous from the ops plane: flush any pending
-            // batch first so the probe/capture reflects a consistent
-            // state at a batch boundary, then answer on the sender the
-            // requester supplied.
-            Ingest::Probe(reply) => {
-                flush(
-                    &mut pending,
-                    &mut pending_events,
-                    &mut engine,
-                    &mut wal,
-                    &mut batches,
-                    &mut ckpt,
-                );
-                let dp = engine.dynamic();
-                let g = dp.graph();
-                let matched: Vec<EdgeId> =
-                    g.edges().filter(|&e| engine.matching().contains(e)).collect();
-                let probe = AuditProbe {
-                    epoch: engine.epoch().0,
-                    origin: OriginSnapshot::capture(dp),
-                    matched,
-                };
-                let _ = reply.send(probe);
-            }
-            Ingest::Capture { reason, reply } => {
-                flush(
-                    &mut pending,
-                    &mut pending_events,
-                    &mut engine,
-                    &mut wal,
-                    &mut batches,
-                    &mut ckpt,
-                );
-                let metrics_json = registry.snapshot().to_json();
-                let bundle = engine.capture_bundle("audit", &reason, None, Some(&metrics_json));
-                let _ = reply.send(bundle);
-            }
-            Ingest::Inject(fault, ack) => {
-                flush(
-                    &mut pending,
-                    &mut pending_events,
-                    &mut engine,
-                    &mut wal,
-                    &mut batches,
-                    &mut ckpt,
-                );
-                engine.inject_fault(fault);
-                *view.lock().expect("view lock") = Arc::new(View::from_engine(&engine));
-                let _ = ack.send(());
-            }
-            Ingest::Shutdown => break true,
-            Ingest::Abort => break false,
+            Err(RecvTimeoutError::Disconnected) => Some(true), // all senders gone: clean stop
+        };
+        owner.send_acks(Instant::now());
+        if let Some(graceful) = stop {
+            return owner.finish(graceful, Instant::now());
         }
-    };
-
-    if graceful {
-        flush(
-            &mut pending,
-            &mut pending_events,
-            &mut engine,
-            &mut wal,
-            &mut batches,
-            &mut ckpt,
-        );
-        if config.snapshot_every > 0 && engine.epoch().0 > ckpt.last {
-            ckpt.save(&engine, &mut wal);
-            wal_bytes.set(wal.bytes() as f64);
-            wal_records.set(wal.records() as f64);
-        }
-        let _ = wal.sync();
     }
-    // Pending, unacknowledged submissions on an abort are dropped — the
-    // crash semantics. Their reply senders hang up, which handlers
-    // surface as "daemon stopped before applying".
-    let certify = engine.certify();
-    OwnerExit { engine, batches, graceful, certify }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! This umbrella crate re-exports the workspace members:
 //!
 //! * [`owp_graph`] — graph substrate (storage, generators, preference
-//!   lists, quotas, properties, I/O);
+//!   lists, quotas, I/O);
 //! * [`owp_simnet`] — discrete-event message-passing simulator (the
 //!   distributed substrate LID runs on);
 //! * [`owp_matching`] — satisfaction metric, eq. 9 weights, LIC, baselines,

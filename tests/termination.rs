@@ -2,7 +2,7 @@
 //! topologies, latency regimes and degenerate instances, plus the message-
 //! complexity envelope.
 
-use owp_core::run_lid;
+use owp_core::{run_lid, run_lid_sync};
 use owp_graph::generators::{complete, path, random_regular, ring, star};
 use owp_graph::{GraphBuilder, PreferenceTable, Quotas};
 use owp_matching::stable::acyclic::rps_gadget;
@@ -109,4 +109,35 @@ fn end_time_scales_with_latency_not_topology_size_alone() {
     assert!(t1.terminated && t5.terminated);
     assert_eq!(t5.end_time, 5 * t1.end_time, "constant-latency scaling");
     assert!(t1.matching.same_edges(&t5.matching));
+}
+
+/// LID's synchronous round count has no constant or logarithmic bound:
+/// on a path with b = 1 it is linear in n. With every node preferring its
+/// higher-id neighbour, every eq. 9 weight but the last edge's ties, the
+/// identity tie-break orders the edges along the path, and each lock
+/// frees the next proposal: n − 1 rounds. Lower-id-first lists
+/// (`PreferenceTable::by_node_id`) take n − 3.
+#[test]
+fn sync_rounds_on_a_path_are_linear_in_n() {
+    for (n, higher_first_rounds, by_id_rounds) in [(10, 9, 7), (100, 99, 97)] {
+        let g = path(n);
+        let descending = g
+            .nodes()
+            .map(|i| {
+                let mut list: Vec<_> = g.neighbor_ids(i).collect();
+                list.sort_unstable_by(|a, b| b.cmp(a));
+                list
+            })
+            .collect();
+        let higher_first = PreferenceTable::from_lists(&g, descending).expect("valid lists");
+        for (prefs, rounds, label) in [
+            (higher_first, higher_first_rounds, "higher-id first"),
+            (PreferenceTable::by_node_id(&g), by_id_rounds, "by_node_id"),
+        ] {
+            let p = Problem::new(g.clone(), prefs, Quotas::uniform(&g, 1));
+            let r = run_lid_sync(&p);
+            assert!(r.terminated, "path({n}), {label}");
+            assert_eq!(r.rounds, rounds, "path({n}), {label}");
+        }
+    }
 }
