@@ -654,30 +654,17 @@ fn inspect_wal(path: &str, snapshot: Option<&str>, universe: Option<&str>) {
     }
     let mut replay_failed = false;
     if let Some((mut engine, floor)) = engine_and_floor {
-        let mut replayed = 0usize;
-        let mut skipped = 0usize;
-        let mut error = None;
-        for rec in &records {
-            if rec.epoch <= floor {
-                skipped += 1;
-                continue;
-            }
-            if let Err(e) = engine.apply_batch(&rec.events) {
-                error = Some(format!("record at epoch {}: {e}", rec.epoch));
-                break;
-            }
-            replayed += 1;
-        }
-        match error {
-            Some(e) => {
+        match owp_matchd::recovery::replay(&mut engine, &records, floor) {
+            Err(e) => {
                 let _ = writeln!(out, "  replay: FAILED — {e}");
                 replay_failed = true;
             }
-            None => {
+            Ok(replayed) => {
                 let _ = writeln!(
                     out,
-                    "  replay: {replayed} record(s) applied ({skipped} at or below the \
+                    "  replay: {replayed} record(s) applied ({} at or below the \
                      snapshot epoch skipped), engine at epoch {}",
+                    records.len() - replayed,
                     engine.epoch().0
                 );
                 match engine.certify() {

@@ -365,6 +365,36 @@ fn wal_torn_tail_exits_one() {
     assert!(out.contains("certify: recovered matching bit-identical"), "{out}");
 }
 
+/// A WAL whose epochs skip one (1, 2, 4, 5) is refused by `recover()`,
+/// so the inspector must not certify it either: the replay reaches epoch
+/// 3 where the third record says 4.
+#[test]
+fn wal_epoch_gap_exits_one() {
+    use owp_matchd::{FsyncPolicy, Wal};
+    const SPEC: &str = "ring:40,2,9";
+    let dir = scratch("wal_epoch_gap");
+    let problem = owp_matchd::from_spec(SPEC).expect("spec");
+    let mut engine = Engine::new(problem.clone());
+    let wal_path = dir.join(owp_matchd::WAL_FILE);
+    let (mut wal, _, _) = Wal::open(&wal_path, FsyncPolicy::Never).expect("open");
+    let stream = owp_matchd::client_stream(&problem, 0, 1, 24);
+    for (chunk, epoch) in stream.chunks(6).zip([1, 2, 4, 5]) {
+        engine.apply_batch(chunk).expect("valid");
+        wal.append(epoch, chunk).expect("append");
+    }
+    drop(wal);
+    let wal = wal_path.to_string_lossy().into_owned();
+    let (code, out, _) = inspect(&["wal", &wal, "--universe", SPEC]);
+    assert_eq!(code, 1, "an epoch gap is a recorded failure: {out}");
+    assert!(out.contains("epochs 1..=5"), "{out}");
+    assert!(
+        out.contains("replay: FAILED — WAL epoch discontinuity: replay reached 3 but the record says 4"),
+        "{out}"
+    );
+    let refused = owp_matchd::recover(&dir, &problem, FsyncPolicy::Never).err();
+    assert!(refused.is_some_and(|e| e.contains("discontinuity")), "the daemon refuses it too");
+}
+
 #[test]
 fn wal_missing_file_exits_two() {
     let dir = scratch("wal_missing");

@@ -60,6 +60,11 @@ impl Quotas {
         self.b[i.index()]
     }
 
+    /// Every quota, indexed by node id.
+    pub fn as_slice(&self) -> &[u32] {
+        &self.b
+    }
+
     /// `b_max`, the maximum quota over all nodes (0 for the empty graph).
     /// This is the quantity in the paper's `¼(1 + 1/b_max)` bound.
     pub fn bmax(&self) -> u32 {

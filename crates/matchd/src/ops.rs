@@ -13,7 +13,7 @@
 //!   engine owner for an epoch-stamped [`owp_engine::OriginSnapshot`]
 //!   (captured at a batch boundary), re-derives the universe from it
 //!   *off* the hot path (only when its structure changed), and runs
-//!   [`owp_metrics::Auditor::audit_live_masked`] over the alive
+//!   [`owp_metrics::Auditor::audit_live`] over the alive
 //!   sub-instance, named by an edge mask over the universe: quota
 //!   feasibility, mutuality, the Lemma 4
 //!   locally-heaviest certificate, and the ε-blocking-edge gauge of
@@ -607,7 +607,7 @@ fn audit_probe(
         m.insert_unchecked(g, e);
     }
     let mut auditor = Auditor::new(reg);
-    let added = auditor.audit_live_masked(&cache.problem, &alive, &m, probe.epoch);
+    let added = auditor.audit_live(&cache.problem, &alive, &m, probe.epoch);
     let reason = if added == 0 {
         String::new()
     } else {

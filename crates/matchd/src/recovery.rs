@@ -7,7 +7,7 @@
 //! single connection. A daemon that cannot prove this refuses to start.
 
 use crate::snapshot::SnapshotStore;
-use crate::wal::{FsyncPolicy, Wal};
+use crate::wal::{FsyncPolicy, Wal, WalRecord};
 use owp_engine::{Engine, Epoch};
 use owp_matching::Problem;
 use std::path::Path;
@@ -48,11 +48,22 @@ pub fn recover(data_dir: &Path, universe: &Problem, policy: FsyncPolicy) -> Resu
     };
     let (wal, records, summary) = Wal::open(&data_dir.join(WAL_FILE), policy)
         .map_err(|e| format!("cannot open WAL: {e}"))?;
+    let replayed = replay(&mut engine, &records, snapshot_epoch)?;
+    engine.certify().map_err(|e| format!("recovered engine failed certification: {e}"))?;
+    Ok(Recovery { engine, wal, snapshot_epoch, replayed, torn_bytes: summary.torn_bytes })
+}
+
+/// Replays WAL `records` onto `engine`, which holds the state at epoch
+/// `floor`: records at or below `floor` are already inside the snapshot
+/// and are skipped, and every applied record must bring the engine to
+/// exactly the epoch it was logged at. Returns the records applied.
+///
+/// This is the one replay loop: [`recover`] runs it before the daemon
+/// serves, and `owp-inspect wal` runs it offline, so the inspector
+/// certifies exactly the logs the daemon would recover.
+pub fn replay(engine: &mut Engine, records: &[WalRecord], floor: u64) -> Result<usize, String> {
     let mut replayed = 0usize;
-    for rec in &records {
-        if rec.epoch <= snapshot_epoch {
-            continue; // already inside the snapshot
-        }
+    for rec in records.iter().filter(|rec| rec.epoch > floor) {
         engine
             .apply_batch(&rec.events)
             .map_err(|e| format!("WAL record at epoch {} no longer validates: {e}", rec.epoch))?;
@@ -65,6 +76,5 @@ pub fn recover(data_dir: &Path, universe: &Problem, policy: FsyncPolicy) -> Resu
         }
         replayed += 1;
     }
-    engine.certify().map_err(|e| format!("recovered engine failed certification: {e}"))?;
-    Ok(Recovery { engine, wal, snapshot_epoch, replayed, torn_bytes: summary.torn_bytes })
+    Ok(replayed)
 }

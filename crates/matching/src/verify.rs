@@ -67,10 +67,35 @@ pub fn check_maximal(problem: &Problem, m: &BMatching) -> Result<(), String> {
 /// (under the strict [`crate::weights::EdgeKey`] order).
 ///
 /// This is the structural property from which the ½-approximation (Theorem 2)
-/// follows, so certifying it on an output certifies the guarantee.
+/// follows, so certifying it on an output certifies the guarantee. It is
+/// [`check_greedy_certificate_alive`] with every edge alive.
 pub fn check_greedy_certificate(problem: &Problem, m: &BMatching) -> Result<(), String> {
+    check_greedy_certificate_alive(problem, None, problem.quotas.as_slice(), m)
+}
+
+/// [`check_greedy_certificate`] over an *alive sub-instance* of a universe
+/// problem, without materializing the sub-problem: only edges with
+/// `alive[e] == true` exist (`None`: every edge), and `quota[i]` is the
+/// caller's effective quota (the universe quota clamped to the alive degree
+/// — exactly what projecting the sub-instance and re-clamping would
+/// produce).
+///
+/// Verdicts match running [`check_greedy_certificate`] on the projected
+/// sub-problem with inherited universe weights; violation messages carry
+/// universe edge ids.
+///
+/// # Panics
+/// Panics if `alive`/`quota` do not cover the universe graph.
+pub fn check_greedy_certificate_alive(
+    problem: &Problem,
+    alive: Option<&[bool]>,
+    quota: &[u32],
+    m: &BMatching,
+) -> Result<(), String> {
     let g = &problem.graph;
     let w = &problem.weights;
+    assert!(alive.is_none_or(|a| a.len() == g.edge_count()), "alive mask/graph mismatch");
+    assert_eq!(quota.len(), g.node_count(), "quota vector/graph mismatch");
 
     // Matched edge ids per node.
     let mut matched_at: Vec<Vec<EdgeId>> = vec![Vec::new(); g.node_count()];
@@ -81,63 +106,7 @@ pub fn check_greedy_certificate(problem: &Problem, m: &BMatching) -> Result<(), 
     }
 
     for e in g.edges() {
-        if m.contains(e) {
-            continue;
-        }
-        let (u, v) = g.endpoints(e);
-        let key_e = w.key(g, e);
-        let witness = [u, v].into_iter().any(|x| {
-            m.degree(x) == problem.quotas.get(x) as usize
-                && problem.quotas.get(x) > 0
-                && matched_at[x.index()]
-                    .iter()
-                    .all(|&f| w.key(g, f) > key_e)
-        });
-        if !witness {
-            // A quota-0 endpoint also explains an unselected edge.
-            if problem.quotas.get(u) == 0 || problem.quotas.get(v) == 0 {
-                continue;
-            }
-            return Err(format!(
-                "no Lemma-4 witness for unselected edge {e:?} = ({u:?},{v:?})"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// [`check_greedy_certificate`] restricted to an *alive sub-instance* of a
-/// universe problem, without materializing the sub-problem: only edges with
-/// `alive[e] == true` exist, and `quota[i]` is the caller's effective quota
-/// (the universe quota clamped to the alive degree — exactly what
-/// projecting the sub-instance and re-clamping would produce).
-///
-/// Verdicts match running [`check_greedy_certificate`] on the projected
-/// sub-problem with inherited universe weights; violation messages carry
-/// universe edge ids.
-///
-/// # Panics
-/// Panics if `alive`/`quota` do not cover the universe graph.
-pub fn check_greedy_certificate_masked(
-    problem: &Problem,
-    alive: &[bool],
-    quota: &[u32],
-    m: &BMatching,
-) -> Result<(), String> {
-    let g = &problem.graph;
-    let w = &problem.weights;
-    assert_eq!(alive.len(), g.edge_count(), "alive mask/graph mismatch");
-    assert_eq!(quota.len(), g.node_count(), "quota vector/graph mismatch");
-
-    let mut matched_at: Vec<Vec<EdgeId>> = vec![Vec::new(); g.node_count()];
-    for e in m.edge_ids() {
-        let (u, v) = g.endpoints(e);
-        matched_at[u.index()].push(e);
-        matched_at[v.index()].push(e);
-    }
-
-    for e in g.edges() {
-        if !alive[e.index()] || m.contains(e) {
+        if alive.is_some_and(|a| !a[e.index()]) || m.contains(e) {
             continue;
         }
         let (u, v) = g.endpoints(e);

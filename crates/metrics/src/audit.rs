@@ -18,6 +18,11 @@
 //! | [`InvariantKind::EpochMonotonicity`] | `DeltaReport` epochs strictly increase | engine versioning |
 //! | [`InvariantKind::CausalAcyclicity`] | the trace's happens-before DAG is acyclic and clock-consistent | empirical Lemma 5 certificate |
 //!
+//! Each matching check has one body, over an alive-edge mask:
+//! [`Auditor::audit_live`] audits an alive sub-instance of a universe
+//! problem, and the static [`Auditor::audit_matching`] is the same pass
+//! with every edge alive.
+//!
 //! # Health gauges
 //!
 //! * `audit_epsilon_blocking_edges` — the ε-blocking-edge count of Floréen
@@ -143,31 +148,7 @@ impl AuditViolation {
 ///
 /// Zero at ε = 0 for any matching satisfying the Lemma 4 certificate.
 pub fn epsilon_blocking_count(problem: &Problem, m: &BMatching, epsilon: f64) -> usize {
-    let g = &problem.graph;
-    let scale = 1.0 + epsilon.max(0.0);
-    let blocking_at = |x: NodeId, w_e: f64| -> bool {
-        let b = problem.quotas.get(x) as usize;
-        if b == 0 {
-            return false;
-        }
-        if m.degree(x) < b {
-            return true;
-        }
-        m.connections(x).iter().any(|&j| {
-            g.edge_between(x, j)
-                .is_some_and(|f| problem.weights.get_f64(f) * scale < w_e)
-        })
-    };
-    g.edges()
-        .filter(|&e| {
-            if m.contains(e) {
-                return false;
-            }
-            let (u, v) = g.endpoints(e);
-            let w_e = problem.weights.get_f64(e);
-            blocking_at(u, w_e) && blocking_at(v, w_e)
-        })
-        .count()
+    epsilon_blocking_alive(problem, None, problem.quotas.as_slice(), m, epsilon)
 }
 
 /// The LP/greedy upper bound on the optimal matching weight:
@@ -175,30 +156,17 @@ pub fn epsilon_blocking_count(problem: &Problem, m: &BMatching, epsilon: f64) ->
 /// matching uses at most `bᵢ` edges at `i` and each edge is counted at both
 /// endpoints, so `w(M*) ≤` this bound.
 pub fn weight_upper_bound(problem: &Problem) -> f64 {
-    let g = &problem.graph;
-    let mut total = 0.0f64;
-    let mut incident: Vec<f64> = Vec::new();
-    for i in g.nodes() {
-        let b = problem.quotas.get(i) as usize;
-        if b == 0 {
-            continue;
-        }
-        incident.clear();
-        incident.extend(g.neighbors(i).iter().map(|&(_, e)| problem.weights.get_f64(e)));
-        incident.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        total += incident.iter().take(b).sum::<f64>();
-    }
-    total / 2.0
+    weight_upper_bound_alive(problem, None, problem.quotas.as_slice())
 }
 
-/// [`epsilon_blocking_count`] restricted to an alive sub-instance of a
-/// universe problem: only edges with `alive[e]` exist, `quota[i]` is the
-/// effective (alive-degree-clamped) quota. Counts exactly what
-/// [`epsilon_blocking_count`] would on the projected sub-problem with
+/// [`epsilon_blocking_count`] over an alive sub-instance of a universe
+/// problem: only edges with `alive[e]` exist (`None`: every edge), and
+/// `quota[i]` is the effective (alive-degree-clamped) quota. Counts exactly
+/// what [`epsilon_blocking_count`] would on the projected sub-problem with
 /// inherited universe weights.
-pub fn epsilon_blocking_count_masked(
+fn epsilon_blocking_alive(
     problem: &Problem,
-    alive: &[bool],
+    alive: Option<&[bool]>,
     quota: &[u32],
     m: &BMatching,
     epsilon: f64,
@@ -220,7 +188,7 @@ pub fn epsilon_blocking_count_masked(
     };
     g.edges()
         .filter(|&e| {
-            if !alive[e.index()] || m.contains(e) {
+            if alive.is_some_and(|a| !a[e.index()]) || m.contains(e) {
                 return false;
             }
             let (u, v) = g.endpoints(e);
@@ -230,9 +198,9 @@ pub fn epsilon_blocking_count_masked(
         .count()
 }
 
-/// [`weight_upper_bound`] restricted to an alive sub-instance: per node,
-/// the top-`quota[i]` weights among its **alive** incident edges, halved.
-pub fn weight_upper_bound_masked(problem: &Problem, alive: &[bool], quota: &[u32]) -> f64 {
+/// [`weight_upper_bound`] over an alive sub-instance: per node, the
+/// top-`quota[i]` weights among its **alive** incident edges, halved.
+fn weight_upper_bound_alive(problem: &Problem, alive: Option<&[bool]>, quota: &[u32]) -> f64 {
     let g = &problem.graph;
     let mut total = 0.0f64;
     let mut incident: Vec<f64> = Vec::new();
@@ -245,7 +213,7 @@ pub fn weight_upper_bound_masked(problem: &Problem, alive: &[bool], quota: &[u32
         incident.extend(
             g.neighbors(i)
                 .iter()
-                .filter(|&&(_, e)| alive[e.index()])
+                .filter(|&&(_, e)| alive.is_none_or(|a| a[e.index()]))
                 .map(|&(_, e)| problem.weights.get_f64(e)),
         );
         incident.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
@@ -292,29 +260,24 @@ impl Auditor {
     /// Audits a static matching: quota feasibility, mutuality and the
     /// Lemma 4 locally-heaviest certificate; on a structurally clean pass,
     /// refreshes the ε-blocking and satisfaction-ratio gauges. Returns the
-    /// number of violations this pass added.
+    /// number of violations this pass added. This is [`Auditor::audit_live`]
+    /// with every edge alive and no epoch.
     pub fn audit_matching(&mut self, problem: &Problem, m: &BMatching) -> usize {
-        self.audit_matching_at(problem, m, None)
+        self.audit_pass(problem, None, m, None)
     }
 
-    /// [`Auditor::audit_matching`] against a *live* state probe: identical
-    /// checks, but every violation is stamped with the engine epoch the
-    /// probed state belongs to. This is the entry point of matchd's
-    /// continuous auditor, which restores an epoch-stamped
-    /// `OriginSnapshot` off the hot path and audits it here.
-    pub fn audit_live(&mut self, problem: &Problem, m: &BMatching, epoch: u64) -> usize {
-        self.audit_matching_at(problem, m, Some(epoch))
-    }
-
-    /// [`Auditor::audit_live`] over an alive *sub-instance* described by a
-    /// mask, without materializing the sub-problem: `problem` is the static
-    /// universe, `alive[e]` marks the edges that exist right now, and `m`
-    /// selects universe edge ids (all of which must be alive).
+    /// [`Auditor::audit_matching`] against a *live* state probe, over the
+    /// alive *sub-instance* described by a mask, without materializing the
+    /// sub-problem: `problem` is the static universe, `alive[e]` marks the
+    /// edges that exist right now, `m` selects universe edge ids (all of
+    /// which must be alive), and every violation is stamped with the engine
+    /// epoch the probed state belongs to. This is the entry point of
+    /// matchd's continuous auditor.
     ///
     /// Verdicts and gauges are identical to projecting the alive
     /// sub-instance (`DynamicProblem::snapshot_with_map`) and running
-    /// [`Auditor::audit_live`] on it — the per-node quotas are clamped to
-    /// alive degrees exactly as the projection's [`owp_graph::Quotas`]
+    /// [`Auditor::audit_matching`] on it — the per-node quotas are clamped
+    /// to alive degrees exactly as the projection's [`owp_graph::Quotas`]
     /// constructor would. Skipping the projection is what makes matchd's
     /// continuous auditor cheap enough to run at a fixed cadence: the
     /// universe `Problem` is re-derived once per structural change, not
@@ -322,33 +285,49 @@ impl Auditor {
     ///
     /// # Panics
     /// Panics if `alive` does not cover the universe graph's edges.
-    pub fn audit_live_masked(
+    pub fn audit_live(
         &mut self,
         problem: &Problem,
         alive: &[bool],
         m: &BMatching,
         epoch: u64,
     ) -> usize {
+        self.audit_pass(problem, Some(alive), m, Some(epoch))
+    }
+
+    fn audit_pass(
+        &mut self,
+        problem: &Problem,
+        alive: Option<&[bool]>,
+        m: &BMatching,
+        epoch: Option<u64>,
+    ) -> usize {
         let g = &problem.graph;
-        assert_eq!(alive.len(), g.edge_count(), "alive mask/graph mismatch");
         self.checks_total.inc();
         let before = self.violations.len();
-        let epoch = Some(epoch);
 
         // Effective quotas of the sub-instance: universe quota clamped to
-        // alive degree, matching the projection's constructor clamp.
-        let mut alive_deg = vec![0u32; g.node_count()];
-        for e in g.edges() {
-            if alive[e.index()] {
-                let (u, v) = g.endpoints(e);
-                alive_deg[u.index()] += 1;
-                alive_deg[v.index()] += 1;
+        // alive degree, matching the projection's constructor clamp. With
+        // every edge alive they are the problem's own (`Quotas` clamps to
+        // the degree already).
+        let clamped: Vec<u32>;
+        let quota = match alive {
+            None => problem.quotas.as_slice(),
+            Some(alive) => {
+                assert_eq!(alive.len(), g.edge_count(), "alive mask/graph mismatch");
+                let mut alive_deg = vec![0u32; g.node_count()];
+                for e in g.edges().filter(|e| alive[e.index()]) {
+                    let (u, v) = g.endpoints(e);
+                    alive_deg[u.index()] += 1;
+                    alive_deg[v.index()] += 1;
+                }
+                clamped = g
+                    .nodes()
+                    .map(|i| problem.quotas.get(i).min(alive_deg[i.index()]))
+                    .collect();
+                &clamped
             }
-        }
-        let quota: Vec<u32> = g
-            .nodes()
-            .map(|i| problem.quotas.get(i).min(alive_deg[i.index()]))
-            .collect();
+        };
 
         for i in g.nodes() {
             let c = m.degree(i);
@@ -364,7 +343,7 @@ impl Auditor {
 
         for e in g.edges() {
             let (u, v) = g.endpoints(e);
-            if !alive[e.index()] {
+            if alive.is_some_and(|a| !a[e.index()]) {
                 if m.contains(e) {
                     self.push(
                         InvariantKind::Mutuality,
@@ -395,72 +374,15 @@ impl Auditor {
             }
         }
 
-        if let Err(why) = verify::check_greedy_certificate_masked(problem, alive, &quota, m) {
+        if let Err(why) = verify::check_greedy_certificate_alive(problem, alive, quota, m) {
             self.push(InvariantKind::LocallyHeaviest, epoch, why);
         }
 
         let added = self.violations.len() - before;
         if added == 0 {
-            let eps = epsilon_blocking_count_masked(problem, alive, &quota, m, 0.0);
+            let eps = epsilon_blocking_alive(problem, alive, quota, m, 0.0);
             self.set_gauge("audit_epsilon_blocking_edges", eps as f64);
-            let upper = weight_upper_bound_masked(problem, alive, &quota);
-            let ratio = if upper > 0.0 { m.total_weight(problem) / upper } else { 1.0 };
-            self.set_gauge("audit_satisfaction_ratio", ratio);
-        }
-        added
-    }
-
-    fn audit_matching_at(
-        &mut self,
-        problem: &Problem,
-        m: &BMatching,
-        epoch: Option<u64>,
-    ) -> usize {
-        self.checks_total.inc();
-        let before = self.violations.len();
-        let g = &problem.graph;
-
-        for i in g.nodes() {
-            let c = m.degree(i);
-            let b = problem.quotas.get(i) as usize;
-            if c > b {
-                self.push(
-                    InvariantKind::QuotaFeasibility,
-                    epoch,
-                    format!("node {} holds {c} connections, quota {b}", i.0),
-                );
-            }
-        }
-
-        for e in g.edges() {
-            let (u, v) = g.endpoints(e);
-            let listed =
-                m.connections(u).contains(&v) && m.connections(v).contains(&u);
-            if m.contains(e) != listed {
-                self.push(
-                    InvariantKind::Mutuality,
-                    epoch,
-                    format!(
-                        "edge {} = ({},{}): selected={} but listed-at-both={}",
-                        e.0,
-                        u.0,
-                        v.0,
-                        m.contains(e),
-                        listed
-                    ),
-                );
-            }
-        }
-
-        if let Err(why) = verify::check_greedy_certificate(problem, m) {
-            self.push(InvariantKind::LocallyHeaviest, epoch, why);
-        }
-
-        let added = self.violations.len() - before;
-        if added == 0 {
-            let eps = epsilon_blocking_count(problem, m, 0.0);
-            self.set_gauge("audit_epsilon_blocking_edges", eps as f64);
-            let upper = weight_upper_bound(problem);
+            let upper = weight_upper_bound_alive(problem, alive, quota);
             let ratio = if upper > 0.0 { m.total_weight(problem) / upper } else { 1.0 };
             self.set_gauge("audit_satisfaction_ratio", ratio);
         }
@@ -682,12 +604,13 @@ mod tests {
         let mut m = lic(&p, SelectionPolicy::InOrder);
         let heaviest = *p.order.heaviest_first().iter().find(|&&e| m.contains(e)).unwrap();
         m.remove(&p.graph, heaviest);
-        assert!(auditor.audit_live(&p, &m, 77) > 0);
+        let alive = vec![true; p.edge_count()];
+        assert!(auditor.audit_live(&p, &alive, &m, 77) > 0);
         assert!(auditor.report().iter().all(|v| v.epoch == Some(77)));
         // The clean path refreshes gauges exactly like audit_matching.
         let mut clean = Auditor::new(&reg);
         let m = lic(&p, SelectionPolicy::InOrder);
-        assert_eq!(clean.audit_live(&p, &m, 78), 0);
+        assert_eq!(clean.audit_live(&p, &alive, &m, 78), 0);
         assert_eq!(reg.gauge("audit_epsilon_blocking_edges").get(), 0.0);
     }
 
@@ -750,10 +673,10 @@ mod tests {
 
             let reg_proj = MetricsRegistry::new();
             let mut proj = Auditor::new(&reg_proj);
-            assert_eq!(proj.audit_live(&sub, &sub_m, 5), 0);
+            assert_eq!(proj.audit_matching(&sub, &sub_m), 0);
             let reg_mask = MetricsRegistry::new();
             let mut mask = Auditor::new(&reg_mask);
-            assert_eq!(mask.audit_live_masked(&p, &alive, &uni_m, 5), 0);
+            assert_eq!(mask.audit_live(&p, &alive, &uni_m, 5), 0);
 
             // The gauges agree: ε-blocking exactly, the float ratio up to
             // summation order.
@@ -774,8 +697,8 @@ mod tests {
             sub_bad.remove(&sub.graph, heaviest);
             let mut uni_bad = uni_m.clone();
             uni_bad.remove(&p.graph, map[heaviest.index()]);
-            assert!(proj.audit_live(&sub, &sub_bad, 6) > 0);
-            assert!(mask.audit_live_masked(&p, &alive, &uni_bad, 6) > 0);
+            assert!(proj.audit_matching(&sub, &sub_bad) > 0);
+            assert!(mask.audit_live(&p, &alive, &uni_bad, 6) > 0);
             assert!(mask
                 .report()
                 .iter()
@@ -799,7 +722,7 @@ mod tests {
         alive[selected.index()] = false;
         let reg = MetricsRegistry::new();
         let mut auditor = Auditor::new(&reg);
-        assert!(auditor.audit_live_masked(&p, &alive, &m, 3) > 0);
+        assert!(auditor.audit_live(&p, &alive, &m, 3) > 0);
         assert!(auditor
             .report()
             .iter()

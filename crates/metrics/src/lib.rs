@@ -22,7 +22,11 @@
 //!   repair consistency and epoch monotonicity, reported as structured
 //!   [`AuditViolation`]s (never panics) alongside ε-blocking-edge and
 //!   satisfaction-ratio gauges; it also aggregates the engine's
-//!   `DeltaReport`s into the batch-size and repair distributions.
+//!   `DeltaReport`s into the batch-size and repair distributions. Its
+//!   matching checks are one pass over an alive-edge mask:
+//!   [`Auditor::audit_live`] audits matchd's live sub-instance of a
+//!   universe problem, and the static [`Auditor::audit_matching`] is the
+//!   same pass with every edge alive.
 //! * [`alloc`](mod@alloc) — allocation accounting for the engine's
 //!   zero-allocation batch contract (the `engine_allocations_per_batch`
 //!   gauge) plus the engine's flight-ring gauges.

@@ -17,6 +17,7 @@
 //! plenty for p50/p99-style health queries while keeping a histogram at a
 //! fixed 67 atomics regardless of traffic.
 
+use crate::snapshot::HistogramSnapshot;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -141,33 +142,26 @@ impl Histogram {
         out
     }
 
+    /// A frozen copy: `count` is read first, then `sum`, then the buckets.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count(),
+            sum: self.sum(),
+            buckets: self.buckets().to_vec(),
+        }
+    }
+
     /// Upper bound of the bucket containing the `q`-quantile (`q` in
     /// `[0, 1]`), or `None` for an empty histogram. Because buckets are
-    /// log₂, the estimate is within 2× of the true quantile.
+    /// log₂, the estimate is within 2× of the true quantile. See
+    /// [`HistogramSnapshot::quantile_upper_bound`].
     pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (k, c) in self.buckets().iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(bucket_upper_bound(k));
-            }
-        }
-        Some(u64::MAX)
+        self.snapshot().quantile_upper_bound(q)
     }
 
     /// Mean observation (0 for an empty histogram).
     pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / count as f64
-        }
+        self.snapshot().mean()
     }
 }
 
@@ -248,16 +242,7 @@ impl MetricsRegistry {
             histograms: fams
                 .histograms
                 .iter()
-                .map(|(&k, h)| {
-                    (
-                        k.to_string(),
-                        crate::snapshot::HistogramSnapshot {
-                            count: h.count(),
-                            sum: h.sum(),
-                            buckets: h.buckets().to_vec(),
-                        },
-                    )
-                })
+                .map(|(&k, h)| (k.to_string(), h.snapshot()))
                 .collect(),
         }
     }

@@ -32,7 +32,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Upper bound of the bucket containing the `q`-quantile (`None` when
-    /// empty) — same estimator as the live histogram.
+    /// empty). The live [`crate::Histogram`] freezes itself and asks this.
     pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;

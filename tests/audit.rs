@@ -67,6 +67,47 @@ fn engine_churn_is_certified_clean() {
     assert!(reg.gauge("audit_engine_satisfaction").get() > 0.0);
 }
 
+/// A divergent engine fails the engine audit: after a warm-up batch, an
+/// alive unselected edge forced into the maintained matching
+/// (`InjectedFault::PhantomEdge`) is not what the canonical greedy scan
+/// selects, so every violation the pass adds is `EngineConsistency`
+/// stamped with the engine's epoch.
+#[test]
+fn phantom_edge_fails_the_engine_audit() {
+    let p = Problem::random_gnp(80, 0.1, 3, 7);
+    let mut engine = Engine::new(p);
+    engine
+        .apply_batch(&[
+            EngineEvent::NodeLeave { node: NodeId(3) },
+            EngineEvent::QuotaChange { node: NodeId(5), quota: 1 },
+        ])
+        .expect("valid batch");
+    let reg = MetricsRegistry::new();
+    let mut auditor = Auditor::new(&reg);
+    assert_eq!(auditor.audit_engine(&engine), 0, "clean before the fault");
+
+    let edge = engine
+        .dynamic()
+        .graph()
+        .edges()
+        .find(|&e| engine.dynamic().is_alive(e) && !engine.matching().contains(e))
+        .expect("an alive unselected edge");
+    engine.inject_fault(InjectedFault::PhantomEdge { edge });
+    let added = auditor.audit_engine(&engine);
+    assert!(added > 0, "a phantom edge must diverge from the canonical greedy");
+    assert_eq!(auditor.report().len(), added);
+    let epoch = engine.epoch().0;
+    for v in auditor.report() {
+        assert_eq!(v.kind, InvariantKind::EngineConsistency, "{}", v.detail);
+        assert_eq!(v.epoch, Some(epoch));
+    }
+    assert!(
+        auditor.report().iter().any(|v| v.detail.starts_with(&format!("edge {}:", edge.0))),
+        "{}",
+        auditor.to_jsonl()
+    );
+}
+
 /// Deliberate corruption: forcing an edge onto a saturated node yields
 /// `QuotaFeasibility` (and usually `Mutuality`-clean but `LocallyHeaviest`
 /// may also fire) — reported, never panicking, and serialized as JSONL.
