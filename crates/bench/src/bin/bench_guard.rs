@@ -19,8 +19,8 @@
 //!   *deterministic structure*, not wall times, so the guard demands
 //!   **exact** equality — any drift means the causal layer changed
 //!   semantics, which is a correctness signal, not jitter;
-//! * `e22` — forensic recorder: churn wall time with the flight + history
-//!   rings on vs off (`BENCH_e22.json`), plus an **absolute** ceiling of
+//! * `e22` — forensic recorder: churn wall time with the history ring on
+//!   vs off (`BENCH_e22.json`), plus an **absolute** ceiling of
 //!   10% on the overhead column — the always-on black box's budget is a
 //!   design contract, not a baseline, so it is checked against the
 //!   constant rather than a committed measurement;

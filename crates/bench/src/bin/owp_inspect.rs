@@ -51,7 +51,7 @@
 //! `forensics` consumes a post-mortem bundle written by the engine's
 //! forensic capture (`owp_engine::ForensicBundle`, e.g. via
 //! `experiments e22 --forensics-out <dir>`): prints the provenance,
-//! trigger, membership and flight-ring summary plus the shrunk
+//! trigger, membership and history summary plus the shrunk
 //! reproducer, then restores the bundled checkpoint and **re-executes**
 //! the reproducer against a fresh engine. Exit status 1 iff the
 //! reproducer still fails certification.
@@ -236,18 +236,6 @@ fn inspect_metrics(path: &str) {
             }
             None => {}
         }
-    }
-
-    // The flight recorder is its own subsystem (always-on black box,
-    // DESIGN.md §12), so its health prints whenever the snapshot carries
-    // it.
-    if let Some(dropped) = gauge(owp_metrics::RECORDER_DROPPED) {
-        out.push_str("recorder:\n");
-        let _ = writeln!(
-            out,
-            "  flight ring {:.0}% full, {dropped:.0} event(s) overwritten",
-            100.0 * gauge(owp_metrics::RECORDER_OCCUPANCY).unwrap_or(0.0),
-        );
     }
 
     let counter = |key: &str| {
@@ -538,14 +526,6 @@ fn inspect_forensics(path: &str) {
         "  membership at capture: {active}/{} nodes active, {present}/{} edges present",
         bundle.cur_active.len(),
         bundle.cur_present.len(),
-    );
-    let _ = writeln!(
-        out,
-        "  flight ring: {}/{} events held, {} overwritten, {} watermark(s)",
-        bundle.ring_jsonl.lines().count(),
-        bundle.ring_capacity,
-        bundle.ring_dropped,
-        bundle.watermarks.len(),
     );
     let _ = writeln!(
         out,

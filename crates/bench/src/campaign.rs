@@ -313,7 +313,7 @@ fn build_pool(cfg: &CampaignConfig) -> Vec<Instance> {
             let pseed = splitmix64(cfg.seed ^ (j as u64).wrapping_mul(7919));
             let problem = Problem::random_gnp(cfg.n, 0.3, cfg.quota, pseed);
             let lic_reference = lic(&problem, SelectionPolicy::InOrder);
-            let engine = Engine::builder(problem.clone()).build();
+            let engine = Engine::new(problem.clone());
             Instance { problem, lic_reference, engine }
         })
         .collect()

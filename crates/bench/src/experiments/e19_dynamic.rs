@@ -48,9 +48,9 @@ const CYCLE: usize = 6;
 /// re-rank counters) and re-audits the maintained matching after each
 /// batch, and repair wall times land in a `engine_repair_wall_us`
 /// histogram. On the BA instance it then publishes the steady-state
-/// `engine_allocations_per_batch` gauge and the flight-ring gauges
-/// (`publish_steady_state`). `bench_guard` times the `reg = None` run, so
-/// guarded wall times never include the audit cost.
+/// `engine_allocations_per_batch` gauge (`publish_steady_state`).
+/// `bench_guard` times the `reg = None` run, so guarded wall times never
+/// include the audit cost.
 pub fn run(quick: bool, reg: Option<&owp_metrics::MetricsRegistry>) -> Vec<Table> {
     let n: usize = if quick { 5_000 } else { 20_000 };
     let pcts: &[f64] = if quick { &[0.2, 1.0] } else { &[0.1, 0.5, 1.0] };
@@ -74,10 +74,10 @@ pub fn run(quick: bool, reg: Option<&owp_metrics::MetricsRegistry>) -> Vec<Table
 const WARM_CYCLES: usize = 64;
 
 /// Measures structural batches on a warmed engine over `g` and publishes
-/// the allocation rate and the flight-ring gauges to `reg`. The protocol
-/// is `zero_alloc.rs`'s: cycle until the history ring has wrapped and a
-/// whole cycle allocated nothing, then measure one more cycle. The
-/// measured engine is certified.
+/// the allocation rate to `reg`. The protocol is `zero_alloc.rs`'s: cycle
+/// until the history ring has wrapped and a whole cycle allocated
+/// nothing, then measure one more cycle. The measured engine is
+/// certified.
 fn publish_steady_state(g: &Graph, n: usize, reg: &owp_metrics::MetricsRegistry) {
     let cycle = structural_cycle(g, (n / 200).max(10), 0xE19C);
     let mut engine = Engine::new(Problem::random_over(g.clone(), 4, 1));
@@ -97,7 +97,6 @@ fn publish_steady_state(g: &Graph, n: usize, reg: &owp_metrics::MetricsRegistry)
     let allocs = run_cycle(&mut engine);
     engine.certify().expect("steady-state engine is canonical");
     owp_metrics::publish_allocations_per_batch(reg, allocs, cycle.len() as u64);
-    owp_metrics::publish_recorder_gauges(reg, &engine);
 }
 
 /// A self-inverse structural cycle: [`CYCLE`]/2 perturbation batches of
@@ -368,8 +367,6 @@ mod tests {
         let reg = owp_metrics::MetricsRegistry::new();
         publish_steady_state(&g, 2_000, &reg);
         assert_eq!(reg.gauge(owp_metrics::ALLOCATIONS_PER_BATCH).get(), 0.0);
-        let occ = reg.gauge(owp_metrics::RECORDER_OCCUPANCY).get();
-        assert!(occ > 0.0 && occ <= 1.0, "the flight ring recorded: {occ}");
     }
 
     #[test]

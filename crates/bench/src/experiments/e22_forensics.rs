@@ -4,12 +4,12 @@
 //!
 //! Two tables:
 //!
-//! 1. **Flight-recorder overhead** (headline, `bench_guard` schema, all
+//! 1. **History-recording overhead** (headline, `bench_guard` schema, all
 //!    numeric): the E19 churn workload applied batch-interleaved to two
-//!    otherwise identical engines — flight + history rings at their
-//!    defaults vs both disabled — and the relative wall-time overhead of
-//!    recording. The guard caps the overhead column at 10%: the black
-//!    box must stay cheap enough to leave on in production.
+//!    otherwise identical engines — the history ring at its default depth
+//!    vs disabled — and the relative wall-time overhead of recording. The
+//!    guard caps the overhead column at 10%: the black box must stay
+//!    cheap enough to leave on in production.
 //! 2. **Corruption sweep** (textual): for each fault kind × seed, a
 //!    recording engine absorbs a seeded churn stream, the fault is
 //!    injected, and `certify_with_forensics` must produce a bundle whose
@@ -38,7 +38,7 @@ pub fn run(quick: bool) -> (Vec<Table>, Option<ForensicBundle>) {
     (vec![overhead, sweep], bundle)
 }
 
-/// Ring-on vs ring-off wall time over the E19 churn model. The two
+/// History-on vs history-off wall time over the E19 churn model. The two
 /// engines see the same pre-generated batches, applied interleaved so
 /// clock drift hits both sides equally.
 fn overhead_table(quick: bool) -> Table {
@@ -49,11 +49,8 @@ fn overhead_table(quick: bool) -> Table {
     let mut rng = StdRng::seed_from_u64(0xE22);
     let g = owp_graph::generators::barabasi_albert(n, 5, &mut rng);
     let p = Problem::random_over(g.clone(), 4, 1);
-    let mut on = Engine::builder(p.clone())
-        .flight_capacity(owp_engine::DEFAULT_FLIGHT_CAPACITY)
-        .history_capacity(owp_engine::DEFAULT_HISTORY_CAPACITY)
-        .build();
-    let mut off = Engine::builder(p).flight_capacity(0).history_capacity(0).build();
+    let mut on = Engine::new(p.clone());
+    let mut off = Engine::with_history(p, 0);
 
     let mut gen = EventGen::new(&g, 0xE22);
     let batches: Vec<_> = (0..batches_n).map(|_| gen.batch(events_per_batch)).collect();
@@ -75,7 +72,7 @@ fn overhead_table(quick: bool) -> Table {
 
     let mut t = Table::new(
         format!(
-            "E22 — flight + history recording overhead on ba(m=5), n={n}, b=4, \
+            "E22 — history recording overhead on ba(m=5), n={n}, b=4, \
              {} batches of {events_per_batch} mixed events",
             batches_n - 1
         ),
@@ -96,7 +93,7 @@ fn overhead_table(quick: bool) -> Table {
         format!("{overhead_pct:.1}"),
     ]);
     t.note(
-        "ring=1 runs the default flight + history capacities, ring=0 disables both; \
+        "ring=1 runs the default history depth, ring=0 disables it; \
          bench_guard caps the overhead column at 10%",
     );
     t
@@ -159,7 +156,7 @@ fn corruption_table(quick: bool) -> (Table, Option<ForensicBundle>) {
     for kind in ["phantom", "skip"] {
         for &seed in seeds {
             let p = Problem::random_over(g.clone(), 3, seed);
-            let mut e = Engine::builder(p).history_capacity(HISTORY).build();
+            let mut e = Engine::with_history(p, HISTORY);
             let mut gen = EventGen::new(&g, seed);
             for _ in 0..WARM_BATCHES {
                 e.apply_batch(&gen.batch(n / 100)).expect("generated batches are valid");

@@ -166,10 +166,7 @@ fn causal_unknown_flag_exits_two() {
 
 /// A warmed engine with recording on, plus a structural batch cycle.
 fn recording_engine() -> (Engine, Vec<Vec<EngineEvent>>) {
-    let mut e = Engine::builder(Problem::random_gnp(24, 0.3, 2, 97))
-        .flight_capacity(256)
-        .history_capacity(16)
-        .build();
+    let mut e = Engine::with_history(Problem::random_gnp(24, 0.3, 2, 97), 16);
     let n = e.dynamic().graph().node_count() as u32;
     let mut batches = Vec::new();
     for i in 0..6u32 {
@@ -231,13 +228,10 @@ fn forensics_unparseable_bundle_exits_two() {
 #[test]
 fn forensics_unreplayable_bundle_exits_two() {
     let dir = scratch("forensics_norun");
-    // Recording explicitly disabled (capacity 0): the bundle has no
+    // History explicitly disabled (depth 0): the bundle has no
     // checkpoint, so the reproducer cannot be re-executed — a
     // non-re-executable artifact.
-    let mut e = Engine::builder(Problem::random_gnp(24, 0.3, 2, 97))
-        .flight_capacity(0)
-        .history_capacity(0)
-        .build();
+    let mut e = Engine::with_history(Problem::random_gnp(24, 0.3, 2, 97), 0);
     e.apply(EngineEvent::NodeLeave { node: NodeId(2) }).unwrap();
     let edge = {
         let dp = e.dynamic();

@@ -4,11 +4,11 @@
 //!   the output is pinned. The digests were captured before the writers
 //!   moved onto the shared `owp_telemetry::json` helpers, so they prove
 //!   the move changed no byte. Two were re-pinned since, on purpose: the
-//!   event log's (one record per message event) and the forensic
-//!   bundle's (no `causal_tail` field). `OriginSnapshot::to_json` is also the
-//!   on-disk format of matchd's durability snapshots: its digest must
-//!   never need a new constant while existing data directories are meant
-//!   to load.
+//!   event log's (one record per message event, then no engine events)
+//!   and the forensic bundle's (no `causal_tail` field, then no flight
+//!   ring). `OriginSnapshot::to_json` is also the on-disk format of
+//!   matchd's durability snapshots: its digest must never need a new
+//!   constant while existing data directories are meant to load.
 //! * Every reader is fed every prefix, every single-bit flip and
 //!   multibyte garbage derived from its writer's document, and must
 //!   answer `Ok` or `Err` — never panic.
@@ -49,7 +49,7 @@ fn bundle() -> ForensicBundle {
         epoch: 9,
         last_good_epoch: 7,
         rustc: "rustc 1.80.0 (test)".into(),
-        config: "flight=64 history=8".into(),
+        config: "history=8".into(),
         seed: Some(123_456_789),
         origin_epoch: 5,
         origin: Some(origin()),
@@ -76,11 +76,6 @@ fn bundle() -> ForensicBundle {
             },
         ],
         shrunk: Some(ShrinkResult { start: 1, end: 2, replays: 4, error: "epoch 8: diverged \u{1}".into() }),
-        ring_capacity: 64,
-        ring_dropped: 2,
-        ring_seen: 66,
-        ring_jsonl: "{\"ev\":\"restarted\",\"time\":3,\"node\":4}\n".into(),
-        watermarks: vec![(6, 10), (7, 12)],
         metrics_json: Some("{\"counters\":{}}".into()),
     }
 }
@@ -152,10 +147,6 @@ fn event_log() -> EventLog {
         TelemetryEvent::Node { time: 4, node: n3, event: NodeEvent::EdgeLocked { peer: n5 } },
         TelemetryEvent::Node { time: 5, node: n3, event: NodeEvent::NodeTerminated },
         TelemetryEvent::Node { time: 5, node: n3, event: NodeEvent::Retransmit { to: n5 } },
-        TelemetryEvent::EngineBatchApplied { epoch: 9, events: 2, evaluated: 10, added: 1, removed: 0 },
-        TelemetryEvent::EngineEdgeAdded { epoch: 9, edge: EdgeId(4) },
-        TelemetryEvent::EngineEdgeRemoved { epoch: 10, edge: EdgeId(4) },
-        TelemetryEvent::EngineReranked { epoch: 10, edges: 6 },
     ] {
         log.record(ev);
     }
@@ -226,11 +217,11 @@ fn writer_output_bytes_are_pinned() {
     let audit: String = violations().iter().map(|v| v.to_json() + "\n").collect();
     let cases = [
         ("OriginSnapshot::to_json", origin().to_json(), "f588a0397f986761"),
-        ("ForensicBundle::to_json", bundle().to_json(), "9b57dbdd5f075f1d"),
+        ("ForensicBundle::to_json", bundle().to_json(), "4e215ec0d8b88ad3"),
         ("FaultPlan::to_json", fault_plan().to_json(), "4fbe0638a8ed989b"),
         ("AuditViolation::to_json", audit, "a9d4bfdcae92c772"),
         ("OpsStatus::to_json", ops_status().to_json(), "515086e328c2899f"),
-        ("EventLog::to_jsonl", event_log().to_jsonl(), "ac8b81671259bc33"),
+        ("EventLog::to_jsonl", event_log().to_jsonl(), "2300de45b09966c7"),
         ("ConvergenceSeries::to_jsonl", series().to_jsonl(), "acf20db4bb082e01"),
         ("Table::to_json", table().to_json(), "18125d74db949f75"),
     ];

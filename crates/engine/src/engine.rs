@@ -53,13 +53,7 @@ use crate::scratch::EngineScratch;
 use owp_graph::{EdgeId, Graph, NodeId};
 use owp_matching::satisfaction::node_satisfaction;
 use owp_matching::{lic, BMatching, EdgeOrder, EdgeRank, Problem, SelectionPolicy};
-use owp_telemetry::{FlightRecorder, TelemetryEvent};
 use std::cmp::Reverse;
-
-/// Default flight-recorder capacity, in telemetry events. Sized so the
-/// black box holds the last few hundred batches of structural churn
-/// (~40 KiB) — "always-on" means the default build records.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
 /// Default black-box history depth, in batches. Bounds both the memory
 /// held by recorded batches and the worst-case shrinker window.
@@ -69,8 +63,8 @@ pub const DEFAULT_HISTORY_CAPACITY: usize = 32;
 /// locally-heaviest matching of its alive sub-instance through every
 /// applied batch ([`Engine::certify`] checks the invariant on demand).
 ///
-/// [`Engine::new`] starts with the default forensic ring capacities;
-/// [`Engine::builder`] sets them.
+/// [`Engine::new`] keeps the default forensic history depth;
+/// [`Engine::with_history`] sets it.
 #[derive(Clone, Debug)]
 pub struct Engine {
     dp: DynamicProblem,
@@ -84,47 +78,14 @@ pub struct Engine {
     sat: Vec<f64>,
     total_sat: f64,
     epoch: Epoch,
-    /// Always-on flight ring: every `Engine*` telemetry event of every
-    /// applied batch, bounded, drop-counted (capacity 0 disables).
-    flight: FlightRecorder,
     /// Black-box history of applied batches and injected faults.
     history: StepRing,
-    /// Shadow membership state just *before* the oldest retained history
-    /// step — the origin forensic replay starts from. Advanced lazily as
+    /// Shadow copy of the dynamic instance just *before* the oldest
+    /// retained history step — the origin forensic replay starts from. Advanced lazily as
     /// the history ring evicts. `None` when history is disabled.
     checkpoint: Option<DynamicProblem>,
     /// Epoch the checkpoint corresponds to.
     checkpoint_epoch: Epoch,
-}
-
-/// Configures an [`Engine`]'s forensic ring capacities before
-/// construction.
-pub struct EngineBuilder {
-    problem: Problem,
-    flight: usize,
-    history: usize,
-}
-
-impl EngineBuilder {
-    /// Flight-recorder capacity in telemetry events
-    /// ([`DEFAULT_FLIGHT_CAPACITY`] by default); 0 disables the ring.
-    pub fn flight_capacity(mut self, events: usize) -> Self {
-        self.flight = events;
-        self
-    }
-
-    /// Black-box history depth in batches ([`DEFAULT_HISTORY_CAPACITY`]
-    /// by default); 0 disables history, the shadow checkpoint and
-    /// forensic replay.
-    pub fn history_capacity(mut self, batches: usize) -> Self {
-        self.history = batches;
-        self
-    }
-
-    /// Builds the engine (computes the canonical matching from scratch).
-    pub fn build(self) -> Engine {
-        Engine::layout(DynamicProblem::new(self.problem), self.flight, self.history)
-    }
 }
 
 /// Selected edges in mirror row `row` strictly heavier than rank `r` —
@@ -216,48 +177,43 @@ fn repair(dp: &DynamicProblem, matching: &mut BMatching, scratch: &mut EngineScr
 impl Engine {
     /// Starts the engine over `problem` with every node active and every
     /// edge present, computing the canonical matching from scratch (epoch
-    /// 0), with the default forensic ring capacities.
+    /// 0), with the default history depth ([`DEFAULT_HISTORY_CAPACITY`]).
     pub fn new(problem: Problem) -> Self {
-        Self::builder(problem).build()
+        Self::with_history(problem, DEFAULT_HISTORY_CAPACITY)
     }
 
-    /// A configurable constructor: forensic ring capacities. See
-    /// [`EngineBuilder`].
-    pub fn builder(problem: Problem) -> EngineBuilder {
-        EngineBuilder {
-            problem,
-            flight: DEFAULT_FLIGHT_CAPACITY,
-            history: DEFAULT_HISTORY_CAPACITY,
-        }
+    /// [`Engine::new`] with a black-box history of `batches` steps; 0
+    /// disables history, the shadow checkpoint and forensic replay.
+    pub fn with_history(problem: Problem, batches: usize) -> Self {
+        Self::layout(DynamicProblem::new(problem), batches)
     }
 
     /// Starts an engine over an existing dynamic instance, membership
     /// flags and all — how forensic replay rebuilds the engine a recorded
-    /// window ran against. Forensic rings disabled (a replay engine must
-    /// not record itself).
+    /// window ran against. History disabled (a replay engine must not
+    /// record itself).
     pub fn from_dynamic(dp: DynamicProblem) -> Self {
-        Self::layout(dp, 0, 0)
+        Self::layout(dp, 0)
     }
 
     /// Rebuilds an engine from a durability snapshot taken at `epoch` —
     /// `matchd`'s crash-recovery path (DESIGN.md §13). The restored
     /// engine resumes the original epoch sequence, so WAL replay after it
     /// reproduces the pre-crash epochs exactly. Unlike
-    /// [`Engine::from_dynamic`], the forensic rings run at their default
-    /// capacities: a recovered daemon is a live engine, not a replay
-    /// harness.
+    /// [`Engine::from_dynamic`], the history runs at its default depth: a
+    /// recovered daemon is a live engine, not a replay harness.
     pub fn from_snapshot(
         snapshot: &crate::forensics::OriginSnapshot,
         epoch: Epoch,
     ) -> Result<Self, String> {
         let dp = snapshot.restore()?;
-        let mut e = Self::layout(dp, DEFAULT_FLIGHT_CAPACITY, DEFAULT_HISTORY_CAPACITY);
+        let mut e = Self::layout(dp, DEFAULT_HISTORY_CAPACITY);
         e.epoch = epoch;
         e.checkpoint_epoch = epoch;
         Ok(e)
     }
 
-    fn layout(dp: DynamicProblem, flight_cap: usize, history_cap: usize) -> Self {
+    fn layout(dp: DynamicProblem, history_cap: usize) -> Self {
         let checkpoint = (history_cap > 0).then(|| dp.clone());
         let g = dp.graph();
         let mut scratch = EngineScratch::new(g);
@@ -295,7 +251,6 @@ impl Engine {
             sat,
             total_sat,
             epoch: Epoch(0),
-            flight: FlightRecorder::new(flight_cap),
             history: StepRing::new(history_cap),
             checkpoint,
             checkpoint_epoch: Epoch(0),
@@ -312,18 +267,13 @@ impl Engine {
         &self.matching
     }
 
-    /// The always-on flight ring (the telemetry black box).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
     /// The black-box history of recent batches and injected faults.
     pub fn history(&self) -> &StepRing {
         &self.history
     }
 
-    /// The shadow membership checkpoint the retained history replays
-    /// from; `None` when history is disabled.
+    /// The shadow checkpoint (a full [`DynamicProblem`] copy) the
+    /// retained history replays from; `None` when history is disabled.
     pub fn checkpoint(&self) -> Option<&DynamicProblem> {
         self.checkpoint.as_ref()
     }
@@ -371,28 +321,16 @@ impl Engine {
     /// delta `Vec`s are reused across batches instead of reallocated —
     /// the steady-state zero-allocation entry point, and the one every
     /// other delegates to. The report's previous contents are overwritten
-    /// (untouched on `Err`). The batch's `Engine*` events (one
-    /// `EngineReranked` per weight-changing event, one
-    /// `EngineEdgeAdded`/`EngineEdgeRemoved` per matching flip, a closing
-    /// `EngineBatchApplied`, all stamped with the new epoch) go into the
-    /// engine's flight ring, and every successful batch is appended to
-    /// the black-box history — both allocation-free once warm.
+    /// (untouched on `Err`). Every successful batch is appended to the
+    /// black-box history, allocation-free once warm.
     pub fn apply_batch_into(
         &mut self,
         events: &[EngineEvent],
         out: &mut DeltaReport,
     ) -> Result<(), EngineError> {
-        // The flight ring is moved out for the duration of the batch so
-        // it can be borrowed alongside `&mut self` (`take` swaps in a
-        // capacity-0 ring: no allocation).
-        let mut flight = std::mem::take(&mut self.flight);
-        let res = self.apply_core(events, &mut flight, out);
-        if res.is_ok() {
-            flight.stamp(self.epoch.0);
-            self.record_step(events, None);
-        }
-        self.flight = flight;
-        res
+        self.apply_core(events, out)?;
+        self.record_step(events, None);
+        Ok(())
     }
 
     /// Crash-restart recovery hook for the chaos campaigns: node `node`
@@ -455,7 +393,6 @@ impl Engine {
     fn apply_core(
         &mut self,
         events: &[EngineEvent],
-        flight: &mut FlightRecorder,
         out: &mut DeltaReport,
     ) -> Result<(), EngineError> {
         self.validate(events)?;
@@ -497,12 +434,6 @@ impl Engine {
                     EngineEvent::QuotaChange { node, quota } => {
                         let changed = dp.apply_quota(*node, *quota);
                         reranked += changed.len();
-                        if flight.is_enabled() {
-                            flight.record(TelemetryEvent::EngineReranked {
-                                epoch: epoch.0,
-                                edges: changed.len() as u32,
-                            });
-                        }
                         scratch.rerank_list.extend(changed);
                         seed_two_hop(dp.graph(), &mut scratch.seeds, *node);
                         scratch.touch(*node);
@@ -510,12 +441,6 @@ impl Engine {
                     EngineEvent::PreferenceUpdate { node, list } => {
                         let changed = dp.apply_prefs(*node, list.clone());
                         reranked += changed.len();
-                        if flight.is_enabled() {
-                            flight.record(TelemetryEvent::EngineReranked {
-                                epoch: epoch.0,
-                                edges: changed.len() as u32,
-                            });
-                        }
                         scratch.rerank_list.extend(changed);
                         seed_two_hop(dp.graph(), &mut scratch.seeds, *node);
                         scratch.touch(*node);
@@ -553,14 +478,6 @@ impl Engine {
             out.edges_added.sort_unstable_by_key(|&e| order.rank(e));
             out.edges_removed.sort_unstable_by_key(|&e| order.rank(e));
         }
-        if flight.is_enabled() {
-            for &e in &out.edges_added {
-                flight.record(TelemetryEvent::EngineEdgeAdded { epoch: epoch.0, edge: e });
-            }
-            for &e in &out.edges_removed {
-                flight.record(TelemetryEvent::EngineEdgeRemoved { epoch: epoch.0, edge: e });
-            }
-        }
 
         // ---- refresh satisfaction of exactly the touched nodes.
         let old_total = self.total_sat;
@@ -583,15 +500,6 @@ impl Engine {
         self.scratch.touched_nodes.clear();
 
         self.epoch = epoch;
-        if flight.is_enabled() {
-            flight.record(TelemetryEvent::EngineBatchApplied {
-                epoch: epoch.0,
-                events: events.len() as u32,
-                evaluated: evaluated as u32,
-                added: out.edges_added.len() as u32,
-                removed: out.edges_removed.len() as u32,
-            });
-        }
         out.evaluated = evaluated as usize;
         out.reranked = reranked;
         out.delta_satisfaction = self.total_sat - old_total;
@@ -927,17 +835,6 @@ mod tests {
         assert_eq!(r.epoch, Epoch(1));
         assert_eq!(r.matching_size, e.matching().size());
         e.certify().expect("after mixed batch");
-    }
-
-    #[test]
-    fn traced_batches_emit_the_engine_taxonomy() {
-        let mut e = engine(10);
-        e.apply_batch(&[EngineEvent::NodeLeave { node: NodeId(4) }]).unwrap();
-        let tags: Vec<&str> = e.flight().iter().map(|ev| ev.tag()).collect();
-        assert_eq!(tags.last(), Some(&"engine_batch_applied"));
-        assert!(tags
-            .iter()
-            .all(|t| t.starts_with("engine_")), "only engine events: {tags:?}");
     }
 
     #[test]

@@ -3,25 +3,24 @@
 //!
 //! Live observability (telemetry, metrics, the auditor) answers *what is
 //! happening*; this module answers *what happened* after the fact. The
-//! engine keeps two always-on, bounded, allocation-free-in-steady-state
-//! recorders:
-//!
-//! * a [`owp_telemetry::FlightRecorder`] ring of the `Engine*` telemetry
-//!   events every batch emits (epoch-watermarked, drop-counted), and
-//! * a [`StepRing`] of [`RecordedStep`]s — the applied event batches
-//!   themselves, plus any [`InjectedFault`]s — backed by a shadow
-//!   membership **checkpoint**: a [`DynamicProblem`] clone advanced by
-//!   each step the ring evicts, so the retained window always replays
-//!   from a known-good origin.
+//! engine keeps one always-on, bounded, allocation-free-in-steady-state
+//! recorder: a [`StepRing`] of [`RecordedStep`]s — the applied event
+//! batches themselves, plus any [`InjectedFault`]s — backed by a shadow
+//! **checkpoint**: a full [`DynamicProblem`] copy advanced by each step
+//! the ring evicts, so the retained window always replays from a
+//! known-good origin. The engine is deterministic, so replaying the
+//! window reproduces every batch's `DeltaReport` — its flips, evaluated
+//! count and rerank count — without recording them.
 //!
 //! When [`crate::Engine::certify`] fails (or an `owp-metrics` auditor
 //! violation is reported by the caller), [`crate::Engine::capture_bundle`]
-//! freezes everything into a [`ForensicBundle`]: ring contents, last-good
-//! epoch, membership snapshots, provenance, and — via [`shrink`] — a
-//! minimal reproducer. [`shrink`] is classic delta debugging specialised
-//! to a suffix window: it bisects for the earliest failing step, then
-//! bisects again to drop the longest clean prefix, re-certifying a fresh
-//! engine ([`crate::Engine::from_dynamic`]) for every candidate.
+//! freezes everything into a [`ForensicBundle`]: the history window,
+//! last-good epoch, membership snapshots, provenance, and — via
+//! [`shrink`] — a minimal reproducer. [`shrink`] is classic delta
+//! debugging specialised to a suffix window: it bisects for the earliest
+//! failing step, then bisects again to drop the longest clean prefix,
+//! re-certifying a fresh engine ([`crate::Engine::from_dynamic`]) for
+//! every candidate.
 //!
 //! Bundles serialize to a single JSON object (through
 //! `owp_telemetry::json`) and round-trip through [`ForensicBundle::parse`];
@@ -555,7 +554,7 @@ pub struct ForensicBundle {
     pub last_good_epoch: u64,
     /// Compiler provenance ([`RUSTC_VERSION`]).
     pub rustc: String,
-    /// Engine configuration (ring capacities).
+    /// Engine configuration (`history=N`, the history depth).
     pub config: String,
     /// Workload seed, when the caller has one.
     pub seed: Option<u64>,
@@ -573,17 +572,6 @@ pub struct ForensicBundle {
     /// The minimal reproducer within [`ForensicBundle::steps`], when the
     /// window reproduces the failure.
     pub shrunk: Option<ShrinkResult>,
-    /// Flight-recorder capacity at capture time.
-    pub ring_capacity: usize,
-    /// Events the ring overwrote before capture.
-    pub ring_dropped: u64,
-    /// Events the ring ever saw.
-    pub ring_seen: u64,
-    /// Ring contents as telemetry JSONL (oldest first;
-    /// `owp_telemetry::EventLog::parse_jsonl` reads it back).
-    pub ring_jsonl: String,
-    /// Epoch watermarks `(epoch, events_seen)`, oldest first.
-    pub watermarks: Vec<(u64, u64)>,
     /// A metrics snapshot (JSON) the caller attached, if any.
     pub metrics_json: Option<String>,
 }
@@ -714,18 +702,6 @@ impl ForensicBundle {
             }
             None => o.push_str(",\"shrunk\":null"),
         }
-        let _ = write!(o, ",\"ring_capacity\":{}", self.ring_capacity);
-        let _ = write!(o, ",\"ring_dropped\":{}", self.ring_dropped);
-        let _ = write!(o, ",\"ring_seen\":{}", self.ring_seen);
-        str_field(&mut o, "ring", &self.ring_jsonl);
-        o.push_str(",\"watermarks\":[");
-        for (i, &(e, s)) in self.watermarks.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "[{e},{s}]");
-        }
-        o.push(']');
         match &self.metrics_json {
             Some(m) => str_field(&mut o, "metrics", m),
             None => o.push_str(",\"metrics\":null"),
@@ -784,15 +760,6 @@ impl ForensicBundle {
                 Some(s)
             }
         };
-        let watermarks = top
-            .field("watermarks")?
-            .as_arr("watermarks")?
-            .iter()
-            .map(|pair| {
-                let [e, s] = pair.as_tuple("watermark")?;
-                Ok((e.as_u64("watermark epoch")?, s.as_u64("watermark seq")?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(ForensicBundle {
             trigger: str_at("trigger")?,
             reason: str_at("reason")?,
@@ -807,11 +774,6 @@ impl ForensicBundle {
             cur_present: str_at("cur_present")?,
             steps,
             shrunk,
-            ring_capacity: top.field("ring_capacity")?.as_usize("ring_capacity")?,
-            ring_dropped: u64_at("ring_dropped")?,
-            ring_seen: u64_at("ring_seen")?,
-            ring_jsonl: str_at("ring")?,
-            watermarks,
             metrics_json: top
                 .field("metrics")?
                 .nullable()
@@ -898,7 +860,7 @@ fn fault_from_json(v: &Value<'_>) -> Result<InjectedFault, String> {
 
 impl Engine {
     /// Freezes the engine's forensic state into a [`ForensicBundle`]:
-    /// ring contents + watermarks, the retained history window and its
+    /// the retained history window and its
     /// checkpoint, membership snapshots, provenance, and — when the
     /// window reproduces a certification failure — the [`shrink`]-minimal
     /// reproducer. `trigger` is conventionally `"certify"`, `"audit"`, or
@@ -923,18 +885,13 @@ impl Engine {
             Some(s) => steps[s.end - 1].epoch,
             None => self.epoch().0,
         };
-        let ring = self.flight();
         ForensicBundle {
             trigger: trigger.to_string(),
             reason: reason.to_string(),
             epoch: self.epoch().0,
             last_good_epoch,
             rustc: RUSTC_VERSION.to_string(),
-            config: format!(
-                "flight={} history={}",
-                ring.capacity(),
-                self.history().capacity(),
-            ),
+            config: format!("history={}", self.history().capacity()),
             seed,
             origin_epoch,
             origin: self.checkpoint().map(OriginSnapshot::capture),
@@ -942,11 +899,6 @@ impl Engine {
             cur_present: bits(g.edges().map(|e| dp.is_present(e))),
             steps,
             shrunk,
-            ring_capacity: ring.capacity(),
-            ring_dropped: ring.dropped(),
-            ring_seen: ring.seen(),
-            ring_jsonl: ring.to_jsonl(),
-            watermarks: ring.watermarks().collect(),
             metrics_json: metrics_json.map(str::to_string),
         }
     }
@@ -1118,9 +1070,7 @@ mod tests {
         // History capacity 3 over a longer stream: the window slides, the
         // checkpoint absorbs evicted steps, and a late fault still
         // reproduces from the advanced checkpoint.
-        let mut e = Engine::builder(problem(25))
-            .history_capacity(3)
-            .build();
+        let mut e = Engine::with_history(problem(25), 3);
         for b in structural_stream(&e, 10) {
             e.apply_batch(&b).unwrap();
         }
@@ -1160,17 +1110,26 @@ mod tests {
 
     #[test]
     fn bundle_with_the_retired_causal_tail_field_still_parses() {
-        // Bundles written before the field was retired hold an always
-        // empty `"causal_tail":""` between the watermarks and the metrics.
+        // Bundles written before the fields were retired hold an always
+        // empty `"causal_tail":""` before the metrics, and older ones also
+        // the flight ring's five keys before that.
         let mut e = Engine::new(problem(27));
         for b in structural_stream(&e, 2) {
             e.apply_batch(&b).unwrap();
         }
         let bundle = e.capture_bundle("manual", "older layout", None, None);
         let doc = bundle.to_json();
-        let old = doc.replacen(",\"metrics\":", ",\"causal_tail\":\"\",\"metrics\":", 1);
-        assert_ne!(old, doc);
-        assert_eq!(ForensicBundle::parse(&old), Ok(bundle));
+        let tail = ",\"causal_tail\":\"\",\"metrics\":";
+        let ring = ",\"ring_capacity\":1024,\"ring_dropped\":0,\"ring_seen\":2,\
+                    \"ring\":\"{\\\"ev\\\":\\\"engine_edge_added\\\",\\\"epoch\\\":1,\\\"edge\\\":4}\\n\",\
+                    \"watermarks\":[[1,1],[2,2]]";
+        for old in [
+            doc.replacen(",\"metrics\":", tail, 1),
+            doc.replacen(",\"metrics\":", &format!("{ring}{tail}"), 1),
+        ] {
+            assert_ne!(old, doc);
+            assert_eq!(ForensicBundle::parse(&old), Ok(bundle.clone()));
+        }
     }
 
     #[test]

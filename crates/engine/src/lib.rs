@@ -38,15 +38,13 @@
 //! changed — and each at most once per batch (see `DESIGN.md` §8).
 //!
 //! Each batch returns an [`Epoch`]-stamped [`DeltaReport`] (edges
-//! added/removed, dirty-region size, ΔΣS) and records the `Engine*`
-//! branch of the `owp-telemetry` event taxonomy into the engine's flight
-//! ring ([`Engine::flight`]).
+//! added/removed, dirty-region size, ΔΣS).
 //!
 //! ## The black box: divergence forensics
 //!
-//! The engine also flies with two always-on, bounded recorders — a
-//! telemetry flight ring and a batch-history ring backed by a shadow
-//! membership checkpoint — so a certification failure or auditor
+//! The engine also flies with one always-on, bounded recorder — a
+//! batch-history ring backed by a shadow checkpoint, a full
+//! [`DynamicProblem`] copy — so a certification failure or auditor
 //! violation can be frozen into a self-contained, re-executable
 //! [`ForensicBundle`] with a delta-debugged minimal reproducer
 //! ([`forensics`], DESIGN.md §12).
@@ -62,7 +60,7 @@ pub mod report;
 pub mod scratch;
 
 pub use dynamic::DynamicProblem;
-pub use engine::{Engine, EngineBuilder, DEFAULT_FLIGHT_CAPACITY, DEFAULT_HISTORY_CAPACITY};
+pub use engine::{Engine, DEFAULT_HISTORY_CAPACITY};
 pub use event::{EngineError, EngineEvent};
 pub use forensics::{
     normalize_violation, replay, shrink, ForensicBundle, InjectedFault, OriginSnapshot,

@@ -10,17 +10,16 @@
 //! test keeps the same per-thread count itself).
 //!
 //! Protocol: run the same event cycle until every arena — including the
-//! forensic rings' slots — has reached its high-water mark, then re-run
+//! history ring's slots — has reached its high-water mark, then re-run
 //! the cycle and assert the allocator was never called. Weight events
 //! (quota/preference) are excluded — they allocate inside the rank-splice
 //! kernel and are outside the contract.
 //!
-//! Since ISSUE 7 the contract *includes* the always-on flight recorder
-//! and black-box history: the telemetry ring records every batch's
-//! engine events and the history ring records the batches themselves
-//! (with checkpoint advancement on eviction), and none of it may
-//! allocate once warm. The ring tests below force both rings through
-//! wraparound during the measured window on purpose.
+//! The contract *includes* the always-on black-box history: the history
+//! ring records the batches themselves (with checkpoint advancement on
+//! eviction), and none of it may allocate once warm. The ring tests below
+//! force the ring through wraparound during the measured window on
+//! purpose.
 
 use owp_engine::{DeltaReport, Engine, EngineEvent};
 use owp_graph::NodeId;
@@ -139,29 +138,23 @@ fn assert_zero_alloc_steady_state(mut e: Engine, label: &str) {
 fn steady_state_allocates_nothing() {
     assert_zero_alloc_steady_state(
         Engine::new(Problem::random_gnp(48, 0.2, 2, 71)),
-        "default rings",
+        "default history",
     );
 }
 
-/// The flight recorder and history ring under *pressure*: capacities so
-/// small that every measured batch overwrites ring slots and evicts
-/// history steps (advancing the shadow checkpoint). Still zero
-/// allocations — the black box must be free to leave always-on.
+/// The history ring under *pressure*: a capacity so small that every
+/// measured batch evicts history steps (advancing the shadow checkpoint).
+/// Still zero allocations — the black box must be free to leave
+/// always-on.
 #[test]
-fn wrapping_recorder_rings_allocate_nothing() {
-    let e = Engine::builder(Problem::random_gnp(48, 0.2, 2, 71))
-        .flight_capacity(16)
-        .history_capacity(4)
-        .build();
-    assert_zero_alloc_steady_state(e, "flight=16 history=4");
+fn wrapping_history_ring_allocates_nothing() {
+    let e = Engine::with_history(Problem::random_gnp(48, 0.2, 2, 71), 4);
+    assert_zero_alloc_steady_state(e, "history=4");
 }
 
 #[test]
-fn wrapping_recorder_rings_record_while_silent() {
-    let mut e = Engine::builder(Problem::random_gnp(48, 0.2, 2, 71))
-        .flight_capacity(16)
-        .history_capacity(4)
-        .build();
+fn wrapping_history_ring_records_while_silent() {
+    let mut e = Engine::with_history(Problem::random_gnp(48, 0.2, 2, 71), 4);
     let batches = structural_cycle(&e);
     let mut report = DeltaReport::default();
     for _ in 0..3 {
@@ -170,7 +163,6 @@ fn wrapping_recorder_rings_record_while_silent() {
         }
     }
     let mark = allocs();
-    let dropped_before = e.flight().dropped();
     let evicted_before = e.history().evicted();
     for b in &batches {
         e.apply_batch_into(b, &mut report).unwrap();
@@ -180,10 +172,7 @@ fn wrapping_recorder_rings_record_while_silent() {
         0,
         "recording through wraparound must not allocate"
     );
-    assert!(e.flight().dropped() > dropped_before, "ring overwrote events");
     assert!(e.history().evicted() > evicted_before, "history slid its window");
-    assert_eq!(e.flight().len(), e.flight().capacity(), "ring stays full");
-    assert!((e.flight().occupancy() - 1.0).abs() < 1e-12);
     assert_eq!(
         e.checkpoint_epoch().0,
         e.history().steps().next().unwrap().epoch - 1,

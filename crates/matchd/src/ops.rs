@@ -596,11 +596,14 @@ fn audit_probe(
             present[e.index()] && active[u.index()] && active[v.index()]
         })
         .collect();
+    // Only an out-of-range id is refused here (`insert_unchecked` would
+    // panic on it); a selected edge that is not alive is the auditor's
+    // own Mutuality check.
     let mut m = BMatching::empty(g);
     for &e in &probe.matched {
-        if !alive.get(e.index()).copied().unwrap_or(false) {
+        if e.index() >= g.edge_count() {
             return AuditOutcome::failed(
-                format!("selected edge {} is not alive in the probed instance", e.0),
+                format!("selected edge {} is out of range for the probed instance", e.0),
                 rebuild,
             );
         }
@@ -802,5 +805,38 @@ mod tests {
         assert!(snap.windows(2).all(|w| w[0].total_us >= w[1].total_us));
         assert_eq!(snap[0].total_us, (SLOW_RING_CAPACITY as u64 + 19) * 10);
         assert!(snap.iter().all(|s| s.total_us >= 200));
+    }
+
+    /// A probe whose matching still holds an edge the probed state removed
+    /// is a typed Mutuality violation, counted in the registry.
+    #[test]
+    fn dead_selected_edge_is_a_mutuality_violation() {
+        use owp_engine::{Engine, EngineEvent};
+        let mut engine = Engine::new(Problem::random_gnp(24, 0.3, 2, 7));
+        let matched = engine.matching().edge_ids();
+        let g = engine.dynamic().graph();
+        let q = engine.dynamic().quotas();
+        // Both endpoints keep more alive edges than their quota, so the
+        // quota check passes and the first violation is the dead edge.
+        let edge = *matched
+            .iter()
+            .find(|&&e| {
+                let (u, v) = g.endpoints(e);
+                g.degree(u) > q.get(u) as usize + 1 && g.degree(v) > q.get(v) as usize + 1
+            })
+            .expect("some matched edge has high-degree endpoints");
+        let (u, v) = g.endpoints(edge);
+        engine.apply(EngineEvent::EdgeRemove { u, v }).unwrap();
+        let probe = AuditProbe {
+            epoch: engine.epoch().0,
+            origin: OriginSnapshot::capture(engine.dynamic()),
+            matched,
+        };
+        let reg = MetricsRegistry::new();
+        let outcome = audit_probe(&probe, &reg, &mut None);
+        assert!(reg.counter("audit_violations_total").get() > 0);
+        assert!(outcome.violations > 0);
+        assert!(outcome.reason.starts_with("mutuality at epoch 1: "), "{}", outcome.reason);
+        assert!(outcome.reason.contains("selected but not alive"), "{}", outcome.reason);
     }
 }

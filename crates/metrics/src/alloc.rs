@@ -21,11 +21,8 @@
 //!   exported snapshot) surfaces regressions next to the engine's other
 //!   health numbers. Without an installed shim the counter stays 0 and
 //!   the gauge honestly reports 0 allocations *observed*.
-//!
-//! The flight-ring gauges ([`publish_recorder_gauges`]) ride along here.
 
 use crate::registry::MetricsRegistry;
-use owp_engine::Engine;
 use std::cell::Cell;
 
 thread_local! {
@@ -46,15 +43,6 @@ pub fn record_allocation() {
 /// Gauge key for the steady-state allocation rate of the engine's batch
 /// path (allocations per applied batch, measured after warm-up).
 pub const ALLOCATIONS_PER_BATCH: &str = "engine_allocations_per_batch";
-
-/// Gauge key for telemetry events the engine's flight ring has
-/// overwritten since construction (0 = the black box still holds the
-/// whole run).
-pub const RECORDER_DROPPED: &str = "recorder_dropped_events";
-
-/// Gauge key for the flight ring's fill fraction in `[0, 1]` (1 = full,
-/// i.e. every further event evicts the oldest).
-pub const RECORDER_OCCUPANCY: &str = "recorder_ring_occupancy";
 
 /// Allocations observed so far on the current thread (0 if no shim is
 /// installed).
@@ -77,36 +65,9 @@ pub fn publish_allocations_per_batch(reg: &MetricsRegistry, allocs: u64, batches
     reg.gauge(ALLOCATIONS_PER_BATCH).set(rate);
 }
 
-/// Publishes the engine's flight-ring gauges, [`RECORDER_DROPPED`] and
-/// [`RECORDER_OCCUPANCY`] — the ring's drop count and fill fraction, so a
-/// post-mortem knows how much of the stream the black box still held.
-pub fn publish_recorder_gauges(reg: &MetricsRegistry, engine: &Engine) {
-    reg.gauge(RECORDER_DROPPED).set(engine.flight().dropped() as f64);
-    reg.gauge(RECORDER_OCCUPANCY).set(engine.flight().occupancy());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use owp_engine::EngineEvent;
-    use owp_graph::NodeId;
-    use owp_matching::Problem;
-
-    #[test]
-    fn forensic_gauges_reflect_the_engine() {
-        let mut e = owp_engine::Engine::builder(Problem::random_gnp(24, 0.3, 2, 42))
-            .flight_capacity(8)
-            .build();
-        for node in [NodeId(1), NodeId(2), NodeId(3)] {
-            e.apply(EngineEvent::NodeLeave { node }).unwrap();
-        }
-        let reg = MetricsRegistry::new();
-        publish_recorder_gauges(&reg, &e);
-        assert_eq!(reg.gauge(RECORDER_DROPPED).get(), e.flight().dropped() as f64);
-        let occ = reg.gauge(RECORDER_OCCUPANCY).get();
-        assert!(occ > 0.0 && occ <= 1.0, "tiny ring fills fast: {occ}");
-    }
-
     #[test]
     fn allocation_gauge_publishes_a_rate() {
         let reg = MetricsRegistry::new();

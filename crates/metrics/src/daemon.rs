@@ -4,7 +4,7 @@
 //! so the existing exporters (`MetricsSnapshot::to_prometheus`,
 //! `owp-inspect metrics`) pick the daemon up with zero new plumbing. The
 //! constants live here — not in matchd — for the same reason the engine's
-//! allocation and flight-ring gauges live in [`alloc`](crate::alloc):
+//! allocation gauge lives in [`alloc`](crate::alloc):
 //! every consumer (daemon, bench driver, inspector) links against
 //! `owp-metrics` already, and a shared `&'static str` key is what makes
 //! the lock-free registry handles cheap.

@@ -29,7 +29,7 @@
 //!   same pass with every edge alive.
 //! * [`alloc`](mod@alloc) — allocation accounting for the engine's
 //!   zero-allocation batch contract (the `engine_allocations_per_batch`
-//!   gauge) plus the engine's flight-ring gauges.
+//!   gauge).
 //! * [`daemon`](mod@daemon) — the `matchd_*` keys the matchmaking daemon
 //!   publishes (ingest queue depth, admission rejects, WAL bytes, batch
 //!   linger), shared between `owp-matchd` and the inspectors.
@@ -52,8 +52,8 @@ pub mod registry;
 pub mod snapshot;
 
 pub use alloc::{
-    allocation_count, allocations_since, publish_allocations_per_batch, publish_recorder_gauges,
-    record_allocation, ALLOCATIONS_PER_BATCH, RECORDER_DROPPED, RECORDER_OCCUPANCY,
+    allocation_count, allocations_since, publish_allocations_per_batch, record_allocation,
+    ALLOCATIONS_PER_BATCH,
 };
 pub use daemon::{
     register_matchd_metrics, MATCHD_ADMISSION_REJECTS, MATCHD_AUDIT_CLEAN, MATCHD_AUDIT_COST_US,

@@ -166,12 +166,6 @@ impl MetricsRecorder {
                 NodeEvent::RejSent { .. } => {}
                 NodeEvent::Retransmit { .. } => self.retransmits_total.inc(),
             },
-            // Engine batches are aggregated from their `DeltaReport`s by
-            // `Auditor::observe_delta`.
-            TelemetryEvent::EngineBatchApplied { .. }
-            | TelemetryEvent::EngineEdgeAdded { .. }
-            | TelemetryEvent::EngineEdgeRemoved { .. }
-            | TelemetryEvent::EngineReranked { .. } => {}
         }
     }
 }
@@ -280,14 +274,11 @@ mod tests {
         log.record(sent(0, 0, 0, 1, MessageKind::Prop));
         log.record(delivered(5, 0, 0, 1, MessageKind::Prop));
         log.record(TelemetryEvent::TimerFired { time: 6, node: NodeId(1), tag: 2 });
-        log.record(TelemetryEvent::EngineReranked { epoch: 1, edges: 6 });
         let reg = MetricsRegistry::new();
         let mut rec = MetricsRecorder::new(&reg);
         rec.consume(&log);
         assert_eq!(reg.counter("messages_sent_total").get(), 1);
         assert_eq!(reg.histogram("message_latency_ticks").sum(), 5);
         assert_eq!(reg.counter("timers_fired_total").get(), 1);
-        // Engine events carry nothing this recorder aggregates.
-        assert!(reg.snapshot().histograms.iter().all(|(k, _)| !k.starts_with("engine_")));
     }
 }

@@ -1,18 +1,16 @@
 //! The typed event vocabulary of the telemetry layer.
 //!
-//! One flat enum covers the execution layers so a single log can hold an
+//! One flat enum covers both execution layers so a single log can hold an
 //! interleaved trace of a whole run:
 //!
 //! * **transport** — what the simnet engines do with messages
 //!   (send/deliver/drop/dead-letter, timer firings);
 //! * **protocol** — per-node LID state transitions ([`NodeEvent`]),
 //!   stamped with node and time by the engine when it drains a callback's
-//!   context;
-//! * **engine** — the dynamic engine's batch repairs, where "time" is the
-//!   epoch the batch produced.
+//!   context.
 
 use crate::json;
-use owp_graph::{EdgeId, NodeId};
+use owp_graph::NodeId;
 use std::fmt::Write as _;
 
 /// Identity of one in-flight message ("span"), unique within a run.
@@ -152,9 +150,8 @@ pub enum NodeEvent {
     },
 }
 
-/// One structured event. `time` is simulated ticks for asynchronous runs,
-/// the round number for synchronous runs, and the epoch for the engine
-/// events.
+/// One structured event. `time` is simulated ticks for asynchronous runs
+/// and the round number for synchronous runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum TelemetryEvent {
     /// A message was handed to the network (before loss). `span` is the
@@ -242,47 +239,11 @@ pub enum TelemetryEvent {
         /// The transition itself.
         event: NodeEvent,
     },
-    /// The dynamic engine finished applying an event batch (owp-engine).
-    /// "Time" for all `Engine*` events is the epoch the batch produced.
-    EngineBatchApplied {
-        /// Epoch after the batch (monotone, one per batch).
-        epoch: u64,
-        /// Events in the batch.
-        events: u32,
-        /// Edges evaluated by the bounded repair (the dirty region's size).
-        evaluated: u32,
-        /// Edges the repair added to the matching.
-        added: u32,
-        /// Edges the repair removed from the matching.
-        removed: u32,
-    },
-    /// The repair selected an edge into the maintained matching.
-    EngineEdgeAdded {
-        /// Epoch of the batch making the change.
-        epoch: u64,
-        /// The edge that entered the matching.
-        edge: EdgeId,
-    },
-    /// The repair evicted an edge from the maintained matching.
-    EngineEdgeRemoved {
-        /// Epoch of the batch making the change.
-        epoch: u64,
-        /// The edge that left the matching.
-        edge: EdgeId,
-    },
-    /// A weight-changing event re-ranked part of the edge order
-    /// incrementally (`EdgeOrder::update_keys`).
-    EngineReranked {
-        /// Epoch of the batch making the change.
-        epoch: u64,
-        /// Edges whose rank keys were recomputed.
-        edges: u32,
-    },
 }
 
 impl TelemetryEvent {
-    /// The event's time coordinate (ticks / rounds for the simulated
-    /// events, the epoch for engine events).
+    /// The event's time coordinate (ticks, or rounds for synchronous
+    /// runs).
     pub fn time(&self) -> u64 {
         match *self {
             TelemetryEvent::Sent { time, .. }
@@ -292,10 +253,6 @@ impl TelemetryEvent {
             | TelemetryEvent::Restarted { time, .. }
             | TelemetryEvent::TimerFired { time, .. }
             | TelemetryEvent::Node { time, .. } => time,
-            TelemetryEvent::EngineBatchApplied { epoch, .. }
-            | TelemetryEvent::EngineEdgeAdded { epoch, .. }
-            | TelemetryEvent::EngineEdgeRemoved { epoch, .. }
-            | TelemetryEvent::EngineReranked { epoch, .. } => epoch,
         }
     }
 
@@ -316,10 +273,6 @@ impl TelemetryEvent {
                 NodeEvent::NodeTerminated => "node_terminated",
                 NodeEvent::Retransmit { .. } => "retransmit",
             },
-            TelemetryEvent::EngineBatchApplied { .. } => "engine_batch_applied",
-            TelemetryEvent::EngineEdgeAdded { .. } => "engine_edge_added",
-            TelemetryEvent::EngineEdgeRemoved { .. } => "engine_edge_removed",
-            TelemetryEvent::EngineReranked { .. } => "engine_reranked",
         }
     }
 
@@ -375,19 +328,6 @@ impl TelemetryEvent {
                     NodeEvent::NodeTerminated => {}
                 }
             }
-            TelemetryEvent::EngineBatchApplied { epoch, events, evaluated, added, removed } => {
-                let _ = write!(
-                    s,
-                    ",\"epoch\":{epoch},\"events\":{events},\"evaluated\":{evaluated},\"added\":{added},\"removed\":{removed}"
-                );
-            }
-            TelemetryEvent::EngineEdgeAdded { epoch, edge }
-            | TelemetryEvent::EngineEdgeRemoved { epoch, edge } => {
-                let _ = write!(s, ",\"epoch\":{epoch},\"edge\":{}", edge.0);
-            }
-            TelemetryEvent::EngineReranked { epoch, edges } => {
-                let _ = write!(s, ",\"epoch\":{epoch},\"edges\":{edges}");
-            }
         }
         s.push('}');
     }
@@ -421,9 +361,6 @@ mod tests {
             kind: MessageKind::Prop,
         };
         assert_eq!(sent.time(), 7);
-        let engine = TelemetryEvent::EngineEdgeAdded { epoch: 3, edge: EdgeId(9) };
-        assert_eq!(engine.time(), 3);
-        assert_eq!(engine.tag(), "engine_edge_added");
     }
 
     #[test]
@@ -446,7 +383,6 @@ mod tests {
                 node: NodeId(5),
                 event: NodeEvent::NodeTerminated,
             },
-            TelemetryEvent::EngineReranked { epoch: 1, edges: 4 },
         ];
         for ev in events {
             let j = ev.to_json();
@@ -507,31 +443,5 @@ mod tests {
             "{\"ev\":\"dead_lettered\",\"time\":4,\"span\":6,\"from\":7,\"to\":3,\"kind\":\"REJ\"}"
         );
         assert_eq!(format!("{}", SpanId(9)), "s9");
-    }
-
-    #[test]
-    fn engine_events_time_tag_and_json() {
-        let batch = TelemetryEvent::EngineBatchApplied {
-            epoch: 12,
-            events: 3,
-            evaluated: 40,
-            added: 2,
-            removed: 1,
-        };
-        assert_eq!(batch.time(), 12);
-        assert_eq!(batch.tag(), "engine_batch_applied");
-        assert_eq!(
-            batch.to_json(),
-            "{\"ev\":\"engine_batch_applied\",\"epoch\":12,\"events\":3,\"evaluated\":40,\"added\":2,\"removed\":1}"
-        );
-        let added = TelemetryEvent::EngineEdgeAdded { epoch: 12, edge: EdgeId(7) };
-        assert_eq!(added.time(), 12);
-        assert_eq!(added.to_json(), "{\"ev\":\"engine_edge_added\",\"epoch\":12,\"edge\":7}");
-        let removed = TelemetryEvent::EngineEdgeRemoved { epoch: 13, edge: EdgeId(8) };
-        assert_eq!(removed.tag(), "engine_edge_removed");
-        assert_eq!(removed.to_json(), "{\"ev\":\"engine_edge_removed\",\"epoch\":13,\"edge\":8}");
-        let rer = TelemetryEvent::EngineReranked { epoch: 13, edges: 5 };
-        assert_eq!(rer.tag(), "engine_reranked");
-        assert_eq!(rer.to_json(), "{\"ev\":\"engine_reranked\",\"epoch\":13,\"edges\":5}");
     }
 }

@@ -8,14 +8,10 @@
 //! execution layers thread through:
 //!
 //! * [`event`] / [`recorder`] — **structured event tracing**: one typed
-//!   [`event::TelemetryEvent`] vocabulary covering simnet transport, LID
-//!   protocol actions and the dynamic engine's batch repairs, recorded
-//!   into one of two concrete sinks. The simulators own an
-//!   [`recorder::EventLog`] (one branch per event, no `dyn`, no
-//!   allocation while disabled); the bounded-memory
-//!   [`recorder::FlightRecorder`] ring (always-on black box; overwrites
-//!   oldest, counts drops, stamps epoch watermarks, never allocates after
-//!   construction) feeds the engine's post-mortem forensics.
+//!   [`event::TelemetryEvent`] vocabulary covering simnet transport and
+//!   LID protocol actions, recorded into the [`recorder::EventLog`] the
+//!   simulators own (one branch per event, no `dyn`, no allocation while
+//!   disabled).
 //! * [`series`] — **per-round convergence time-series**: the
 //!   [`series::ConvergenceSeries`] collector samples matched-edge count,
 //!   total weight, total satisfaction, in-flight messages and the
@@ -36,9 +32,8 @@
 //!   benches.
 //!
 //! Overhead policy: recording must never perturb what it measures. Every
-//! instrument but the engine's flight ring is off by default, and a
-//! disabled sink performs no allocation and at most one predictable
-//! branch per event.
+//! instrument is off by default, and a disabled sink performs no
+//! allocation and at most one predictable branch per event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,5 +51,5 @@ pub use causal::{
 };
 pub use event::{MessageKind, NodeEvent, SpanId, TelemetryEvent};
 pub use profile::{PhaseProfile, PhaseToken};
-pub use recorder::{EventLog, FlightRecorder};
+pub use recorder::EventLog;
 pub use series::{ConvergenceSample, ConvergenceSeries};

@@ -14,9 +14,9 @@
 //!   exact solvers, stability machinery, verification, bounds;
 //! * [`owp_engine`] — the event-driven dynamic engine: certified bounded
 //!   repair of the locally-heaviest matching under joins, leaves, edge
-//!   churn and preference/quota updates, plus the always-on flight
-//!   recorder and divergence forensics (auto-shrunk reproducers,
-//!   post-mortem bundles);
+//!   churn and preference/quota updates, plus the always-on batch history
+//!   and divergence forensics (auto-shrunk reproducers, post-mortem
+//!   bundles);
 //! * [`owp_core`] — the LID protocol and the overlay-construction API;
 //! * [`owp_metrics`] — lock-free metrics registry (counters, gauges, log₂
 //!   histograms), Prometheus/JSON exporters, and the online invariant
@@ -58,8 +58,8 @@ pub mod prelude {
         DisclosureReport, LidResult,
     };
     pub use owp_engine::{
-        DeltaReport, DynamicProblem, Engine, EngineBuilder, EngineError, EngineEvent, Epoch,
-        ForensicBundle, InjectedFault, ShrinkResult,
+        DeltaReport, DynamicProblem, Engine, EngineError, EngineEvent, Epoch, ForensicBundle,
+        InjectedFault, ShrinkResult,
     };
     pub use owp_graph::{Graph, GraphBuilder, NodeId, PreferenceTable, Quotas};
     pub use owp_matchd::{Matchd, MatchdClient, MatchdConfig, SubmitOutcome};

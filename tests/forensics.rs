@@ -4,10 +4,12 @@
 //! must produce a self-contained post-mortem bundle whose auto-shrunk
 //! reproducer is at most 10 recorded steps and, after a JSON round-trip,
 //! replays from the bundled checkpoint to the *same* certification
-//! violation against a fresh engine.
+//! violation against a fresh engine. The retained window also replays to
+//! exactly the deltas the live engine reported, which is why no record of
+//! the batches' outputs is kept beside it.
 
 use owp_engine::{
-    normalize_violation, Engine, EngineEvent, ForensicBundle, InjectedFault,
+    normalize_violation, DeltaReport, Engine, EngineEvent, ForensicBundle, InjectedFault,
 };
 use owp_graph::{EdgeId, Graph, NodeId};
 use owp_matching::Problem;
@@ -20,19 +22,21 @@ const WARM_BATCHES: usize = 14;
 const EVENTS_PER_BATCH: usize = 50;
 const HISTORY: usize = 16;
 
-/// A recording engine warmed on a seeded mixed-event stream. Events are
-/// generated against a membership mirror so every batch validates.
-fn warmed_engine(seed: u64) -> (Engine, Graph) {
+/// A recording engine warmed on `batches` batches of a seeded mixed-event
+/// stream, with every live `DeltaReport` in order. Events are generated
+/// against a membership mirror so every batch validates.
+fn warmed_engine(seed: u64, batches: usize) -> (Engine, Graph, Vec<DeltaReport>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = owp_graph::generators::barabasi_albert(N, 4, &mut rng);
     let p = Problem::random_over(g.clone(), 3, seed);
-    let mut e = Engine::builder(p).history_capacity(HISTORY).build();
+    let mut e = Engine::with_history(p, HISTORY);
+    let mut reports = Vec::with_capacity(batches);
 
     let mut active = vec![true; g.node_count()];
     let mut inactive: Vec<NodeId> = Vec::new();
     let mut present = vec![true; g.edge_count()];
     let mut absent: Vec<EdgeId> = Vec::new();
-    for _ in 0..WARM_BATCHES {
+    for _ in 0..batches {
         let mut batch = Vec::with_capacity(EVENTS_PER_BATCH);
         while batch.len() < EVENTS_PER_BATCH {
             match rng.gen_range(0u32..100) {
@@ -82,10 +86,10 @@ fn warmed_engine(seed: u64) -> (Engine, Graph) {
                 }
             }
         }
-        e.apply_batch(&batch).expect("generated batches are valid");
+        reports.push(e.apply_batch(&batch).expect("generated batches are valid"));
     }
     e.certify().expect("warmed engine is canonical before injection");
-    (e, g)
+    (e, g, reports)
 }
 
 /// The full dump → shrink → round-trip → replay loop for one fault.
@@ -99,9 +103,8 @@ fn assert_forensic_loop(mut e: Engine, fault: InjectedFault, seed: u64) {
     assert!(!bundle.reason.is_empty());
     assert_eq!(bundle.trigger, "certify");
     assert_eq!(bundle.seed, Some(seed));
-    assert!(!bundle.config.is_empty(), "engine config recorded");
+    assert_eq!(bundle.config, format!("history={HISTORY}"), "engine config recorded");
     assert!(bundle.origin.is_some(), "membership checkpoint embedded");
-    assert!(bundle.ring_capacity > 0, "flight ring contents embedded");
 
     // Auto-shrunk: the reproducer is a small suffix of the window.
     let shrunk = bundle.shrunk.as_ref().expect("failure inside the window shrinks");
@@ -137,7 +140,7 @@ fn assert_forensic_loop(mut e: Engine, fault: InjectedFault, seed: u64) {
 
 #[test]
 fn phantom_edge_on_large_stream_shrinks_and_reproduces() {
-    let (e, g) = warmed_engine(0xF0);
+    let (e, g, _) = warmed_engine(0xF0, WARM_BATCHES);
     let dp = e.dynamic();
     let edge = g
         .edges()
@@ -148,7 +151,7 @@ fn phantom_edge_on_large_stream_shrinks_and_reproduces() {
 
 #[test]
 fn skipped_repair_on_large_stream_shrinks_and_reproduces() {
-    let (e, g) = warmed_engine(0xF1);
+    let (e, g, _) = warmed_engine(0xF1, WARM_BATCHES);
     let fault = g
         .nodes()
         .filter(|&i| e.dynamic().is_active(i))
@@ -173,7 +176,7 @@ fn skipped_repair_on_large_stream_shrinks_and_reproduces() {
 /// clean, so `verify` distinguishes live failures from stale reports.
 #[test]
 fn healthy_manual_capture_replays_clean() {
-    let (e, _) = warmed_engine(0xF2);
+    let (e, _, _) = warmed_engine(0xF2, WARM_BATCHES);
     let bundle = e.capture_bundle("manual", "operator snapshot", Some(0xF2), None);
     assert!(bundle.shrunk.is_none(), "nothing to shrink on a healthy window");
     assert_eq!(
@@ -181,4 +184,32 @@ fn healthy_manual_capture_replays_clean() {
         None,
         "a healthy window must not fabricate a failure"
     );
+}
+
+/// The retained window is a complete record: replayed from the shadow
+/// checkpoint on a fresh engine, every step reproduces the live batch's
+/// delta — flips, dirty-region size and rerank count — even after the
+/// window has slid past the start of the stream.
+#[test]
+fn retained_window_replays_to_the_live_deltas() {
+    let (e, _, live) = warmed_engine(0xF3, HISTORY + 8);
+    assert!(e.checkpoint_epoch().0 > 0, "the history evicted");
+    let ck = e.checkpoint().expect("history is on").clone();
+    let mut replay = Engine::from_dynamic(ck);
+    let mut replayed = 0;
+    for step in e.history().steps() {
+        assert!(step.fault.is_none());
+        let want = &live[step.epoch as usize - 1];
+        assert_eq!(want.epoch.0, step.epoch);
+        let got = replay.apply_batch(&step.events).expect("recorded batches validate");
+        assert_eq!(got.edges_added, want.edges_added, "epoch {}: added", step.epoch);
+        assert_eq!(got.edges_removed, want.edges_removed, "epoch {}: removed", step.epoch);
+        assert_eq!(got.evaluated, want.evaluated, "epoch {}: evaluated", step.epoch);
+        assert_eq!(got.reranked, want.reranked, "epoch {}: reranked", step.epoch);
+        replayed += 1;
+    }
+    assert_eq!(replayed, HISTORY);
+    let window = &live[live.len() - HISTORY..];
+    assert!(window.iter().any(|r| r.reranked > 0), "the window reranks");
+    assert!(replay.matching().same_edges(e.matching()));
 }
