@@ -23,9 +23,10 @@
 //! Exit codes: 0 success; 1 a client was rejected for a non-backpressure
 //! reason or lost the daemon; 2 bad usage.
 
-use owp_matchd::{client_stream, from_spec, MatchdClient, SubmitOutcome};
+use owp_bench::{drive_submits, Tally};
+use owp_matchd::{from_spec, MatchdClient};
 use owp_metrics::MetricsRegistry;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
@@ -75,42 +76,11 @@ fn main() {
     let registry = MetricsRegistry::new();
     let hist = registry.histogram("matchd_submit_wall_us");
     let t0 = Instant::now();
-    let results: Vec<Result<(u64, u64, u64, u64), String>> = std::thread::scope(|s| {
+    let results: Vec<Result<Tally, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
-                let addr = addr.clone();
-                let universe = &universe;
-                let hist = hist.clone();
-                s.spawn(move || -> Result<(u64, u64, u64, u64), String> {
-                    let stream = client_stream(universe, c, clients, events);
-                    let mut conn = MatchdClient::connect(addr.as_str())?;
-                    let (mut acked, mut busy, mut retry_ms, mut last_epoch) =
-                        (0u64, 0u64, 0u64, 0u64);
-                    for batch in stream.chunks(chunk) {
-                        loop {
-                            let t = Instant::now();
-                            match conn.submit(batch)? {
-                                SubmitOutcome::Accepted { epoch } => {
-                                    hist.observe(t.elapsed().as_micros() as u64);
-                                    acked += batch.len() as u64;
-                                    last_epoch = epoch;
-                                    break;
-                                }
-                                SubmitOutcome::Busy { retry_after_ms } => {
-                                    busy += 1;
-                                    retry_ms += retry_after_ms as u64;
-                                    std::thread::sleep(Duration::from_millis(
-                                        retry_after_ms as u64,
-                                    ));
-                                }
-                                SubmitOutcome::Rejected { error } => {
-                                    return Err(format!("client {c} rejected: {error}"));
-                                }
-                            }
-                        }
-                    }
-                    Ok((acked, busy, retry_ms, last_epoch))
-                })
+                let (addr, universe, hist) = (addr.as_str(), &universe, &hist);
+                s.spawn(move || drive_submits(addr, universe, c, clients, events, chunk, hist))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
@@ -123,10 +93,10 @@ fn main() {
     let mut rejected = 0usize;
     for r in &results {
         match r {
-            Ok((a, b, r, _)) => {
-                acked += a;
-                busy += b;
-                retry_ms += r;
+            Ok(t) => {
+                acked += t.acked_events;
+                busy += t.busy;
+                retry_ms += t.retry_after_ms;
             }
             Err(e) => {
                 eprintln!("matchd_bench: {e}");

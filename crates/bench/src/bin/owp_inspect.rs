@@ -93,6 +93,7 @@
 //! Reports are accumulated and written in one shot with write errors
 //! ignored, so piping into `head` never aborts the tool.
 
+use owp_bench::campaign::{self, FaultClass};
 use owp_metrics::MetricsSnapshot;
 use owp_telemetry::{CausalDag, ConvergenceSample, ConvergenceSeries, EventLog};
 use std::fmt::Write as _;
@@ -322,27 +323,24 @@ fn inspect_metrics(path: &str) {
 
     // The chaos-campaign ledger (E25): per-fault-class coverage counters
     // written by `experiments e25 --metrics-out`.
-    if let Some(total) = counter(owp_metrics::CAMPAIGN_PLANS_TOTAL) {
+    if let Some(total) = counter(campaign::CAMPAIGN_PLANS_TOTAL) {
         out.push_str("campaign:\n");
         let _ = writeln!(
             out,
             "  {total} plan(s) executed: {} certified, {} violated",
-            counter(owp_metrics::CAMPAIGN_CERTIFIED_TOTAL).unwrap_or(0),
-            counter(owp_metrics::CAMPAIGN_VIOLATIONS_TOTAL).unwrap_or(0),
+            counter(campaign::CAMPAIGN_CERTIFIED_TOTAL).unwrap_or(0),
+            counter(campaign::CAMPAIGN_VIOLATIONS_TOTAL).unwrap_or(0),
         );
-        for class in owp_metrics::CAMPAIGN_CLASSES {
-            let plans = owp_metrics::campaign_plans_key(class)
-                .and_then(&counter)
-                .unwrap_or(0);
-            let violations = owp_metrics::campaign_violations_key(class)
-                .and_then(&counter)
-                .unwrap_or(0);
+        for class in FaultClass::ALL {
+            let plans = counter(class.plans_key()).unwrap_or(0);
+            let violations = counter(class.violations_key()).unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  {class:<16} {plans:>6} plan(s), {violations} violation(s)"
+                "  {:<16} {plans:>6} plan(s), {violations} violation(s)",
+                class.label()
             );
         }
-        if let Some(h) = hist(owp_metrics::CAMPAIGN_PLAN_WALL_US) {
+        if let Some(h) = hist(campaign::CAMPAIGN_PLAN_WALL_US) {
             if h.count > 0 {
                 let _ = writeln!(
                     out,

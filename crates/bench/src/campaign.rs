@@ -33,11 +33,7 @@ use owp_core::lid_reliable::run_lid_reliable;
 use owp_engine::{Engine, InjectedFault};
 use owp_matching::lic::{lic, SelectionPolicy};
 use owp_matching::{BMatching, Problem};
-use owp_metrics::{
-    campaign_plans_key, campaign_violations_key, epsilon_blocking_count, Auditor,
-    MetricsRegistry, CAMPAIGN_CERTIFIED_TOTAL, CAMPAIGN_CLASSES, CAMPAIGN_PLANS_TOTAL,
-    CAMPAIGN_PLAN_EVENTS, CAMPAIGN_PLAN_WALL_US, CAMPAIGN_VIOLATIONS_TOTAL,
-};
+use owp_metrics::{epsilon_blocking_count, Auditor, MetricsRegistry};
 use owp_simnet::{FaultPlan, LatencyModel, NodeId, SimConfig};
 use owp_telemetry::json::{self, Value};
 use owp_telemetry::CausalDag;
@@ -47,6 +43,17 @@ use std::fmt::Write as _;
 
 /// Number of log₂ buckets in the per-plan event-count histogram.
 pub const EVENT_BUCKETS: usize = 32;
+
+/// Counter: plans executed, total across all fault classes.
+pub const CAMPAIGN_PLANS_TOTAL: &str = "campaign_plans_total";
+/// Counter: plans whose every certificate held.
+pub const CAMPAIGN_CERTIFIED_TOTAL: &str = "campaign_certified_total";
+/// Counter: plans with at least one certificate violation.
+pub const CAMPAIGN_VIOLATIONS_TOTAL: &str = "campaign_violations_total";
+/// Histogram: wall-clock microseconds per executed plan.
+pub const CAMPAIGN_PLAN_WALL_US: &str = "campaign_plan_wall_us";
+/// Histogram: simulator events (deliveries + timers) per executed plan.
+pub const CAMPAIGN_PLAN_EVENTS: &str = "campaign_plan_events";
 
 /// The five fault classes a campaign cycles through (round-robin by plan
 /// id, so every class gets `plans / 5` guaranteed coverage).
@@ -65,8 +72,7 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// All classes, in ledger order (matches
-    /// [`owp_metrics::CAMPAIGN_CLASSES`]).
+    /// All classes, in ledger order.
     pub const ALL: [FaultClass; 5] = [
         FaultClass::HealPartition,
         FaultClass::AsymmetricLoss,
@@ -82,7 +88,35 @@ impl FaultClass {
 
     /// The stable label used in reports and metric keys.
     pub fn label(self) -> &'static str {
-        CAMPAIGN_CLASSES[self.index()]
+        match self {
+            FaultClass::HealPartition => "heal_partition",
+            FaultClass::AsymmetricLoss => "asym_loss",
+            FaultClass::Duplication => "duplication",
+            FaultClass::Reordering => "reordering",
+            FaultClass::CrashRestart => "crash_restart",
+        }
+    }
+
+    /// Executed-plan counter key, `campaign_plans_<label>`.
+    pub fn plans_key(self) -> &'static str {
+        match self {
+            FaultClass::HealPartition => "campaign_plans_heal_partition",
+            FaultClass::AsymmetricLoss => "campaign_plans_asym_loss",
+            FaultClass::Duplication => "campaign_plans_duplication",
+            FaultClass::Reordering => "campaign_plans_reordering",
+            FaultClass::CrashRestart => "campaign_plans_crash_restart",
+        }
+    }
+
+    /// Violated-plan counter key, `campaign_violations_<label>`.
+    pub fn violations_key(self) -> &'static str {
+        match self {
+            FaultClass::HealPartition => "campaign_violations_heal_partition",
+            FaultClass::AsymmetricLoss => "campaign_violations_asym_loss",
+            FaultClass::Duplication => "campaign_violations_duplication",
+            FaultClass::Reordering => "campaign_violations_reordering",
+            FaultClass::CrashRestart => "campaign_violations_crash_restart",
+        }
     }
 
     /// Position in [`FaultClass::ALL`].
@@ -431,6 +465,20 @@ fn cfg_batch_len(inst: &Instance) -> usize {
     inst.problem.graph.node_count() / 6
 }
 
+/// Pre-registers every `campaign_*` key so exporters show the full
+/// coverage ledger, zeros included, before the first plan executes.
+fn register_metrics(reg: &MetricsRegistry) {
+    reg.counter(CAMPAIGN_PLANS_TOTAL);
+    reg.counter(CAMPAIGN_CERTIFIED_TOTAL);
+    reg.counter(CAMPAIGN_VIOLATIONS_TOTAL);
+    reg.histogram(CAMPAIGN_PLAN_WALL_US);
+    reg.histogram(CAMPAIGN_PLAN_EVENTS);
+    for class in FaultClass::ALL {
+        reg.counter(class.plans_key());
+        reg.counter(class.violations_key());
+    }
+}
+
 /// Runs a full campaign. Plans execute sequentially (determinism by
 /// construction — same seed, byte-identical report). A supplied
 /// [`MetricsRegistry`] additionally gets the `campaign_*` ledger:
@@ -448,7 +496,7 @@ pub fn run_campaign(cfg: &CampaignConfig, reg: Option<&MetricsRegistry>) -> Camp
         }
     };
     if let Some(r) = reg {
-        owp_metrics::register_campaign_metrics(r);
+        register_metrics(r);
     }
     let mut auditor = Auditor::new(audit_reg);
 
@@ -485,14 +533,9 @@ pub fn run_campaign(cfg: &CampaignConfig, reg: Option<&MetricsRegistry>) -> Camp
         coverage[class.index()].executed += 1;
         total_events += outcome.events;
         event_histogram[event_bucket(outcome.events)] += 1;
-        let violated = if inject {
-            // The canary counts as violated coverage iff something was
-            // reported (detection failure is itself a reason, so the
-            // injected plan always lands here).
-            !outcome.reasons.is_empty()
-        } else {
-            !outcome.reasons.is_empty()
-        };
+        // An injected canary always lands here: a missed detection is
+        // itself a reason.
+        let violated = !outcome.reasons.is_empty();
         if violated {
             coverage[class.index()].violated += 1;
             violations.push(ViolationRecord {
@@ -509,10 +552,10 @@ pub fn run_campaign(cfg: &CampaignConfig, reg: Option<&MetricsRegistry>) -> Camp
 
         if let Some(r) = reg {
             r.counter(CAMPAIGN_PLANS_TOTAL).inc();
-            r.counter(campaign_plans_key(class.label()).expect("known class")).inc();
+            r.counter(class.plans_key()).inc();
             if violated {
                 r.counter(CAMPAIGN_VIOLATIONS_TOTAL).inc();
-                r.counter(campaign_violations_key(class.label()).expect("known class")).inc();
+                r.counter(class.violations_key()).inc();
             } else {
                 r.counter(CAMPAIGN_CERTIFIED_TOTAL).inc();
             }
@@ -912,8 +955,12 @@ mod tests {
         let snap = reg.snapshot();
         let json = snap.to_json();
         assert!(json.contains("campaign_plans_total"));
+        // Every class's keys are registered, zeros included, and name it.
         for class in FaultClass::ALL {
-            assert!(json.contains(campaign_plans_key(class.label()).unwrap()));
+            assert_eq!(class.plans_key(), format!("campaign_plans_{}", class.label()));
+            assert_eq!(class.violations_key(), format!("campaign_violations_{}", class.label()));
+            assert!(json.contains(class.plans_key()));
+            assert!(json.contains(class.violations_key()));
         }
         // Metrics do not perturb the attested bytes.
         assert_eq!(report.to_json(), run_campaign(&small_cfg(42), None).to_json());

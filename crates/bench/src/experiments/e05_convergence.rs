@@ -14,12 +14,20 @@ use owp_simnet::{LatencyModel, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The G(n, p) instance of one sweep cell and seed (average degree ≈ 12).
+fn instance(n: usize, b: u32, seed: u64) -> Problem {
+    let mut rng = StdRng::seed_from_u64(seed * 7919 + n as u64);
+    let g = owp_graph::generators::erdos_renyi(n, 12.0 / (n as f64 - 1.0), &mut rng);
+    Problem::random_over(g, b, seed + 5)
+}
+
 /// Runs the sweep. `quick` caps `n`. With a registry, per-run histograms
 /// (`lid_sync_rounds`, `lid_stabilization_round`,
 /// `lid_async_completion_ticks`) land in `reg`, and every synchronous
-/// result is audited (quota/mutuality/Lemma 4) — the auditor's violation
-/// counter stays at zero on a healthy build. The table is the same either
-/// way.
+/// result is audited (quota/mutuality/Lemma 4) in sweep order — the
+/// auditor's violation counter stays at zero on a healthy build, and its
+/// gauges describe the sweep's last instance. The table is the same
+/// either way.
 pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
     let sizes: &[usize] = if quick {
         &[64, 256]
@@ -28,6 +36,7 @@ pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
     };
     let seeds: u64 = if quick { 2 } else { 10 };
 
+    let mut auditor = reg.map(Auditor::new);
     // Handles are cloned once here (cold path); the `par_map` closures record
     // through them lock-free.
     let hists = reg.map(|r| {
@@ -52,14 +61,8 @@ pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
 
     for &n in sizes {
         for b in [2u32, 8] {
-            let rows: Vec<(f64, f64, f64, f64)> = par_map(0..seeds, |seed| {
-                let mut rng = StdRng::seed_from_u64(seed * 7919 + n as u64);
-                let g = owp_graph::generators::erdos_renyi(
-                    n,
-                    12.0 / (n as f64 - 1.0),
-                    &mut rng,
-                );
-                let p = Problem::random_over(g, b, seed + 5);
+            let runs = par_map(0..seeds, |seed| {
+                let p = instance(n, b, seed);
                 let (sync, series) = run_lid_sync_series(&p);
                 assert!(sync.terminated);
                 let stable = series.stabilization_round().unwrap_or(0);
@@ -78,24 +81,26 @@ pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
                     h_async.observe(c.end_time);
                     h_async.observe(e.end_time);
                 }
-                if let Some(r) = reg {
-                    // Per-closure auditor: the handles it publishes
-                    // through are shared registry families, so the
-                    // violation counter aggregates across the sweep.
-                    let mut auditor = Auditor::new(r);
-                    auditor.audit_matching(&p, &sync.matching);
-                }
-                (
+                let row = (
                     sync.rounds as f64,
                     stable as f64,
                     c.end_time as f64,
                     e.end_time as f64,
-                )
+                );
+                (row, p, sync.matching)
             });
-            let rounds: Vec<f64> = rows.iter().map(|r| r.0).collect();
-            let stable: Vec<f64> = rows.iter().map(|r| r.1).collect();
-            let tc: Vec<f64> = rows.iter().map(|r| r.2).collect();
-            let te: Vec<f64> = rows.iter().map(|r| r.3).collect();
+            // Audited in seed order after the map: the auditor's gauges
+            // keep the last pass, so a pass per thread would leave
+            // whichever seed finished last.
+            if let Some(auditor) = auditor.as_mut() {
+                for (_, p, m) in &runs {
+                    auditor.audit_matching(p, m);
+                }
+            }
+            let rounds: Vec<f64> = runs.iter().map(|(r, ..)| r.0).collect();
+            let stable: Vec<f64> = runs.iter().map(|(r, ..)| r.1).collect();
+            let tc: Vec<f64> = runs.iter().map(|(r, ..)| r.2).collect();
+            let te: Vec<f64> = runs.iter().map(|(r, ..)| r.3).collect();
             t.row(vec![
                 n.to_string(),
                 b.to_string(),
@@ -116,7 +121,8 @@ pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Table {
 
 #[cfg(test)]
 mod tests {
-    use owp_metrics::MetricsRegistry;
+    use owp_core::run_lid_sync_series;
+    use owp_metrics::{Auditor, MetricsRegistry};
 
     #[test]
     fn metrics_variant_fills_histograms_and_audits_clean() {
@@ -130,6 +136,24 @@ mod tests {
         assert_eq!(reg.counter("audit_checks_total").get(), 8);
         assert_eq!(reg.counter("audit_violations_total").get(), 0);
         assert_eq!(reg.gauge("audit_epsilon_blocking_edges").get(), 0.0);
+    }
+
+    #[test]
+    fn metrics_snapshot_is_deterministic_and_audits_the_last_instance() {
+        let metered = || {
+            let reg = MetricsRegistry::new();
+            super::run(true, Some(&reg));
+            reg
+        };
+        let reg = metered();
+        // The quick sweep's last cell and seed: n = 256, b = 8, seed 1.
+        let p = super::instance(256, 8, 1);
+        let serial = MetricsRegistry::new();
+        Auditor::new(&serial).audit_matching(&p, &run_lid_sync_series(&p).0.matching);
+        for gauge in ["audit_satisfaction_ratio", "audit_epsilon_blocking_edges"] {
+            assert_eq!(reg.gauge(gauge).get(), serial.gauge(gauge).get(), "{gauge}");
+        }
+        assert_eq!(reg.snapshot().to_json(), metered().snapshot().to_json());
     }
 
     #[test]

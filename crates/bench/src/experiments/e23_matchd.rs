@@ -29,7 +29,7 @@
 //! Fsync policy is `snapshot` in both — `always` measures the disk, not
 //! the daemon (E23's subject is the batching pipeline).
 
-use crate::Table;
+use crate::{drive_submits, Table, Tally};
 use owp_matchd::{
     client_stream, from_spec, recover, FsyncPolicy, Matchd, MatchdClient, MatchdConfig,
     SubmitOutcome,
@@ -39,10 +39,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Events each client submits per sweep configuration.
-const CHUNK: usize = 16;
+/// Events per SUBMIT.
+pub(crate) const CHUNK: usize = 16;
 /// Client threads (= disjoint node-ownership partitions).
-const CLIENTS: usize = 4;
+pub(crate) const CLIENTS: usize = 4;
 
 fn scale(quick: bool) -> usize {
     if quick {
@@ -59,45 +59,6 @@ fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("owp-e23-{}-{n}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-struct ClientTally {
-    acked_events: u64,
-    busy_retries: u64,
-    last_epoch: u64,
-}
-
-/// Drives one client partition over its own connection; every chunk is
-/// retried through `BUSY` until acknowledged.
-fn drive_client(
-    addr: std::net::SocketAddr,
-    universe: &owp_matching::Problem,
-    client: usize,
-    events: usize,
-    hist: &owp_metrics::Histogram,
-) -> ClientTally {
-    let stream = client_stream(universe, client, CLIENTS, events);
-    let mut conn = MatchdClient::connect(addr).expect("connect");
-    let mut tally = ClientTally { acked_events: 0, busy_retries: 0, last_epoch: 0 };
-    for chunk in stream.chunks(CHUNK) {
-        loop {
-            let t0 = Instant::now();
-            match conn.submit(chunk).expect("submit") {
-                SubmitOutcome::Accepted { epoch } => {
-                    hist.observe(t0.elapsed().as_micros() as u64);
-                    tally.acked_events += chunk.len() as u64;
-                    tally.last_epoch = epoch;
-                    break;
-                }
-                SubmitOutcome::Busy { retry_after_ms } => {
-                    tally.busy_retries += 1;
-                    std::thread::sleep(Duration::from_millis(retry_after_ms as u64));
-                }
-                SubmitOutcome::Rejected { error } => panic!("client {client} rejected: {error}"),
-            }
-        }
-    }
-    tally
 }
 
 /// Runs the ingest sweep + durability table. With a registry, the daemon
@@ -146,12 +107,15 @@ pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Vec<Table> {
         let addr = daemon.local_addr();
 
         let t0 = Instant::now();
-        let tallies: Vec<ClientTally> = std::thread::scope(|s| {
+        let tallies: Vec<Tally> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..CLIENTS)
                 .map(|c| {
                     let universe = &universe;
                     let hist = &hist;
-                    s.spawn(move || drive_client(addr, universe, c, events_per_client, hist))
+                    s.spawn(move || {
+                        drive_submits(addr, universe, c, CLIENTS, events_per_client, CHUNK, hist)
+                            .expect("client drives its stream")
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("client thread")).collect()
@@ -161,7 +125,7 @@ pub fn run(quick: bool, reg: Option<&MetricsRegistry>) -> Vec<Table> {
         let stats = daemon.shutdown();
         stats.certify.expect("graceful shutdown state certifies");
         let acked: u64 = tallies.iter().map(|t| t.acked_events).sum();
-        let busy: u64 = tallies.iter().map(|t| t.busy_retries).sum();
+        let busy: u64 = tallies.iter().map(|t| t.busy).sum();
         let events_per_s = acked as f64 / (ingest_ms / 1e3).max(f64::MIN_POSITIVE);
         let p99_ms = hist.quantile_upper_bound(0.99).unwrap_or(0) as f64 / 1e3;
         ingest.row(vec![

@@ -48,22 +48,15 @@
 //! 2000}µs — the same grid as E23, so the two reports read side by
 //! side.
 
-use crate::Table;
-use owp_matchd::{
-    client_stream, from_spec, FsyncPolicy, Matchd, MatchdClient, MatchdConfig, OpsStatus,
-    SubmitOutcome,
-};
+use super::e23_matchd::{CHUNK, CLIENTS};
+use crate::{drive_submits, Table};
+use owp_matchd::{from_spec, FsyncPolicy, Matchd, MatchdConfig, OpsStatus};
 use owp_metrics::MetricsRegistry;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-/// Events each client submits per configuration (E23's chunking).
-const CHUNK: usize = 16;
-/// Client threads (= disjoint node-ownership partitions).
-const CLIENTS: usize = 4;
 
 /// Runs the overhead sweep + span-split table.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -388,28 +381,9 @@ fn one_ingest(
             .map(|c| {
                 let hist = &hist;
                 s.spawn(move || {
-                    let stream = client_stream(universe, c, CLIENTS, events_per_client);
-                    let mut conn = MatchdClient::connect(addr).expect("connect");
-                    let mut acked = 0u64;
-                    for chunk in stream.chunks(CHUNK) {
-                        loop {
-                            let sent = Instant::now();
-                            match conn.submit(chunk).expect("submit") {
-                                SubmitOutcome::Accepted { .. } => {
-                                    hist.observe(sent.elapsed().as_micros() as u64);
-                                    acked += chunk.len() as u64;
-                                    break;
-                                }
-                                SubmitOutcome::Busy { retry_after_ms } => std::thread::sleep(
-                                    Duration::from_millis(retry_after_ms as u64),
-                                ),
-                                SubmitOutcome::Rejected { error } => {
-                                    panic!("client {c} rejected: {error}")
-                                }
-                            }
-                        }
-                    }
-                    acked
+                    drive_submits(addr, universe, c, CLIENTS, events_per_client, CHUNK, hist)
+                        .expect("client drives its stream")
+                        .acked_events
                 })
             })
             .collect();

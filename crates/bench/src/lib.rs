@@ -59,6 +59,64 @@ where
     })
 }
 
+/// What one closed-loop SUBMIT client got from the daemon.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tally {
+    /// Events the daemon acknowledged.
+    pub acked_events: u64,
+    /// BUSY replies the client slept through.
+    pub busy: u64,
+    /// Sum of the server-advised retry-after delays, in ms.
+    pub retry_after_ms: u64,
+    /// Epoch of the last acknowledged submission.
+    pub last_epoch: u64,
+}
+
+/// Drives client `client` of `clients` against a running matchd: connects,
+/// submits its `owp_matchd::client_stream` of `events` events in
+/// `chunk`-event submissions, sleeps through each BUSY for the advised
+/// retry-after, and observes every accepted round trip (µs) in `hist`.
+///
+/// # Errors
+/// A connection or protocol error, or a REJECTED submission (named with
+/// the client's index).
+pub fn drive_submits(
+    addr: impl std::net::ToSocketAddrs,
+    universe: &owp_matching::Problem,
+    client: usize,
+    clients: usize,
+    events: usize,
+    chunk: usize,
+    hist: &owp_metrics::Histogram,
+) -> Result<Tally, String> {
+    use owp_matchd::SubmitOutcome;
+    let stream = owp_matchd::client_stream(universe, client, clients, events);
+    let mut conn = owp_matchd::MatchdClient::connect(addr)?;
+    let mut tally = Tally::default();
+    for batch in stream.chunks(chunk) {
+        loop {
+            let sent = std::time::Instant::now();
+            match conn.submit(batch)? {
+                SubmitOutcome::Accepted { epoch } => {
+                    hist.observe(sent.elapsed().as_micros() as u64);
+                    tally.acked_events += batch.len() as u64;
+                    tally.last_epoch = epoch;
+                    break;
+                }
+                SubmitOutcome::Busy { retry_after_ms } => {
+                    tally.busy += 1;
+                    tally.retry_after_ms += retry_after_ms as u64;
+                    std::thread::sleep(std::time::Duration::from_millis(retry_after_ms as u64));
+                }
+                SubmitOutcome::Rejected { error } => {
+                    return Err(format!("client {client} rejected: {error}"));
+                }
+            }
+        }
+    }
+    Ok(tally)
+}
+
 /// Sample mean.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

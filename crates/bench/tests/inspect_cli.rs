@@ -130,8 +130,8 @@ fn causal_consistent_trace_exits_zero() {
     let trace = "\
 {\"ev\":\"sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
 {\"ev\":\"delivered\",\"time\":1,\"span\":0,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
-{\"ev\":\"sent\",\"time\":2,\"span\":1,\"parent\":0,\"from\":7,\"to\":3,\"kind\":\"ACC\"}
-{\"ev\":\"delivered\",\"time\":3,\"span\":1,\"from\":7,\"to\":3,\"kind\":\"ACC\"}
+{\"ev\":\"sent\",\"time\":2,\"span\":1,\"parent\":0,\"from\":7,\"to\":3,\"kind\":\"ACK\"}
+{\"ev\":\"delivered\",\"time\":3,\"span\":1,\"from\":7,\"to\":3,\"kind\":\"ACK\"}
 ";
     let path = write(&dir, "events.jsonl", trace);
     let (code, out, _) = inspect(&["causal", &path]);
@@ -147,12 +147,24 @@ fn causal_violated_certificate_exits_one() {
     let trace = "\
 {\"ev\":\"sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
 {\"ev\":\"delivered\",\"time\":1,\"span\":0,\"from\":3,\"to\":7,\"kind\":\"PROP\"}
-{\"ev\":\"sent\",\"time\":2,\"span\":1,\"parent\":99,\"from\":7,\"to\":3,\"kind\":\"ACC\"}
+{\"ev\":\"sent\",\"time\":2,\"span\":1,\"parent\":99,\"from\":7,\"to\":3,\"kind\":\"ACK\"}
 ";
     let path = write(&dir, "events.jsonl", trace);
     let (code, out, _) = inspect(&["causal", &path]);
     assert_eq!(code, 1, "broken certificate must exit 1: {out}");
     assert!(out.contains("FAILED"), "{out}");
+}
+
+#[test]
+fn causal_unknown_message_kind_exits_two() {
+    // LID sends only PROP, REJ and ACK: a trace naming any other kind was
+    // not written by a LID run, so it is refused like any malformed line.
+    let dir = scratch("causal_foreign_kind");
+    let trace = "{\"ev\":\"sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":3,\"to\":7,\"kind\":\"TOKEN\"}\n";
+    let path = write(&dir, "events.jsonl", trace);
+    let (code, out, err) = inspect(&["causal", &path]);
+    assert_eq!(code, 2, "unknown kind is unreadable input: {out}");
+    assert!(err.contains("line 1: unknown message kind \"TOKEN\""), "{err}");
 }
 
 #[test]

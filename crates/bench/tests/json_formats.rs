@@ -137,8 +137,8 @@ fn event_log() -> EventLog {
     for ev in [
         TelemetryEvent::Sent { time: 0, span: SpanId(0), parent: None, from: a, to: b, kind: MessageKind::Prop },
         TelemetryEvent::Delivered { time: 1, span: SpanId(0), from: a, to: b, kind: MessageKind::Prop },
-        TelemetryEvent::Sent { time: 1, span: SpanId(1), parent: Some(SpanId(0)), from: b, to: a, kind: MessageKind::Other("TOKEN") },
-        TelemetryEvent::Dropped { time: 2, span: SpanId(1), from: b, to: a, kind: MessageKind::Other("TOKEN") },
+        TelemetryEvent::Sent { time: 1, span: SpanId(1), parent: Some(SpanId(0)), from: b, to: a, kind: MessageKind::Rej },
+        TelemetryEvent::Dropped { time: 2, span: SpanId(1), from: b, to: a, kind: MessageKind::Rej },
         TelemetryEvent::DeadLettered { time: 3, span: SpanId(2), from: NodeId(0), to: NodeId(4), kind: MessageKind::Ack },
         TelemetryEvent::Restarted { time: 3, node: NodeId(4) },
         TelemetryEvent::TimerFired { time: 4, node: n3, tag: 11 },
@@ -221,7 +221,7 @@ fn writer_output_bytes_are_pinned() {
         ("FaultPlan::to_json", fault_plan().to_json(), "4fbe0638a8ed989b"),
         ("AuditViolation::to_json", audit, "a9d4bfdcae92c772"),
         ("OpsStatus::to_json", ops_status().to_json(), "515086e328c2899f"),
-        ("EventLog::to_jsonl", event_log().to_jsonl(), "2300de45b09966c7"),
+        ("EventLog::to_jsonl", event_log().to_jsonl(), "b00b2a6c91e579b3"),
         ("ConvergenceSeries::to_jsonl", series().to_jsonl(), "acf20db4bb082e01"),
         ("Table::to_json", table().to_json(), "18125d74db949f75"),
     ];

@@ -9,7 +9,9 @@
 //!
 //! * [`lid`] — Algorithm 1 as a message-passing state machine over
 //!   `owp-simnet`, with asynchronous and synchronous runners
-//!   ([`run_lid`], [`run_lid_sync`], [`run_lid_sync_series`]);
+//!   ([`run_lid`], [`run_lid_sync`], [`run_lid_sync_series`]); its
+//!   messages are `owp_telemetry::MessageKind` (PROP, REJ and the
+//!   reliable layer's ACK), the same type the traces and counters use;
 //! * [`lid_reliable`] — Algorithm 1 under a retransmission layer that
 //!   survives message loss and crash-restart ([`run_lid_reliable`]);
 //! * [`metric`] — the suitability metrics of the paper's introduction
@@ -52,7 +54,7 @@ pub mod overlay;
 pub mod privacy;
 
 pub use lid::{
-    replay_lid_trace, run_lid, run_lid_sync, run_lid_sync_series, LidMessage, LidNode, LidResult,
+    replay_lid_trace, run_lid, run_lid_sync, run_lid_sync_series, LidNode, LidResult,
 };
 pub use lid_reliable::{run_lid_reliable, ReliableLidNode, DEFAULT_RETRY_INTERVAL};
 pub use metric::SuitabilityMetric;

@@ -9,6 +9,10 @@
 //! move to its next-ranked candidate; once `P \ K = ∅` (all proposals
 //! locked), the node rejects everyone left in `U` and terminates.
 //!
+//! The messages are [`MessageKind`]'s `Prop` and `Rej` (and `Ack` from the
+//! reliable layer, which this state machine treats as a `Prop` it never
+//! answers), the same closed vocabulary the traces and counters use.
+//!
 //! State layout: [`LidNode`] keeps the four sets as one flag byte per
 //! neighbour (bits `U`, `P`, `A`, `K`), stored beside the neighbour's id in
 //! its *slot* — its position in the graph's id-sorted CSR adjacency. A
@@ -42,34 +46,10 @@
 use owp_graph::NodeId;
 use owp_matching::{matching_totals, BMatching, Problem};
 use owp_simnet::{
-    Context, EventLog, MessageKind, NetStats, NodeEvent, Payload, Protocol, SimConfig, Simulator,
+    Context, EventLog, MessageKind, NetStats, NodeEvent, Protocol, SimConfig, Simulator,
     SyncRunner, TelemetryEvent,
 };
 use owp_telemetry::{ConvergenceSample, ConvergenceSeries};
-
-/// The message kinds of Algorithm 1 (plus the retransmission layer's ACK).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LidMessage {
-    /// "I propose we establish a connection."
-    Prop,
-    /// "I will not connect to you (my quota is filled or better options won)."
-    Rej,
-    /// Reliable-LID only: "your proposal is locked on my side" — semantically
-    /// a `Prop` for the receiver's state machine, but *never replied to*,
-    /// which is what terminates duplicate-confirmation chains (plain
-    /// Algorithm 1 never sends this).
-    Ack,
-}
-
-impl Payload for LidMessage {
-    fn kind(&self) -> MessageKind {
-        match self {
-            LidMessage::Prop => MessageKind::Prop,
-            LidMessage::Rej => MessageKind::Rej,
-            LidMessage::Ack => MessageKind::Ack,
-        }
-    }
-}
 
 /// Flag bit: the neighbour is in `U` (unresolved).
 const U: u8 = 1;
@@ -194,15 +174,15 @@ impl LidNode {
 
     /// Adds `slot` to `P` and sends the PROP.
     #[inline]
-    fn propose(&mut self, slot: usize, ctx: &mut Context<LidMessage>) {
+    fn propose(&mut self, slot: usize, ctx: &mut Context<MessageKind>) {
         self.set_flags(slot, self.slots[slot].flags | P);
         let v = self.slots[slot].id;
-        ctx.send(v, LidMessage::Prop);
+        ctx.send(v, MessageKind::Prop);
         ctx.emit(NodeEvent::PropSent { to: v });
     }
 
     /// Moves `slot` from `U` and `A` into `K`.
-    fn lock(&mut self, slot: usize, ctx: &mut Context<LidMessage>) {
+    fn lock(&mut self, slot: usize, ctx: &mut Context<MessageKind>) {
         self.set_flags(slot, (self.slots[slot].flags & !(U | A)) | K);
         ctx.emit(NodeEvent::EdgeLocked { peer: self.slots[slot].id });
     }
@@ -216,7 +196,7 @@ impl LidNode {
     /// restart), which proposes without locking. So a delivery usually has
     /// at most one candidate: the slot it just touched. Anything else is
     /// locked in ascending id order, as the set-based fixpoint did.
-    fn lock_mutuals(&mut self, touched: usize, ctx: &mut Context<LidMessage>) {
+    fn lock_mutuals(&mut self, touched: usize, ctx: &mut Context<MessageKind>) {
         if self.mutual == 1 && lockable(self.slots[touched].flags) == 1 {
             self.lock(touched, ctx);
             return;
@@ -233,14 +213,14 @@ impl LidNode {
     /// Algorithm 1 lines 15–16: all proposals resolved → reject everyone
     /// still unresolved and terminate. (`U = ∅` with nothing to reject —
     /// e.g. zero quota, no neighbours — also counts as termination.)
-    fn finish_if_done(&mut self, ctx: &mut Context<LidMessage>) {
+    fn finish_if_done(&mut self, ctx: &mut Context<MessageKind>) {
         if self.outstanding > 0 {
             return;
         }
         if self.unresolved > 0 {
             for slot in self.slots.iter_mut().filter(|s| s.flags & U != 0) {
                 slot.flags &= !U;
-                ctx.send(slot.id, LidMessage::Rej);
+                ctx.send(slot.id, MessageKind::Rej);
                 ctx.emit(NodeEvent::RejSent { to: slot.id });
             }
             self.unresolved = 0;
@@ -299,9 +279,9 @@ impl LidNode {
 }
 
 impl Protocol for LidNode {
-    type Message = LidMessage;
+    type Message = MessageKind;
 
-    fn on_start(&mut self, ctx: &mut Context<LidMessage>) {
+    fn on_start(&mut self, ctx: &mut Context<MessageKind>) {
         // Lines 2–3: propose to the top b_i candidates.
         for _ in 0..self.quota {
             let Some(slot) = self.top_ranked() else { break };
@@ -315,7 +295,7 @@ impl Protocol for LidNode {
     /// # Panics
     /// Panics if `from` is not a neighbour: LID only messages along overlay
     /// edges (the simulator enforces this at send time).
-    fn on_message(&mut self, from: NodeId, msg: LidMessage, ctx: &mut Context<LidMessage>) {
+    fn on_message(&mut self, from: NodeId, msg: MessageKind, ctx: &mut Context<MessageKind>) {
         let slot = self
             .slot_of(from)
             .unwrap_or_else(|| panic!("{:?} got a message from non-neighbour {from:?}", self.id));
@@ -324,8 +304,8 @@ impl Protocol for LidNode {
             // Terminated. The paper's pseudocode does not handle a PROP that
             // arrives after line 16; without a REJ reply the proposer would
             // deadlock, so we answer here (documented deviation).
-            if msg == LidMessage::Prop && flags & K == 0 {
-                ctx.send(from, LidMessage::Rej);
+            if msg == MessageKind::Prop && flags & K == 0 {
+                ctx.send(from, MessageKind::Rej);
                 ctx.emit(NodeEvent::RejSent { to: from });
             }
             return;
@@ -334,8 +314,8 @@ impl Protocol for LidNode {
         match msg {
             // An ACK certifies the sender holds our proposal locked; for the
             // state machine it is exactly an incoming proposal (line 6).
-            LidMessage::Prop | LidMessage::Ack => self.set_flags(slot, flags | A),
-            LidMessage::Rej => {
+            MessageKind::Prop | MessageKind::Ack => self.set_flags(slot, flags | A),
+            MessageKind::Rej => {
                 // Lines 7–11. A REJ can never come from a locked partner:
                 // locking is mutual-proposal only and REJs are terminal.
                 debug_assert!(flags & K == 0, "REJ from locked partner");
@@ -463,7 +443,7 @@ pub(crate) fn run_async<N, F>(
     inner: F,
 ) -> LidResult
 where
-    N: Protocol<Message = LidMessage>,
+    N: Protocol<Message = MessageKind>,
     F: Fn(&N) -> &LidNode,
 {
     // LID only messages along overlay edges: the graph's CSR positions
@@ -562,10 +542,11 @@ pub fn run_lid_sync_series(problem: &Problem) -> (LidResult, ConvergenceSeries) 
 /// The log may come from disk, so it is validated as it is replayed.
 ///
 /// # Errors
-/// An error naming the event's index if a delivery carries a non-LID
-/// message kind, names a node outside the problem, runs between two nodes
-/// that are not neighbours, or is a REJ from a partner the receiver has
-/// locked (impossible for Algorithm 1).
+/// An error naming the event's index if a delivery names a node outside
+/// the problem, runs between two nodes that are not neighbours, or is a
+/// REJ from a partner the receiver has locked (impossible for Algorithm
+/// 1). A kind outside PROP/REJ/ACK cannot reach this point: the trace
+/// parser refuses it.
 pub fn replay_lid_trace(problem: &Problem, log: &EventLog) -> Result<BMatching, String> {
     let mut nodes = build_nodes(problem);
     for node in nodes.iter_mut() {
@@ -577,14 +558,6 @@ pub fn replay_lid_trace(problem: &Problem, log: &EventLog) -> Result<BMatching, 
         let TelemetryEvent::Delivered { time, from, to, kind, .. } = *ev else {
             continue;
         };
-        let msg = match kind {
-            MessageKind::Prop => LidMessage::Prop,
-            MessageKind::Rej => LidMessage::Rej,
-            MessageKind::Ack => LidMessage::Ack,
-            MessageKind::Other(label) => {
-                return Err(format!("event {i}: not a LID message kind {label:?}"))
-            }
-        };
         if let Some(v) = [from, to].into_iter().find(|v| v.index() >= n) {
             return Err(format!("event {i}: node {} out of range (n = {n})", v.0));
         }
@@ -595,14 +568,14 @@ pub fn replay_lid_trace(problem: &Problem, log: &EventLog) -> Result<BMatching, 
                 from.0, to.0
             ));
         };
-        if msg == LidMessage::Rej && node.slots[slot].flags & K != 0 {
+        if kind == MessageKind::Rej && node.slots[slot].flags & K != 0 {
             return Err(format!(
                 "event {i}: REJ from {} to {}, which has it locked",
                 from.0, to.0
             ));
         }
         let mut ctx = Context::detached(to, time);
-        node.on_message(from, msg, &mut ctx);
+        node.on_message(from, kind, &mut ctx);
     }
     let nodes: Vec<&LidNode> = nodes.iter().collect();
     Ok(extract_matching(problem, &nodes).0)
@@ -833,7 +806,6 @@ mod tests {
         let p = Problem::new(g, prefs, quotas);
         let ok = delivery(1, 0, MessageKind::Prop);
         let cases = [
-            (delivery(1, 0, MessageKind::Other("PING")), "not a LID message kind"),
             (delivery(1, 9, MessageKind::Prop), "node 9 out of range"),
             (delivery(7, 0, MessageKind::Rej), "node 7 out of range"),
             (delivery(1, 2, MessageKind::Prop), "non-neighbour"),

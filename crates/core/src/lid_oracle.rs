@@ -5,10 +5,10 @@
 //! step, in the spirit of the key-based LIC oracle of
 //! `tests/rank_equivalence.rs`.
 
-use crate::lid::{LidMessage, LidNode};
+use crate::lid::LidNode;
 use owp_graph::NodeId;
 use owp_matching::Problem;
-use owp_simnet::{Context, NodeEvent, Protocol};
+use owp_simnet::{Context, MessageKind, NodeEvent, Protocol};
 use std::collections::BTreeSet;
 
 /// The set-based Algorithm 1 state machine (`U`, `P`, `A`, `K`).
@@ -53,7 +53,7 @@ impl SetLidNode {
         None
     }
 
-    fn lock_mutuals(&mut self, ctx: &mut Context<LidMessage>) {
+    fn lock_mutuals(&mut self, ctx: &mut Context<MessageKind>) {
         loop {
             let v = self
                 .p
@@ -68,10 +68,10 @@ impl SetLidNode {
         }
     }
 
-    fn finish_if_done(&mut self, ctx: &mut Context<LidMessage>) {
+    fn finish_if_done(&mut self, ctx: &mut Context<MessageKind>) {
         if self.p.iter().all(|v| self.k.contains(v)) {
             for &v in &self.u {
-                ctx.send(v, LidMessage::Rej);
+                ctx.send(v, MessageKind::Rej);
                 ctx.emit(NodeEvent::RejSent { to: v });
             }
             self.u.clear();
@@ -105,38 +105,38 @@ impl SetLidNode {
 }
 
 impl Protocol for SetLidNode {
-    type Message = LidMessage;
+    type Message = MessageKind;
 
-    fn on_start(&mut self, ctx: &mut Context<LidMessage>) {
+    fn on_start(&mut self, ctx: &mut Context<MessageKind>) {
         for _ in 0..self.quota {
             let Some(v) = self.top_ranked() else { break };
             self.p.insert(v);
-            ctx.send(v, LidMessage::Prop);
+            ctx.send(v, MessageKind::Prop);
             ctx.emit(NodeEvent::PropSent { to: v });
         }
         self.finish_if_done(ctx);
     }
 
-    fn on_message(&mut self, from: NodeId, msg: LidMessage, ctx: &mut Context<LidMessage>) {
+    fn on_message(&mut self, from: NodeId, msg: MessageKind, ctx: &mut Context<MessageKind>) {
         if self.u.is_empty() {
-            if msg == LidMessage::Prop && !self.k.contains(&from) {
-                ctx.send(from, LidMessage::Rej);
+            if msg == MessageKind::Prop && !self.k.contains(&from) {
+                ctx.send(from, MessageKind::Rej);
                 ctx.emit(NodeEvent::RejSent { to: from });
             }
             return;
         }
         match msg {
-            LidMessage::Prop | LidMessage::Ack => {
+            MessageKind::Prop | MessageKind::Ack => {
                 self.a.insert(from);
             }
-            LidMessage::Rej => {
+            MessageKind::Rej => {
                 debug_assert!(!self.k.contains(&from), "REJ from locked partner");
                 self.u.remove(&from);
                 self.a.remove(&from);
                 if self.p.remove(&from) {
                     if let Some(v) = self.top_ranked() {
                         self.p.insert(v);
-                        ctx.send(v, LidMessage::Prop);
+                        ctx.send(v, MessageKind::Prop);
                         ctx.emit(NodeEvent::PropSent { to: v });
                     }
                 }
@@ -163,19 +163,19 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Step {
         Start,
-        Deliver(NodeId, LidMessage),
+        Deliver(NodeId, MessageKind),
         /// Crash-restart recovery as `ReliableLidNode` performs it.
         ResetAndStart,
     }
 
     /// Everything a callback made observable: the sends and the emitted
     /// node events.
-    fn run_step<N: Protocol<Message = LidMessage>>(
+    fn run_step<N: Protocol<Message = MessageKind>>(
         node: &mut N,
         id: NodeId,
         step: Step,
         reset: impl FnOnce(&mut N),
-    ) -> (Vec<(NodeId, LidMessage)>, Vec<NodeEvent>) {
+    ) -> (Vec<(NodeId, MessageKind)>, Vec<NodeEvent>) {
         let mut ctx = Context::detached_recording(id, 0);
         match step {
             Step::Start => node.on_start(&mut ctx),
@@ -259,7 +259,7 @@ mod tests {
                     for t in 0..40 {
                         let ctx =
                             format!("problem {pi}, node {id:?}, trial {trial}, step {t} {step:?}");
-                        if let Step::Deliver(from, LidMessage::Prop) = step {
+                        if let Step::Deliver(from, MessageKind::Prop) = step {
                             terminated_props +=
                                 usize::from(old.is_terminated() && !old.is_locked(from));
                         }
@@ -286,14 +286,14 @@ mod tests {
                             _ => {
                                 let from = neighbours[rng.gen_range(0..neighbours.len())];
                                 let msg = match rng.gen_range(0..10) {
-                                    0..=4 => LidMessage::Prop,
-                                    5 => LidMessage::Ack,
-                                    _ => LidMessage::Rej,
+                                    0..=4 => MessageKind::Prop,
+                                    5 => MessageKind::Ack,
+                                    _ => MessageKind::Rej,
                                 };
                                 // A REJ from a locked partner is impossible
                                 // for Algorithm 1 (both sides assert it).
-                                if msg == LidMessage::Rej && old.is_locked(from) {
-                                    Step::Deliver(from, LidMessage::Prop)
+                                if msg == MessageKind::Rej && old.is_locked(from) {
+                                    Step::Deliver(from, MessageKind::Prop)
                                 } else {
                                     Step::Deliver(from, msg)
                                 }

@@ -24,10 +24,10 @@
 //! 3. Timers stop re-arming once the node terminates, so the network still
 //!    quiesces.
 
-use crate::lid::{run_async, LidMessage, LidNode, LidResult};
+use crate::lid::{run_async, LidNode, LidResult};
 use owp_graph::NodeId;
 use owp_matching::Problem;
-use owp_simnet::{Context, NodeEvent, Protocol, SimConfig, SimTime};
+use owp_simnet::{Context, MessageKind, NodeEvent, Protocol, SimConfig, SimTime};
 
 /// Default retransmission interval in ticks.
 pub const DEFAULT_RETRY_INTERVAL: SimTime = 50;
@@ -60,7 +60,7 @@ impl ReliableLidNode {
         self.retransmissions
     }
 
-    fn arm(&self, ctx: &mut Context<LidMessage>) {
+    fn arm(&self, ctx: &mut Context<MessageKind>) {
         if !self.inner.is_terminated() {
             ctx.set_timer(self.interval, 0);
         }
@@ -68,29 +68,29 @@ impl ReliableLidNode {
 }
 
 impl Protocol for ReliableLidNode {
-    type Message = LidMessage;
+    type Message = MessageKind;
 
-    fn on_start(&mut self, ctx: &mut Context<LidMessage>) {
+    fn on_start(&mut self, ctx: &mut Context<MessageKind>) {
         self.inner.on_start(ctx);
         self.arm(ctx);
     }
 
-    fn on_message(&mut self, from: NodeId, msg: LidMessage, ctx: &mut Context<LidMessage>) {
+    fn on_message(&mut self, from: NodeId, msg: MessageKind, ctx: &mut Context<MessageKind>) {
         match msg {
-            LidMessage::Prop if self.inner.is_locked(from) => {
+            MessageKind::Prop if self.inner.is_locked(from) => {
                 // The peer is still proposing although we consider the pair
                 // locked: our handshake-completing PROP was lost. Confirm
                 // with an ACK — never with a PROP, and the ACK itself is
                 // never answered, so two mutually-locked nodes cannot echo
                 // confirmations at each other forever.
                 self.retransmissions += 1;
-                ctx.send(from, LidMessage::Ack);
+                ctx.send(from, MessageKind::Ack);
                 ctx.emit(NodeEvent::Retransmit { to: from });
             }
-            LidMessage::Ack if self.inner.is_locked(from) => {
+            MessageKind::Ack if self.inner.is_locked(from) => {
                 // Stale confirmation for an already-completed handshake.
             }
-            LidMessage::Rej if self.inner.is_locked(from) => {
+            MessageKind::Rej if self.inner.is_locked(from) => {
                 // Only reachable under crash-restart faults: the peer lost
                 // its side of the lock to amnesia and settled elsewhere.
                 // Keep our side — the post-run asymmetric-lock audit reports
@@ -101,7 +101,7 @@ impl Protocol for ReliableLidNode {
         }
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<LidMessage>) {
+    fn on_restart(&mut self, ctx: &mut Context<MessageKind>) {
         // Crash-restart recovery: the node reboots with amnesia. Reset the
         // wrapped state machine, re-enter Algorithm 1 from the top, and
         // re-arm retransmission. Locked ex-partners answer the re-proposals
@@ -113,10 +113,10 @@ impl Protocol for ReliableLidNode {
         self.arm(ctx);
     }
 
-    fn on_timer(&mut self, _tag: u64, ctx: &mut Context<LidMessage>) {
+    fn on_timer(&mut self, _tag: u64, ctx: &mut Context<MessageKind>) {
         for v in self.inner.outstanding_proposals() {
             self.retransmissions += 1;
-            ctx.send(v, LidMessage::Prop);
+            ctx.send(v, MessageKind::Prop);
             ctx.emit(NodeEvent::Retransmit { to: v });
         }
         self.arm(ctx);
@@ -294,7 +294,6 @@ mod tests {
         // No retransmission message kinds beyond plain LID's counts: equal
         // PROP counts to a plain run.
         let plain = crate::lid::run_lid(&p, SimConfig::with_seed(3));
-        use owp_simnet::MessageKind;
         assert_eq!(
             r.stats.sent_of(MessageKind::Prop),
             plain.stats.sent_of(MessageKind::Prop)

@@ -14,8 +14,10 @@
 //!   [`MetricsSnapshot::to_json`], and matching parsers for offline
 //!   inspection (`owp-inspect`).
 //! * [`MetricsRecorder`] — aggregates a simulator event stream into the
-//!   registry: per-kind message counters, send→deliver latency histograms
-//!   (paired by span), PROP→accept latency, termination times.
+//!   registry: one sent counter per LID message kind (PROP, REJ, ACK —
+//!   the closed vocabulary, so every family is registered up front),
+//!   send→deliver latency histograms (paired by span), PROP→accept
+//!   latency, termination times.
 //! * [`Auditor`] — the online invariant auditor: quota feasibility,
 //!   matching mutuality, eq. 9 weight symmetry, the Lemma 4
 //!   locally-heaviest certificate (Theorem 2's ½-approximation), engine
@@ -45,7 +47,6 @@
 
 pub mod alloc;
 pub mod audit;
-pub mod campaign;
 pub mod daemon;
 pub mod recorder;
 pub mod registry;
@@ -66,11 +67,6 @@ pub use daemon::{
 };
 pub use audit::{
     epsilon_blocking_count, weight_upper_bound, AuditViolation, Auditor, InvariantKind,
-};
-pub use campaign::{
-    campaign_plans_key, campaign_violations_key, register_campaign_metrics, CAMPAIGN_CLASSES,
-    CAMPAIGN_CERTIFIED_TOTAL, CAMPAIGN_PLANS_TOTAL, CAMPAIGN_PLAN_EVENTS, CAMPAIGN_PLAN_WALL_US,
-    CAMPAIGN_VIOLATIONS_TOTAL,
 };
 pub use recorder::MetricsRecorder;
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};

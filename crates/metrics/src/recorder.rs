@@ -9,7 +9,6 @@
 //! | metric | type | source |
 //! |---|---|---|
 //! | `messages_sent_total` (+ `_prop/_rej/_ack`) | counter | `Sent` |
-//! | `messages_sent_other_<LABEL>` | counter | `Sent` with `Other(LABEL)` |
 //! | `messages_delivered_total` | counter | `Delivered` |
 //! | `messages_dropped_total` | counter | `Dropped` |
 //! | `messages_dead_lettered_total` | counter | `DeadLettered` |
@@ -40,7 +39,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 #[derive(Debug)]
 pub struct MetricsRecorder {
     sent_total: Counter,
-    sent_kind: [Counter; MessageKind::FIXED],
+    sent_kind: [Counter; MessageKind::ALL.len()],
     delivered_total: Counter,
     dropped_total: Counter,
     dead_lettered_total: Counter,
@@ -49,34 +48,10 @@ pub struct MetricsRecorder {
     message_latency: Histogram,
     prop_accept_latency: Histogram,
     node_termination_time: Histogram,
-    /// Registry handle kept for lazy registration of per-label counters —
-    /// `MessageKind::Other` labels are open-ended, so their families cannot
-    /// be created up front like the fixed kinds.
-    registry: MetricsRegistry,
-    /// Lazily-registered `messages_sent_other_<LABEL>` counters, one per
-    /// distinct `Other` label seen, so custom kinds stay distinguishable
-    /// instead of folding into the total alone.
-    sent_other: BTreeMap<&'static str, Counter>,
     /// Send times of the spans not yet delivered, dropped or dead-lettered.
     in_flight: HashMap<SpanId, u64>,
     /// Outstanding proposals awaiting a lock, keyed (proposer, peer).
     pending_props: BTreeMap<(u32, u32), VecDeque<u64>>,
-}
-
-/// Interned `messages_sent_other_<LABEL>` registry key for a label. The
-/// registry requires `&'static str` keys; each distinct label leaks its key
-/// string exactly once, process-wide (label sets are tiny in practice).
-fn sent_other_key(label: &'static str) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static KEYS: OnceLock<Mutex<Vec<(&'static str, &'static str)>>> = OnceLock::new();
-    let keys = KEYS.get_or_init(|| Mutex::new(Vec::new()));
-    let mut keys = keys.lock().expect("key interner poisoned");
-    if let Some(&(_, key)) = keys.iter().find(|&&(l, _)| l == label) {
-        return key;
-    }
-    let key: &'static str = Box::leak(format!("messages_sent_other_{label}").into_boxed_str());
-    keys.push((label, key));
-    key
 }
 
 impl MetricsRecorder {
@@ -98,8 +73,6 @@ impl MetricsRecorder {
             message_latency: reg.histogram("message_latency_ticks"),
             prop_accept_latency: reg.histogram("prop_accept_latency_ticks"),
             node_termination_time: reg.histogram("node_termination_time_ticks"),
-            registry: reg.clone(),
-            sent_other: BTreeMap::new(),
             in_flight: HashMap::new(),
             pending_props: BTreeMap::new(),
         }
@@ -118,17 +91,7 @@ impl MetricsRecorder {
         match ev {
             TelemetryEvent::Sent { time, span, kind, .. } => {
                 self.sent_total.inc();
-                match kind.fixed_slot() {
-                    Some(slot) => self.sent_kind[slot].inc(),
-                    None => {
-                        let MessageKind::Other(label) = kind else { unreachable!() };
-                        let reg = &self.registry;
-                        self.sent_other
-                            .entry(label)
-                            .or_insert_with(|| reg.counter(sent_other_key(label)))
-                            .inc();
-                    }
-                }
+                self.sent_kind[kind.index()].inc();
                 self.in_flight.insert(span, time);
             }
             TelemetryEvent::Delivered { time, span, .. } => {
@@ -235,25 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn other_kinds_get_distinct_labelled_counters() {
-        let reg = MetricsRegistry::new();
-        let mut rec = MetricsRecorder::new(&reg);
-        // Two custom kinds plus a fixed one: the labels must not fold.
-        rec.record(sent(0, 0, 0, 1, MessageKind::Other("TOKEN")));
-        rec.record(sent(1, 1, 0, 1, MessageKind::Other("TOKEN")));
-        rec.record(sent(2, 2, 1, 0, MessageKind::Other("PING")));
-        rec.record(sent(3, 3, 1, 0, MessageKind::Ack));
-        assert_eq!(reg.counter("messages_sent_total").get(), 4);
-        assert_eq!(reg.counter(super::sent_other_key("TOKEN")).get(), 2);
-        assert_eq!(reg.counter(super::sent_other_key("PING")).get(), 1);
-        assert_eq!(reg.counter("messages_sent_ack").get(), 1);
-        // The labelled families appear in snapshots under stable keys.
-        let snap = reg.snapshot();
-        assert!(snap.counters.iter().any(|(k, v)| k == "messages_sent_other_TOKEN" && *v == 2));
-        assert!(snap.counters.iter().any(|(k, v)| k == "messages_sent_other_PING" && *v == 1));
-    }
-
-    #[test]
     fn prop_accept_and_termination() {
         let reg = MetricsRegistry::new();
         let mut rec = MetricsRecorder::new(&reg);
@@ -274,10 +218,12 @@ mod tests {
         log.record(sent(0, 0, 0, 1, MessageKind::Prop));
         log.record(delivered(5, 0, 0, 1, MessageKind::Prop));
         log.record(TelemetryEvent::TimerFired { time: 6, node: NodeId(1), tag: 2 });
+        log.record(sent(6, 1, 1, 0, MessageKind::Ack));
         let reg = MetricsRegistry::new();
         let mut rec = MetricsRecorder::new(&reg);
         rec.consume(&log);
-        assert_eq!(reg.counter("messages_sent_total").get(), 1);
+        assert_eq!(reg.counter("messages_sent_total").get(), 2);
+        assert_eq!(reg.counter("messages_sent_ack").get(), 1);
         assert_eq!(reg.histogram("message_latency_ticks").sum(), 5);
         assert_eq!(reg.counter("timers_fired_total").get(), 1);
     }

@@ -183,7 +183,8 @@ struct Families {
 ///
 /// The registry is a cheap `Arc`-backed handle: clones share the same
 /// family table, so a component that must register families lazily (e.g.
-/// the recorder's per-label `Other(_)` send counters) can keep a clone.
+/// the auditor's gauges, set only by the passes that measure them) can
+/// keep a clone.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     inner: std::sync::Arc<Mutex<Families>>,

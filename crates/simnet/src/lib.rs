@@ -24,7 +24,9 @@
 //!   duplication, FIFO-violating reordering, healing partitions, node
 //!   crash/restart) for the robustness experiments and chaos campaigns that
 //!   go beyond the paper's reliable-network assumption;
-//! * [`stats`] — typed per-kind message counters ([`owp_telemetry::MessageKind`]);
+//! * [`stats`] — per-kind sent counters over LID's closed
+//!   [`owp_telemetry::MessageKind`] vocabulary (PROP/REJ/ACK), which is
+//!   also the kind every [`protocol::Payload`] travels as;
 //!   structured event traces live in the re-exported [`owp_telemetry`] layer
 //!   (`EventLog` of typed `TelemetryEvent`s, enabled per run via
 //!   [`sim::SimConfig::telemetry`]).

@@ -16,13 +16,18 @@ pub(crate) type CtxParts<M> = (Vec<(NodeId, M)>, Vec<(SimTime, u64)>, Vec<NodeEv
 
 /// A message payload exchanged between protocol nodes.
 ///
-/// `kind` classifies the message (e.g. [`MessageKind::Prop`]) so the
-/// engines can aggregate per-kind statistics without knowing protocol
-/// internals — a typed enum, so the statistics path never hashes strings.
+/// `kind` classifies the message as one of LID's [`MessageKind`]s so the
+/// engines can count and trace it without knowing protocol internals.
+/// LID itself sends [`MessageKind`] as its payload; a payload that carries
+/// data names the kind it travels as.
 pub trait Payload: Clone + std::fmt::Debug {
-    /// The message class (default: the unlabelled [`MessageKind::Other`]).
+    /// The message class.
+    fn kind(&self) -> MessageKind;
+}
+
+impl Payload for MessageKind {
     fn kind(&self) -> MessageKind {
-        MessageKind::Other("msg")
+        *self
     }
 }
 
@@ -192,22 +197,14 @@ impl<M> Context<M> {
 mod tests {
     use super::*;
 
-    #[derive(Clone, Debug)]
-    struct Ping;
-    impl Payload for Ping {
-        fn kind(&self) -> MessageKind {
-            MessageKind::Other("PING")
-        }
-    }
-
     #[test]
     fn context_buffers_sends() {
-        let mut ctx: Context<Ping> = Context::new(NodeId(3), 17);
+        let mut ctx: Context<MessageKind> = Context::new(NodeId(3), 17);
         assert_eq!(ctx.self_id(), NodeId(3));
         assert_eq!(ctx.now(), 17);
         assert_eq!(ctx.pending(), 0);
-        ctx.send(NodeId(1), Ping);
-        ctx.send(NodeId(2), Ping);
+        ctx.send(NodeId(1), MessageKind::Prop);
+        ctx.send(NodeId(2), MessageKind::Prop);
         assert_eq!(ctx.pending(), 2);
         let to: Vec<NodeId> = ctx.sent().iter().map(|&(to, _)| to).collect();
         assert_eq!(to, [NodeId(1), NodeId(2)]);
@@ -219,19 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn payload_default_kind() {
-        #[derive(Clone, Debug)]
-        struct Plain;
-        impl Payload for Plain {}
-        assert_eq!(Plain.kind(), MessageKind::Other("msg"));
-        assert_eq!(Ping.kind(), MessageKind::Other("PING"));
-    }
-
-    #[test]
     fn emit_respects_the_telemetry_switch() {
         // Telemetry off (default construction): events are discarded and
         // the buffer never allocates.
-        let mut off: Context<Ping> = Context::new(NodeId(0), 0);
+        let mut off: Context<MessageKind> = Context::new(NodeId(0), 0);
         off.emit(NodeEvent::NodeTerminated);
         assert!(off.emitted().is_empty());
         let (_, _, events) = off.into_parts();
@@ -239,7 +227,7 @@ mod tests {
         assert_eq!(events.capacity(), 0);
 
         // Telemetry on: every emitted event is captured.
-        let mut on: Context<Ping> = Context::detached_recording(NodeId(0), 0);
+        let mut on: Context<MessageKind> = Context::detached_recording(NodeId(0), 0);
         on.emit(NodeEvent::EdgeLocked { peer: NodeId(1) });
         assert_eq!(on.emitted(), [NodeEvent::EdgeLocked { peer: NodeId(1) }]);
         let (_, _, events) = on.into_parts();

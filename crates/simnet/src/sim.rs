@@ -554,7 +554,7 @@ mod tests {
     }
     impl Payload for Token {
         fn kind(&self) -> MessageKind {
-            MessageKind::Other("TOKEN")
+            MessageKind::Prop
         }
     }
 
@@ -621,7 +621,7 @@ mod tests {
         assert!(out.quiescent);
         assert_eq!(out.deliveries, 12);
         assert_eq!(sim.stats().sent, 12);
-        assert_eq!(sim.stats().sent_of(MessageKind::Other("TOKEN")), 12);
+        assert_eq!(sim.stats().sent_of(MessageKind::Prop), 12);
         let total_seen: u32 = sim.nodes().map(|n| n.seen).sum();
         assert_eq!(total_seen, 12);
     }
@@ -721,7 +721,11 @@ mod tests {
         }
         #[derive(Clone, Debug)]
         struct Seq(u32);
-        impl Payload for Seq {}
+        impl Payload for Seq {
+            fn kind(&self) -> MessageKind {
+                MessageKind::Prop
+            }
+        }
         impl Protocol for Burst {
             type Message = Seq;
             fn on_start(&mut self, ctx: &mut Context<Seq>) {
@@ -768,8 +772,8 @@ mod tests {
     impl Payload for RetryMsg {
         fn kind(&self) -> MessageKind {
             match self {
-                RetryMsg::Ping => MessageKind::Other("PING"),
-                RetryMsg::Pong => MessageKind::Other("PONG"),
+                RetryMsg::Ping => MessageKind::Prop,
+                RetryMsg::Pong => MessageKind::Ack,
             }
         }
     }
@@ -822,8 +826,8 @@ mod tests {
         assert!(out.quiescent);
         assert!(sim.node(NodeId(0)).done);
         assert_eq!(sim.node(NodeId(1)).pings_seen, 3);
-        assert_eq!(sim.stats().sent_of(MessageKind::Other("PING")), 3);
-        assert_eq!(sim.stats().sent_of(MessageKind::Other("PONG")), 1);
+        assert_eq!(sim.stats().sent_of(MessageKind::Prop), 3);
+        assert_eq!(sim.stats().sent_of(MessageKind::Ack), 1);
         // Two timers fired and re-armed; the third finds done=true and stops
         // re-arming, so exactly 3 timer firings happen before quiescence.
         assert_eq!(sim.stats().timers_fired, 3);
@@ -850,7 +854,7 @@ mod tests {
         let mut sim = Simulator::new(retry_nodes(), cfg, &g);
         sim.run();
         // Node 0 crashed before its first timer (t=10): no retransmissions.
-        assert_eq!(sim.stats().sent_of(MessageKind::Other("PING")), 1);
+        assert_eq!(sim.stats().sent_of(MessageKind::Prop), 1);
         assert_eq!(sim.stats().timers_fired, 0);
     }
 
@@ -897,17 +901,17 @@ mod tests {
         let pings: Vec<_> = dag
             .spans()
             .iter()
-            .filter(|s| s.kind == MessageKind::Other("PING"))
+            .filter(|s| s.kind == MessageKind::Prop)
             .collect();
         assert_eq!(pings.len(), 3);
         assert!(pings.iter().all(|s| s.parent.is_none()));
         let pong = dag
             .spans()
             .iter()
-            .find(|s| s.kind == MessageKind::Other("PONG"))
+            .find(|s| s.kind == MessageKind::Ack)
             .expect("pong span");
         assert_eq!(pong.parent, Some(pings[2].span));
-        assert_eq!(dag.kind_fanout().get(&("PING", "PONG")), Some(&1));
+        assert_eq!(dag.kind_fanout().get(&("PROP", "ACK")), Some(&1));
     }
 
     #[test]
@@ -978,19 +982,16 @@ mod tests {
             id: NodeId,
             received: u32,
         }
-        #[derive(Clone, Debug)]
-        struct One;
-        impl Payload for One {}
         impl Protocol for Burst {
-            type Message = One;
-            fn on_start(&mut self, ctx: &mut Context<One>) {
+            type Message = MessageKind;
+            fn on_start(&mut self, ctx: &mut Context<MessageKind>) {
                 if self.id == NodeId(0) {
                     for _ in 0..5 {
-                        ctx.send(NodeId(1), One);
+                        ctx.send(NodeId(1), MessageKind::Prop);
                     }
                 }
             }
-            fn on_message(&mut self, _from: NodeId, _msg: One, _ctx: &mut Context<One>) {
+            fn on_message(&mut self, _: NodeId, _: MessageKind, _: &mut Context<MessageKind>) {
                 self.received += 1;
             }
         }
@@ -1023,7 +1024,11 @@ mod tests {
         }
         #[derive(Clone, Debug)]
         struct Seq(u32);
-        impl Payload for Seq {}
+        impl Payload for Seq {
+            fn kind(&self) -> MessageKind {
+                MessageKind::Prop
+            }
+        }
         impl Protocol for Burst {
             type Message = Seq;
             fn on_start(&mut self, ctx: &mut Context<Seq>) {
@@ -1076,7 +1081,7 @@ mod tests {
         assert_eq!(sim.telemetry().with_tag("restarted").count(), 1);
         // Pings: one pre-crash, one from on_restart, one from the restarted
         // incarnation's timer. The pre-crash timer chain never fires.
-        assert_eq!(sim.stats().sent_of(MessageKind::Other("PING")), 3);
+        assert_eq!(sim.stats().sent_of(MessageKind::Prop), 3);
         assert_eq!(sim.stats().timers_fired, 2);
     }
 

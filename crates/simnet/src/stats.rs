@@ -1,17 +1,12 @@
 //! Network-level statistics collected by the engines.
 
 use owp_telemetry::MessageKind;
-use std::collections::BTreeMap;
 
 /// Message and event counters for one simulation run.
 ///
-/// Per-kind counters are keyed by the typed [`MessageKind`]: the protocol
-/// kinds (PROP/REJ/ACK) live in a flat array indexed by
-/// [`MessageKind::fixed_slot`], so the simulator's send path does a single
-/// array increment — no string hashing or tree walk per message. Kinds
-/// outside the protocol vocabulary ([`MessageKind::Other`]) fall back to a
-/// map keyed by their label (cold path; only exercised by non-LID
-/// protocols).
+/// Per-kind sent counts live in a flat array indexed by
+/// [`MessageKind::index`], so the simulator's send path does a single
+/// array increment per message.
 #[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub struct NetStats {
     /// Messages handed to the network (before loss).
@@ -33,11 +28,8 @@ pub struct NetStats {
     pub restarts: u64,
     /// Local timer firings (see [`crate::Context::set_timer`]).
     pub timers_fired: u64,
-    /// Sent counts of the dedicated protocol kinds, indexed by
-    /// [`MessageKind::fixed_slot`].
-    sent_fixed: [u64; MessageKind::FIXED],
-    /// Sent counts of [`MessageKind::Other`] kinds, keyed by label.
-    sent_other: BTreeMap<&'static str, u64>,
+    /// Sent counts per kind, indexed by [`MessageKind::index`].
+    sent_kind: [u64; MessageKind::ALL.len()],
     /// Peak size of the in-flight event queue.
     pub peak_in_flight: usize,
 }
@@ -47,39 +39,13 @@ impl NetStats {
     #[inline]
     pub(crate) fn record_send(&mut self, kind: MessageKind) {
         self.sent += 1;
-        match kind.fixed_slot() {
-            Some(slot) => self.sent_fixed[slot] += 1,
-            None => *self.sent_other.entry(kind.label()).or_insert(0) += 1,
-        }
+        self.sent_kind[kind.index()] += 1;
     }
 
     /// Sent count for one kind (0 if never sent).
     #[inline]
     pub fn sent_of(&self, kind: MessageKind) -> u64 {
-        match kind.fixed_slot() {
-            Some(slot) => self.sent_fixed[slot],
-            None => self.sent_other.get(kind.label()).copied().unwrap_or(0),
-        }
-    }
-
-    /// All per-kind sent counts with non-zero totals, protocol kinds first.
-    pub fn sent_by_kind(&self) -> impl Iterator<Item = (MessageKind, u64)> + '_ {
-        let fixed = self
-            .sent_fixed
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(slot, &c)| {
-                (
-                    MessageKind::from_fixed_slot(slot).expect("slot within FIXED"),
-                    c,
-                )
-            });
-        let other = self
-            .sent_other
-            .iter()
-            .map(|(&label, &c)| (MessageKind::Other(label), c));
-        fixed.chain(other)
+        self.sent_kind[kind.index()]
     }
 
     /// Average messages sent per node.
@@ -106,23 +72,7 @@ mod tests {
         assert_eq!(s.sent_of(MessageKind::Prop), 2);
         assert_eq!(s.sent_of(MessageKind::Rej), 1);
         assert_eq!(s.sent_of(MessageKind::Ack), 0);
-        assert_eq!(s.sent_of(MessageKind::Other("NOPE")), 0);
         assert!((s.sent_per_node(3) - 1.0).abs() < 1e-12);
         assert_eq!(s.sent_per_node(0), 0.0);
-    }
-
-    #[test]
-    fn other_kinds_fall_back_to_the_label_map() {
-        let mut s = NetStats::default();
-        s.record_send(MessageKind::Other("TOKEN"));
-        s.record_send(MessageKind::Other("TOKEN"));
-        s.record_send(MessageKind::Ack);
-        assert_eq!(s.sent_of(MessageKind::Other("TOKEN")), 2);
-        assert_eq!(s.sent_of(MessageKind::Ack), 1);
-        let by_kind: Vec<(MessageKind, u64)> = s.sent_by_kind().collect();
-        assert_eq!(
-            by_kind,
-            vec![(MessageKind::Ack, 1), (MessageKind::Other("TOKEN"), 2)]
-        );
     }
 }

@@ -200,7 +200,7 @@ mod tests {
     struct Wave;
     impl Payload for Wave {
         fn kind(&self) -> MessageKind {
-            MessageKind::Other("WAVE")
+            MessageKind::Prop
         }
     }
 
@@ -269,7 +269,7 @@ mod tests {
         // 5 from node 0, then each of the other 5 nodes floods to 5 peers.
         assert_eq!(r.stats().sent, 30);
         assert_eq!(r.stats().delivered, 30);
-        assert_eq!(r.stats().sent_of(MessageKind::Other("WAVE")), 30);
+        assert_eq!(r.stats().sent_of(MessageKind::Prop), 30);
         assert_eq!(r.pending_count(), 0);
         assert_eq!(r.terminated_fraction(), 1.0);
     }
@@ -293,18 +293,15 @@ mod tests {
         struct PingPong {
             id: NodeId,
         }
-        #[derive(Clone, Debug)]
-        struct Ball;
-        impl Payload for Ball {}
         impl Protocol for PingPong {
-            type Message = Ball;
-            fn on_start(&mut self, ctx: &mut Context<Ball>) {
+            type Message = MessageKind;
+            fn on_start(&mut self, ctx: &mut Context<MessageKind>) {
                 if self.id == NodeId(0) {
-                    ctx.send(NodeId(1), Ball);
+                    ctx.send(NodeId(1), MessageKind::Prop);
                 }
             }
-            fn on_message(&mut self, from: NodeId, _m: Ball, ctx: &mut Context<Ball>) {
-                ctx.send(from, Ball);
+            fn on_message(&mut self, from: NodeId, _: MessageKind, ctx: &mut Context<MessageKind>) {
+                ctx.send(from, MessageKind::Prop);
             }
         }
         let nodes = vec![PingPong { id: NodeId(0) }, PingPong { id: NodeId(1) }];
@@ -318,16 +315,13 @@ mod tests {
     struct TimerChain {
         fired_at: Vec<u64>,
     }
-    #[derive(Clone, Debug)]
-    struct Nothing;
-    impl Payload for Nothing {}
     impl Protocol for TimerChain {
-        type Message = Nothing;
-        fn on_start(&mut self, ctx: &mut Context<Nothing>) {
+        type Message = MessageKind;
+        fn on_start(&mut self, ctx: &mut Context<MessageKind>) {
             ctx.set_timer(3, 1);
         }
-        fn on_message(&mut self, _f: NodeId, _m: Nothing, _c: &mut Context<Nothing>) {}
-        fn on_timer(&mut self, tag: u64, ctx: &mut Context<Nothing>) {
+        fn on_message(&mut self, _f: NodeId, _m: MessageKind, _c: &mut Context<MessageKind>) {}
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<MessageKind>) {
             self.fired_at.push(ctx.now());
             if tag == 1 {
                 ctx.set_timer(5, 2);
@@ -349,13 +343,10 @@ mod tests {
     #[test]
     fn idle_network_quiesces_immediately() {
         struct Quiet;
-        #[derive(Clone, Debug)]
-        struct Never;
-        impl Payload for Never {}
         impl Protocol for Quiet {
-            type Message = Never;
-            fn on_start(&mut self, _ctx: &mut Context<Never>) {}
-            fn on_message(&mut self, _f: NodeId, _m: Never, _c: &mut Context<Never>) {}
+            type Message = MessageKind;
+            fn on_start(&mut self, _ctx: &mut Context<MessageKind>) {}
+            fn on_message(&mut self, _f: NodeId, _m: MessageKind, _c: &mut Context<MessageKind>) {}
         }
         let mut r = SyncRunner::new(vec![Quiet, Quiet]);
         let out = r.run();

@@ -9,22 +9,10 @@
 
 use owp_graph::generators::{complete, path};
 use owp_graph::{Graph, NodeId};
-use owp_simnet::{
-    Context, FaultPlan, MessageKind, Payload, Protocol, SimConfig, Simulator, TelemetryEvent,
-};
+use owp_simnet::{Context, FaultPlan, MessageKind, Protocol, SimConfig, Simulator, TelemetryEvent};
 
-/// A ping every node fires at every other node, several times.
-#[derive(Clone, Debug)]
-struct Ping;
-
-impl Payload for Ping {
-    fn kind(&self) -> MessageKind {
-        MessageKind::Other("PING")
-    }
-}
-
-/// Chatter node: on start, sends `volleys` pings to every other node; echoes
-/// nothing back, so total traffic is exactly `n · (n − 1) · volleys`.
+/// Chatter node: on start, sends `volleys` PROPs to every other node;
+/// echoes nothing back, so total traffic is exactly `n · (n − 1) · volleys`.
 struct Chatter {
     id: NodeId,
     n: u32,
@@ -33,19 +21,19 @@ struct Chatter {
 }
 
 impl Protocol for Chatter {
-    type Message = Ping;
+    type Message = MessageKind;
 
-    fn on_start(&mut self, ctx: &mut Context<Ping>) {
+    fn on_start(&mut self, ctx: &mut Context<MessageKind>) {
         for _ in 0..self.volleys {
             for peer in 0..self.n {
                 if peer != self.id.0 {
-                    ctx.send(NodeId(peer), Ping);
+                    ctx.send(NodeId(peer), MessageKind::Prop);
                 }
             }
         }
     }
 
-    fn on_message(&mut self, _from: NodeId, _msg: Ping, _ctx: &mut Context<Ping>) {
+    fn on_message(&mut self, _from: NodeId, _msg: MessageKind, _ctx: &mut Context<MessageKind>) {
         self.received += 1;
     }
 
@@ -100,7 +88,7 @@ fn dead_letters_match_crashed_destinations() {
             panic!("tag filter returned a non-dead-letter event");
         };
         assert!(matches!(to, NodeId(1) | NodeId(3)), "dead letter to live node {to:?}");
-        assert_eq!(*kind, MessageKind::Other("PING"));
+        assert_eq!(*kind, MessageKind::Prop);
     }
 }
 
@@ -167,6 +155,6 @@ fn no_faults_means_no_losses() {
     assert_eq!(stats.dropped, 0);
     assert_eq!(stats.dead_lettered, 0);
     assert_eq!(stats.delivered, stats.sent);
-    assert_eq!(stats.sent_of(MessageKind::Other("PING")), stats.sent);
+    assert_eq!(stats.sent_of(MessageKind::Prop), stats.sent);
     assert_eq!(count(&sim, "dead_lettered"), 0);
 }

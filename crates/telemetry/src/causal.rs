@@ -583,7 +583,7 @@ impl CausalDag {
                             Some(e.rej_delivered.map_or(d, |t: u64| t.min(d)));
                     }
                 }
-                _ => {}
+                MessageKind::Ack => {}
             }
         }
         acc.into_iter()

@@ -28,57 +28,54 @@ impl std::fmt::Display for SpanId {
     }
 }
 
-/// Typed message classes, replacing the string labels the engines used to
-/// aggregate on. The protocol kinds of Algorithm 1 get dedicated variants
-/// so statistics index a flat array — no string hashing or tree lookup on
-/// the send path; anything else carries its label in [`MessageKind::Other`].
+/// The closed message vocabulary of Algorithm 1 (LID): the two messages
+/// of the paper plus the reliable layer's `ACK`. LID nodes send
+/// `MessageKind` itself, statistics index a flat array by
+/// [`MessageKind::index`], and a trace line naming any other kind is a
+/// parse error.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
 pub enum MessageKind {
     /// "I propose we establish a connection" (Algorithm 1 `PROP`).
     Prop,
-    /// "I will not connect to you" (Algorithm 1 `REJ`).
+    /// "I will not connect to you (my quota is filled or better options
+    /// won)" (Algorithm 1 `REJ`).
     Rej,
-    /// Reliable-LID handshake confirmation (`ACK`).
+    /// Reliable-LID only: "your proposal is locked on my side" —
+    /// semantically a `Prop` for the receiver's state machine, but *never
+    /// replied to*, which is what terminates duplicate-confirmation chains
+    /// (plain Algorithm 1 never sends this).
     Ack,
-    /// Any other protocol's message class, labelled for display.
-    Other(&'static str),
 }
 
 impl MessageKind {
-    /// Number of dedicated (array-indexable) kinds.
-    pub const FIXED: usize = 3;
+    /// Every kind, in [`MessageKind::index`] order.
+    pub const ALL: [MessageKind; 3] = [MessageKind::Prop, MessageKind::Rej, MessageKind::Ack];
 
-    /// The flat-array slot of a dedicated kind; `None` for [`MessageKind::Other`].
+    /// The kind's position in [`MessageKind::ALL`], for flat per-kind arrays.
     #[inline]
-    pub const fn fixed_slot(self) -> Option<usize> {
-        match self {
-            MessageKind::Prop => Some(0),
-            MessageKind::Rej => Some(1),
-            MessageKind::Ack => Some(2),
-            MessageKind::Other(_) => None,
-        }
+    pub const fn index(self) -> usize {
+        self as usize
     }
 
-    /// The kind occupying a flat-array slot (inverse of [`MessageKind::fixed_slot`]).
-    #[inline]
-    pub const fn from_fixed_slot(slot: usize) -> Option<MessageKind> {
-        match slot {
-            0 => Some(MessageKind::Prop),
-            1 => Some(MessageKind::Rej),
-            2 => Some(MessageKind::Ack),
-            _ => None,
-        }
-    }
-
-    /// Human-readable label (what the old string keys were).
+    /// The trace label (`"PROP"`, `"REJ"`, `"ACK"`).
     #[inline]
     pub const fn label(self) -> &'static str {
         match self {
             MessageKind::Prop => "PROP",
             MessageKind::Rej => "REJ",
             MessageKind::Ack => "ACK",
-            MessageKind::Other(s) => s,
         }
+    }
+
+    /// Inverse of [`MessageKind::label`], for trace parsers.
+    ///
+    /// # Errors
+    /// An error naming the label if it is not one of the three kinds.
+    pub fn parse(label: &str) -> Result<MessageKind, String> {
+        MessageKind::ALL
+            .into_iter()
+            .find(|k| k.label() == label)
+            .ok_or_else(|| format!("unknown message kind {label:?}"))
     }
 }
 
@@ -86,37 +83,6 @@ impl std::fmt::Display for MessageKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-impl MessageKind {
-    /// Inverse of [`MessageKind::label`], for trace parsers. Unknown labels
-    /// become [`MessageKind::Other`] backed by a process-wide interned
-    /// string (the label set of any real trace is tiny, so the one-time
-    /// leak per distinct label is bounded and lets parsed kinds compare
-    /// equal to the engine-side constants).
-    pub fn parse(label: &str) -> MessageKind {
-        match label {
-            "PROP" => MessageKind::Prop,
-            "REJ" => MessageKind::Rej,
-            "ACK" => MessageKind::Ack,
-            other => MessageKind::Other(intern_label(other)),
-        }
-    }
-}
-
-/// Process-wide label interner: returns a `&'static str` equal to `s`,
-/// leaking each distinct label at most once.
-fn intern_label(s: &str) -> &'static str {
-    use std::sync::{Mutex, OnceLock};
-    static INTERNED: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let pool = INTERNED.get_or_init(|| Mutex::new(Vec::new()));
-    let mut pool = pool.lock().expect("label interner poisoned");
-    if let Some(hit) = pool.iter().find(|l| **l == s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    pool.push(leaked);
-    leaked
 }
 
 /// A per-node protocol state transition, emitted from inside a protocol
@@ -338,16 +304,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_slots_round_trip() {
-        for slot in 0..MessageKind::FIXED {
-            let k = MessageKind::from_fixed_slot(slot).expect("slot populated");
-            assert_eq!(k.fixed_slot(), Some(slot));
+    fn kinds_index_and_label_round_trip() {
+        for (i, k) in MessageKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i);
+            assert_eq!(MessageKind::parse(k.label()), Ok(k));
         }
-        assert_eq!(MessageKind::from_fixed_slot(MessageKind::FIXED), None);
-        assert_eq!(MessageKind::Other("X").fixed_slot(), None);
         assert_eq!(MessageKind::Prop.label(), "PROP");
-        assert_eq!(MessageKind::Other("TOKEN").label(), "TOKEN");
         assert_eq!(format!("{}", MessageKind::Rej), "REJ");
+        assert_eq!(MessageKind::parse("TOKEN"), Err("unknown message kind \"TOKEN\"".into()));
     }
 
     #[test]

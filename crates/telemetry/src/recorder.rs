@@ -99,7 +99,8 @@ impl EventLog {
     ///
     /// The full event vocabulary round-trips: `parse_jsonl(log.to_jsonl())`
     /// reproduces `log.events()` exactly. Blank lines are skipped; any
-    /// malformed line is an `Err` naming its line number.
+    /// malformed line, including one whose `"kind"` is not `PROP`, `REJ`
+    /// or `ACK`, is an `Err` naming its line number.
     pub fn parse_jsonl(doc: &str) -> Result<EventLog, String> {
         let events = json::parse_lines(doc, event_from_json)?;
         Ok(EventLog { enabled: true, events })
@@ -111,9 +112,7 @@ fn event_from_json(v: &Value<'_>) -> Result<TelemetryEvent, String> {
     let num32 = |key: &str| v.field(key)?.as_u32(key);
     let node = |key: &str| num32(key).map(NodeId);
     let span = || num("span").map(SpanId);
-    let kind = || -> Result<MessageKind, String> {
-        Ok(MessageKind::parse(v.field("kind")?.as_str("kind")?))
-    };
+    let kind = || MessageKind::parse(v.field("kind")?.as_str("kind")?);
     let ev = match v.field("ev")?.as_str("ev")? {
         "sent" => {
             let parent = v.field("parent")?.nullable().map(|p| p.as_u64("parent")).transpose()?;
@@ -261,14 +260,14 @@ mod tests {
                 parent: Some(SpanId(0)),
                 from: NodeId(2),
                 to: NodeId(1),
-                kind: MessageKind::Other("TOKEN"),
+                kind: MessageKind::Rej,
             },
             TelemetryEvent::Dropped {
                 time: 2,
                 span: SpanId(1),
                 from: NodeId(2),
                 to: NodeId(1),
-                kind: MessageKind::Other("TOKEN"),
+                kind: MessageKind::Rej,
             },
             TelemetryEvent::DeadLettered { time: 3, span: SpanId(2), from: NodeId(0), to: NodeId(4), kind: MessageKind::Ack },
             TelemetryEvent::Restarted { time: 3, node: NodeId(4) },
@@ -299,5 +298,13 @@ mod tests {
             let err = EventLog::parse_jsonl(old).unwrap_err();
             assert!(err.contains(&format!("unknown event tag \"{tag}\"")), "{err}");
         }
+    }
+
+    #[test]
+    fn a_kind_outside_the_lid_vocabulary_is_rejected() {
+        let ok = "{\"ev\":\"sent\",\"time\":0,\"span\":0,\"parent\":null,\"from\":1,\"to\":2,\"kind\":\"PROP\"}";
+        let doc = format!("{ok}\n{}\n", ok.replace("PROP", "TOKEN"));
+        let err = EventLog::parse_jsonl(&doc).unwrap_err();
+        assert_eq!(err, "line 2: unknown message kind \"TOKEN\"");
     }
 }
