@@ -3,7 +3,7 @@
 //! against the committed `BENCH_<id>.json` baselines.
 //!
 //! ```text
-//! bench_guard [e15|e19|e20|e22|e23|e24|e25|all] [--baseline <path>] [--tolerance <pct>] [--slack-ms <ms>] [--update]
+//! bench_guard [e15|e19|e20|e22|e23|e24|e25|all] [--baseline <path>] [--tolerance <pct>] [--slack-ms <ms>] [--exact-only] [--update]
 //! ```
 //!
 //! Guarded experiments:
@@ -53,6 +53,10 @@
 //! * `--slack-ms` — absolute grace in milliseconds added on top of the
 //!   relative envelope (default 40), so timer jitter on small values does
 //!   not trip the guard;
+//! * `--exact-only` — check only the exact (deterministic) columns, so a
+//!   baseline measured on another machine can still be checked where no
+//!   wall time from it would mean anything (CI checks E15's msgs/node and
+//!   sync rounds against the committed `BENCH_e15.json` this way);
 //! * `--update` — instead of checking, rewrite the baselines from the
 //!   fresh measurements.
 //!
@@ -187,6 +191,7 @@ fn main() {
     let mut tolerance_pct = 10.0f64;
     let mut slack_ms = 40.0f64;
     let mut update = false;
+    let mut exact_only = false;
     let mut ids: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -212,10 +217,11 @@ fn main() {
                 })
             }
             "--update" => update = true,
+            "--exact-only" => exact_only = true,
             _ if a.starts_with("--") => {
                 eprintln!("unknown flag: {a}");
                 eprintln!(
-                    "usage: bench_guard [e15|e19|e20|e22|e23|e24|e25|all] [--baseline <path>] [--tolerance <pct>] [--slack-ms <ms>] [--update]"
+                    "usage: bench_guard [e15|e19|e20|e22|e23|e24|e25|all] [--baseline <path>] [--tolerance <pct>] [--slack-ms <ms>] [--exact-only] [--update]"
                 );
                 std::process::exit(2);
             }
@@ -293,7 +299,8 @@ fn main() {
                 );
                 continue;
             };
-            if let Some((label, col, ceiling)) = g.cap.filter(|_| g.cap_key.is_none_or(|k| k == key)) {
+            let capped = !exact_only && g.cap_key.is_none_or(|k| k == key);
+            if let Some((label, col, ceiling)) = g.cap.filter(|_| capped) {
                 let now: f64 = fresh.cell(fresh_row, col).parse().expect("numeric cell");
                 compared += 1;
                 let verdict = if now <= ceiling { "ok" } else { "OVER BUDGET" };
@@ -305,7 +312,7 @@ fn main() {
                     failures += 1;
                 }
             }
-            for &(label, col, check) in g.cols {
+            for &(label, col, check) in g.cols.iter().filter(|c| !exact_only || c.2 == Exact) {
                 let base = base_row[col];
                 let now: f64 = fresh.cell(fresh_row, col).parse().expect("numeric cell");
                 compared += 1;
@@ -339,16 +346,21 @@ fn main() {
         eprintln!("bench_guard: nothing compared — baseline/fresh key sets are disjoint");
         std::process::exit(2);
     }
+    let timed = if exact_only {
+        "skipped".to_string()
+    } else {
+        format!("{tolerance_pct}% +{slack_ms} ms")
+    };
     if failures > 0 {
         eprintln!(
             "bench_guard: FAILED — {failures} of {compared} checks outside their envelope \
-             (timed: {tolerance_pct}% +{slack_ms} ms; structural: exact)"
+             (timed: {timed}; structural: exact)"
         );
         std::process::exit(1);
     }
     println!(
         "bench_guard: ok — {compared} checks within their envelopes \
-         (timed: {tolerance_pct}% +{slack_ms} ms; structural: exact)"
+         (timed: {timed}; structural: exact)"
     );
 }
 

@@ -16,14 +16,15 @@
 //! afterwards.
 //!
 //! BUSY is *expected* under load — it is the bounded queue pushing back,
-//! and clients ride through it. A REJECTED outcome is not: it means the
-//! submission itself was invalid (spec mismatch, protocol error), so the
-//! driver reports it explicitly and exits nonzero.
+//! and clients ride through it. Anything else that stops a client is
+//! reported by its cause: no daemon to connect to, a session that broke
+//! mid-stream, or a REJECTED submission (the submission itself was
+//! invalid, e.g. a spec mismatch). Each makes the driver exit nonzero.
 //!
-//! Exit codes: 0 success; 1 a client was rejected for a non-backpressure
-//! reason or lost the daemon; 2 bad usage.
+//! Exit codes: 0 success; 1 a client could not connect, lost its session
+//! or was rejected; 2 bad usage.
 
-use owp_bench::{drive_submits, Tally};
+use owp_bench::{drive_submits, DriveError, Tally};
 use owp_matchd::{from_spec, MatchdClient};
 use owp_metrics::MetricsRegistry;
 use std::time::Instant;
@@ -76,7 +77,7 @@ fn main() {
     let registry = MetricsRegistry::new();
     let hist = registry.histogram("matchd_submit_wall_us");
     let t0 = Instant::now();
-    let results: Vec<Result<Tally, String>> = std::thread::scope(|s| {
+    let results: Vec<Result<Tally, DriveError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let (addr, universe, hist) = (addr.as_str(), &universe, &hist);
@@ -90,7 +91,7 @@ fn main() {
     let mut acked = 0u64;
     let mut busy = 0u64;
     let mut retry_ms = 0u64;
-    let mut rejected = 0usize;
+    let (mut unreachable, mut broken, mut rejected) = (0usize, 0usize, 0usize);
     for r in &results {
         match r {
             Ok(t) => {
@@ -100,7 +101,11 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("matchd_bench: {e}");
-                rejected += 1;
+                match e {
+                    DriveError::Connect { .. } => unreachable += 1,
+                    DriveError::Protocol { .. } => broken += 1,
+                    DriveError::Rejected { .. } => rejected += 1,
+                }
             }
         }
     }
@@ -118,6 +123,12 @@ fn main() {
         );
     } else {
         println!("matchd_bench: backpressure — none (0 BUSY retries)");
+    }
+    if unreachable > 0 {
+        eprintln!("matchd_bench: {unreachable} client(s) could not connect to a daemon at {addr}");
+    }
+    if broken > 0 {
+        eprintln!("matchd_bench: {broken} client(s) lost their session mid-stream (see above)");
     }
     if rejected > 0 {
         eprintln!(
@@ -152,5 +163,5 @@ fn main() {
             }
         }
     }
-    std::process::exit(if rejected > 0 { 1 } else { 0 });
+    std::process::exit(if unreachable + broken + rejected > 0 { 1 } else { 0 });
 }

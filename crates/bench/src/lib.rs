@@ -72,14 +72,56 @@ pub struct Tally {
     pub last_epoch: u64,
 }
 
+/// Why a [`drive_submits`] client stopped early.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DriveError {
+    /// The client never got a session: the TCP connect or the handshake
+    /// failed (no daemon listening, or one that refused the HELLO).
+    Connect {
+        /// The client's index.
+        client: usize,
+        /// What the connect attempt reported.
+        error: String,
+    },
+    /// The session broke mid-stream: an I/O error or a reply that is not
+    /// an answer to SUBMIT.
+    Protocol {
+        /// The client's index.
+        client: usize,
+        /// What the failed call reported.
+        error: String,
+    },
+    /// The daemon answered a submission REJECTED (an invalid submission,
+    /// e.g. a universe spec that does not match the daemon's).
+    Rejected {
+        /// The client's index.
+        client: usize,
+        /// The daemon's reason.
+        error: String,
+    },
+}
+
+impl std::fmt::Display for DriveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DriveError::Connect { client, error } => {
+                write!(f, "client {client} could not reach the daemon: {error}")
+            }
+            DriveError::Protocol { client, error } => {
+                write!(f, "client {client} lost its session: {error}")
+            }
+            DriveError::Rejected { client, error } => write!(f, "client {client} rejected: {error}"),
+        }
+    }
+}
+
 /// Drives client `client` of `clients` against a running matchd: connects,
 /// submits its `owp_matchd::client_stream` of `events` events in
 /// `chunk`-event submissions, sleeps through each BUSY for the advised
 /// retry-after, and observes every accepted round trip (µs) in `hist`.
 ///
 /// # Errors
-/// A connection or protocol error, or a REJECTED submission (named with
-/// the client's index).
+/// [`DriveError`]: no session, a broken session, or a REJECTED submission.
 pub fn drive_submits(
     addr: impl std::net::ToSocketAddrs,
     universe: &owp_matching::Problem,
@@ -88,15 +130,16 @@ pub fn drive_submits(
     events: usize,
     chunk: usize,
     hist: &owp_metrics::Histogram,
-) -> Result<Tally, String> {
+) -> Result<Tally, DriveError> {
     use owp_matchd::SubmitOutcome;
     let stream = owp_matchd::client_stream(universe, client, clients, events);
-    let mut conn = owp_matchd::MatchdClient::connect(addr)?;
+    let mut conn = owp_matchd::MatchdClient::connect(addr)
+        .map_err(|error| DriveError::Connect { client, error })?;
     let mut tally = Tally::default();
     for batch in stream.chunks(chunk) {
         loop {
             let sent = std::time::Instant::now();
-            match conn.submit(batch)? {
+            match conn.submit(batch).map_err(|error| DriveError::Protocol { client, error })? {
                 SubmitOutcome::Accepted { epoch } => {
                     hist.observe(sent.elapsed().as_micros() as u64);
                     tally.acked_events += batch.len() as u64;
@@ -109,7 +152,7 @@ pub fn drive_submits(
                     std::thread::sleep(std::time::Duration::from_millis(retry_after_ms as u64));
                 }
                 SubmitOutcome::Rejected { error } => {
-                    return Err(format!("client {client} rejected: {error}"));
+                    return Err(DriveError::Rejected { client, error });
                 }
             }
         }

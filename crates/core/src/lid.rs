@@ -462,7 +462,7 @@ where
     )
 }
 
-fn sync_result(problem: &Problem, runner: &SyncRunner<LidNode>) -> LidResult {
+fn sync_result(problem: &Problem, runner: &SyncRunner<'_, LidNode>) -> LidResult {
     lid_result(
         problem,
         runner.nodes(),
@@ -484,14 +484,14 @@ pub fn run_lid(problem: &Problem, config: SimConfig) -> LidResult {
 /// Runs LID on the synchronous-round engine (deterministic; used for round
 /// complexity measurements).
 pub fn run_lid_sync(problem: &Problem) -> LidResult {
-    let mut runner = SyncRunner::new(build_nodes(problem));
+    let mut runner = SyncRunner::new(build_nodes(problem), &problem.graph);
     runner.run();
     sync_result(problem, &runner)
 }
 
 fn sample_sync_round(
     problem: &Problem,
-    runner: &SyncRunner<LidNode>,
+    runner: &SyncRunner<'_, LidNode>,
     series: &mut ConvergenceSeries,
 ) {
     let nodes: Vec<&LidNode> = runner.nodes().collect();
@@ -518,7 +518,7 @@ fn sample_sync_round(
 /// totals agree with a full report **bit-for-bit** (asserted by the e18
 /// consistency test).
 pub fn run_lid_sync_series(problem: &Problem) -> (LidResult, ConvergenceSeries) {
-    let mut runner = SyncRunner::new(build_nodes(problem));
+    let mut runner = SyncRunner::new(build_nodes(problem), &problem.graph);
     let mut series = ConvergenceSeries::new();
     runner.start();
     sample_sync_round(problem, &runner, &mut series);

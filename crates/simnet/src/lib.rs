@@ -11,15 +11,16 @@
 //!   distributed node implements (`on_start` / `on_message`), plus the
 //!   [`protocol::Context`] handle used to send messages;
 //! * [`sim`] — the asynchronous event-driven [`sim::Simulator`] over a
-//!   topology graph: a deterministic tick-bucketed event queue, per-link
-//!   FIFO enforcement on the graph's own CSR positions, message statistics
-//!   and quiescence detection;
+//!   topology graph: a deterministic tick-bucketed event queue whose ticks
+//!   run their callbacks grouped by receiver, per-link FIFO enforcement on
+//!   the graph's own CSR positions, message statistics and quiescence
+//!   detection;
 //! * [`latency`] — pluggable link-delay distributions (constant, uniform,
 //!   exponential, log-normal) so asynchrony and message reordering across
 //!   different links can be exercised (the condition Lemma 5's termination
 //!   argument is about);
-//! * [`sync`] — a synchronous-round engine over the same `Protocol` trait,
-//!   used for deterministic round-complexity measurements;
+//! * [`sync`] — a synchronous-round engine over the same `Protocol` trait
+//!   and topology, used for deterministic round-complexity measurements;
 //! * [`faults`] — fault injection (message loss, asymmetric per-link loss,
 //!   duplication, FIFO-violating reordering, healing partitions, node
 //!   crash/restart) for the robustness experiments and chaos campaigns that
@@ -39,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod faults;
+mod group;
 pub mod latency;
 pub mod protocol;
 pub mod sim;

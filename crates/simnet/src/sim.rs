@@ -1,15 +1,47 @@
 //! The asynchronous event-driven simulator.
+//!
+//! Events are due at integer ticks and ordered by `(tick, schedule
+//! order)`; that order defines a run. [`Simulator::step`] is its one-event
+//! reference path: pop the next event, run its node's callback, then
+//! dispatch the callback's sends and timers (stats, trace records, span
+//! ids, the loss/latency/reorder/duplicate RNG draws, the FIFO clamp and
+//! the queue push).
+//!
+//! [`Simulator::run`] takes a whole tick at a time and splits the two
+//! halves. Phase 1 runs the tick's callbacks grouped by node, stable in
+//! schedule order, so each node's state is touched in one visit;
+//! phase 2 walks the tick in schedule order and dispatches what phase 1
+//! captured. The order guarantee: **each node's inbox order is unchanged;
+//! dispatch is in schedule order.** That is observably identical to
+//! stepping:
+//!
+//! - Nothing is scheduled into the tick being run (latencies and timer
+//!   delays are at least 1, restarts are queued before the first tick;
+//!   [`Simulator::step`] asserts it), so the tick's event set is fixed
+//!   before its first callback.
+//! - A callback reads and writes only its own node's state. Each node
+//!   meets its own events in schedule order, so it makes the same
+//!   transitions and the same sends; the incarnation and `down_at` checks,
+//!   which also concern only that node, decide the same way.
+//! - Everything shared — counters, the event log, span ids, the RNG stream,
+//!   the per-link FIFO clamp, the queue's schedule order and the in-flight
+//!   peak — is touched only in phase 2, in schedule order.
+//!
+//! The `run_equals_stepping` tests check this byte for byte under every
+//! latency model and fault class.
 
 use crate::faults::{CompiledFaults, FaultPlan};
+use crate::group;
 use crate::latency::LatencyModel;
-use crate::protocol::{Context, Payload, Protocol};
+use crate::protocol::{Context, CtxParts, Payload, Protocol};
 use crate::stats::NetStats;
 use crate::{NodeId, SimTime};
 use owp_graph::Graph;
-use owp_telemetry::{EventLog, SpanId, TelemetryEvent};
+use owp_telemetry::{EventLog, MessageKind, NodeEvent, SpanId, TelemetryEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
+
 
 /// Configuration of one asynchronous run.
 #[derive(Clone, Debug)]
@@ -72,6 +104,7 @@ impl SimConfig {
     }
 }
 
+
 /// Why and how a run ended.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RunOutcome {
@@ -87,7 +120,11 @@ pub struct RunOutcome {
 struct InFlight<M> {
     from: NodeId,
     to: NodeId,
-    msg: M,
+    /// The payload's kind, kept for the delivery record.
+    kind: MessageKind,
+    /// The payload; `None` once handed to the receiver's callback (a
+    /// grouped tick reads the rest of the header after that).
+    msg: Option<M>,
     /// Causal span of this message (assigned at send, see `next_span`).
     span: SpanId,
 }
@@ -108,6 +145,40 @@ enum Pending<M> {
     },
     /// A crashed node comes back up (crash-restart fault plans).
     Restart { node: NodeId },
+}
+
+impl<M> Pending<M> {
+    /// The node whose callback the event runs.
+    fn node(&self) -> NodeId {
+        match *self {
+            Pending::Msg(InFlight { to, .. }) => to,
+            Pending::Timer { node, .. } | Pending::Restart { node } => node,
+        }
+    }
+}
+
+/// Runs `ev`'s callback on its node.
+fn handle<P: Protocol>(node: &mut P, ev: &mut Pending<P::Message>, ctx: &mut Context<P::Message>) {
+    match ev {
+        Pending::Msg(m) => {
+            let msg = m.msg.take().expect("a message is delivered once");
+            node.on_message(m.from, msg, ctx);
+        }
+        Pending::Timer { tag, .. } => node.on_timer(*tag, ctx),
+        Pending::Restart { .. } => node.on_restart(ctx),
+    }
+}
+
+/// The CSR position of the directed link `from → to`, which addresses the
+/// link's FIFO clamp.
+///
+/// # Panics
+/// If `to` is not a neighbour of `from`: an unknown id, `from` itself and
+/// any other non-adjacent node have no link.
+fn link(topology: &Graph, from: NodeId, to: NodeId) -> usize {
+    topology
+        .slot(from, to)
+        .unwrap_or_else(|| panic!("node {from:?} sent to non-neighbour {to:?}"))
 }
 
 /// The pending-event queue: an ordered map from delivery tick to a FIFO
@@ -155,6 +226,25 @@ impl<T> TickQueue<T> {
         Some((at, item))
     }
 
+    /// The number of events due at the earliest tick.
+    fn first_len(&self) -> Option<usize> {
+        self.buckets.first_key_value().map(|(_, bucket)| bucket.len())
+    }
+
+    /// Removes the earliest tick's whole bucket, in schedule order. Hand
+    /// it back with [`TickQueue::recycle`].
+    fn pop_tick(&mut self) -> Option<(SimTime, VecDeque<T>)> {
+        let (at, bucket) = self.buckets.pop_first()?;
+        self.len -= bucket.len();
+        Some((at, bucket))
+    }
+
+    /// Returns a bucket taken by [`TickQueue::pop_tick`] to the spare pool.
+    fn recycle(&mut self, mut bucket: VecDeque<T>) {
+        bucket.clear();
+        self.spare.push(bucket);
+    }
+
     fn len(&self) -> usize {
         self.len
     }
@@ -162,6 +252,54 @@ impl<T> TickQueue<T> {
     fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
+
+/// The buffers of one grouped tick, reused across ticks.
+struct TickScratch<M> {
+    sort: group::NodeSort,
+    /// `order[j]`: the schedule index of the tick's `j`-th event in
+    /// grouped order.
+    order: Vec<u32>,
+    /// `sent[i]`: the range in `sends` of schedule index `i`'s sends.
+    sent: Vec<[u32; 2]>,
+    /// Phase 1's sends as `(link, to, payload)`, in grouped order; phase 2
+    /// takes each payload.
+    sends: Vec<(u32, NodeId, Option<M>)>,
+    /// Phase 1's armed timers as `(schedule index, (delay, tag))`, sorted by
+    /// schedule index for phase 2.
+    timers: Vec<(u32, (SimTime, u64))>,
+    /// Phase 1's emitted node events (telemetry runs only), tagged and
+    /// sorted like `timers`.
+    events: Vec<(u32, NodeEvent)>,
+}
+
+impl<M> TickScratch<M> {
+    /// Buffers for chunks of up to `chunk` events, allocated up front:
+    /// grown on the first large tick instead, they leave the allocator
+    /// holes that raise a run's peak memory.
+    fn with_capacity(chunk: usize) -> Self {
+        TickScratch {
+            sort: group::NodeSort::default(),
+            order: Vec::with_capacity(chunk),
+            sent: Vec::with_capacity(chunk),
+            sends: Vec::with_capacity(chunk),
+            timers: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+}
+
+/// The most events a grouped chunk of a tick holds, over `n` nodes. A
+/// chunk of `n` events lets each phase-1 sweep of the node states cover
+/// about every node once, while the per-chunk buffers stay `O(n)` however
+/// large a tick grows; small networks run every tick as one chunk.
+fn chunk_len(n: usize) -> usize {
+    n.max(1 << 12)
+}
+
+/// The end of the run of entries tagged `tag` that starts at `from`.
+fn run_end<T>(tagged: &[(u32, T)], from: usize, tag: u32) -> usize {
+    from + tagged[from..].iter().take_while(|&&(t, _)| t == tag).count()
 }
 
 /// Deterministic discrete-event simulator over a set of [`Protocol`] nodes
@@ -190,9 +328,13 @@ pub struct Simulator<'g, P: Protocol> {
     next_span: u64,
     /// Pending events in `(delivery time, schedule order)` order.
     queue: TickQueue<Pending<P::Message>>,
+    /// Events of the tick being dispatched that come after the current
+    /// one: taken out of `queue` by a grouped tick but still in flight.
+    backlog: usize,
     /// The callbacks' outbox, drained after each callback and handed to
     /// the next one, so deliveries allocate no outbox of their own.
     outbox: Vec<(NodeId, P::Message)>,
+    tick: TickScratch<P::Message>,
     /// Last scheduled delivery time per directed link, for FIFO clamping,
     /// indexed by the link's CSR position (length `2m`).
     last: Vec<SimTime>,
@@ -233,7 +375,9 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             now: 0,
             next_span: 0,
             queue: TickQueue::new(),
+            backlog: 0,
             outbox: Vec::new(),
+            tick: TickScratch::with_capacity(chunk_len(n)),
             last: vec![0; 2 * topology.edge_count()],
             stats: NetStats::default(),
             log,
@@ -254,29 +398,56 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     }
 
     /// Runs one callback of `node` at the current time on a context that
-    /// reuses the simulator's outbox, then dispatches its sends and timers.
+    /// reuses the simulator's outbox, and returns the context's output.
+    /// Hand the outbox back through `self.outbox` once drained.
+    fn run_handler(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut P, &mut Context<P::Message>),
+    ) -> CtxParts<P::Message> {
+        let outbox = std::mem::take(&mut self.outbox);
+        let mut ctx = Context::reusing(node, self.now, self.config.telemetry, outbox);
+        f(&mut self.nodes[node.index()], &mut ctx);
+        ctx.into_parts()
+    }
+
+    /// Runs one callback of `node`, then dispatches its sends and timers.
     fn callback(
         &mut self,
         node: NodeId,
         parent: Option<SpanId>,
         f: impl FnOnce(&mut P, &mut Context<P::Message>),
     ) {
-        let outbox = std::mem::take(&mut self.outbox);
-        let mut ctx = Context::reusing(node, self.now, self.config.telemetry, outbox);
-        f(&mut self.nodes[node.index()], &mut ctx);
-        self.dispatch_ctx(node, ctx, parent);
+        let (mut outbox, timers, events) = self.run_handler(node, f);
+        let topology = self.topology;
+        let sends = outbox.drain(..).map(|(to, msg)| (link(topology, node, to), to, msg));
+        self.dispatch(node, parent, events.into_iter(), timers.into_iter(), sends);
+        self.outbox = outbox;
     }
 
     fn schedule(&mut self, at: SimTime, pending: Pending<P::Message>) {
+        // A grouped tick relies on this: nothing joins the tick being run.
+        // Only `start` queues restarts, and it may queue one at time 0.
+        assert!(
+            at > self.now || matches!(pending, Pending::Restart { .. }),
+            "event scheduled into the current tick {at}"
+        );
         self.queue.push(at, pending);
-        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.queue.len());
+        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.queue.len() + self.backlog);
     }
 
-    /// Drains a callback's context. `parent` is the span whose delivery ran
-    /// the callback (`None` for `on_start`); every send and armed timer
-    /// inherits it as causal parent.
-    fn dispatch_ctx(&mut self, from: NodeId, ctx: Context<P::Message>, parent: Option<SpanId>) {
-        let (mut outbox, timers, events) = ctx.into_parts();
+    /// Dispatches one callback's output; each send comes with its link
+    /// (see [`link`]). `parent` is the span whose delivery ran the callback
+    /// (`None` for `on_start`); every send and armed timer inherits it as
+    /// causal parent.
+    fn dispatch(
+        &mut self,
+        from: NodeId,
+        parent: Option<SpanId>,
+        events: impl Iterator<Item = NodeEvent>,
+        timers: impl Iterator<Item = (SimTime, u64)>,
+        sends: impl Iterator<Item = (usize, NodeId, P::Message)>,
+    ) {
         // Protocol state transitions emitted during the callback, stamped
         // with the emitting node and its callback time. `events` is always
         // empty unless this run records telemetry.
@@ -294,13 +465,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 Pending::Timer { node: from, tag, parent, incarnation },
             );
         }
-        for (to, msg) in outbox.drain(..) {
-            // The link's CSR position; an unknown id, `from` itself and any
-            // other non-adjacent node have none.
-            let slot = self
-                .topology
-                .slot(from, to)
-                .unwrap_or_else(|| panic!("node {from:?} sent to non-neighbour {to:?}"));
+        for (slot, to, msg) in sends {
             let kind = msg.kind();
             let span = SpanId(self.next_span);
             self.next_span += 1;
@@ -363,7 +528,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
             let duplicate = self.faults.duplicate_probability > 0.0
                 && self.rng.gen_range(0.0..1.0) < self.faults.duplicate_probability;
             let copy = if duplicate { Some(msg.clone()) } else { None };
-            self.schedule(at, Pending::Msg(InFlight { from, to, msg, span }));
+            self.schedule(at, Pending::Msg(InFlight { from, to, kind, msg: Some(msg), span }));
             if let Some(copy) = copy {
                 let dspan = SpanId(self.next_span);
                 self.next_span += 1;
@@ -378,10 +543,10 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 });
                 let at = self.now + self.config.latency.sample(&mut self.rng);
                 let dat = self.clamp(slot, at);
-                self.schedule(dat, Pending::Msg(InFlight { from, to, msg: copy, span: dspan }));
+                let msg = Some(copy);
+                self.schedule(dat, Pending::Msg(InFlight { from, to, kind, msg, span: dspan }));
             }
         }
-        self.outbox = outbox;
     }
 
     /// Runs every node's `on_start` (at time 0) if not already done.
@@ -405,30 +570,46 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         }
     }
 
-    /// Delivers a single event (message or timer). Returns `false` when the
-    /// queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.start();
-        let Some((at, pending)) = self.queue.pop() else {
-            return false;
-        };
-        self.now = at;
+    /// Whether `ev`, due now, runs its node's callback. A message to a
+    /// node that is down is dead-lettered; a timer dies with its node or
+    /// with the incarnation that armed it. `restarts` counts restarts of
+    /// the event's node that come before it in this tick but are not yet
+    /// applied to `incarnation` (a grouped tick's phase 1).
+    fn is_live(&self, ev: &Pending<P::Message>, restarts: u32) -> bool {
+        match *ev {
+            Pending::Msg(InFlight { to, .. }) => !self.faults.down_at(to, self.now),
+            Pending::Timer { node, incarnation, .. } => {
+                !self.faults.down_at(node, self.now)
+                    && incarnation == self.incarnation[node.index()] + restarts
+            }
+            Pending::Restart { .. } => true,
+        }
+    }
 
-        match pending {
-            Pending::Timer { node, tag, parent, incarnation } => {
-                // A timer is dead if its node is down, or if it was armed in
-                // a previous incarnation (armed before a crash-restart).
-                if self.faults.down_at(node, at) || incarnation != self.incarnation[node.index()]
-                {
-                    return true;
+    /// Accounts for `ev` firing now: its counters, its transport record
+    /// and, for a restart, the new incarnation. Returns the node whose
+    /// callback runs and the callback's causal parent, or `None` if the
+    /// event dies (see [`Simulator::is_live`]).
+    fn fire(&mut self, ev: &Pending<P::Message>) -> Option<(NodeId, Option<SpanId>)> {
+        let (live, time) = (self.is_live(ev, 0), self.now);
+        match *ev {
+            Pending::Msg(InFlight { from, to, kind, span, .. }) => {
+                if !live {
+                    self.stats.dead_lettered += 1;
+                    self.log.record(TelemetryEvent::DeadLettered { time, span, from, to, kind });
+                    return None;
+                }
+                self.stats.delivered += 1;
+                self.log.record(TelemetryEvent::Delivered { time, span, from, to, kind });
+                Some((to, Some(span)))
+            }
+            Pending::Timer { node, tag, parent, .. } => {
+                if !live {
+                    return None;
                 }
                 self.stats.timers_fired += 1;
-                self.log.record(TelemetryEvent::TimerFired {
-                    time: at,
-                    node,
-                    tag,
-                });
-                self.callback(node, parent, |n, ctx| n.on_timer(tag, ctx));
+                self.log.record(TelemetryEvent::TimerFired { time, node, tag });
+                Some((node, parent))
             }
             Pending::Restart { node } => {
                 // The node comes back with no volatile state: bump the
@@ -437,51 +618,142 @@ impl<'g, P: Protocol> Simulator<'g, P> {
                 // recovery callback are new causal roots.
                 self.incarnation[node.index()] += 1;
                 self.stats.restarts += 1;
-                self.log.record(TelemetryEvent::Restarted { time: at, node });
-                self.callback(node, None, |n, ctx| n.on_restart(ctx));
-            }
-            Pending::Msg(InFlight { from, to, msg, span }) => {
-                // Crash handling: a node is dead from its crash time until
-                // its restart (if any).
-                if self.faults.down_at(to, at) {
-                    self.stats.dead_lettered += 1;
-                    self.log.record(TelemetryEvent::DeadLettered {
-                        time: at,
-                        span,
-                        from,
-                        to,
-                        kind: msg.kind(),
-                    });
-                    return true;
-                }
-
-                self.stats.delivered += 1;
-                self.log.record(TelemetryEvent::Delivered {
-                    time: at,
-                    span,
-                    from,
-                    to,
-                    kind: msg.kind(),
-                });
-                self.callback(to, Some(span), |node, ctx| node.on_message(from, msg, ctx));
+                self.log.record(TelemetryEvent::Restarted { time, node });
+                Some((node, None))
             }
         }
+    }
+
+    /// Delivers a single event (message or timer). Returns `false` when the
+    /// queue is empty.
+    ///
+    /// This is the reference path: [`Simulator::run`] must leave exactly
+    /// the state a loop of `step` leaves.
+    pub fn step(&mut self) -> bool {
+        self.start();
+        let Some((at, mut ev)) = self.queue.pop() else {
+            return false;
+        };
+        self.now = at;
+        if let Some((node, parent)) = self.fire(&ev) {
+            self.callback(node, parent, |n, ctx| handle(n, &mut ev, ctx));
+        }
         true
+    }
+
+    /// Runs the whole earliest tick, a chunk of [`chunk_len`] events at a
+    /// time, each chunk in two phases (see the module docs).
+    fn run_tick(&mut self) {
+        let (at, mut bucket) = self.queue.pop_tick().expect("a tick is due");
+        self.now = at;
+        let mut s = std::mem::replace(&mut self.tick, TickScratch::with_capacity(0));
+        let due = bucket.make_contiguous();
+        let mut later = due.len();
+        for chunk in due.chunks_mut(chunk_len(self.nodes.len())) {
+            later -= chunk.len();
+            self.run_chunk(&mut s, chunk, later);
+        }
+        self.tick = s;
+        self.queue.recycle(bucket);
+    }
+
+    /// Runs `due`, consecutive events of the current tick with `later`
+    /// more after them: callbacks grouped by node, then dispatch in
+    /// schedule order.
+    fn run_chunk(
+        &mut self,
+        s: &mut TickScratch<P::Message>,
+        due: &mut [Pending<P::Message>],
+        later: usize,
+    ) {
+        let k = due.len();
+        let n = self.nodes.len();
+        s.sort.indices(&mut s.order, k, n, |i| due[i].node().index());
+
+        // Phase 1: callbacks, node by node, each node's events in schedule
+        // order. Only the node's own state changes; the output is kept.
+        s.sent.clear();
+        s.sent.resize(k, [0; 2]);
+        // About one send per delivery: sized once, not grown by doubling.
+        s.sends.reserve(k);
+        // The node whose events are running, and its restarts so far.
+        let mut restarts = (NodeId(u32::MAX), 0);
+        for &i in &s.order {
+            let ev = &mut due[i as usize];
+            let node = ev.node();
+            if node != restarts.0 {
+                restarts = (node, 0);
+            }
+            let start = s.sends.len() as u32;
+            if self.is_live(ev, restarts.1) {
+                restarts.1 += u32::from(matches!(ev, Pending::Restart { .. }));
+                let (mut outbox, timers, events) =
+                    self.run_handler(node, |n, ctx| handle(n, ev, ctx));
+                // The sender's adjacency is at hand here, in phase 1.
+                let topology = self.topology;
+                s.sends.extend(
+                    outbox
+                        .drain(..)
+                        .map(|(to, msg)| (link(topology, node, to) as u32, to, Some(msg))),
+                );
+                self.outbox = outbox;
+                s.timers.extend(timers.into_iter().map(|timer| (i, timer)));
+                s.events.extend(events.into_iter().map(|event| (i, event)));
+            }
+            s.sent[i as usize] = [start, s.sends.len() as u32];
+        }
+        // Stable: each callback's timers and events keep their own order.
+        s.timers.sort_by_key(|&(i, _)| i);
+        s.events.sort_by_key(|&(i, _)| i);
+
+        // Phase 2: in schedule order, account for each event and dispatch
+        // its callback's output, exactly as `step` would have.
+        let (mut t, mut e) = (0, 0);
+        for (i, ev) in due.iter().enumerate() {
+            self.backlog = later + k - 1 - i;
+            let Some((node, parent)) = self.fire(ev) else {
+                continue;
+            };
+            let (t0, e0) = (t, e);
+            (t, e) = (run_end(&s.timers, t, i as u32), run_end(&s.events, e, i as u32));
+            let [s0, s1] = s.sent[i];
+            self.dispatch(
+                node,
+                parent,
+                s.events[e0..e].iter().map(|&(_, event)| event),
+                s.timers[t0..t].iter().map(|&(_, timer)| timer),
+                s.sends[s0 as usize..s1 as usize].iter_mut().map(|(slot, to, msg)| {
+                    (*slot as usize, *to, msg.take().expect("a send is dispatched once"))
+                }),
+            );
+        }
+        self.backlog = 0;
+        s.sends.clear();
+        s.timers.clear();
+        s.events.clear();
     }
 
     /// Runs to quiescence (or until the delivery guard trips).
     ///
     /// `RunOutcome::deliveries` counts messages actually handed to handlers;
     /// dead-lettered messages advance time but are not deliveries.
+    ///
+    /// Ticks run grouped (see the module docs). A tick of one event, or
+    /// one larger than the deliveries the guard has left, runs through
+    /// [`Simulator::step`], so the guard stops at the same event.
     pub fn run(&mut self) -> RunOutcome {
         self.start();
-        while self.stats.delivered + self.stats.timers_fired < self.config.max_deliveries {
-            if !self.step() {
-                return RunOutcome {
-                    end_time: self.now,
-                    deliveries: self.stats.delivered,
-                    quiescent: true,
-                };
+        loop {
+            let done = self.stats.delivered + self.stats.timers_fired;
+            if done >= self.config.max_deliveries {
+                break;
+            }
+            match self.queue.first_len() {
+                None => break,
+                Some(k) if k == 1 || k as u64 > self.config.max_deliveries - done => {
+                    self.step();
+                }
+                Some(_) => self.run_tick(),
             }
         }
         RunOutcome {

@@ -1,13 +1,29 @@
 //! Synchronous-round execution of a [`Protocol`].
 //!
-//! In round `r`, every message sent during round `r − 1` is delivered (in a
-//! deterministic order: by sender id, then send order). This is the classic
-//! LOCAL/CONGEST-style round model; the experiment suite uses it to report
-//! *round complexity*, which is latency-model-free.
+//! In round `r`, every message sent during round `r − 1` is delivered, and
+//! every node sees its inbox in a deterministic order: by sender id, then
+//! send order. This is the classic LOCAL/CONGEST-style round model; the
+//! experiment suite uses it to report *round complexity*, which is
+//! latency-model-free.
+//!
+//! The runner delivers a round grouped by receiver: ordered by
+//! `(to, from)`, stable, so each node's state is touched in one visit.
+//! **Each node's inbox order is unchanged**, and that is observably
+//! identical to delivering in sender order: a callback reads and writes
+//! only its own node's state, and its sends wait for the next round, whose
+//! inboxes are again ordered by sender id, then send order. Counters and
+//! timers are order-free sums and sets.
+//!
+//! Nodes message only along the edges of a topology graph, as on the
+//! asynchronous [`crate::Simulator`]. Each delivery checks its link in the
+//! receiver's adjacency, which the grouped order sweeps node by node; a
+//! send to a non-neighbour panics when its round is delivered.
 
+use crate::group;
 use crate::protocol::{Context, Payload, Protocol};
 use crate::stats::NetStats;
 use crate::NodeId;
+use owp_graph::Graph;
 
 /// Outcome of a synchronous run.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -19,10 +35,16 @@ pub struct SyncOutcome {
 }
 
 /// Synchronous-round engine. Nodes are driven in lock-step rounds.
-pub struct SyncRunner<P: Protocol> {
+pub struct SyncRunner<'g, P: Protocol> {
     nodes: Vec<P>,
+    /// The communication graph: node `i` runs `nodes[i]`.
+    topology: &'g Graph,
     /// Messages to deliver next round: `(from, to, msg)`.
     pending: Vec<(NodeId, NodeId, P::Message)>,
+    /// The delivery order of the round being delivered, as indices into
+    /// its batch, and the sort that computes it.
+    order: Vec<u32>,
+    sort: group::NodeSort,
     /// The callbacks' outbox, drained after each callback and handed to
     /// the next one.
     outbox: Vec<(NodeId, P::Message)>,
@@ -34,12 +56,25 @@ pub struct SyncRunner<P: Protocol> {
     started: bool,
 }
 
-impl<P: Protocol> SyncRunner<P> {
-    /// Creates a runner over `nodes` (node `i` gets id `i`).
-    pub fn new(nodes: Vec<P>) -> Self {
+impl<'g, P: Protocol> SyncRunner<'g, P> {
+    /// Creates a runner whose nodes communicate only along the edges of
+    /// `topology` (node `i` of the graph runs `nodes[i]`).
+    ///
+    /// # Panics
+    /// If `nodes` and `topology` differ in node count. A send to a
+    /// non-neighbour panics when it is delivered.
+    pub fn new(nodes: Vec<P>, topology: &'g Graph) -> Self {
+        assert_eq!(
+            nodes.len(),
+            topology.node_count(),
+            "one protocol node per topology node"
+        );
         SyncRunner {
             nodes,
+            topology,
             pending: Vec::new(),
+            order: Vec::new(),
+            sort: group::NodeSort::default(),
             outbox: Vec::new(),
             timers: Vec::new(),
             stats: NetStats::default(),
@@ -73,8 +108,9 @@ impl<P: Protocol> SyncRunner<P> {
         }
         let n = self.nodes.len();
         for (to, msg) in outbox.drain(..) {
+            // Adjacency is checked at delivery; the id must be a node's
+            // before then, for the grouping to place it.
             assert!(to.index() < n, "send to unknown node {to:?}");
-            assert!(to != id, "node {id:?} sent a message to itself");
             self.stats.record_send(msg.kind());
             self.pending.push((id, to, msg));
         }
@@ -115,10 +151,18 @@ impl<P: Protocol> SyncRunner<P> {
         let round = self.rounds;
 
         let mut batch = std::mem::take(&mut self.pending);
-        // Deterministic delivery order: sender id, then send sequence (stable
-        // sort keeps per-sender order — the FIFO property).
-        batch.sort_by_key(|&(from, _, _)| from);
+        // The reference order is sender id, then send sequence (stable:
+        // per-sender order is the FIFO property). Delivery groups it by
+        // receiver, stable again, so each inbox keeps the reference order.
+        let (k, n) = (batch.len(), self.nodes.len());
+        self.sort.indices(&mut self.order, k, n, |i| batch[i].0.index());
+        group::permute(&mut batch, &mut self.order);
+        self.sort.indices(&mut self.order, k, n, |i| batch[i].1.index());
+        group::permute(&mut batch, &mut self.order);
         for (from, to, msg) in batch {
+            if self.topology.slot(to, from).is_none() {
+                panic!("node {from:?} sent to non-neighbour {to:?}");
+            }
             self.stats.delivered += 1;
             self.callback(to, round, |node, ctx| node.on_message(from, msg, ctx));
         }
@@ -192,6 +236,7 @@ impl<P: Protocol> SyncRunner<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use owp_graph::generators;
     use owp_telemetry::MessageKind;
 
     /// Flooding protocol: node 0 floods a wave over a clique; each node
@@ -255,7 +300,8 @@ mod tests {
 
     #[test]
     fn flood_completes_in_two_rounds() {
-        let mut r = SyncRunner::new(flood_nodes(6));
+        let g = generators::complete(6);
+        let mut r = SyncRunner::new(flood_nodes(6), &g);
         let out = r.run();
         assert!(out.quiescent);
         // Round 1 delivers node 0's wave; round 2 delivers the echoes.
@@ -276,7 +322,8 @@ mod tests {
 
     #[test]
     fn round_by_round_observation() {
-        let mut r = SyncRunner::new(flood_nodes(6));
+        let g = generators::complete(6);
+        let mut r = SyncRunner::new(flood_nodes(6), &g);
         r.start();
         assert_eq!(r.pending_count(), 5, "node 0's wave is in flight");
         assert!((r.terminated_fraction() - 1.0 / 6.0).abs() < 1e-12);
@@ -305,7 +352,8 @@ mod tests {
             }
         }
         let nodes = vec![PingPong { id: NodeId(0) }, PingPong { id: NodeId(1) }];
-        let mut r = SyncRunner::new(nodes).with_max_rounds(10);
+        let g = generators::path(2);
+        let mut r = SyncRunner::new(nodes, &g).with_max_rounds(10);
         let out = r.run();
         assert!(!out.quiescent);
         assert_eq!(out.rounds, 10);
@@ -331,7 +379,8 @@ mod tests {
 
     #[test]
     fn sync_timers_fire_across_empty_rounds() {
-        let mut r = SyncRunner::new(vec![TimerChain { fired_at: vec![] }]);
+        let g = generators::path(1);
+        let mut r = SyncRunner::new(vec![TimerChain { fired_at: vec![] }], &g);
         let out = r.run();
         assert!(out.quiescent);
         // First timer at round 3, second at round 3 + 5 = 8.
@@ -348,9 +397,160 @@ mod tests {
             fn on_start(&mut self, _ctx: &mut Context<MessageKind>) {}
             fn on_message(&mut self, _f: NodeId, _m: MessageKind, _c: &mut Context<MessageKind>) {}
         }
-        let mut r = SyncRunner::new(vec![Quiet, Quiet]);
+        let g = generators::path(2);
+        let mut r = SyncRunner::new(vec![Quiet, Quiet], &g);
         let out = r.run();
         assert!(out.quiescent);
         assert_eq!(out.rounds, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-neighbour")]
+    fn send_to_non_neighbour_panics() {
+        // Leaf 1 of a star sends to leaf 2, which is not its neighbour.
+        struct Leaf {
+            id: NodeId,
+        }
+        impl Protocol for Leaf {
+            type Message = MessageKind;
+            fn on_start(&mut self, ctx: &mut Context<MessageKind>) {
+                if self.id == NodeId(1) {
+                    ctx.send(NodeId(2), MessageKind::Prop);
+                }
+            }
+            fn on_message(&mut self, _f: NodeId, _m: MessageKind, _c: &mut Context<MessageKind>) {}
+        }
+        let g = generators::star(3);
+        SyncRunner::new((0..3).map(|i| Leaf { id: NodeId(i) }).collect(), &g).run();
+    }
+
+    /// A numbered message.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Seq(u32);
+    impl Payload for Seq {
+        fn kind(&self) -> MessageKind {
+            MessageKind::Prop
+        }
+    }
+
+    /// A node that records its inbox, and whose sends and timers depend on
+    /// the inbox so far, so any change in its order shows.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Recorder {
+        id: NodeId,
+        neighbours: Vec<NodeId>,
+        /// `(round, from, number)` of every delivery, in delivery order.
+        inbox: Vec<(u64, NodeId, u32)>,
+    }
+
+    impl Recorder {
+        fn next(&self, salt: usize) -> NodeId {
+            self.neighbours[(self.id.index() * 7 + salt * 3) % self.neighbours.len()]
+        }
+    }
+
+    impl Protocol for Recorder {
+        type Message = Seq;
+        fn on_start(&mut self, ctx: &mut Context<Seq>) {
+            if self.id.0 % 3 != 1 {
+                for (k, &to) in self.neighbours.iter().enumerate() {
+                    ctx.send(to, Seq(k as u32 % 2));
+                }
+                // Two messages on one link in one callback.
+                ctx.send(self.neighbours[0], Seq(2));
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: Seq, ctx: &mut Context<Seq>) {
+            self.inbox.push((ctx.now(), from, msg.0));
+            let salt = self.inbox.len();
+            if msg.0 < 6 {
+                ctx.send(self.next(salt), Seq(msg.0 + 1));
+            }
+            if salt.is_multiple_of(4) {
+                ctx.send(from, Seq(msg.0 + 2));
+            }
+            if salt.is_multiple_of(5) {
+                ctx.set_timer(1, u64::from(msg.0));
+            }
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<Seq>) {
+            // Timer sends join the next round after every delivery's, so
+            // the round's batch is not in sender order.
+            if tag < 6 {
+                ctx.send(self.next(tag as usize), Seq(tag as u32 + 1));
+            }
+        }
+    }
+
+    /// The reference schedule's queues: messages `(from, to, msg)` for the
+    /// next round and armed timers `(round, node, tag)`.
+    #[derive(Default)]
+    struct Reference {
+        pending: Vec<(NodeId, NodeId, Seq)>,
+        timers: Vec<(u64, NodeId, u64)>,
+    }
+
+    impl Reference {
+        fn callback(
+            &mut self,
+            node: &mut Recorder,
+            round: u64,
+            f: impl FnOnce(&mut Recorder, &mut Context<Seq>),
+        ) {
+            let mut ctx = Context::detached(node.id, round);
+            f(node, &mut ctx);
+            let (from, (sent, armed, _)) = (node.id, ctx.into_parts());
+            self.pending.extend(sent.into_iter().map(|(to, m)| (from, to, m)));
+            self.timers.extend(armed.into_iter().map(|(delay, tag)| (round + delay, from, tag)));
+        }
+
+        /// Runs `nodes` delivering every round's batch by sender id, then
+        /// send order, and the due timers after it in `(node, tag)` order.
+        /// Returns the rounds run and the messages delivered.
+        fn run(nodes: &mut [Recorder]) -> (u64, u64) {
+            let mut q = Reference::default();
+            for node in nodes.iter_mut() {
+                q.callback(node, 0, |n, ctx| n.on_start(ctx));
+            }
+            let (mut round, mut delivered) = (0, 0);
+            while !q.pending.is_empty() || !q.timers.is_empty() {
+                round += 1;
+                let mut batch = std::mem::take(&mut q.pending);
+                batch.sort_by_key(|&(from, _, _)| from);
+                for (from, to, msg) in batch {
+                    delivered += 1;
+                    let node = &mut nodes[to.index()];
+                    q.callback(node, round, |n, ctx| n.on_message(from, msg, ctx));
+                }
+                let mut due: Vec<_> = q.timers.iter().copied().filter(|t| t.0 <= round).collect();
+                q.timers.retain(|t| t.0 > round);
+                due.sort();
+                for (_, node, tag) in due {
+                    q.callback(&mut nodes[node.index()], round, |n, ctx| n.on_timer(tag, ctx));
+                }
+            }
+            (round, delivered)
+        }
+    }
+
+    #[test]
+    fn inboxes_match_the_sender_ordered_reference() {
+        use rand::SeedableRng;
+        let g = generators::watts_strogatz(50, 4, 0.3, &mut rand::rngs::StdRng::seed_from_u64(8));
+        let nodes: Vec<Recorder> = g
+            .nodes()
+            .map(|id| Recorder { id, neighbours: g.neighbor_ids(id).collect(), inbox: Vec::new() })
+            .collect();
+        let mut reference = nodes.clone();
+        let (rounds, delivered) = Reference::run(&mut reference);
+
+        let mut r = SyncRunner::new(nodes, &g);
+        let out = r.run();
+        assert!(out.quiescent);
+        assert_eq!((out.rounds, r.stats().delivered), (rounds, delivered));
+        assert!(r.stats().timers_fired > 0, "timer sends are part of the batches");
+        for (got, want) in r.nodes().zip(&reference) {
+            assert_eq!(got.inbox, want.inbox, "node {:?}'s inbox", want.id);
+        }
     }
 }
